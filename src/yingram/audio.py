@@ -15,6 +15,7 @@ __all__ = [
     "WavFormatError",
     "load_wav",
     "resample",
+    "frame_count",
     "frame_signal",
 ]
 
@@ -178,21 +179,28 @@ def resample(w: Waveform, target_sr: int) -> Waveform:
     return Waveform(y[:n_out], target_sr)
 
 
+def frame_count(num_samples: int, frame_len: int, hop: int) -> int:
+    """Number of frames `frame_signal` cuts from num_samples samples:
+    ceil(num_samples / hop).
+
+    Raises:
+        ValueError: for a non-positive frame_len or hop.
+    """
+    if frame_len <= 0:
+        raise ValueError(f"frame_len must be positive, got {frame_len}")
+    if hop <= 0:
+        raise ValueError(f"hop must be positive, got {hop}")
+    return -(-num_samples // hop)
+
+
 def frame_signal(w: Waveform, frame_len: int, hop: int) -> list[Frame]:
     """Slice a waveform into hop-spaced frames of frame_len samples.
 
     Frame k starts at k*hop; the count is ceil(len/hop). Tail frames are
     zero padded and flagged `padded`.
     """
-    if frame_len <= 0:
-        raise ValueError(f"frame_len must be positive, got {frame_len}")
-    if hop <= 0:
-        raise ValueError(f"hop must be positive, got {hop}")
-
-    n = len(w.samples)
-    count = -(-n // hop)
     frames = []
-    for k in range(count):
+    for k in range(frame_count(len(w.samples), frame_len, hop)):
         start = k * hop
         chunk = w.samples[start : start + frame_len]
         padded = len(chunk) < frame_len

@@ -13,12 +13,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import Waveform, frame_signal, load_wav, resample
+from .audio import Waveform, frame_count, load_wav, resample
 from .config import AnalysisConfig
-from .feature import compute_yingram
-from .grid import shift_to_semitones
+from .feature import yingram_rows
+from .grid import channel_lags, shift_to_semitones
 from .losses import LossConfig, shift_consistency_metric
-from .yin import cmnd, difference_function, parabolic_refine, _pick_lag
+from .yin import _check_f0_bounds, cmnd_blocks, f0_rows
+
+# Unused here since analysis reads `cmnd_blocks`, but kept as attributes of
+# this module: the benchmark's tracer (bench/spans.py) checks that it
+# rebinds these per-frame kernels in every module that imports them.
+from .yin import _pick_lag, difference_function  # noqa: F401,E402
 
 __all__ = [
     "PitchContour",
@@ -61,7 +66,7 @@ class ShiftReport:
     expected_semitones: float
     measured_semitone_offset: float
     voiced_overlap_fraction: float
-    l_yin_shift: float
+    l_yin_shift: float | None
     passed: bool
     reason: str | None = None
 
@@ -78,42 +83,52 @@ class ShiftReport:
         }
 
 
+def _unvoiced_contour(w: Waveform, cfg: AnalysisConfig) -> PitchContour:
+    n = frame_count(len(w.samples), cfg.frame_length, cfg.hop)
+    times = np.arange(n) * (cfg.hop / cfg.sample_rate)
+    return PitchContour(times, np.full(n, np.nan), np.ones(n), cfg.hop, cfg.sample_rate)
+
+
+def _voice(contour: PitchContour, start: int, values: np.ndarray, cfg: AnalysisConfig) -> None:
+    """Fill the contour's f0 and aperiodicity at frames start, start + 1, ...
+    from their CMND rows."""
+    frames = slice(start, start + len(values))
+    contour.f0[frames], contour.aperiodicity[frames] = f0_rows(
+        values, cfg.sample_rate, cfg.f0_threshold, cfg.f_min, cfg.f_max, cfg.voicing_cutoff
+    )
+
+
 def extract_pitch_contour(w: Waveform, config: AnalysisConfig | None = None) -> PitchContour:
     """Frame-wise f0 estimation over a waveform.
 
     Padded tail frames are marked unvoiced. The f0 estimate follows the
-    CMND threshold rule with parabolic refinement; aperiodicity is the CMND
-    value at the chosen integer lag.
+    CMND threshold rule with parabolic refinement (`f0_rows`); aperiodicity
+    is the CMND value at the chosen integer lag.
     """
     cfg = config or AnalysisConfig()
-    if w.sample_rate != cfg.sample_rate:
-        raise ValueError(
-            f"waveform at {w.sample_rate} Hz, config expects {cfg.sample_rate}; "
-            "resample first"
-        )
-    if not (0.0 < cfg.f_min < cfg.f_max <= cfg.sample_rate / 2):
-        raise ValueError(
-            f"invalid f0 bounds: need 0 < f_min < f_max <= sr/2, got "
-            f"[{cfg.f_min}, {cfg.f_max}] at {cfg.sample_rate} Hz"
-        )
-    frames = frame_signal(w, cfg.frame_length, cfg.hop)
-    n = len(frames)
-    times = np.arange(n) * (cfg.hop / cfg.sample_rate)
-    f0 = np.full(n, np.nan)
-    aperiodicity = np.ones(n)
-    tau_max = cfg.tau_max
-    for k, frame in enumerate(frames):
-        if frame.padded:
-            continue
-        curve = cmnd(difference_function(frame, tau_max, cfg.window), cfg.sample_rate)
-        tau, ap = _pick_lag(
-            curve.values, cfg.sample_rate, cfg.f0_threshold, cfg.f_min, cfg.f_max
-        )
-        aperiodicity[k] = ap
-        if ap <= cfg.voicing_cutoff:
-            hz = cfg.sample_rate / parabolic_refine(curve, tau)
-            f0[k] = min(max(hz, cfg.f_min), cfg.f_max)
-    return PitchContour(times, f0, aperiodicity, cfg.hop, cfg.sample_rate)
+    blocks = cmnd_blocks(w, cfg)
+    _check_f0_bounds(cfg.sample_rate, cfg.f_min, cfg.f_max)
+    contour = _unvoiced_contour(w, cfg)
+    for block in blocks:
+        _voice(contour, block.start, block.unpadded, cfg)
+    return contour
+
+
+def _analyse(w: Waveform, cfg: AnalysisConfig) -> tuple[np.ndarray, PitchContour]:
+    """Float32 Yingram rows of the unpadded frames, and the pitch contour, of
+    one clip from a single pass over its CMND blocks."""
+    blocks = cmnd_blocks(w, cfg)
+    _check_f0_bounds(cfg.sample_rate, cfg.f_min, cfg.f_max)
+    lags = channel_lags(cfg.grid, cfg.sample_rate)
+    contour = _unvoiced_contour(w, cfg)
+    rows = np.empty((len(contour), cfg.grid.num_channels), dtype=np.float32)
+    unpadded = 0
+    for block in blocks:
+        kept = block.unpadded
+        rows[block.start : block.start + len(kept)] = yingram_rows(kept, lags)
+        _voice(contour, block.start, kept, cfg)
+        unpadded += len(kept)
+    return rows[:unpadded], contour
 
 
 def median_semitone_offset(
@@ -177,16 +192,27 @@ def evaluate_shift_pair(
         shifted = resample(shifted, cfg.sample_rate)
 
     expected = shift_to_semitones(s)
-    loss_cfg = LossConfig(cfg.lambda_yin)
-    y_normal = compute_yingram(normal, cfg).unpadded()
-    y_shifted = compute_yingram(shifted, cfg).unpadded()
+    y_normal, contour_a = _analyse(normal, cfg)
+    y_shifted, contour_b = _analyse(shifted, cfg)
     frames = min(len(y_normal), len(y_shifted))
+    if frames == 0:
+        return ShiftReport(
+            scope_shift=s,
+            expected_semitones=expected,
+            measured_semitone_offset=float("nan"),
+            voiced_overlap_fraction=0.0,
+            l_yin_shift=None,
+            passed=False,
+            reason=(
+                f"no unpadded frames: each clip needs at least {cfg.frame_length} "
+                f"samples (window + tau_max), got {len(normal.samples)} (normal) "
+                f"and {len(shifted.samples)} (shifted)"
+            ),
+        )
     metric = shift_consistency_metric(
-        y_normal[:frames], y_shifted[:frames], s, loss_cfg
+        y_normal[:frames], y_shifted[:frames], s, LossConfig(cfg.lambda_yin)
     )
 
-    contour_a = extract_pitch_contour(normal, cfg)
-    contour_b = extract_pitch_contour(shifted, cfg)
     scale = len(shifted.samples) / len(normal.samples)
     try:
         measured, overlap = median_semitone_offset(contour_a, contour_b, time_scale=scale)
@@ -245,7 +271,8 @@ class BatchReport:
         reports = self.reports
         by_shift: dict[int, list[float]] = {}
         for r in reports:
-            by_shift.setdefault(r.scope_shift, []).append(r.l_yin_shift)
+            if r.l_yin_shift is not None:
+                by_shift.setdefault(r.scope_shift, []).append(r.l_yin_shift)
         mean_by_shift = {
             str(s): float(np.mean(vals)) for s, vals in sorted(by_shift.items())
         }
@@ -281,9 +308,10 @@ class BatchReport:
                     "" if np.isnan(r.measured_semitone_offset)
                     else f"{r.measured_semitone_offset:.6f}"
                 )
+                metric = "" if r.l_yin_shift is None else f"{r.l_yin_shift:.6f}"
                 lines.append(
                     f"{r.scope_shift},{r.expected_semitones:.6f},{measured},"
-                    f"{r.voiced_overlap_fraction:.6f},{r.l_yin_shift:.6f},"
+                    f"{r.voiced_overlap_fraction:.6f},{metric},"
                     f"{str(r.passed).lower()}"
                 )
             else:
@@ -296,22 +324,31 @@ class BatchReport:
 def batch_report(manifest: list[dict], config: AnalysisConfig | None = None) -> BatchReport:
     """Evaluate every manifest entry {normal, shifted, scope_shift}.
 
-    Unreadable or malformed entries are recorded as errors and the batch
-    continues; results keep manifest order.
+    Unreadable or malformed entries (including entries that are not
+    objects) are recorded as errors and the batch continues; results keep
+    manifest order.
     """
     cfg = config or AnalysisConfig()
     report = BatchReport(config=cfg)
     for index, item in enumerate(manifest):
         entry: dict = {"index": index}
         try:
-            normal_path = item["normal"]
-            shifted_path = item["shifted"]
+            if not isinstance(item, dict):
+                raise TypeError(
+                    f"manifest entry must be an object, got {type(item).__name__}"
+                )
+            normal_path = Path(item["normal"])
+            shifted_path = Path(item["shifted"])
             s = int(item["scope_shift"])
-            entry.update(normal=str(normal_path), shifted=str(shifted_path), scope_shift=s)
-            normal = resample(load_wav(Path(normal_path)), cfg.sample_rate)
-            shifted = resample(load_wav(Path(shifted_path)), cfg.sample_rate)
-            entry["report"] = evaluate_shift_pair(normal, shifted, s, cfg)
-        except (KeyError, OSError, ValueError) as exc:
+            entry.update(normal=str(item["normal"]), shifted=str(item["shifted"]), scope_shift=s)
+            normal = resample(load_wav(normal_path), cfg.sample_rate)
+            shifted = resample(load_wav(shifted_path), cfg.sample_rate)
+        except (KeyError, TypeError, OSError, ValueError) as exc:
             entry["error"] = f"{type(exc).__name__}: {exc}"
+        else:
+            try:
+                entry["report"] = evaluate_shift_pair(normal, shifted, s, cfg)
+            except ValueError as exc:
+                entry["error"] = f"{type(exc).__name__}: {exc}"
         report.entries.append(entry)
     return report

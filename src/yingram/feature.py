@@ -11,13 +11,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import Frame, Waveform, frame_signal
+from .audio import Frame, Waveform, frame_count
 from .config import AnalysisConfig
 from .grid import DEFAULT_GRID, NoteGrid, channel_lags, tau_max_for
-from .yin import CmndCurve, cmnd, difference_function
+from .yin import CmndCurve, cmnd, cmnd_blocks, difference_function
 
 __all__ = [
     "YingramMatrix",
+    "yingram_rows",
     "yingram_frame",
     "yingram_from_frame",
     "compute_yingram",
@@ -58,23 +59,29 @@ class YingramMatrix:
         return self.values[~self.padded]
 
 
-def yingram_frame(c: CmndCurve, grid: NoteGrid = DEFAULT_GRID) -> np.ndarray:
-    """Sample a CMND curve at every grid channel's fractional lag.
+def yingram_rows(values: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """Sample CMND values, one curve per row (or a single 1-D curve), at the
+    fractional lags of the grid channels.
 
     Y[ch] = d'(floor(tau)) + (d'(ceil(tau)) - d'(floor(tau))) * frac(tau)
-    with tau the lag of note start_note + ch. Integer lags reproduce the
-    curve value exactly.
+    with tau = lags[ch]. Integer lags reproduce the curve value exactly.
     """
-    lags = channel_lags(grid, c.sample_rate)
     ceils = np.ceil(lags).astype(int)
-    if c.tau_max < ceils.max():
+    tau_max = values.shape[-1] - 1
+    if tau_max < ceils.max():
         raise ValueError(
-            f"lag out of range: curve covers tau <= {c.tau_max}, grid needs {ceils.max()}"
+            f"lag out of range: curve covers tau <= {tau_max}, grid needs {ceils.max()}"
         )
     floors = np.floor(lags).astype(int)
     frac = lags - floors
-    vals = c.values
-    return vals[floors] * (1.0 - frac) + vals[ceils] * frac
+    return values[..., floors] * (1.0 - frac) + values[..., ceils] * frac
+
+
+def yingram_frame(c: CmndCurve, grid: NoteGrid = DEFAULT_GRID) -> np.ndarray:
+    """Sample a CMND curve at every grid channel's fractional lag (the
+    one-curve case of `yingram_rows`, with the lags of note start_note + ch).
+    """
+    return yingram_rows(c.values, channel_lags(grid, c.sample_rate))
 
 
 def yingram_from_frame(
@@ -97,22 +104,19 @@ def compute_yingram(w: Waveform, config: AnalysisConfig | None = None) -> Yingra
     """Yingram of a whole waveform under the given analysis config.
 
     The waveform is framed at window + tau_max samples every hop; each frame
-    contributes one row. Values are stored as float32 (internal math is
-    float64).
+    contributes one row, read from the clip's CMND blocks (`cmnd_blocks`).
+    Values are stored as float32 (internal math is float64).
     """
     cfg = config or AnalysisConfig()
-    if w.sample_rate != cfg.sample_rate:
-        raise ValueError(
-            f"waveform at {w.sample_rate} Hz, config expects {cfg.sample_rate}; "
-            "resample first"
-        )
+    blocks = cmnd_blocks(w, cfg)
     grid = cfg.grid
-    frames = frame_signal(w, cfg.frame_length, cfg.hop)
-    rows = np.empty((len(frames), grid.num_channels), dtype=np.float32)
-    padded = np.empty(len(frames), dtype=bool)
-    for t, frame in enumerate(frames):
-        rows[t] = yingram_from_frame(frame, grid, cfg.sample_rate, cfg.window)
-        padded[t] = frame.padded
+    lags = channel_lags(grid, cfg.sample_rate)
+    n = frame_count(len(w.samples), cfg.frame_length, cfg.hop)
+    rows = np.empty((n, grid.num_channels), dtype=np.float32)
+    padded = np.empty(n, dtype=bool)
+    for block in blocks:
+        rows[block.rows] = yingram_rows(block.values, lags)
+        padded[block.rows] = block.padded
     return YingramMatrix(rows, grid, cfg.hop, cfg.sample_rate, padded)
 
 

@@ -62,3 +62,34 @@ def crop_rows(matrix: np.ndarray, s: int) -> np.ndarray:
 def fft_peak_hz(samples: np.ndarray, sr: int) -> float:
     spectrum = np.abs(np.fft.rfft(samples))
     return float(np.fft.rfftfreq(len(samples), 1.0 / sr)[np.argmax(spectrum)])
+
+
+def pick_lag_loop(
+    vals: np.ndarray, sample_rate: int, threshold: float, f_min: float, f_max: float
+) -> tuple[int, float]:
+    """The scalar lag-pick loop: the first local minimum under the threshold
+    inside [sr/f_max, sr/f_min], else the global minimum of that range."""
+    lo = max(1, int(np.floor(sample_rate / f_max)))
+    hi = min(len(vals) - 2, int(np.ceil(sample_rate / f_min)))
+    tau = lo
+    while tau <= hi:
+        if vals[tau] < threshold:
+            while tau + 1 <= hi and vals[tau + 1] < vals[tau]:
+                tau += 1
+            return tau, float(vals[tau])
+        tau += 1
+    tau = lo + int(np.argmin(vals[lo : hi + 1]))
+    return tau, float(vals[tau])
+
+
+def parabolic_refine_scalar(vals: np.ndarray, tau: int) -> float:
+    """The scalar parabolic refinement: vertex through tau's neighbors,
+    clamped to [tau-1, tau+1]; boundary lags and flat triples unchanged."""
+    if tau <= 0 or tau >= len(vals) - 1:
+        return float(tau)
+    a, b, cc = vals[tau - 1], vals[tau], vals[tau + 1]
+    denom = a - 2.0 * b + cc
+    if denom == 0.0:
+        return float(tau)
+    vertex = tau + (a - cc) / (2.0 * denom)
+    return float(min(max(vertex, tau - 1.0), tau + 1.0))

@@ -137,6 +137,26 @@ def test_compare_shift_no_verdict_exit(tmp_path, shifted_pair):
     assert code == 0
 
 
+def _strict_json(text: str):
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("error")
+def test_compare_shift_without_unpadded_frames(tmp_path):
+    short = tmp_path / "short.wav"
+    write_wav(short, harmonic_tone(220.0, 0.1))  # below window + tau_max samples
+    out = tmp_path / "report.json"
+    code = main(["compare-shift", str(short), str(short), "--scope-shift", "0", "--out", str(out)])
+    assert code == 1
+    report = _strict_json(out.read_text())
+    assert report["pass"] is False
+    assert report["l_yin_shift"] is None
+    assert "no unpadded frames" in report["reason"]
+
+
 def test_gradcheck_defaults_pass(tmp_path):
     out = tmp_path / "grad.json"
     assert main(["gradcheck", "--frames", "3", "--out", str(out)]) == 0
@@ -184,6 +204,39 @@ def test_batch_manifest(tmp_path, shifted_pair):
     lines = out_csv.read_text().strip().splitlines()
     assert lines[0] == "s,expected_st,measured_st,overlap,l_yin_shift,pass"
     assert len(lines) == 3
+
+
+@pytest.mark.filterwarnings("error")
+def test_batch_entries_that_are_not_objects(tmp_path, shifted_pair):
+    np_path, sp_path = shifted_pair
+    short = tmp_path / "short.wav"
+    write_wav(short, harmonic_tone(220.0, 0.1))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(
+        json.dumps(
+            [
+                1,
+                {"normal": str(np_path), "shifted": str(sp_path), "scope_shift": 4},
+                ["normal.wav"],
+                {"normal": str(short), "shifted": str(short), "scope_shift": 0},
+            ]
+        )
+    )
+    out_json = tmp_path / "report.json"
+    out_csv = tmp_path / "report.csv"
+    code = main(["batch", str(manifest), "--out-json", str(out_json), "--out-csv", str(out_csv)])
+    assert code == 1  # the short pair fails its verdict
+    payload = _strict_json(out_json.read_text())
+    entries = payload["entries"]
+    assert entries[0]["error"] == "TypeError: manifest entry must be an object, got int"
+    assert entries[1]["report"]["pass"] is True
+    assert entries[2]["error"] == "TypeError: manifest entry must be an object, got list"
+    assert entries[3]["report"]["l_yin_shift"] is None
+    assert payload["aggregates"]["pairs_errored"] == 2
+    assert payload["aggregates"]["mean_l_yin_shift_by_scope_shift"].keys() == {"4"}
+    lines = out_csv.read_text().strip().splitlines()
+    assert len(lines) == 5
+    assert lines[4] == "0,0.000000,,0.000000,,false"
 
 
 def test_batch_empty_manifest(tmp_path):

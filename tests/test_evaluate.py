@@ -140,6 +140,19 @@ def test_shift_pair_no_overlap_reason(cfg):
     assert np.isnan(report.measured_semitone_offset)
 
 
+@pytest.mark.filterwarnings("error")
+def test_shift_pair_without_unpadded_frames(cfg):
+    short = harmonic_tone(220.0, 0.1)  # 2205 samples, below window + tau_max
+    report = evaluate_shift_pair(short, short, 0, cfg)
+    assert not report.passed
+    assert report.l_yin_shift is None
+    assert "no unpadded frames" in report.reason
+    assert str(cfg.frame_length) in report.reason
+    payload = report.to_dict()
+    assert payload["l_yin_shift"] is None
+    json.dumps(payload, allow_nan=False)
+
+
 def test_batch_empty(cfg):
     report = batch_report([], cfg)
     assert report.entries == []
