@@ -4,7 +4,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
-from math import gcd
+from fractions import Fraction
 
 import numpy as np
 import scipy.signal
@@ -24,6 +24,12 @@ __all__ = [
 # aliasing well below the CMND noise floor.
 _SINC_HALF_WIDTH = 32
 _KAISER_BETA = 8.6
+# Largest polyphase factor: the filter holds 64 * max(up, down) + 1 taps, so
+# this caps it at 2097153 (16 MB). It keeps exact every conversion between
+# common rates (8 to 192 kHz) and every scope-shift copy at 22.05 kHz
+# (`pitch_shifted_copy` by -s/2 semitones, |s| <= 15; s = 12 needs
+# 31183/22050). Other pairs resample at the nearest ratio within the cap.
+_MAX_POLYPHASE = 1 << 15
 
 
 class WavFormatError(ValueError):
@@ -155,19 +161,44 @@ def load_wav(path: str | os.PathLike) -> Waveform:
     return Waveform(samples, sample_rate)
 
 
+def _polyphase_factors(source_sr: int, target_sr: int) -> tuple[int, int]:
+    """(up, down): target_sr / source_sr in lowest terms, or, when a term
+    exceeds _MAX_POLYPHASE, the nearest ratio whose terms do not. That
+    ratio is off by less than 2 / _MAX_POLYPHASE (about 0.1 cent of pitch).
+
+    Raises:
+        ValueError: the rates differ by more than a factor _MAX_POLYPHASE.
+    """
+    ratio = Fraction(target_sr, source_sr)
+    if max(ratio.numerator, ratio.denominator) > _MAX_POLYPHASE:
+        small = min(ratio, 1 / ratio)
+        if small < Fraction(1, _MAX_POLYPHASE):
+            raise ValueError(
+                f"unsupported resampling ratio: {source_sr} Hz to {target_sr} Hz "
+                f"differ by more than a factor {_MAX_POLYPHASE}"
+            )
+        small = small.limit_denominator(_MAX_POLYPHASE)
+        ratio = small if ratio < 1 else 1 / small
+    return ratio.numerator, ratio.denominator
+
+
 def resample(w: Waveform, target_sr: int) -> Waveform:
     """Resample with a polyphase Kaiser-windowed sinc filter.
 
     Output length is round(len * target_sr / source_sr). When the rates
-    already match the samples pass through unchanged.
+    already match the samples pass through unchanged. The filter size is
+    bounded (see `_polyphase_factors`), whatever rate a WAV header claims.
+
+    Raises:
+        ValueError: for a non-positive target rate, or rates more than a
+            factor 32768 apart.
     """
     if target_sr <= 0:
         raise ValueError(f"target_sr must be positive, got {target_sr}")
     if target_sr == w.sample_rate:
         return Waveform(w.samples.copy(), target_sr)
 
-    g = gcd(int(target_sr), int(w.sample_rate))
-    up, down = target_sr // g, w.sample_rate // g
+    up, down = _polyphase_factors(int(w.sample_rate), int(target_sr))
     max_rate = max(up, down)
     numtaps = 2 * _SINC_HALF_WIDTH * max_rate + 1
     fir = scipy.signal.firwin(numtaps, 1.0 / max_rate, window=("kaiser", _KAISER_BETA))

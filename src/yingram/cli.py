@@ -12,75 +12,51 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .audio import WavFormatError, load_wav, resample
-from .config import AnalysisConfig, load_config_file
+from .config import AnalysisConfig, coerce_field, read_config_file
 from .evaluate import batch_report, evaluate_shift_pair, extract_pitch_contour
 from .feature import (
+    _atomic_write,
+    _write_json,
     compute_yingram,
     write_yingram_binary,
     write_yingram_csv,
     yingram_metadata,
 )
-from .gradients import gradcheck_suite
+from .gradients import DEFAULT_FD_EPS, DEFAULT_FD_TOLERANCE, DEFAULT_PROBES, gradcheck_suite
 
 __all__ = ["main"]
 
-_CONFIG_FLAGS = {
-    "sample_rate": "--sample-rate",
-    "window": "--window",
-    "hop": "--hop",
-    "start_note": "--start-note",
-    "num_channels": "--num-channels",
-    "bins_per_octave": "--bins-per-octave",
-    "reference_note": "--reference-note",
-    "reference_hz": "--reference-hz",
-    "lambda_yin": "--lambda-yin",
-    "f0_threshold": "--f0-threshold",
-    "voicing_cutoff": "--voicing-cutoff",
-    "f_min": "--fmin",
-    "f_max": "--fmax",
-    "shift_tolerance": "--shift-tolerance",
-    "min_overlap": "--min-overlap",
-    "seed": "--seed",
-}
+# One flag per AnalysisConfig field, "--" + the name with dashes; these two
+# keep their short historical spellings.
+_FLAG_SPELLINGS = {"f_min": "--fmin", "f_max": "--fmax"}
+_CONFIG_FIELDS = [f.name for f in dataclasses.fields(AnalysisConfig)]
 
 
 def _config_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("analysis config")
     group.add_argument("--config", metavar="FILE", help="JSON or key=value config file")
-    types = {f.name: (int if f.type == "int" else float) for f in dataclasses.fields(AnalysisConfig)}
-    for name, flag in _CONFIG_FLAGS.items():
-        group.add_argument(flag, dest=f"cfg_{name}", type=types[name], default=None)
+    for name in _CONFIG_FIELDS:
+        flag = _FLAG_SPELLINGS.get(name, "--" + name.replace("_", "-"))
+        group.add_argument(flag, dest=f"cfg_{name}", default=None)
     return parent
 
 
 def _resolve_config(args: argparse.Namespace) -> AnalysisConfig:
-    cfg = AnalysisConfig()
-    if getattr(args, "config", None):
-        cfg = load_config_file(args.config, cfg)
-    overrides = {
-        name: value
-        for name in _CONFIG_FLAGS
-        if (value := getattr(args, f"cfg_{name}", None)) is not None
-    }
-    return cfg.replace(**overrides)
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Defaults, then the config file, then the flags, validated once as a
+    whole, so a file value may rely on a flag (and the reverse)."""
+    overrides = read_config_file(args.config) if args.config else {}
+    for name in _CONFIG_FIELDS:
+        value = getattr(args, f"cfg_{name}")
+        if value is not None:
+            overrides[name] = coerce_field(name, value)
+    return AnalysisConfig(**overrides)
 
 
 def _load_analysis_input(path: str, cfg: AnalysisConfig):
@@ -92,23 +68,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print("error: analyze needs --out and/or --binary", file=sys.stderr)
         return 2
     cfg = _resolve_config(args)
-    wave = _load_analysis_input(args.input, cfg)
-    matrix = compute_yingram(wave, cfg)
-    meta = yingram_metadata(matrix)
-    meta["config"] = cfg.to_dict()
-
+    matrix = compute_yingram(_load_analysis_input(args.input, cfg), cfg)
+    extra = {"config": cfg.to_dict()}
     if args.out:
-        out = Path(args.out)
-        tmp = out.with_name(out.name + f".tmp{os.getpid()}")
-        write_yingram_csv(matrix, tmp)
-        os.replace(tmp, out)
-        _write_json(Path(str(out) + ".json"), meta)
+        write_yingram_csv(matrix, args.out)
+        _write_json(args.out + ".json", {**yingram_metadata(matrix), **extra})
     if args.binary:
-        binary = Path(args.binary)
-        tmp = binary.with_name(binary.name + f".tmp{os.getpid()}")
-        write_yingram_binary(matrix, tmp, write_sidecar=False)
-        os.replace(tmp, binary)
-        _write_json(Path(str(binary) + ".json"), meta)
+        write_yingram_binary(matrix, args.binary, extra=extra)
     return 0
 
 
@@ -122,9 +88,8 @@ def _cmd_f0(args: argparse.Namespace) -> int:
         lines.append(
             f"{k},{contour.times[k]:.6f},{hz},{contour.aperiodicity[k]:.6f}"
         )
-    out = Path(args.out)
-    _atomic_write_text(out, "\n".join(lines) + "\n")
-    _write_json(Path(str(out) + ".json"), {"frames": len(contour), "config": cfg.to_dict()})
+    _atomic_write(args.out, "\n".join(lines) + "\n")
+    _write_json(args.out + ".json", {"frames": len(contour), "config": cfg.to_dict()})
     return 0
 
 
@@ -135,11 +100,10 @@ def _cmd_compare_shift(args: argparse.Namespace) -> int:
     report = evaluate_shift_pair(normal, shifted, args.scope_shift, cfg)
     payload = report.to_dict()
     payload["config"] = cfg.to_dict()
-    text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        _atomic_write_text(Path(args.out), text + "\n")
+        _write_json(args.out, payload)
     else:
-        print(text)
+        print(json.dumps(payload, indent=2, sort_keys=True))
     if args.no_verdict_exit:
         return 0
     return 0 if report.passed else 1
@@ -165,11 +129,10 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
         "reports": [r.to_dict() for r in reports],
         "config": cfg.to_dict(),
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        _atomic_write_text(Path(args.out), text + "\n")
+        _write_json(args.out, payload)
     else:
-        print(text)
+        print(json.dumps(payload, indent=2, sort_keys=True))
     return 0 if all_pass else 1
 
 
@@ -185,9 +148,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         return 2
     report = batch_report(manifest, cfg)
     if args.out_json:
-        _write_json(Path(args.out_json), report.to_dict())
+        _write_json(args.out_json, report.to_dict())
     if args.out_csv:
-        _atomic_write_text(Path(args.out_csv), "\n".join(report.csv_lines()) + "\n")
+        _atomic_write(args.out_csv, "\n".join(report.csv_lines()) + "\n")
     if not args.out_json and not args.out_csv:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0 if report.all_passed else 1
@@ -230,9 +193,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "gradcheck", parents=[parent], help="verify analytic gradients against FD"
     )
     p.add_argument("--frames", type=int, default=50, help="number of random frames")
-    p.add_argument("--eps", type=float, default=1e-5, help="finite-difference step")
-    p.add_argument("--probes", type=int, default=25, help="probed samples per frame")
-    p.add_argument("--tolerance", type=float, default=1e-4, help="relative tolerance")
+    p.add_argument("--eps", type=float, default=DEFAULT_FD_EPS, help="finite-difference step")
+    p.add_argument("--probes", type=int, default=DEFAULT_PROBES, help="probed samples per frame")
+    p.add_argument(
+        "--tolerance", type=float, default=DEFAULT_FD_TOLERANCE, help="relative tolerance"
+    )
     p.add_argument("--out", help="JSON report path (default: stdout)")
     p.set_defaults(func=_cmd_gradcheck)
 

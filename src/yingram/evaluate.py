@@ -18,7 +18,7 @@ from .config import AnalysisConfig
 from .feature import yingram_rows
 from .grid import channel_lags, shift_to_semitones
 from .losses import LossConfig, shift_consistency_metric
-from .yin import _check_f0_bounds, cmnd_blocks, f0_rows
+from .yin import cmnd_blocks, f0_rows
 
 # Unused here since analysis reads `cmnd_blocks`, but kept as attributes of
 # this module: the benchmark's tracer (bench/spans.py) checks that it
@@ -107,7 +107,6 @@ def extract_pitch_contour(w: Waveform, config: AnalysisConfig | None = None) -> 
     """
     cfg = config or AnalysisConfig()
     blocks = cmnd_blocks(w, cfg)
-    _check_f0_bounds(cfg.sample_rate, cfg.f_min, cfg.f_max)
     contour = _unvoiced_contour(w, cfg)
     for block in blocks:
         _voice(contour, block.start, block.unpadded, cfg)
@@ -118,7 +117,6 @@ def _analyse(w: Waveform, cfg: AnalysisConfig) -> tuple[np.ndarray, PitchContour
     """Float32 Yingram rows of the unpadded frames, and the pitch contour, of
     one clip from a single pass over its CMND blocks."""
     blocks = cmnd_blocks(w, cfg)
-    _check_f0_bounds(cfg.sample_rate, cfg.f_min, cfg.f_max)
     lags = channel_lags(cfg.grid, cfg.sample_rate)
     contour = _unvoiced_contour(w, cfg)
     rows = np.empty((len(contour), cfg.grid.num_channels), dtype=np.float32)

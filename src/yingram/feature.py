@@ -7,7 +7,9 @@ period. Low values mark strong periodicity at that note.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -127,8 +129,7 @@ def write_yingram_csv(matrix: YingramMatrix, path) -> None:
     lines = [header]
     for t, row in enumerate(matrix.values):
         lines.append(f"{t}," + ",".join(repr(float(v)) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def yingram_metadata(matrix: YingramMatrix) -> dict:
@@ -150,26 +151,29 @@ def yingram_metadata(matrix: YingramMatrix) -> dict:
     }
 
 
-def write_yingram_binary(
-    matrix: YingramMatrix,
-    path,
-    sidecar_path=None,
-    extra: dict | None = None,
-    write_sidecar: bool = True,
-) -> None:
-    """Raw little-endian float32 row-major matrix plus a JSON sidecar
-    describing its shape, timing and grid. `extra` entries (e.g. the
-    resolved analysis config) are merged into the sidecar."""
-    data = np.ascontiguousarray(matrix.values, dtype="<f4")
-    with open(path, "wb") as fh:
-        fh.write(data.tobytes())
-    if not write_sidecar:
-        return
-    sidecar = yingram_metadata(matrix)
-    if extra:
-        sidecar.update(extra)
-    if sidecar_path is None:
-        sidecar_path = str(path) + ".json"
-    with open(sidecar_path, "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def write_yingram_binary(matrix: YingramMatrix, path, extra: dict | None = None) -> None:
+    """Raw little-endian float32 row-major matrix plus a JSON sidecar at
+    path + ".json" describing its shape, timing and grid. `extra` entries
+    (e.g. the resolved analysis config) are merged into the sidecar."""
+    _atomic_write(path, np.ascontiguousarray(matrix.values, dtype="<f4").tobytes())
+    _write_json(str(path) + ".json", {**yingram_metadata(matrix), **(extra or {})})
+
+
+def _write_json(path, payload: dict) -> None:
+    """Pretty, key-sorted JSON with a trailing newline, written atomically."""
+    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _atomic_write(path, data: str | bytes) -> None:
+    """Write text or bytes to a temp file beside `path`, then rename it into
+    place, so a reader never sees a partial file. The temp file is removed
+    when the write fails."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+    try:
+        with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import AnalysisConfig
 from .grid import crop_scope
 
 __all__ = [
@@ -24,12 +25,10 @@ __all__ = [
     "shift_consistency_metric",
 ]
 
-DEFAULT_LAMBDA_YIN = 45.0
-
 
 @dataclass(frozen=True)
 class LossConfig:
-    lambda_yin: float = DEFAULT_LAMBDA_YIN
+    lambda_yin: float = AnalysisConfig.lambda_yin
 
     def __post_init__(self):
         if self.lambda_yin <= 0:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .audio import Waveform, resample
+from .config import AnalysisConfig
 
 __all__ = [
     "sine_tone",
@@ -22,7 +23,7 @@ __all__ = [
 def sine_tone(
     freq: float,
     duration: float,
-    sample_rate: int = 22050,
+    sample_rate: int = AnalysisConfig.sample_rate,
     amplitude: float = 0.6,
     phase: float = 0.0,
 ) -> Waveform:
@@ -34,7 +35,7 @@ def sine_tone(
 def harmonic_tone(
     f0: float,
     duration: float,
-    sample_rate: int = 22050,
+    sample_rate: int = AnalysisConfig.sample_rate,
     n_harmonics: int = 6,
     amplitude: float = 0.5,
     seed: int = 0,
@@ -51,7 +52,7 @@ def harmonic_tone(
 def vibrato_tone(
     f0: float,
     duration: float,
-    sample_rate: int = 22050,
+    sample_rate: int = AnalysisConfig.sample_rate,
     depth_semitones: float = 0.5,
     rate_hz: float = 5.0,
     amplitude: float = 0.6,
@@ -76,7 +77,7 @@ def pitch_shifted_copy(w: Waveform, semitones: float) -> Waveform:
 def random_tonal_frame(
     rng: np.random.Generator,
     frame_len: int,
-    sample_rate: int = 22050,
+    sample_rate: int = AnalysisConfig.sample_rate,
     noise: float = 1e-3,
 ) -> np.ndarray:
     """One random harmonic frame: log-uniform f0 in 70..400 Hz, four

@@ -20,7 +20,7 @@ import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import Frame, Waveform, frame_count
-from .config import AnalysisConfig
+from .config import AnalysisConfig, f0_bounds_valid, f0_lag_range
 
 __all__ = [
     "DifferenceCurve",
@@ -41,12 +41,6 @@ __all__ = [
 # Denominator guard for the cumulative mean. Below this the curve is defined
 # as 1 everywhere, which marks silence as unvoiced.
 CMND_EPS = 1e-8
-
-DEFAULT_WINDOW = 2048
-DEFAULT_THRESHOLD = 0.1
-DEFAULT_VOICING_CUTOFF = 0.25
-DEFAULT_F_MIN = 52.0
-DEFAULT_F_MAX = 508.0
 
 # Frames per block of `cmnd_blocks`. A block holds the spectra of all its
 # frames, so the block size, not the clip length, bounds the working set;
@@ -144,7 +138,7 @@ def _difference_fft(x: np.ndarray, tau_max: int, window: int) -> np.ndarray:
 def difference_function(
     frame: Frame | np.ndarray,
     tau_max: int,
-    window: int = DEFAULT_WINDOW,
+    window: int = AnalysisConfig.window,
     method: str = "fft",
 ) -> DifferenceCurve:
     """Compute d(tau) = sum_{j<window} (x[j] - x[j+tau])^2 for tau = 0..tau_max.
@@ -198,8 +192,8 @@ def cmnd_blocks(w: Waveform, config: AnalysisConfig) -> Iterator[CmndBlock]:
     validated here, before the first block is computed.
 
     Raises:
-        ValueError: the waveform is not at the config's sample rate, holds
-            non-finite samples, or the hop or frame length is not positive.
+        ValueError: the waveform is not at the config's sample rate or
+            holds non-finite samples.
     """
     if w.sample_rate != config.sample_rate:
         raise ValueError(
@@ -272,8 +266,7 @@ def pick_lags(
 
     Returns (integer lags, aperiodicity = d' at those lags).
     """
-    lo = max(1, int(np.floor(sample_rate / f_max)))
-    hi = min(values.shape[-1] - 2, int(np.ceil(sample_rate / f_min)))
+    lo, hi = f0_lag_range(sample_rate, f_min, f_max, values.shape[-1] - 1)
     if lo > hi:
         raise ValueError(
             f"invalid f0 bounds: lag range [{lo}, {hi}] is empty for "
@@ -305,14 +298,6 @@ def _pick_lag(
     return int(taus[0]), float(aperiodicity[0])
 
 
-def _check_f0_bounds(sample_rate: int, f_min: float, f_max: float) -> None:
-    if not (0.0 < f_min < f_max <= sample_rate / 2):
-        raise ValueError(
-            f"invalid f0 bounds: need 0 < f_min < f_max <= sr/2, got "
-            f"[{f_min}, {f_max}] at {sample_rate} Hz"
-        )
-
-
 def f0_rows(
     values: np.ndarray,
     sample_rate: int,
@@ -338,10 +323,10 @@ def f0_rows(
 
 def estimate_f0(
     c: CmndCurve,
-    threshold: float = DEFAULT_THRESHOLD,
-    f_min: float = DEFAULT_F_MIN,
-    f_max: float = DEFAULT_F_MAX,
-    voicing_cutoff: float = DEFAULT_VOICING_CUTOFF,
+    threshold: float = AnalysisConfig.f0_threshold,
+    f_min: float = AnalysisConfig.f_min,
+    f_max: float = AnalysisConfig.f_max,
+    voicing_cutoff: float = AnalysisConfig.voicing_cutoff,
 ) -> tuple[float, float] | None:
     """Estimate (f0_hz, aperiodicity) from a CMND curve, or None if unvoiced.
 
@@ -350,7 +335,11 @@ def estimate_f0(
     aperiodicity (d' at the integer lag) above voicing_cutoff reports the
     frame as unvoiced.
     """
-    _check_f0_bounds(c.sample_rate, f_min, f_max)
+    if not f0_bounds_valid(c.sample_rate, f_min, f_max):
+        raise ValueError(
+            f"invalid f0 bounds: need 0 < f_min < f_max <= sr/2, got "
+            f"[{f_min}, {f_max}] at {c.sample_rate} Hz"
+        )
     f0, aperiodicity = f0_rows(
         np.asarray(c.values)[None], c.sample_rate, threshold, f_min, f_max, voicing_cutoff
     )

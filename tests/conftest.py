@@ -1,6 +1,7 @@
 """Shared fixtures: WAV file crafting and common tones."""
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -75,6 +76,43 @@ def write_truncated(path, sr: int = 22050) -> None:
     blob += b"fmt " + struct.pack("<I", len(body)) + body
     blob += b"data" + struct.pack("<I", 1000) + b"\x00" * 10
     path.write_bytes(blob)
+
+
+# Configs that must be rejected, as field overrides, each with the field its
+# error names.
+INVALID_CONFIGS = [
+    pytest.param({"window": -5}, "window", id="negative-window"),
+    pytest.param({"window": 0}, "window", id="zero-window"),
+    pytest.param({"hop": 0}, "hop", id="zero-hop"),
+    pytest.param({"sample_rate": 0}, "sample_rate", id="zero-sample-rate"),
+    pytest.param({"bins_per_octave": 0}, "bins_per_octave", id="zero-bins-per-octave"),
+    pytest.param({"reference_hz": 0.0}, "reference_hz", id="zero-reference-hz"),
+    pytest.param({"reference_hz": math.inf}, "reference_hz", id="infinite-reference-hz"),
+    pytest.param({"seed": -1}, "seed", id="negative-seed"),
+    pytest.param({"sample_rate": 1000}, "sample_rate", id="grid-above-nyquist"),
+    pytest.param({"reference_note": -100000}, "sample_rate", id="grid-overflows"),
+    pytest.param({"start_note": -100000}, "sample_rate", id="grid-underflows"),
+    pytest.param({"num_channels": 79}, "num_channels", id="grid-narrower-than-scopes"),
+    pytest.param({"f_min": 600.0, "f_max": 500.0}, "f_min", id="f-min-above-f-max"),
+    pytest.param({"f_max": 15000.0}, "f_max", id="f-max-above-nyquist"),
+    pytest.param({"f_min": 10.0, "f_max": 20.0}, "f_max", id="empty-f0-lag-range"),
+    pytest.param({"lambda_yin": -1.0}, "lambda_yin", id="negative-lambda-yin"),
+    pytest.param({"f0_threshold": math.nan}, "f0_threshold", id="nan-f0-threshold"),
+    pytest.param({"shift_tolerance": -0.5}, "shift_tolerance", id="negative-shift-tolerance"),
+    pytest.param({"min_overlap": 1.5}, "min_overlap", id="min-overlap-above-one"),
+    pytest.param({"hop": 1.5}, "hop", id="fractional-hop"),
+    pytest.param({"window": True}, "window", id="bool-window"),
+    pytest.param({"seed": False}, "seed", id="bool-seed"),
+    pytest.param({"f_max": True}, "f_max", id="bool-f-max"),
+    pytest.param({"f_min": "low"}, "f_min", id="non-numeric-f-min"),
+    pytest.param({"lambda_yin": [45]}, "lambda_yin", id="list-lambda-yin"),
+]
+
+
+def changed_value(name: str):
+    """A valid value of config field `name` other than its default."""
+    value = getattr(AnalysisConfig(), name)
+    return value + 1 if isinstance(value, int) else value * 1.5
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.signal
 
 
 def difference_brute(x: np.ndarray, tau_max: int, window: int) -> np.ndarray:
@@ -93,3 +94,18 @@ def parabolic_refine_scalar(vals: np.ndarray, tau: int) -> float:
         return float(tau)
     vertex = tau + (a - cc) / (2.0 * denom)
     return float(min(max(vertex, tau - 1.0), tau + 1.0))
+
+
+def resample_unbounded(samples: np.ndarray, source_sr: int, target_sr: int) -> np.ndarray:
+    """The resampler with an unbounded filter: the exact ratio in lowest
+    terms, 64 * max(up, down) + 1 Kaiser-sinc taps, and an output length of
+    round(len * target_sr / source_sr). Equal rates pass through."""
+    if source_sr == target_sr:
+        return np.array(samples, dtype=np.float64)
+    g = math.gcd(target_sr, source_sr)
+    up, down = target_sr // g, source_sr // g
+    max_rate = max(up, down)
+    fir = scipy.signal.firwin(64 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 8.6))
+    y = scipy.signal.resample_poly(samples, up, down, window=fir)
+    n_out = int(np.floor(len(samples) * target_sr / source_sr + 0.5))
+    return np.pad(y, (0, max(0, n_out - len(y))))[:n_out]

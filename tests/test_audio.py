@@ -1,6 +1,7 @@
 """WAV ingestion, resampling and framing."""
 import numpy as np
 import pytest
+import scipy.signal
 
 from yingram import WavFormatError, Waveform, frame_signal, load_wav, resample, sine_tone
 from conftest import (
@@ -13,7 +14,7 @@ from conftest import (
     write_truncated,
     write_with_extra_chunk,
 )
-from oracles import fft_peak_hz
+from oracles import fft_peak_hz, resample_unbounded
 
 
 def test_pcm16_scaling(tmp_path):
@@ -126,6 +127,40 @@ def test_resample_round_trip_sine():
 def test_resample_requires_positive_target():
     with pytest.raises(ValueError):
         resample(sine_tone(440.0, 0.01), 0)
+
+
+@pytest.mark.parametrize(
+    "source, target",
+    [(sr, 22050) for sr in (8000, 11025, 16000, 22050, 24000, 32000, 44100, 48000, 88200, 96000)]
+    + [(22050, 31183)],  # pitch_shifted_copy at scope shift 12, the largest factor
+)
+def test_resample_common_rates_match_unbounded_filter(source, target):
+    x = np.random.default_rng(source).standard_normal(source // 20)
+    out = resample(Waveform(x, source), target)
+    assert np.array_equal(out.samples, resample_unbounded(x, source, target))
+
+
+def test_resample_coprime_rates_bound_the_filter(monkeypatch):
+    taps = []
+    firwin = scipy.signal.firwin
+
+    def spy(numtaps, *args, **kwargs):
+        taps.append(numtaps)
+        return firwin(numtaps, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.signal, "firwin", spy)
+    x = sine_tone(440.0, 0.05, sample_rate=44100).samples
+    out = resample(Waveform(x, 44100), 22051)  # exact ratio needs 2.8M taps
+    assert taps and max(taps) <= 64 * 2**15 + 1
+    assert len(out.samples) == round(len(x) * 22051 / 44100)
+    ideal = 0.6 * np.sin(2.0 * np.pi * 440.0 * np.arange(len(out.samples)) / 22051)
+    np.testing.assert_allclose(out.samples[100:-100], ideal[100:-100], atol=1e-3)
+
+
+def test_resample_rejects_absurd_header_rate():
+    w = Waveform(np.zeros(64), 2**32 - 1)  # the largest rate a WAV header holds
+    with pytest.raises(ValueError, match="unsupported resampling ratio"):
+        resample(w, 22050)
 
 
 def test_framing_counts_and_starts():

@@ -1,12 +1,22 @@
-"""CLI subcommands, exit codes and output determinism."""
+"""CLI subcommands, config flags, exit codes and output determinism."""
+import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from yingram import harmonic_tone, pitch_shifted_copy, sine_tone
-from yingram.cli import main
-from conftest import write_wav
+from yingram import AnalysisConfig, harmonic_tone, pitch_shifted_copy, sine_tone
+from yingram.cli import _build_parser, _resolve_config, main
+from conftest import INVALID_CONFIGS, changed_value, write_wav
+
+FIELDS = [f.name for f in dataclasses.fields(AnalysisConfig)]
+
+
+def config_flag(name: str) -> str:
+    """The CLI flag of config field `name`: --fmin and --fmax keep their
+    short spellings, every other field is --name-with-dashes."""
+    return {"f_min": "--fmin", "f_max": "--fmax"}.get(name, "--" + name.replace("_", "-"))
 
 
 @pytest.fixture
@@ -281,3 +291,47 @@ def test_analyze_deterministic(tmp_path, tone_wav):
     assert main(["analyze", str(tone_wav), "--out", str(out1)]) == 0
     assert main(["analyze", str(tone_wav), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_every_config_field_has_exactly_one_flag():
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, sub in commands.choices.items():
+        group = next(g for g in sub._action_groups if g.title == "analysis config")
+        flags = [opt for a in group._group_actions for opt in a.option_strings]
+        assert sorted(flags) == sorted(["--config"] + [config_flag(n) for n in FIELDS]), command
+    for name in FIELDS:
+        value = changed_value(name)
+        args = parser.parse_args(["analyze", "in.wav", config_flag(name), str(value)])
+        assert _resolve_config(args) == AnalysisConfig().replace(**{name: value}), name
+
+
+@pytest.mark.parametrize("source", ["flags", "file"])
+@pytest.mark.parametrize("overrides, field", INVALID_CONFIGS)
+def test_invalid_config_exits_2(tmp_path, tone_wav, capsys, overrides, field, source):
+    argv = ["analyze", str(tone_wav), "--out", str(tmp_path / "y.csv"),
+            "--binary", str(tmp_path / "y.f32")]
+    cfg_file = tmp_path / "cfg.json"
+    if source == "flags":
+        for name, value in overrides.items():
+            argv += [config_flag(name), str(value)]
+    else:
+        cfg_file.write_text(json.dumps(overrides))
+        argv += ["--config", str(cfg_file)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: ") and field in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert set(tmp_path.iterdir()) <= {tone_wav, cfg_file}
+
+
+def test_config_file_value_valid_only_with_a_flag(tmp_path, tone_wav, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"f_max": 15000}))  # above Nyquist at 22050 Hz
+    out = tmp_path / "y.csv"
+    argv = ["analyze", str(tone_wav), "--out", str(out), "--config", str(cfg_file)]
+    assert main(argv) == 2
+    assert "f_max=15000.0" in capsys.readouterr().err
+    assert main(argv + ["--sample-rate", "44100"]) == 0
+    config = json.loads((tmp_path / "y.csv.json").read_text())["config"]
+    assert (config["sample_rate"], config["f_max"]) == (44100, 15000.0)

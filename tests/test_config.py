@@ -1,9 +1,24 @@
-"""AnalysisConfig defaults, derived values and file loading."""
+"""AnalysisConfig defaults, derived values, validation and file loading."""
+import dataclasses
+import inspect
 import json
 
 import pytest
 
-from yingram import AnalysisConfig, load_config_file
+from yingram import (
+    DEFAULT_GRID,
+    AnalysisConfig,
+    LossConfig,
+    NoteGrid,
+    difference_function,
+    estimate_f0,
+    harmonic_tone,
+    load_config_file,
+    random_tonal_frame,
+    sine_tone,
+    vibrato_tone,
+)
+from conftest import INVALID_CONFIGS, changed_value
 
 
 def test_defaults_pinned():
@@ -40,11 +55,14 @@ def test_replace_and_roundtrip():
 
 def test_json_config_file(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"window": 1024, "f_max": 600}))
+    path.write_text(json.dumps({"window": 1024, "f_max": 600, "hop": 128.0}))
     cfg = load_config_file(path)
     assert cfg.window == 1024
     assert cfg.f_max == 600.0
+    assert cfg.hop == 128
     assert isinstance(cfg.window, int)
+    assert isinstance(cfg.f_max, float)
+    assert isinstance(cfg.hop, int)
 
 
 def test_keyvalue_config_file(tmp_path):
@@ -60,3 +78,51 @@ def test_unknown_key_rejected(tmp_path):
     path.write_text(json.dumps({"hopp": 128}))
     with pytest.raises(ValueError, match="unknown config key"):
         load_config_file(path)
+
+
+@pytest.mark.parametrize("overrides, field", INVALID_CONFIGS)
+def test_invalid_config_rejected(tmp_path, overrides, field):
+    with pytest.raises(ValueError, match=f"invalid config: .*{field}="):
+        AnalysisConfig(**overrides)
+    with pytest.raises(ValueError, match=f"invalid config: .*{field}="):
+        AnalysisConfig().replace(**overrides)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(overrides))
+    with pytest.raises(ValueError, match=f"invalid config: .*{field}="):
+        load_config_file(path)
+
+
+def test_every_field_is_a_config_file_key(tmp_path):
+    path = tmp_path / "cfg.txt"
+    for f in dataclasses.fields(AnalysisConfig):
+        value = changed_value(f.name)
+        path.write_text(f"{f.name} = {value}\n")
+        assert load_config_file(path) == AnalysisConfig().replace(**{f.name: value})
+
+
+# Function defaults that mirror a config field: (callable, {parameter: field}).
+MIRRORED_DEFAULTS = [
+    (estimate_f0, {"threshold": "f0_threshold", "f_min": "f_min", "f_max": "f_max",
+                   "voicing_cutoff": "voicing_cutoff"}),
+    (difference_function, {"window": "window"}),
+    (LossConfig, {"lambda_yin": "lambda_yin"}),
+    (sine_tone, {"sample_rate": "sample_rate"}),
+    (harmonic_tone, {"sample_rate": "sample_rate"}),
+    (vibrato_tone, {"sample_rate": "sample_rate"}),
+    (random_tonal_frame, {"sample_rate": "sample_rate"}),
+    (NoteGrid, {f.name: f.name for f in dataclasses.fields(NoteGrid)}),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, params", MIRRORED_DEFAULTS, ids=[fn.__name__ for fn, _ in MIRRORED_DEFAULTS]
+)
+def test_function_defaults_match_config(fn, params):
+    defaults = AnalysisConfig()
+    signature = inspect.signature(fn)
+    for param, field in params.items():
+        assert signature.parameters[param].default == getattr(defaults, field), param
+
+
+def test_default_grid_is_the_config_grid():
+    assert DEFAULT_GRID == AnalysisConfig().grid

@@ -121,6 +121,16 @@ def test_binary_export_roundtrip(tmp_path, cfg):
     assert sidecar["grid"]["reference_hz"] == 440.0
 
 
+def test_failed_export_leaves_no_files(tmp_path, cfg):
+    matrix = compute_yingram(sine_tone(330.0, 0.1), cfg)
+    taken = tmp_path / "taken"
+    taken.mkdir()  # the rename onto a directory fails after the temp file is written
+    for write in (write_yingram_csv, write_yingram_binary):
+        with pytest.raises(OSError):
+            write(matrix, taken)
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
 def test_translation_equivariance_small(cfg):
     # module-level spot check; the acceptance suite covers k in {-8,-4,4,8}
     from yingram import harmonic_tone, pitch_shifted_copy
