@@ -95,7 +95,7 @@ class AnalysisConfig:
         for name in ("sample_rate", "window", "hop", "bins_per_octave", "reference_hz", "lambda_yin"):
             if getattr(self, name) <= 0:
                 raise _invalid(name, getattr(self, name), "must be positive")
-        for name in ("seed", "f0_threshold", "shift_tolerance"):
+        for name in ("seed", "f0_threshold", "voicing_cutoff", "shift_tolerance"):
             if getattr(self, name) < 0:
                 raise _invalid(name, getattr(self, name), "must not be negative")
         if not 0.0 <= self.min_overlap <= 1.0:

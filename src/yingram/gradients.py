@@ -8,15 +8,17 @@ exact up to float64 rounding.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .audio import Frame
 from .grid import DEFAULT_GRID, NoteGrid, channel_lags, tau_max_for
 from .feature import yingram_from_frame
-from .yin import CMND_EPS, difference_function
+from .yin import CMND_EPS, difference_function, require_finite
 
 __all__ = ["GradReport", "yingram_vjp", "finite_diff_check", "gradcheck_suite"]
 
@@ -56,6 +58,14 @@ class GradReport:
         }
 
 
+def _check_fd_settings(eps: float, probes: int, tolerance: float) -> None:
+    if probes < 1:
+        raise ValueError(f"probes must be at least 1, got {probes}")
+    for name, value in (("eps", eps), ("tolerance", tolerance)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def _frame_samples(frame) -> tuple[np.ndarray, int]:
     if isinstance(frame, Frame):
         return np.asarray(frame.samples, dtype=np.float64), frame.sample_rate
@@ -73,9 +83,11 @@ def yingram_vjp(
     The window defaults to len(frame) - tau_max(grid, rate), matching the
     analysis framing. Channels whose lags sit in the CMND guard region
     contribute zero gradient; a fully guarded (silent) frame returns all
-    zeros and emits a warning.
+    zeros and emits a warning. Non-finite samples or cotangent entries raise
+    ValueError, since either would turn the whole gradient into NaN.
     """
     x, sample_rate = _frame_samples(frame)
+    require_finite(x, "samples")
     tau_max = tau_max_for(grid, sample_rate)
     if window is None:
         window = len(x) - tau_max
@@ -91,6 +103,7 @@ def yingram_vjp(
         raise ValueError(
             f"dimension error: cotangent must have {grid.num_channels} entries"
         )
+    require_finite(cot, "cotangent")
 
     lags = channel_lags(grid, sample_rate)
     floors = np.floor(lags).astype(int)
@@ -127,16 +140,32 @@ def yingram_vjp(
     adj_d[1:] -= rev[1:]
     adj_d[0] = 0.0
 
-    # adjoint on x through d(k) = sum_j (x[j] - x[j+k])^2
-    grad = np.zeros(len(x))
-    head = x[:window]
-    for k in range(1, tau_max + 1):
-        bk = adj_d[k]
-        if bk == 0.0:
-            continue
-        e = head - x[k : k + window]
-        grad[:window] += (2.0 * bk) * e
-        grad[k : k + window] -= (2.0 * bk) * e
+    return _difference_adjoint(x, adj_d, window)
+
+
+def _difference_adjoint(x: np.ndarray, adj_d: np.ndarray, window: int) -> np.ndarray:
+    """Gradient of sum_k adj_d[k] * d(k) over x, d(k) = sum_{j<W} (x[j] - x[j+k])^2.
+
+    With b = adj_d (lag 0 dropped: d(0) is identically zero) and n = len(x),
+        grad[m] = 2*[m < W]*(x[m]*sum_k b_k - sum_k b_k*x[m+k])
+                + 2*(x[m]*sum_{k: 0 <= m-k < W} b_k - sum_k b_k*x[m-k]*[0 <= m-k < W]).
+    The correlation and the convolution are FFT products of length >= n, which
+    is long enough that neither wraps (m+k <= W-1+tau_max < n); the windowed
+    sum of b is two lookups into one cumulative sum.
+    """
+    n = len(x)
+    tau_max = len(adj_d) - 1
+    b = np.array(adj_d, dtype=np.float64)
+    b[0] = 0.0
+    size = scipy.fft.next_fast_len(n, real=True)
+    spec_b = scipy.fft.rfft(b, size)
+    corr = scipy.fft.irfft(np.conj(spec_b) * scipy.fft.rfft(x, size), size)[:window]
+    conv = scipy.fft.irfft(spec_b * scipy.fft.rfft(x[:window], size), size)[:n]
+    prefix = np.concatenate(([0.0], np.cumsum(b)))  # prefix[j] = sum_{k<j} b_k
+    m = np.arange(n)
+    in_window = prefix[np.minimum(m, tau_max) + 1] - prefix[np.clip(m - window + 1, 0, tau_max + 1)]
+    grad = 2.0 * (x * in_window - conv)
+    grad[:window] += 2.0 * (x[:window] * prefix[-1] - corr)
     return grad
 
 
@@ -158,10 +187,11 @@ def finite_diff_check(
     Probes whose analytic and numeric magnitudes both fall below
     LOW_SIGNAL_FRACTION of the frame's peak gradient are skipped and counted.
     A fully guarded (silent) frame passes trivially with the comparison
-    skipped and the report flagged `guarded`.
+    skipped and the report flagged `guarded`. A NaN relative error fails the
+    report. Raises ValueError for probes < 1 or an eps or tolerance that is
+    not finite and positive.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _check_fd_settings(eps, probes, tolerance)
     x, sample_rate = _frame_samples(frame)
     tau_max = tau_max_for(grid, sample_rate)
     win = window if window is not None else len(x) - tau_max
@@ -201,11 +231,12 @@ def finite_diff_check(
         xm = x.copy()
         xm[i] -= eps
         numeric = (loss(xp) - loss(xm)) / (2.0 * eps)
-        if max(abs(analytic[i]), abs(numeric)) < floor:
+        # np.maximum, unlike max, propagates NaN, so a NaN error is kept
+        scale = np.maximum(abs(analytic[i]), abs(numeric))
+        if scale < floor:
             skipped += 1
             continue
-        rel = abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), 1e-12)
-        worst = max(worst, rel)
+        worst = np.maximum(worst, abs(analytic[i] - numeric) / np.maximum(scale, 1e-12))
     return GradReport(
         max_rel_error=float(worst),
         checked_channels=checked_channels,
@@ -233,6 +264,7 @@ def gradcheck_suite(
     from .config import AnalysisConfig
     from .synth import random_tonal_frame
 
+    _check_fd_settings(eps, probes, tolerance)
     cfg = config or AnalysisConfig()
     rng = np.random.default_rng(cfg.seed)
     reports = []

@@ -10,6 +10,7 @@ weight comparable across clip lengths.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -31,8 +32,8 @@ class LossConfig:
     lambda_yin: float = AnalysisConfig.lambda_yin
 
     def __post_init__(self):
-        if self.lambda_yin <= 0:
-            raise ValueError(f"lambda_yin must be positive, got {self.lambda_yin}")
+        if not (math.isfinite(self.lambda_yin) and self.lambda_yin > 0):
+            raise ValueError(f"lambda_yin must be finite and positive, got {self.lambda_yin}")
 
 
 def _require_same_shape(*arrays: np.ndarray) -> None:

@@ -31,6 +31,7 @@ __all__ = [
     "difference_function",
     "cmnd",
     "cmnd_blocks",
+    "require_finite",
     "pick_lags",
     "refine_lags",
     "f0_rows",
@@ -183,6 +184,16 @@ def cmnd(d: DifferenceCurve, sample_rate: int) -> CmndCurve:
     return CmndCurve(out, sample_rate)
 
 
+def require_finite(values: np.ndarray, name: str) -> None:
+    """Raise ValueError("non-finite <name>: ...") if any entry is NaN or inf."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValueError(
+            f"non-finite {name}: {int(bad.sum())} of {bad.size} entries are NaN "
+            f"or inf, the first at index {int(np.argmax(bad))}"
+        )
+
+
 def cmnd_blocks(w: Waveform, config: AnalysisConfig) -> Iterator[CmndBlock]:
     """CMND rows of every analysis frame of a clip, BLOCK_FRAMES at a time.
 
@@ -201,12 +212,7 @@ def cmnd_blocks(w: Waveform, config: AnalysisConfig) -> Iterator[CmndBlock]:
             "resample first"
         )
     x = np.asarray(w.samples, dtype=np.float64)
-    bad = ~np.isfinite(x)
-    if bad.any():
-        raise ValueError(
-            f"non-finite samples: {int(bad.sum())} of {len(x)} samples are NaN "
-            f"or inf, the first at index {int(np.argmax(bad))}"
-        )
+    require_finite(x, "samples")
     count = frame_count(len(x), config.frame_length, config.hop)
     return _blocks(x, count, config)
 

@@ -98,6 +98,7 @@ INVALID_CONFIGS = [
     pytest.param({"f_min": 10.0, "f_max": 20.0}, "f_max", id="empty-f0-lag-range"),
     pytest.param({"lambda_yin": -1.0}, "lambda_yin", id="negative-lambda-yin"),
     pytest.param({"f0_threshold": math.nan}, "f0_threshold", id="nan-f0-threshold"),
+    pytest.param({"voicing_cutoff": -1.0}, "voicing_cutoff", id="negative-voicing-cutoff"),
     pytest.param({"shift_tolerance": -0.5}, "shift_tolerance", id="negative-shift-tolerance"),
     pytest.param({"min_overlap": 1.5}, "min_overlap", id="min-overlap-above-one"),
     pytest.param({"hop": 1.5}, "hop", id="fractional-hop"),

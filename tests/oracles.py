@@ -109,3 +109,21 @@ def resample_unbounded(samples: np.ndarray, source_sr: int, target_sr: int) -> n
     y = scipy.signal.resample_poly(samples, up, down, window=fir)
     n_out = int(np.floor(len(samples) * target_sr / source_sr + 0.5))
     return np.pad(y, (0, max(0, n_out - len(y))))[:n_out]
+
+
+def difference_adjoint_loop(
+    x: np.ndarray, adj_d: np.ndarray, window: int, tau_max: int
+) -> np.ndarray:
+    """The per-lag adjoint of d(k) = sum_{j<window} (x[j] - x[j+k])^2: the
+    gradient of sum_{k=1..tau_max} adj_d[k] * d(k) over x, one lag at a time."""
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.zeros(len(x))
+    head = x[:window]
+    for k in range(1, tau_max + 1):
+        bk = adj_d[k]
+        if bk == 0.0:
+            continue
+        e = head - x[k : k + window]
+        grad[:window] += (2.0 * bk) * e
+        grad[k : k + window] -= (2.0 * bk) * e
+    return grad

@@ -183,6 +183,22 @@ def test_gradcheck_large_eps_fails(tmp_path):
     assert json.loads(out.read_text())["all_pass"] is False
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--probes", "0"], "probes must be at least 1"),
+    (["--eps", "nan"], "eps must be finite and positive"),
+    (["--eps=-1e-5"], "eps must be finite and positive"),
+    (["--tolerance", "inf"], "tolerance must be finite and positive"),
+    (["--tolerance", "0"], "tolerance must be finite and positive"),
+])
+def test_gradcheck_rejects_settings_that_check_nothing(tmp_path, capsys, flags, message):
+    out = tmp_path / "grad.json"
+    assert main(["gradcheck", "--frames", "1", "--out", str(out)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_gradcheck_zero_frames_vacuous(capsys):
     assert main(["gradcheck", "--frames", "0"]) == 0
     captured = capsys.readouterr()

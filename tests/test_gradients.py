@@ -1,6 +1,9 @@
 """Analytic VJP against finite differences, plus its structural properties."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from yingram import (
     AnalysisConfig,
@@ -12,6 +15,9 @@ from yingram import (
     yingram_from_frame,
     yingram_vjp,
 )
+from yingram import gradients
+from yingram.gradients import _difference_adjoint
+from oracles import difference_adjoint_loop
 
 SR = 22050
 GRID = NoteGrid()
@@ -137,3 +143,89 @@ def test_vjp_rejects_bad_cotangent(rng):
     x = rng.standard_normal(FRAME_LEN)
     with pytest.raises(ValueError, match="dimension error"):
         yingram_vjp(_frame(x), GRID, np.zeros(79))
+
+
+@st.composite
+def adjoint_cases(draw):
+    window = draw(st.integers(1, 2048))
+    tau_max = draw(st.one_of(st.integers(1, window), st.integers(window, 2 * window + 8)))
+    n = window + tau_max + draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = random_tonal_frame(rng, n) if draw(st.booleans()) else rng.standard_normal(n)
+    adj_d = rng.standard_normal(tau_max + 1)
+    kind = draw(st.sampled_from(["dense", "cut", "zero"]))
+    if kind == "cut":
+        adj_d[draw(st.integers(1, tau_max)) :] = 0.0
+    elif kind == "zero":
+        adj_d[:] = 0.0
+    return x, adj_d, window, tau_max
+
+
+@settings(deadline=None, max_examples=60)
+@given(adjoint_cases())
+def test_difference_adjoint_matches_loop(case):
+    x, adj_d, window, tau_max = case
+    reference = difference_adjoint_loop(x, adj_d, window, tau_max)
+    got = _difference_adjoint(x, adj_d, window)
+    assert got.shape == reference.shape
+    np.testing.assert_allclose(got, reference, rtol=0, atol=1e-12 * np.max(np.abs(reference)))
+
+
+@pytest.mark.parametrize("channels", [slice(0, 80), slice(15, 65)], ids=["full", "scope"])
+def test_vjp_matches_loop_reference(monkeypatch, channels):
+    rng = np.random.default_rng(11)
+    frames = [random_tonal_frame(rng, FRAME_LEN) for _ in range(4)]
+    cots = []
+    for _ in frames:
+        cot = np.zeros(80)
+        cot[channels] = rng.standard_normal(80)[channels]
+        cots.append(cot)
+    fast = [yingram_vjp(_frame(x), GRID, cot) for x, cot in zip(frames, cots)]
+    monkeypatch.setattr(
+        gradients,
+        "_difference_adjoint",
+        lambda x, adj_d, window: difference_adjoint_loop(x, adj_d, window, len(adj_d) - 1),
+    )
+    for x, cot, got in zip(frames, cots, fast):
+        reference = yingram_vjp(_frame(x), GRID, cot)
+        np.testing.assert_allclose(got, reference, rtol=0, atol=1e-12 * np.max(np.abs(reference)))
+
+
+def test_vjp_rejects_non_finite_samples(rng):
+    x = random_tonal_frame(rng, FRAME_LEN)
+    x[100] = np.nan
+    with pytest.raises(ValueError, match=r"non-finite samples: 1 of 2474 .* index 100"):
+        yingram_vjp(_frame(x), GRID, np.ones(80))
+
+
+def test_vjp_rejects_non_finite_cotangent(rng):
+    x = random_tonal_frame(rng, FRAME_LEN)
+    cot = np.ones(80)
+    cot[30] = np.inf
+    with pytest.raises(ValueError, match=r"non-finite cotangent: 1 of 80 .* index 30"):
+        yingram_vjp(_frame(x), GRID, cot)
+
+
+@pytest.mark.parametrize("settings_, message", [
+    ({"probes": 0}, "probes must be at least 1"),
+    ({"eps": math.nan}, "eps must be finite and positive"),
+    ({"eps": math.inf}, "eps must be finite and positive"),
+    ({"eps": 0.0}, "eps must be finite and positive"),
+    ({"tolerance": math.nan}, "tolerance must be finite and positive"),
+    ({"tolerance": -1e-4}, "tolerance must be finite and positive"),
+])
+def test_finite_diff_check_rejects_settings_that_check_nothing(rng, settings_, message):
+    frame = _frame(random_tonal_frame(rng, FRAME_LEN))
+    with pytest.raises(ValueError, match=message):
+        finite_diff_check(frame, GRID, **settings_)
+    with pytest.raises(ValueError, match=message):  # even with no frame to check
+        gradcheck_suite(0, **settings_)
+
+
+def test_finite_diff_check_fails_on_nan_error(rng):
+    # samples near 1e160 overflow d(k) to inf, so both gradients are NaN
+    frame = _frame(1e160 * random_tonal_frame(rng, FRAME_LEN))
+    with np.errstate(all="ignore"):
+        report = finite_diff_check(frame, GRID, eps=1e155, probes=5)
+    assert not report.passed
+    assert math.isnan(report.max_rel_error)

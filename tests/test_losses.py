@@ -91,6 +91,12 @@ def test_lambda_must_be_positive():
         LossConfig(0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_lambda_must_be_finite(value):
+    with pytest.raises(ValueError, match="lambda_yin must be finite and positive"):
+        LossConfig(value)
+
+
 def test_exponential_core_bounded(rng):
     # Yingram values are >= 0, so every exp term lives in (0, 1]
     ya = rng.uniform(0, 5, (8, 80))
