@@ -95,8 +95,7 @@ def _cmd_f0(args: argparse.Namespace) -> int:
 
 def _cmd_compare_shift(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    normal = _load_analysis_input(args.normal, cfg)
-    shifted = _load_analysis_input(args.shifted, cfg)
+    normal, shifted = load_wav(args.normal), load_wav(args.shifted)
     report = evaluate_shift_pair(normal, shifted, args.scope_shift, cfg)
     payload = report.to_dict()
     payload["config"] = cfg.to_dict()

@@ -18,6 +18,7 @@ from .grid import MAX_SHIFT, SCOPE_LENGTH, SCOPE_START, NoteGrid, note_to_hz, ta
 
 __all__ = [
     "AnalysisConfig",
+    "MAX_FRAME_LENGTH",
     "coerce_field",
     "f0_bounds_valid",
     "f0_lag_range",
@@ -40,6 +41,12 @@ def f0_lag_range(sample_rate: int, f_min: float, f_max: float, tau_max: int) -> 
     return lo, hi
 
 
+# Longest analysis frame (window + tau_max) a config may ask for. Clip
+# analysis holds BLOCK_FRAMES frames and their spectra at once, so this
+# bounds its working set; common configs need under 3000 samples.
+MAX_FRAME_LENGTH = 1 << 16
+
+
 def _invalid(name: str, value, rule: str) -> ValueError:
     return ValueError(f"invalid config: {name}={value!r} {rule}")
 
@@ -60,7 +67,8 @@ class AnalysisConfig:
     naming the field and its value): sample_rate, window, hop and
     bins_per_octave are positive, seed is non-negative, every float is
     finite, reference_hz is positive, the grid lies between 0 Hz and
-    Nyquist and holds every scope shift, 0 < f_min < f_max <= sr/2, the f0
+    Nyquist and holds every scope shift, a frame (window + tau_max) is at
+    most MAX_FRAME_LENGTH samples, 0 < f_min < f_max <= sr/2, the f0
     lag range is not empty, lambda_yin is positive, and f0_threshold,
     shift_tolerance and min_overlap (at most 1) are non-negative.
     """
@@ -119,6 +127,12 @@ class AnalysisConfig:
                 "sample_rate", self.sample_rate,
                 f"does not hold {grid}: its notes span {low_hz:.6g}..{top_hz:.6g} Hz, "
                 f"which must lie above 0 Hz and below Nyquist ({self.sample_rate / 2} Hz)",
+            )
+        if self.frame_length > MAX_FRAME_LENGTH:
+            raise _invalid(
+                "window", self.window,
+                f"plus tau_max={self.tau_max} (the lag of the lowest note of {grid}) "
+                f"makes a frame of {self.frame_length} samples, above {MAX_FRAME_LENGTH}",
             )
         if not f0_bounds_valid(self.sample_rate, self.f_min, self.f_max):
             raise _invalid(

@@ -161,16 +161,14 @@ def _contour_offsets(
         co = a.voiced[:n] & b.voiced[:n]
         return 12.0 * np.log2(b.f0[:n][co] / a.f0[:n][co])
     log_b = np.log2(b.f0)
-    out = []
-    for i in np.nonzero(a.voiced)[0]:
-        j = i * time_scale
-        j0 = int(np.floor(j))
-        j1 = int(np.ceil(j))
-        if j1 >= len(b) or np.isnan(log_b[j0]) or np.isnan(log_b[j1]):
-            continue
-        lb = log_b[j0] + (log_b[j1] - log_b[j0]) * (j - j0)
-        out.append(12.0 * (lb - np.log2(a.f0[i])))
-    return np.asarray(out)
+    i = np.flatnonzero(a.voiced)
+    j = i * time_scale
+    j0, j1 = np.floor(j).astype(np.intp), np.ceil(j).astype(np.intp)
+    inside = j1 < len(b)
+    i, j, j0, j1 = i[inside], j[inside], j0[inside], j1[inside]
+    lb = log_b[j0] + (log_b[j1] - log_b[j0]) * (j - j0)
+    co = ~(np.isnan(log_b[j0]) | np.isnan(log_b[j1]))
+    return 12.0 * (lb[co] - np.log2(a.f0[i[co]]))
 
 
 def evaluate_shift_pair(
@@ -178,71 +176,47 @@ def evaluate_shift_pair(
 ) -> ShiftReport:
     """Score a (normal, shifted) pair against scope shift s.
 
-    Computes the exponential Yingram consistency metric at s, the contour
-    offset (time-aligned by the pair's duration ratio), and a verdict:
-    offset within shift_tolerance of -s/2 and voiced overlap at least
-    min_overlap.
+    Both clips are first resampled to the config's rate (a no-op at that
+    rate). Computes the exponential Yingram consistency metric at s, the
+    contour offset (time-aligned by the pair's duration ratio), and a
+    verdict: offset within shift_tolerance of -s/2 and voiced overlap at
+    least min_overlap. A pair without unpadded frames has no metric; a pair
+    without co-voiced frames keeps its metric and fails on that.
     """
     cfg = config or AnalysisConfig()
-    if normal.sample_rate != cfg.sample_rate:
-        normal = resample(normal, cfg.sample_rate)
-    if shifted.sample_rate != cfg.sample_rate:
-        shifted = resample(shifted, cfg.sample_rate)
-
-    expected = shift_to_semitones(s)
+    normal = resample(normal, cfg.sample_rate)
+    shifted = resample(shifted, cfg.sample_rate)
     y_normal, contour_a = _analyse(normal, cfg)
     y_shifted, contour_b = _analyse(shifted, cfg)
     frames = min(len(y_normal), len(y_shifted))
+    expected = shift_to_semitones(s)
+    metric, measured, overlap, reason = None, float("nan"), 0.0, None
     if frames == 0:
-        return ShiftReport(
-            scope_shift=s,
-            expected_semitones=expected,
-            measured_semitone_offset=float("nan"),
-            voiced_overlap_fraction=0.0,
-            l_yin_shift=None,
-            passed=False,
-            reason=(
-                f"no unpadded frames: each clip needs at least {cfg.frame_length} "
-                f"samples (window + tau_max), got {len(normal.samples)} (normal) "
-                f"and {len(shifted.samples)} (shifted)"
-            ),
+        reason = (
+            f"no unpadded frames: each clip needs at least {cfg.frame_length} "
+            f"samples (window + tau_max), got {len(normal.samples)} (normal) "
+            f"and {len(shifted.samples)} (shifted)"
         )
-    metric = shift_consistency_metric(
-        y_normal[:frames], y_shifted[:frames], s, LossConfig(cfg.lambda_yin)
-    )
-
-    scale = len(shifted.samples) / len(normal.samples)
-    try:
-        measured, overlap = median_semitone_offset(contour_a, contour_b, time_scale=scale)
-    except ValueError as exc:
-        return ShiftReport(
-            scope_shift=s,
-            expected_semitones=expected,
-            measured_semitone_offset=float("nan"),
-            voiced_overlap_fraction=0.0,
-            l_yin_shift=metric,
-            passed=False,
-            reason=str(exc),
+    else:
+        metric = shift_consistency_metric(
+            y_normal[:frames], y_shifted[:frames], s, LossConfig(cfg.lambda_yin)
         )
-
-    ok = abs(measured - expected) <= cfg.shift_tolerance and overlap >= cfg.min_overlap
-    reason = None
-    if not ok:
-        if abs(measured - expected) > cfg.shift_tolerance:
-            reason = (
-                f"offset {measured:+.2f} st deviates from expected "
-                f"{expected:+.2f} st by more than {cfg.shift_tolerance} st"
-            )
-        else:
-            reason = f"voiced overlap {overlap:.2f} below {cfg.min_overlap}"
+        scale = len(shifted.samples) / len(normal.samples)
+        try:
+            measured, overlap = median_semitone_offset(contour_a, contour_b, time_scale=scale)
+        except ValueError as exc:
+            reason = str(exc)
+    # the offset check comes first, and a NaN offset fails it
+    if reason is None and not abs(measured - expected) <= cfg.shift_tolerance:
+        reason = (
+            f"offset {measured:+.2f} st deviates from expected "
+            f"{expected:+.2f} st by more than {cfg.shift_tolerance} st"
+        )
+    elif reason is None and overlap < cfg.min_overlap:
+        reason = f"voiced overlap {overlap:.2f} below {cfg.min_overlap}"
     return ShiftReport(
-        scope_shift=s,
-        expected_semitones=expected,
-        measured_semitone_offset=measured,
-        voiced_overlap_fraction=overlap,
-        l_yin_shift=metric,
-        passed=ok,
-        reason=reason,
+        scope_shift=s, expected_semitones=expected, measured_semitone_offset=measured,
+        voiced_overlap_fraction=overlap, l_yin_shift=metric, passed=reason is None, reason=reason,
     )
 
 
@@ -339,8 +313,7 @@ def batch_report(manifest: list[dict], config: AnalysisConfig | None = None) -> 
             shifted_path = Path(item["shifted"])
             s = int(item["scope_shift"])
             entry.update(normal=str(item["normal"]), shifted=str(item["shifted"]), scope_shift=s)
-            normal = resample(load_wav(normal_path), cfg.sample_rate)
-            shifted = resample(load_wav(shifted_path), cfg.sample_rate)
+            normal, shifted = load_wav(normal_path), load_wav(shifted_path)
         except (KeyError, TypeError, OSError, ValueError) as exc:
             entry["error"] = f"{type(exc).__name__}: {exc}"
         else:

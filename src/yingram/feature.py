@@ -128,7 +128,8 @@ def write_yingram_csv(matrix: YingramMatrix, path) -> None:
     header = "frame," + ",".join(f"c{c}" for c in range(n))
     lines = [header]
     for t, row in enumerate(matrix.values):
-        lines.append(f"{t}," + ",".join(repr(float(v)) for v in row))
+        # one row at a time: a whole-matrix tolist() holds 32 bytes per value
+        lines.append(f"{t}," + ",".join(map(repr, row.tolist())))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

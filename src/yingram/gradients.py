@@ -66,10 +66,34 @@ def _check_fd_settings(eps: float, probes: int, tolerance: float) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-def _frame_samples(frame) -> tuple[np.ndarray, int]:
-    if isinstance(frame, Frame):
-        return np.asarray(frame.samples, dtype=np.float64), frame.sample_rate
-    raise TypeError("yingram_vjp needs a Frame (it carries the sample rate)")
+def _checked_inputs(
+    frame: Frame, grid: NoteGrid, cotangent: np.ndarray | None, window: int | None
+) -> tuple[np.ndarray, int, int, int, np.ndarray]:
+    """(samples, sample_rate, tau_max, window, cotangent) of a gradient
+    request, checked: a Frame of finite samples, a window (by default
+    len(frame) - tau_max, as the analysis frames) that fits the frame, and
+    a finite cotangent of one entry per channel (zeros when None)."""
+    if not isinstance(frame, Frame):
+        raise TypeError("yingram_vjp needs a Frame (it carries the sample rate)")
+    x = np.asarray(frame.samples, dtype=np.float64)
+    require_finite(x, "samples")
+    tau_max = tau_max_for(grid, frame.sample_rate)
+    if window is None:
+        window = len(x) - tau_max
+    if window < 1 or len(x) < window + tau_max:
+        raise ValueError(
+            f"insufficient frame length: need window + tau_max = "
+            f"{max(window, 1) + tau_max}, got {len(x)}"
+        )
+    cot = np.zeros(grid.num_channels) if cotangent is None else np.asarray(
+        cotangent, dtype=np.float64
+    )
+    if cot.shape != (grid.num_channels,):
+        raise ValueError(
+            f"dimension error: cotangent must have {grid.num_channels} entries"
+        )
+    require_finite(cot, "cotangent")
+    return x, frame.sample_rate, tau_max, window, cot
 
 
 def yingram_vjp(
@@ -86,24 +110,7 @@ def yingram_vjp(
     zeros and emits a warning. Non-finite samples or cotangent entries raise
     ValueError, since either would turn the whole gradient into NaN.
     """
-    x, sample_rate = _frame_samples(frame)
-    require_finite(x, "samples")
-    tau_max = tau_max_for(grid, sample_rate)
-    if window is None:
-        window = len(x) - tau_max
-    if window < 1 or len(x) < window + tau_max:
-        raise ValueError(
-            f"insufficient frame length: need window + tau_max = "
-            f"{max(window, 1) + tau_max}, got {len(x)}"
-        )
-    cot = np.zeros(grid.num_channels) if cotangent is None else np.asarray(
-        cotangent, dtype=np.float64
-    )
-    if cot.shape != (grid.num_channels,):
-        raise ValueError(
-            f"dimension error: cotangent must have {grid.num_channels} entries"
-        )
-    require_finite(cot, "cotangent")
+    x, sample_rate, tau_max, window, cot = _checked_inputs(frame, grid, cotangent, window)
 
     lags = channel_lags(grid, sample_rate)
     floors = np.floor(lags).astype(int)
@@ -188,64 +195,47 @@ def finite_diff_check(
     LOW_SIGNAL_FRACTION of the frame's peak gradient are skipped and counted.
     A fully guarded (silent) frame passes trivially with the comparison
     skipped and the report flagged `guarded`. A NaN relative error fails the
-    report. Raises ValueError for probes < 1 or an eps or tolerance that is
-    not finite and positive.
+    report. Raises ValueError for probes < 1, an eps or tolerance that is
+    not finite and positive, and for any frame, window or cotangent that
+    yingram_vjp rejects, silent frames included.
     """
     _check_fd_settings(eps, probes, tolerance)
-    x, sample_rate = _frame_samples(frame)
-    tau_max = tau_max_for(grid, sample_rate)
-    win = window if window is not None else len(x) - tau_max
-
     rng = np.random.default_rng(seed)
     if cotangent is None:
         cotangent = rng.standard_normal(grid.num_channels)
-    cot = np.asarray(cotangent, dtype=np.float64)
-    checked_channels = int(np.count_nonzero(cot))
-
-    d = difference_function(x, tau_max, win, method="fft").values
-    if np.sum(d[1:]) < CMND_EPS:
-        return GradReport(
-            max_rel_error=0.0,
-            checked_channels=checked_channels,
-            eps=eps,
-            passed=True,
-            tolerance=tolerance,
-            probes_checked=0,
-            probes_skipped=probes,
-            guarded=True,
-        )
-
-    analytic = yingram_vjp(frame, grid, cot, window=win)
-    floor = LOW_SIGNAL_FRACTION * np.max(np.abs(analytic))
+    x, sample_rate, tau_max, win, cot = _checked_inputs(frame, grid, cotangent, window)
 
     def loss(samples: np.ndarray) -> float:
         return float(np.dot(cot, yingram_from_frame(samples, grid, sample_rate, win)))
 
-    n_probe = min(probes, len(x))
-    indices = rng.choice(len(x), size=n_probe, replace=False)
-    worst = 0.0
-    skipped = 0
-    for i in indices:
-        xp = x.copy()
-        xp[i] += eps
-        xm = x.copy()
-        xm[i] -= eps
-        numeric = (loss(xp) - loss(xm)) / (2.0 * eps)
-        # np.maximum, unlike max, propagates NaN, so a NaN error is kept
-        scale = np.maximum(abs(analytic[i]), abs(numeric))
-        if scale < floor:
-            skipped += 1
-            continue
-        worst = np.maximum(worst, abs(analytic[i] - numeric) / np.maximum(scale, 1e-12))
+    d = difference_function(x, tau_max, win, method="fft").values
+    guarded = bool(np.sum(d[1:]) < CMND_EPS)
+    worst, n_probe, skipped = 0.0, probes, probes  # a silent frame compares nothing
+    if not guarded:
+        analytic = yingram_vjp(frame, grid, cot, window=win)
+        floor = LOW_SIGNAL_FRACTION * np.max(np.abs(analytic))
+        n_probe, skipped = min(probes, len(x)), 0
+        for i in rng.choice(len(x), size=n_probe, replace=False):
+            xp = x.copy()
+            xp[i] += eps
+            xm = x.copy()
+            xm[i] -= eps
+            numeric = (loss(xp) - loss(xm)) / (2.0 * eps)
+            # np.maximum, unlike max, propagates NaN, so a NaN error is kept
+            scale = np.maximum(abs(analytic[i]), abs(numeric))
+            if scale < floor:
+                skipped += 1
+                continue
+            worst = np.maximum(worst, abs(analytic[i] - numeric) / np.maximum(scale, 1e-12))
     return GradReport(
         max_rel_error=float(worst),
-        checked_channels=checked_channels,
+        checked_channels=int(np.count_nonzero(cot)),
         eps=eps,
         passed=bool(worst < tolerance),
         tolerance=tolerance,
         probes_checked=int(n_probe - skipped),
         probes_skipped=int(skipped),
-        guarded=False,
+        guarded=guarded,
     )
 
 

@@ -204,7 +204,9 @@ def cmnd_blocks(w: Waveform, config: AnalysisConfig) -> Iterator[CmndBlock]:
 
     Raises:
         ValueError: the waveform is not at the config's sample rate or
-            holds non-finite samples.
+            holds non-finite samples (before the first block), or a block's
+            difference values or their CMND sums overflow (as that block is
+            computed).
     """
     if w.sample_rate != config.sample_rate:
         raise ValueError(
@@ -226,7 +228,17 @@ def _blocks(x: np.ndarray, count: int, cfg: AnalysisConfig) -> Iterator[CmndBloc
     frames = sliding_window_view(buf, frame_len)[::hop][:count]
     for start in range(0, count, BLOCK_FRAMES):
         block = frames[start : start + BLOCK_FRAMES]
-        d = DifferenceCurve(_difference_fft(block, cfg.tau_max, cfg.window), cfg.window)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = _difference_fft(block, cfg.tau_max, cfg.window)
+            # d >= 0, so the last CMND denominator times tau_max bounds every
+            # d, every cumulative sum and every numerator d(tau) * tau
+            bound = np.cumsum(d[:, 1:], axis=-1)[:, -1] * cfg.tau_max
+        if not np.isfinite(bound).all():
+            raise ValueError(
+                f"non-finite difference values: the samples of frames {start}.."
+                f"{start + len(block) - 1} are too large for their CMND in float64"
+            )
+        d = DifferenceCurve(d, cfg.window)
         ends = np.arange(start, start + len(block)) * hop + frame_len
         yield CmndBlock(start, cmnd(d, cfg.sample_rate).values, ends > len(x))
 

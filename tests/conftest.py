@@ -107,6 +107,9 @@ INVALID_CONFIGS = [
     pytest.param({"f_max": True}, "f_max", id="bool-f-max"),
     pytest.param({"f_min": "low"}, "f_min", id="non-numeric-f-min"),
     pytest.param({"lambda_yin": [45]}, "lambda_yin", id="list-lambda-yin"),
+    # frames past MAX_FRAME_LENGTH: tau_max 186,889,291, and a 10**9 window
+    pytest.param({"reference_hz": 1e-3}, "reference_hz", id="grid-lag-beyond-frame-limit"),
+    pytest.param({"window": 10**9}, "window", id="window-beyond-frame-limit"),
 ]
 
 

@@ -127,3 +127,25 @@ def difference_adjoint_loop(
         grad[:window] += (2.0 * bk) * e
         grad[k : k + window] -= (2.0 * bk) * e
     return grad
+
+
+def contour_offsets_loop(a, b, time_scale: float | None) -> np.ndarray:
+    """Per-frame semitone offsets of contour b over contour a, one voiced
+    frame of a at a time: the frame-indexed log ratio when time_scale is None
+    or 1.0, else log2(f0_b) interpolated linearly at j = i * time_scale,
+    skipping frames whose bracketing lags of b are unvoiced or past its end."""
+    if time_scale is None or time_scale == 1.0:
+        n = min(len(a), len(b))
+        co = a.voiced[:n] & b.voiced[:n]
+        return 12.0 * np.log2(b.f0[:n][co] / a.f0[:n][co])
+    log_b = np.log2(b.f0)
+    out = []
+    for i in np.nonzero(a.voiced)[0]:
+        j = i * time_scale
+        j0 = int(np.floor(j))
+        j1 = int(np.ceil(j))
+        if j1 >= len(b) or np.isnan(log_b[j0]) or np.isnan(log_b[j1]):
+            continue
+        lb = log_b[j0] + (log_b[j1] - log_b[j0]) * (j - j0)
+        out.append(12.0 * (lb - np.log2(a.f0[i])))
+    return np.asarray(out)

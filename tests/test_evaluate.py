@@ -3,19 +3,26 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from yingram import (
     AnalysisConfig,
+    PitchContour,
     Waveform,
     batch_report,
+    compute_yingram,
     evaluate_shift_pair,
     extract_pitch_contour,
     harmonic_tone,
     median_semitone_offset,
     pitch_shifted_copy,
+    resample,
     sine_tone,
 )
+from yingram import evaluate
+from yingram.evaluate import _contour_offsets
 from conftest import write_wav
+from oracles import contour_offsets_loop
 
 SR = 22050
 
@@ -204,3 +211,93 @@ def test_batch_records_errors_and_continues(tmp_path, cfg):
     assert len(report.reports) == 1
     assert report.reports[0].passed
     assert "error" in report.entries[0]
+
+
+def _contour(voiced, seed: int) -> PitchContour:
+    n = len(voiced)
+    f0 = np.random.default_rng(seed).uniform(52.0, 508.0, n)
+    f0[~np.asarray(voiced, dtype=bool)] = np.nan
+    return PitchContour(np.arange(n) * (256 / SR), f0, np.zeros(n), 256, SR)
+
+
+# lengths 0-2 as well as longer ones; scales that land j = i * scale on
+# integers, the ratio branch (None, 1.0), and arbitrary stretches
+MASKS = st.one_of(st.lists(st.booleans(), max_size=2), st.lists(st.booleans(), max_size=40))
+SCALES = st.one_of(
+    st.sampled_from([None, 1.0, 0.25, 0.5, 1.5, 2.0, 3.0]),
+    st.floats(0.05, 4.0),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(MASKS, MASKS, SCALES, st.integers(0, 2**32 - 1))
+@example([True] * 5, [True] * 3, 0.5, 0)  # i = 4 lands on j1 == len(b) - 1
+@example([True] * 5, [True] * 3, 0.6, 0)  # i = 3 brackets [1, 2], i = 4 runs past b
+def test_contour_offsets_equal_loop(mask_a, mask_b, scale, seed):
+    a, b = _contour(mask_a, seed), _contour(mask_b, seed + 1)
+    got = _contour_offsets(a, b, scale)
+    want = contour_offsets_loop(a, b, scale)
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_contour_offsets_keep_the_last_frame_of_b():
+    a, b = _contour([True] * 5, 0), _contour([True] * 3, 1)
+    assert len(_contour_offsets(a, b, 0.5)) == 5  # j = 0, 0.5, ..., 2 = len(b) - 1
+    assert len(_contour_offsets(a, b, 0.6)) == 4  # j = 2.4 needs frame 3 of b
+
+
+def test_shift_pair_nan_offset_fails(monkeypatch, cfg):
+    monkeypatch.setattr(evaluate, "median_semitone_offset", lambda *a, **k: (float("nan"), 1.0))
+    w = harmonic_tone(220.0, 0.5)
+    report = evaluate_shift_pair(w, w, 0, cfg)
+    assert not report.passed
+    assert report.reason.startswith("offset")
+    assert report.l_yin_shift == 0.0
+
+
+def test_shift_pair_offset_reason_wins_over_overlap(monkeypatch, cfg):
+    monkeypatch.setattr(evaluate, "median_semitone_offset", lambda *a, **k: (3.0, 0.1))
+    w = harmonic_tone(220.0, 0.5)
+    report = evaluate_shift_pair(w, w, 0, cfg)
+    assert not report.passed
+    assert report.reason == "offset +3.00 st deviates from expected +0.00 st by more than 0.5 st"
+    assert report.voiced_overlap_fraction == 0.1
+    monkeypatch.setattr(evaluate, "median_semitone_offset", lambda *a, **k: (0.0, 0.1))
+    report = evaluate_shift_pair(w, w, 0, cfg)
+    assert (report.passed, report.reason) == (False, "voiced overlap 0.10 below 0.5")
+
+
+def test_shift_pair_resamples_to_the_config_rate(cfg):
+    normal = harmonic_tone(220.0, 0.5, sample_rate=44100)
+    shifted = pitch_shifted_copy(normal, -1.0)
+    report = evaluate_shift_pair(normal, shifted, 2, cfg)
+    same = evaluate_shift_pair(resample(normal, SR), resample(shifted, SR), 2, cfg)
+    assert report == same
+    assert report.passed
+
+
+OVERFLOWING = Waveform(1e160 * sine_tone(220.0, 0.5).samples, SR)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_samples_raise():
+    with pytest.raises(ValueError, match="non-finite difference values"):
+        compute_yingram(OVERFLOWING)
+    with pytest.raises(ValueError, match="non-finite difference values"):
+        extract_pitch_contour(OVERFLOWING)
+
+
+@pytest.mark.filterwarnings("error")
+def test_batch_records_overflowing_clip(monkeypatch, tmp_path, cfg):
+    normal = harmonic_tone(220.0, 0.5)
+    loaded = {"n.wav": normal, "big.wav": OVERFLOWING}
+    monkeypatch.setattr(evaluate, "load_wav", lambda path: loaded[path.name])
+    manifest = [
+        {"normal": str(tmp_path / "n.wav"), "shifted": str(tmp_path / "big.wav"), "scope_shift": 0},
+        {"normal": str(tmp_path / "n.wav"), "shifted": str(tmp_path / "n.wav"), "scope_shift": 0},
+    ]
+    report = batch_report(manifest, cfg)
+    assert report.entries[0]["error"].startswith("ValueError: non-finite difference values")
+    assert report.reports[0].passed

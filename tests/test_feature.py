@@ -8,6 +8,7 @@ from yingram import (
     CmndCurve,
     NoteGrid,
     Waveform,
+    YingramMatrix,
     channel_lags,
     compute_yingram,
     note_to_hz,
@@ -104,6 +105,15 @@ def test_csv_export(tmp_path, cfg):
     assert len(lines) == 1 + matrix.num_frames
     row = lines[1].split(",")
     assert float(row[1]) == pytest.approx(float(matrix.values[0, 0]))
+
+
+def test_csv_export_exact_text(tmp_path, cfg):
+    values = np.array([[1e-9, -0.0, 1.0, 3.4e38]], dtype=np.float32)
+    out = tmp_path / "y.csv"
+    write_yingram_csv(YingramMatrix(values, cfg.grid, cfg.hop, cfg.sample_rate), out)
+    assert out.read_text() == (
+        "frame,c0,c1,c2,c3\n0,9.999999717180685e-10,-0.0,1.0,3.3999999521443642e+38\n"
+    )
 
 
 def test_binary_export_roundtrip(tmp_path, cfg):

@@ -111,6 +111,22 @@ def test_finite_diff_check_silent_frame_flagged():
     assert report.probes_checked == 0
 
 
+@pytest.mark.parametrize("cotangent, message", [
+    (np.full(80, np.nan), "non-finite cotangent"),
+    (np.ones(7), "cotangent must have 80 entries"),
+])
+def test_finite_diff_check_checks_silent_frames(cotangent, message):
+    with pytest.raises(ValueError, match=message):
+        finite_diff_check(_frame(np.zeros(FRAME_LEN)), GRID, cotangent=cotangent)
+
+
+@pytest.mark.filterwarnings("error")
+def test_finite_diff_check_silent_frame_with_valid_cotangent():
+    report = finite_diff_check(_frame(np.zeros(FRAME_LEN)), GRID, cotangent=np.ones(80), probes=7)
+    assert (report.passed, report.guarded, report.max_rel_error) == (True, True, 0.0)
+    assert (report.probes_checked, report.probes_skipped, report.checked_channels) == (0, 7, 80)
+
+
 def test_finite_diff_check_sine_frame_both_regimes():
     t = np.arange(FRAME_LEN) / SR
     frame = _frame(0.6 * np.sin(2 * np.pi * 440.0 * t))
