@@ -134,7 +134,7 @@ def load_wav(path: str | os.PathLike) -> Waveform:
     while pos + 8 <= len(blob):
         cid = blob[pos : pos + 4]
         size = struct.unpack("<I", blob[pos + 4 : pos + 8])[0]
-        body = blob[pos + 8 : pos + 8 + size]
+        body = memoryview(blob)[pos + 8 : pos + 8 + size]  # a view, not a copy
         if len(body) < size:
             raise WavFormatError(f"corrupt file: truncated {cid!r} chunk")
         if cid == b"fmt ":

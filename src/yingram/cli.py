@@ -63,6 +63,14 @@ def _load_analysis_input(path: str, cfg: AnalysisConfig):
     return resample(load_wav(path), cfg.sample_rate)
 
 
+def _emit(payload: dict, path: str | None) -> None:
+    """Write a JSON report to `path`, or print the same bytes to stdout."""
+    if path:
+        _write_json(path, payload)
+    else:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     if not args.out and not args.binary:
         print("error: analyze needs --out and/or --binary", file=sys.stderr)
@@ -88,7 +96,7 @@ def _cmd_f0(args: argparse.Namespace) -> int:
         lines.append(
             f"{k},{contour.times[k]:.6f},{hz},{contour.aperiodicity[k]:.6f}"
         )
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    _atomic_write(args.out, lines)
     _write_json(args.out + ".json", {"frames": len(contour), "config": cfg.to_dict()})
     return 0
 
@@ -97,12 +105,7 @@ def _cmd_compare_shift(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     normal, shifted = load_wav(args.normal), load_wav(args.shifted)
     report = evaluate_shift_pair(normal, shifted, args.scope_shift, cfg)
-    payload = report.to_dict()
-    payload["config"] = cfg.to_dict()
-    if args.out:
-        _write_json(args.out, payload)
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit({**report.to_dict(), "config": cfg.to_dict()}, args.out)
     if args.no_verdict_exit:
         return 0
     return 0 if report.passed else 1
@@ -119,7 +122,7 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
         args.frames, cfg, eps=args.eps, probes=args.probes, tolerance=args.tolerance
     )
     all_pass = all(r.passed for r in reports)
-    payload = {
+    _emit({
         "frames": args.frames,
         "eps": args.eps,
         "tolerance": args.tolerance,
@@ -127,11 +130,7 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
         "max_rel_error": max((r.max_rel_error for r in reports), default=0.0),
         "reports": [r.to_dict() for r in reports],
         "config": cfg.to_dict(),
-    }
-    if args.out:
-        _write_json(args.out, payload)
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    }, args.out)
     return 0 if all_pass else 1
 
 
@@ -146,12 +145,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print("error: manifest must be a JSON array", file=sys.stderr)
         return 2
     report = batch_report(manifest, cfg)
-    if args.out_json:
-        _write_json(args.out_json, report.to_dict())
+    if args.out_json or not args.out_csv:
+        _emit(report.to_dict(), args.out_json)
     if args.out_csv:
-        _atomic_write(args.out_csv, "\n".join(report.csv_lines()) + "\n")
-    if not args.out_json and not args.out_csv:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        _atomic_write(args.out_csv, report.csv_lines())
     return 0 if report.all_passed else 1
 
 

@@ -6,8 +6,10 @@ period. Low values mark strong periodicity at that note.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -68,15 +70,19 @@ def yingram_rows(values: np.ndarray, lags: np.ndarray) -> np.ndarray:
     Y[ch] = d'(floor(tau)) + (d'(ceil(tau)) - d'(floor(tau))) * frac(tau)
     with tau = lags[ch]. Integer lags reproduce the curve value exactly.
     """
+    floors, ceils, frac = _lag_brackets(lags, values.shape[-1] - 1)
+    return values[..., floors] * (1.0 - frac) + values[..., ceils] * frac
+
+
+def _lag_brackets(lags: np.ndarray, tau_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(floors, ceils, frac) of fractional lags; raises if a ceiling passes tau_max."""
     ceils = np.ceil(lags).astype(int)
-    tau_max = values.shape[-1] - 1
     if tau_max < ceils.max():
         raise ValueError(
             f"lag out of range: curve covers tau <= {tau_max}, grid needs {ceils.max()}"
         )
     floors = np.floor(lags).astype(int)
-    frac = lags - floors
-    return values[..., floors] * (1.0 - frac) + values[..., ceils] * frac
+    return floors, ceils, lags - floors
 
 
 def yingram_frame(c: CmndCurve, grid: NoteGrid = DEFAULT_GRID) -> np.ndarray:
@@ -123,14 +129,11 @@ def compute_yingram(w: Waveform, config: AnalysisConfig | None = None) -> Yingra
 
 
 def write_yingram_csv(matrix: YingramMatrix, path) -> None:
-    """CSV export: header frame,c0..c{N-1}, one row per frame."""
-    n = matrix.num_channels
-    header = "frame," + ",".join(f"c{c}" for c in range(n))
-    lines = [header]
-    for t, row in enumerate(matrix.values):
-        # one row at a time: a whole-matrix tolist() holds 32 bytes per value
-        lines.append(f"{t}," + ",".join(map(repr, row.tolist())))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """CSV export: header frame,c0..c{N-1}, then one row per frame, streamed."""
+    header = "frame," + ",".join(f"c{c}" for c in range(matrix.num_channels))
+    # one row at a time: a whole-matrix tolist() holds 32 bytes per value
+    rows = (f"{t}," + ",".join(map(repr, row.tolist())) for t, row in enumerate(matrix.values))
+    _atomic_write(path, itertools.chain([header], rows))
 
 
 def yingram_metadata(matrix: YingramMatrix) -> dict:
@@ -156,24 +159,31 @@ def write_yingram_binary(matrix: YingramMatrix, path, extra: dict | None = None)
     """Raw little-endian float32 row-major matrix plus a JSON sidecar at
     path + ".json" describing its shape, timing and grid. `extra` entries
     (e.g. the resolved analysis config) are merged into the sidecar."""
-    _atomic_write(path, np.ascontiguousarray(matrix.values, dtype="<f4").tobytes())
+    _atomic_write(path, np.ascontiguousarray(matrix.values, dtype="<f4"))
     _write_json(str(path) + ".json", {**yingram_metadata(matrix), **(extra or {})})
 
 
 def _write_json(path, payload: dict) -> None:
     """Pretty, key-sorted JSON with a trailing newline, written atomically."""
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
-def _atomic_write(path, data: str | bytes) -> None:
-    """Write text or bytes to a temp file beside `path`, then rename it into
-    place, so a reader never sees a partial file. The temp file is removed
-    when the write fails."""
+def _atomic_write(path, data: bytes | np.ndarray | Iterable[str]) -> None:
+    """Stream a bytes-like buffer, or text lines each ended by a newline, to a
+    temp file beside `path`, then rename it into place, so a reader never
+    sees a partial file; the temp file is removed when the write fails. A
+    str raises TypeError: it would iterate as one-character lines."""
+    if isinstance(data, str):
+        raise TypeError("_atomic_write takes a buffer or an iterable of lines, not a str")
+    binary = isinstance(data, (bytes, bytearray, memoryview, np.ndarray))
     path = Path(path)
     tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
     try:
-        with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
-            fh.write(data)
+        with open(tmp, "wb" if binary else "w") as fh:
+            if binary:
+                fh.write(data)
+            else:
+                fh.writelines(f"{line}\n" for line in data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -8,6 +8,7 @@ exact up to float64 rounding.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -17,8 +18,8 @@ import scipy.fft
 
 from .audio import Frame
 from .grid import DEFAULT_GRID, NoteGrid, channel_lags, tau_max_for
-from .feature import yingram_from_frame
-from .yin import CMND_EPS, difference_function, require_finite
+from .feature import _lag_brackets, yingram_from_frame
+from .yin import _cmnd_terms, difference_function, require_finite
 
 __all__ = ["GradReport", "yingram_vjp", "finite_diff_check", "gradcheck_suite"]
 
@@ -46,16 +47,9 @@ class GradReport:
     guarded: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "max_rel_error": self.max_rel_error,
-            "checked_channels": self.checked_channels,
-            "eps": self.eps,
-            "pass": self.passed,
-            "tolerance": self.tolerance,
-            "probes_checked": self.probes_checked,
-            "probes_skipped": self.probes_skipped,
-            "guarded": self.guarded,
-        }
+        out = dataclasses.asdict(self)
+        out["pass"] = out.pop("passed")
+        return out
 
 
 def _check_fd_settings(eps: float, probes: int, tolerance: float) -> None:
@@ -111,43 +105,39 @@ def yingram_vjp(
     ValueError, since either would turn the whole gradient into NaN.
     """
     x, sample_rate, tau_max, window, cot = _checked_inputs(frame, grid, cotangent, window)
-
-    lags = channel_lags(grid, sample_rate)
-    floors = np.floor(lags).astype(int)
-    ceils = np.ceil(lags).astype(int)
-    frac = lags - floors
-
-    d = difference_function(x, tau_max, window, method="fft").values
-    csum = np.concatenate(([0.0], np.cumsum(d[1:])))
-    taus = np.arange(tau_max + 1)
-    guarded = csum < CMND_EPS
-    guarded[0] = True  # d'(0) is the constant 1
-
-    if guarded[max(ceils.max(), floors.max())] and np.any(cot != 0.0):
+    grad, guarded = _vjp(grid, x, sample_rate, tau_max, window, cot)
+    if guarded and np.any(cot != 0.0):
         warnings.warn(
             "guarded region: CMND denominator below epsilon on checked "
             "channels, gradient defined as zero there",
             stacklevel=2,
         )
+    return grad
 
-    # adjoint on d'
+
+def _vjp(grid: NoteGrid, x: np.ndarray, sample_rate: int, tau_max: int, window: int,
+         cot: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(gradient, guarded) for checked inputs. guarded: the highest lag any
+    channel reads is guarded; the CMND sums grow with tau, so all are."""
+    floors, ceils, frac = _lag_brackets(channel_lags(grid, sample_rate), tau_max)
+    d = difference_function(x, tau_max, window, method="fft").values
+    _, csum, guarded = _cmnd_terms(d)
+    taus = np.arange(tau_max + 1)
+
+    # adjoint on d'; a guarded lag holds the constant 1, so none flows through it
     adj_dp = np.zeros(tau_max + 1)
     np.add.at(adj_dp, floors, cot * (1.0 - frac))
     np.add.at(adj_dp, ceils, cot * frac)
+    adj_dp[guarded] = 0.0
 
     # adjoint on d through d'(tau) = d(tau) * tau / csum(tau):
     #   dd'(t)/dd(k) = t/csum(t) * [k == t]  -  t*d(t)/csum(t)^2 * [1 <= k <= t]
-    live = ~guarded
-    safe = np.where(live, csum, 1.0)
-    adj_d = np.zeros(tau_max + 1)
-    adj_d[live] = adj_dp[live] * taus[live] / safe[live]
-    tail = np.zeros(tau_max + 1)
-    tail[live] = adj_dp[live] * taus[live] * d[live] / safe[live] ** 2
+    adj_d = adj_dp * taus / csum
+    tail = adj_dp * taus * d / csum**2
     rev = np.cumsum(tail[::-1])[::-1]  # rev[k] = sum_{t >= k} tail[t]
     adj_d[1:] -= rev[1:]
-    adj_d[0] = 0.0
 
-    return _difference_adjoint(x, adj_d, window)
+    return _difference_adjoint(x, adj_d, window), bool(guarded[ceils.max()])
 
 
 def _difference_adjoint(x: np.ndarray, adj_d: np.ndarray, window: int) -> np.ndarray:
@@ -193,8 +183,9 @@ def finite_diff_check(
     analytic gradient with relative error |a - n| / max(|a|, |n|, 1e-12).
     Probes whose analytic and numeric magnitudes both fall below
     LOW_SIGNAL_FRACTION of the frame's peak gradient are skipped and counted.
-    A fully guarded (silent) frame passes trivially with the comparison
-    skipped and the report flagged `guarded`. A NaN relative error fails the
+    A frame whose channels all read guarded CMND lags (a silent frame, say)
+    has a zero gradient by definition; it passes with the comparison skipped
+    and the report flagged `guarded`. A NaN relative error fails the
     report. Raises ValueError for probes < 1, an eps or tolerance that is
     not finite and positive, and for any frame, window or cotangent that
     yingram_vjp rejects, silent frames included.
@@ -205,22 +196,18 @@ def finite_diff_check(
         cotangent = rng.standard_normal(grid.num_channels)
     x, sample_rate, tau_max, win, cot = _checked_inputs(frame, grid, cotangent, window)
 
-    def loss(samples: np.ndarray) -> float:
+    def loss(i: int, step: float) -> float:
+        samples = x.copy()
+        samples[i] += step
         return float(np.dot(cot, yingram_from_frame(samples, grid, sample_rate, win)))
 
-    d = difference_function(x, tau_max, win, method="fft").values
-    guarded = bool(np.sum(d[1:]) < CMND_EPS)
-    worst, n_probe, skipped = 0.0, probes, probes  # a silent frame compares nothing
+    analytic, guarded = _vjp(grid, x, sample_rate, tau_max, win, cot)
+    worst, n_probe, skipped = 0.0, probes, probes  # a guarded frame compares nothing
     if not guarded:
-        analytic = yingram_vjp(frame, grid, cot, window=win)
         floor = LOW_SIGNAL_FRACTION * np.max(np.abs(analytic))
         n_probe, skipped = min(probes, len(x)), 0
         for i in rng.choice(len(x), size=n_probe, replace=False):
-            xp = x.copy()
-            xp[i] += eps
-            xm = x.copy()
-            xm[i] -= eps
-            numeric = (loss(xp) - loss(xm)) / (2.0 * eps)
+            numeric = (loss(i, eps) - loss(i, -eps)) / (2.0 * eps)
             # np.maximum, unlike max, propagates NaN, so a NaN error is kept
             scale = np.maximum(abs(analytic[i]), abs(numeric))
             if scale < floor:

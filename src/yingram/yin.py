@@ -173,15 +173,19 @@ def cmnd(d: DifferenceCurve, sample_rate: int) -> CmndCurve:
     cumulative sum falls below CMND_EPS the value is defined as 1, so
     silence yields a flat curve and is marked unvoiced downstream.
     """
-    vals = d.values
-    out = np.ones_like(vals)
-    csum = np.cumsum(vals[..., 1:], axis=-1)
-    taus = np.arange(1, vals.shape[-1])
+    return CmndCurve(_cmnd_terms(d.values)[0], sample_rate)
+
+
+def _cmnd_terms(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, csum, guarded) of `cmnd` along the last axis of difference
+    values d: the one place its rule is written. A guarded lag has value 1,
+    zero gradient and a csum of 1.0, so every quotient by csum is safe."""
+    csum = np.zeros_like(d)
+    np.cumsum(d[..., 1:], axis=-1, out=csum[..., 1:])
     guarded = csum < CMND_EPS
-    out[..., 1:] = np.where(
-        guarded, 1.0, vals[..., 1:] * taus / np.maximum(csum, CMND_EPS)
-    )
-    return CmndCurve(out, sample_rate)
+    csum[guarded] = 1.0
+    values = np.where(guarded, 1.0, d * np.arange(d.shape[-1]) / csum)
+    return values, csum, guarded
 
 
 def require_finite(values: np.ndarray, name: str) -> None:
@@ -229,18 +233,20 @@ def _blocks(x: np.ndarray, count: int, cfg: AnalysisConfig) -> Iterator[CmndBloc
     for start in range(0, count, BLOCK_FRAMES):
         block = frames[start : start + BLOCK_FRAMES]
         with np.errstate(over="ignore", invalid="ignore"):
+            # d stays bound until the next block's replaces it: freed earlier,
+            # the heap top is trimmed and the next block's FFT faults it back in
             d = _difference_fft(block, cfg.tau_max, cfg.window)
+            values, csum, _ = _cmnd_terms(d)
             # d >= 0, so the last CMND denominator times tau_max bounds every
             # d, every cumulative sum and every numerator d(tau) * tau
-            bound = np.cumsum(d[:, 1:], axis=-1)[:, -1] * cfg.tau_max
+            bound = csum[:, -1] * cfg.tau_max
         if not np.isfinite(bound).all():
             raise ValueError(
                 f"non-finite difference values: the samples of frames {start}.."
                 f"{start + len(block) - 1} are too large for their CMND in float64"
             )
-        d = DifferenceCurve(d, cfg.window)
         ends = np.arange(start, start + len(block)) * hop + frame_len
-        yield CmndBlock(start, cmnd(d, cfg.sample_rate).values, ends > len(x))
+        yield CmndBlock(start, values, ends > len(x))
 
 
 def refine_lags(values: np.ndarray, taus: np.ndarray) -> np.ndarray:

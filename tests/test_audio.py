@@ -1,4 +1,6 @@
 """WAV ingestion, resampling and framing."""
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -89,6 +91,22 @@ def test_extra_chunks_skipped(tmp_path):
     write_with_extra_chunk(path, np.array([16384], dtype=np.int16))
     w = load_wav(path)
     np.testing.assert_allclose(w.samples, [0.5])
+
+
+def test_load_wav_does_not_copy_the_data_chunk(tmp_path):
+    n = 200_000
+    path = tmp_path / "a.wav"
+    write_pcm16(path, (np.sin(np.arange(n) * 0.01) * 8000).astype(np.int32))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        w = load_wav(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(w.samples) == n
+    # the file's bytes, the float64 samples, and less than one more file
+    assert peak < 2 * size + 8 * n
 
 
 def test_waveform_requires_positive_rate():

@@ -265,6 +265,38 @@ def test_batch_entries_that_are_not_objects(tmp_path, shifted_pair):
     assert lines[4] == "0,0.000000,,0.000000,,false"
 
 
+@pytest.fixture
+def identity_manifest(tmp_path, tone_wav):
+    manifest = tmp_path / "manifest.json"
+    entry = {"normal": str(tone_wav), "shifted": str(tone_wav), "scope_shift": 0}
+    manifest.write_text(json.dumps([entry]))
+    return manifest
+
+
+@pytest.mark.parametrize("command", [
+    ["gradcheck", "--frames", "1", "--probes", "3"],
+    ["compare-shift", "{wav}", "{wav}", "--scope-shift", "0"],
+    ["batch", "{manifest}"],
+])
+def test_json_report_on_stdout_equals_the_file(
+    tmp_path, tone_wav, identity_manifest, capsys, command
+):
+    argv = [a.format(wav=tone_wav, manifest=identity_manifest) for a in command]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out-json" if command[0] == "batch" else "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed
+
+
+def test_batch_csv_alone_prints_nothing(tmp_path, identity_manifest, capsys):
+    out_csv = tmp_path / "report.csv"
+    assert main(["batch", str(identity_manifest), "--out-csv", str(out_csv)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out_csv.read_text().splitlines()[1] == "0,0.000000,0.000000,1.000000,0.000000,true"
+
+
 def test_batch_empty_manifest(tmp_path):
     manifest = tmp_path / "empty.json"
     manifest.write_text("[]")

@@ -1,5 +1,6 @@
 """Yingram computation, valley placement and export formats."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from yingram import (
     write_yingram_csv,
     yingram_frame,
 )
+from yingram.feature import _atomic_write
 
 SR = 22050
 
@@ -139,6 +141,50 @@ def test_failed_export_leaves_no_files(tmp_path, cfg):
         with pytest.raises(OSError):
             write(matrix, taken)
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+def test_csv_export_streams_rows(tmp_path, cfg):
+    # 5200 x 80 values make a 7.6 MiB file; the rows go out one at a time
+    values = np.random.default_rng(0).random((5200, 80)).astype(np.float32)
+    matrix = YingramMatrix(values, cfg.grid, cfg.hop, cfg.sample_rate)
+    out = tmp_path / "y.csv"
+    tracemalloc.start()
+    try:
+        write_yingram_csv(matrix, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 7 << 20
+    assert peak < 1 << 20
+    lines = out.read_text().splitlines()
+    assert len(lines) == 5201
+    assert lines[5200] == "5199," + ",".join(map(repr, values[-1].tolist()))
+
+
+def test_atomic_write_rejects_a_str(tmp_path):
+    with pytest.raises(TypeError, match="not a str"):
+        _atomic_write(tmp_path / "x.txt", "one line")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_of_failing_lines_leaves_no_file(tmp_path):
+    def lines():
+        yield "first"
+        raise RuntimeError("source failed midway")
+
+    with pytest.raises(RuntimeError, match="midway"):
+        _atomic_write(tmp_path / "x.txt", lines())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_lines_and_buffers(tmp_path):
+    _atomic_write(tmp_path / "a.txt", iter(["a", "", "b"]))
+    assert (tmp_path / "a.txt").read_bytes() == b"a\n\nb\n"
+    _atomic_write(tmp_path / "empty.txt", [])
+    assert (tmp_path / "empty.txt").read_bytes() == b""
+    values = np.arange(6, dtype="<f4").reshape(2, 3)
+    _atomic_write(tmp_path / "a.f32", values)
+    assert (tmp_path / "a.f32").read_bytes() == values.tobytes()
 
 
 def test_translation_equivariance_small(cfg):

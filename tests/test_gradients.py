@@ -1,5 +1,6 @@
 """Analytic VJP against finite differences, plus its structural properties."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,62 @@ def test_finite_diff_check_silent_frame_with_valid_cotangent():
     report = finite_diff_check(_frame(np.zeros(FRAME_LEN)), GRID, cotangent=np.ones(80), probes=7)
     assert (report.passed, report.guarded, report.max_rel_error) == (True, True, 0.0)
     assert (report.probes_checked, report.probes_skipped, report.checked_channels) == (0, 7, 80)
+
+
+def _silent_but_tail(k):
+    """A silent frame except for its last k samples, or a tonal frame."""
+    if k == "tonal":
+        return random_tonal_frame(np.random.default_rng(4), FRAME_LEN)
+    x = np.zeros(FRAME_LEN)
+    x[FRAME_LEN - k :] = 1.0
+    return x
+
+
+@pytest.mark.filterwarnings("error")
+def test_finite_diff_check_frame_that_only_unread_lags_see():
+    # only d(426) is nonzero, and no channel reads lag 426: every channel
+    # reads a guarded lag, so the gradient is zero by definition
+    report = finite_diff_check(_frame(_silent_but_tail(1)), window=2048)
+    assert (report.passed, report.guarded, report.probes_checked) == (True, True, 0)
+    assert report.max_rel_error == 0.0
+
+
+def _vjp_warns(frame, cot):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yingram_vjp(frame, GRID, cot, window=2048)
+    return any("guarded region" in str(w.message) for w in caught)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, "tonal"])
+def test_finite_diff_check_guarded_iff_vjp_warns(k):
+    x = _silent_but_tail(k)
+    cot = np.random.default_rng(5).standard_normal(80)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the check itself never warns
+        report = finite_diff_check(_frame(x), GRID, cotangent=cot, probes=3, window=2048)
+    assert report.guarded == _vjp_warns(_frame(x), cot)
+    assert report.guarded == (k in (0, 1))
+
+
+@pytest.mark.parametrize("k", [1, "tonal"])
+def test_finite_diff_check_runs_forward_once(monkeypatch, k):
+    x = _silent_but_tail(k)
+    calls = {"checked": 0, "forward": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(gradients, "_checked_inputs", counted("checked", gradients._checked_inputs))
+    monkeypatch.setattr(
+        gradients, "difference_function", counted("forward", gradients.difference_function)
+    )
+    finite_diff_check(_frame(x), GRID, probes=4)
+    # the probes run their own forwards through yingram_from_frame
+    assert calls == {"checked": 1, "forward": 1}
 
 
 def test_finite_diff_check_sine_frame_both_regimes():

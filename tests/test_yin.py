@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from yingram import (
     CmndCurve,
+    DifferenceCurve,
     cmnd,
     difference_function,
     estimate_f0,
@@ -12,6 +13,7 @@ from yingram import (
     parabolic_refine,
     sine_tone,
 )
+from yingram.yin import CMND_EPS, _cmnd_terms
 from oracles import cmnd_brute, difference_brute
 
 SR = 22050
@@ -85,6 +87,20 @@ def test_cmnd_matches_brute_force(rng):
     np.testing.assert_allclose(
         cmnd(d, SR).values, cmnd_brute(d.values), rtol=1e-12, atol=1e-12
     )
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from([1e-12, 1e-9, 1e-6, 1.0]))
+def test_cmnd_terms_equal_running_sum_oracle(seed, length, scale):
+    # at scales 1e-9 and 1e-6 the running sum crosses CMND_EPS inside a row
+    d = np.random.default_rng(seed).random((3, length)) * scale
+    values, csum, guarded = _cmnd_terms(d)
+    np.testing.assert_array_equal(cmnd(DifferenceCurve(d, 8), SR).values, values)
+    for row, got_values, got_csum, got_guarded in zip(d, values, csum, guarded):
+        np.testing.assert_array_equal(got_values, cmnd_brute(row))
+        sums = np.concatenate(([0.0], np.cumsum(row[1:])))
+        np.testing.assert_array_equal(got_guarded, sums < CMND_EPS)
+        np.testing.assert_array_equal(got_csum, np.where(sums < CMND_EPS, 1.0, sums))
 
 
 @pytest.mark.parametrize("alpha", [0.5, 3.0, 17.0])
