@@ -41,23 +41,14 @@ from .synth import (
     sine_tone,
     vibrato_tone,
 )
-from .yin import (
-    CmndCurve,
-    DifferenceCurve,
-    cmnd,
-    difference_function,
-    estimate_f0,
-    parabolic_refine,
-)
+from .yin import cmnd, difference_function, estimate_f0, parabolic_refine
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisConfig",
     "BatchReport",
-    "CmndCurve",
     "DEFAULT_GRID",
-    "DifferenceCurve",
     "Frame",
     "GradReport",
     "LossConfig",

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.signal
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Waveform",
@@ -224,18 +225,22 @@ def frame_count(num_samples: int, frame_len: int, hop: int) -> int:
     return -(-num_samples // hop)
 
 
+def _strided_frames(x: np.ndarray, frame_len: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(frames, padded): a read-only view of the frame_count frames of x, row
+    k = x[k*hop : k*hop + frame_len] read from a zero-padded copy of x, and
+    flags of the rows that run past the end of x. The one framing rule."""
+    count = frame_count(len(x), frame_len, hop)
+    buf = np.zeros(max(len(x), max(count - 1, 0) * hop + frame_len), dtype=x.dtype)
+    buf[: len(x)] = x
+    frames = sliding_window_view(buf, frame_len)[::hop][:count]
+    return frames, np.arange(count) * hop + frame_len > len(x)
+
+
 def frame_signal(w: Waveform, frame_len: int, hop: int) -> list[Frame]:
     """Slice a waveform into hop-spaced frames of frame_len samples.
 
     Frame k starts at k*hop; the count is ceil(len/hop). Tail frames are
-    zero padded and flagged `padded`.
+    zero padded and flagged `padded`. Frames are read-only views.
     """
-    frames = []
-    for k in range(frame_count(len(w.samples), frame_len, hop)):
-        start = k * hop
-        chunk = w.samples[start : start + frame_len]
-        padded = len(chunk) < frame_len
-        if padded:
-            chunk = np.pad(chunk, (0, frame_len - len(chunk)))
-        frames.append(Frame(chunk, start, w.sample_rate, padded))
-    return frames
+    frames, padded = _strided_frames(np.asarray(w.samples), frame_len, hop)
+    return [Frame(f, k * hop, w.sample_rate, bool(padded[k])) for k, f in enumerate(frames)]

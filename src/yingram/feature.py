@@ -18,7 +18,7 @@ import numpy as np
 from .audio import Frame, Waveform, frame_count
 from .config import AnalysisConfig
 from .grid import DEFAULT_GRID, NoteGrid, channel_lags, tau_max_for
-from .yin import CmndCurve, cmnd, cmnd_blocks, difference_function
+from .yin import cmnd, cmnd_blocks, difference_function
 
 __all__ = [
     "YingramMatrix",
@@ -85,11 +85,14 @@ def _lag_brackets(lags: np.ndarray, tau_max: int) -> tuple[np.ndarray, np.ndarra
     return floors, ceils, lags - floors
 
 
-def yingram_frame(c: CmndCurve, grid: NoteGrid = DEFAULT_GRID) -> np.ndarray:
-    """Sample a CMND curve at every grid channel's fractional lag (the
-    one-curve case of `yingram_rows`, with the lags of note start_note + ch).
+def yingram_frame(
+    values: np.ndarray, sample_rate: int, grid: NoteGrid = DEFAULT_GRID
+) -> np.ndarray:
+    """Sample the CMND curve of a frame at sample_rate at every grid
+    channel's fractional lag (the one-curve case of `yingram_rows`, with the
+    lags of note start_note + ch).
     """
-    return yingram_rows(c.values, channel_lags(grid, c.sample_rate))
+    return yingram_rows(values, channel_lags(grid, sample_rate))
 
 
 def yingram_from_frame(
@@ -101,11 +104,12 @@ def yingram_from_frame(
 ) -> np.ndarray:
     """One frame end to end: difference function, CMND, grid sampling.
 
-    Runs in float64; compute_yingram handles storage precision.
+    Runs in float64; compute_yingram handles storage precision. A frame
+    whose difference values overflow float64 raises ValueError (`cmnd`).
     """
     tau_max = tau_max_for(grid, sample_rate)
     d = difference_function(frame, tau_max, window, method=method)
-    return yingram_frame(cmnd(d, sample_rate), grid)
+    return yingram_frame(cmnd(d), sample_rate, grid)
 
 
 def compute_yingram(w: Waveform, config: AnalysisConfig | None = None) -> YingramMatrix:

@@ -18,8 +18,8 @@ import scipy.fft
 
 from .audio import Frame
 from .grid import DEFAULT_GRID, NoteGrid, channel_lags, tau_max_for
-from .feature import _lag_brackets, yingram_from_frame
-from .yin import _cmnd_terms, difference_function, require_finite
+from .feature import _lag_brackets, yingram_rows
+from .yin import _cmnd_terms, _difference_fft, difference_function, require_finite
 
 __all__ = ["GradReport", "yingram_vjp", "finite_diff_check", "gradcheck_suite"]
 
@@ -106,7 +106,7 @@ def yingram_vjp(
     """
     x, sample_rate, tau_max, window, cot = _checked_inputs(frame, grid, cotangent, window)
     grad, guarded = _vjp(grid, x, sample_rate, tau_max, window, cot)
-    if guarded and np.any(cot != 0.0):
+    if guarded[-1] and np.any(cot != 0.0):
         warnings.warn(
             "guarded region: CMND denominator below epsilon on checked "
             "channels, gradient defined as zero there",
@@ -116,11 +116,12 @@ def yingram_vjp(
 
 
 def _vjp(grid: NoteGrid, x: np.ndarray, sample_rate: int, tau_max: int, window: int,
-         cot: np.ndarray) -> tuple[np.ndarray, bool]:
-    """(gradient, guarded) for checked inputs. guarded: the highest lag any
-    channel reads is guarded; the CMND sums grow with tau, so all are."""
+         cot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(gradient, guarded) for checked inputs. guarded: the CMND guard mask of
+    lags 0 up to the highest lag any channel reads; the CMND sums grow with
+    tau, so when that lag is guarded, all are."""
     floors, ceils, frac = _lag_brackets(channel_lags(grid, sample_rate), tau_max)
-    d = difference_function(x, tau_max, window, method="fft").values
+    d = difference_function(x, tau_max, window, method="fft")
     _, csum, guarded = _cmnd_terms(d)
     taus = np.arange(tau_max + 1)
 
@@ -137,7 +138,7 @@ def _vjp(grid: NoteGrid, x: np.ndarray, sample_rate: int, tau_max: int, window: 
     rev = np.cumsum(tail[::-1])[::-1]  # rev[k] = sum_{t >= k} tail[t]
     adj_d[1:] -= rev[1:]
 
-    return _difference_adjoint(x, adj_d, window), bool(guarded[ceils.max()])
+    return _difference_adjoint(x, adj_d, window), guarded[: ceils.max() + 1]
 
 
 def _difference_adjoint(x: np.ndarray, adj_d: np.ndarray, window: int) -> np.ndarray:
@@ -182,13 +183,15 @@ def finite_diff_check(
     as (L(x + eps*e_i) - L(x - eps*e_i)) / (2*eps) and compared to the
     analytic gradient with relative error |a - n| / max(|a|, |n|, 1e-12).
     Probes whose analytic and numeric magnitudes both fall below
-    LOW_SIGNAL_FRACTION of the frame's peak gradient are skipped and counted.
+    LOW_SIGNAL_FRACTION of the frame's peak gradient, or below the rounding
+    floor eps_machine * max|L(x +- eps*e_i)| / eps, are skipped and counted;
+    so are probes whose step moves a lag across the CMND guard.
     A frame whose channels all read guarded CMND lags (a silent frame, say)
     has a zero gradient by definition; it passes with the comparison skipped
     and the report flagged `guarded`. A NaN relative error fails the
     report. Raises ValueError for probes < 1, an eps or tolerance that is
     not finite and positive, and for any frame, window or cotangent that
-    yingram_vjp rejects, silent frames included.
+    yingram_vjp rejects, silent and overflowing frames included.
     """
     _check_fd_settings(eps, probes, tolerance)
     rng = np.random.default_rng(seed)
@@ -196,21 +199,30 @@ def finite_diff_check(
         cotangent = rng.standard_normal(grid.num_channels)
     x, sample_rate, tau_max, win, cot = _checked_inputs(frame, grid, cotangent, window)
 
-    def loss(i: int, step: float) -> float:
+    lags = channel_lags(grid, sample_rate)
+    analytic, guard = _vjp(grid, x, sample_rate, tau_max, win, cot)
+
+    def loss(i: int, step: float) -> tuple[float, bool]:
+        # L(x + step*e_i) as yingram_from_frame computes it, and whether the
+        # step moves a lag across the guard: the difference then measures
+        # the guard, where the gradient is defined, not derived
         samples = x.copy()
         samples[i] += step
-        return float(np.dot(cot, yingram_from_frame(samples, grid, sample_rate, win)))
+        values, _, moved = _cmnd_terms(_difference_fft(samples, tau_max, win))
+        return float(np.dot(cot, yingram_rows(values, lags))), (moved[: len(guard)] != guard).any()
 
-    analytic, guarded = _vjp(grid, x, sample_rate, tau_max, win, cot)
+    guarded = bool(guard[-1])
     worst, n_probe, skipped = 0.0, probes, probes  # a guarded frame compares nothing
     if not guarded:
-        floor = LOW_SIGNAL_FRACTION * np.max(np.abs(analytic))
+        peak_floor = LOW_SIGNAL_FRACTION * np.max(np.abs(analytic))
         n_probe, skipped = min(probes, len(x)), 0
         for i in rng.choice(len(x), size=n_probe, replace=False):
-            numeric = (loss(i, eps) - loss(i, -eps)) / (2.0 * eps)
+            (up, up_moved), (down, down_moved) = loss(i, eps), loss(i, -eps)
+            numeric = (up - down) / (2.0 * eps)
+            rounding_floor = np.finfo(float).eps * max(abs(up), abs(down)) / eps
             # np.maximum, unlike max, propagates NaN, so a NaN error is kept
             scale = np.maximum(abs(analytic[i]), abs(numeric))
-            if scale < floor:
+            if up_moved or down_moved or scale < max(peak_floor, rounding_floor):
                 skipped += 1
                 continue
             worst = np.maximum(worst, abs(analytic[i] - numeric) / np.maximum(scale, 1e-12))

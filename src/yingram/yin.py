@@ -1,11 +1,15 @@
 """YIN primitives: difference function, CMND and a threshold f0 estimator.
 
+Every stage passes plain float64 arrays with the lag along the last axis:
+`difference_function` returns d, `cmnd` returns d', and `estimate_f0` and
+`parabolic_refine` read d'. A 2-D array holds one frame per row.
+
 Clip analysis runs through `cmnd_blocks`, which computes the CMND rows of a
-whole clip in blocks of BLOCK_FRAMES frames. The per-frame functions
-(`difference_function`, `cmnd`, `estimate_f0`) are the reference path and
-the path the gradients differentiate. Both paths share every rule (the FFT
-difference and its clamp, the CMND guard, the lag pick and the parabolic
-refinement), so they agree to the last bit.
+whole clip in blocks of BLOCK_FRAMES frames. The per-frame functions are the
+reference path and the path the gradients differentiate. Both paths share
+every rule (the FFT difference and its clamp, the CMND guard and overflow
+check, the lag pick and the parabolic refinement), so they agree to the
+last bit.
 
 All arithmetic runs in 64-bit floats; gradient verification elsewhere in the
 package depends on that.
@@ -17,14 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import Frame, Waveform, frame_count
+from .audio import Frame, Waveform, _strided_frames
 from .config import AnalysisConfig, f0_bounds_valid, f0_lag_range
 
 __all__ = [
-    "DifferenceCurve",
-    "CmndCurve",
     "CmndBlock",
     "CMND_EPS",
     "BLOCK_FRAMES",
@@ -47,32 +48,6 @@ CMND_EPS = 1e-8
 # frames, so the block size, not the clip length, bounds the working set;
 # larger blocks cost memory and gain no speed.
 BLOCK_FRAMES = 32
-
-
-@dataclass(frozen=True)
-class DifferenceCurve:
-    """Squared-difference values d(tau) for tau = 0..tau_max, along the
-    last axis (one row per frame when 2-D)."""
-
-    values: np.ndarray
-    window_size: int
-
-    @property
-    def tau_max(self) -> int:
-        return self.values.shape[-1] - 1
-
-
-@dataclass(frozen=True)
-class CmndCurve:
-    """Cumulative mean normalized difference d'(tau) along the last axis;
-    d'(0) = 1."""
-
-    values: np.ndarray
-    sample_rate: int
-
-    @property
-    def tau_max(self) -> int:
-        return self.values.shape[-1] - 1
 
 
 @dataclass(frozen=True)
@@ -99,21 +74,17 @@ class CmndBlock:
         return self.values[~self.padded]
 
 
-def _as_samples(frame) -> np.ndarray:
-    if isinstance(frame, Frame):
-        return np.asarray(frame.samples, dtype=np.float64)
-    return np.asarray(frame, dtype=np.float64)
-
-
 def _difference_naive(x: np.ndarray, tau_max: int, window: int) -> np.ndarray:
-    head = x[:window]
-    d = np.empty(tau_max + 1)
-    for tau in range(tau_max + 1):
-        delta = head - x[tau : tau + window]
-        d[tau] = np.dot(delta, delta)
+    head = x[..., :window]
+    d = np.empty(x.shape[:-1] + (tau_max + 1,))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: see _cmnd_terms
+        for tau in range(tau_max + 1):
+            delta = head - x[..., tau : tau + window]
+            d[..., tau] = np.einsum("...j,...j->...", delta, delta)
     return d
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow: see _cmnd_terms
 def _difference_fft(x: np.ndarray, tau_max: int, window: int) -> np.ndarray:
     # d(tau) = p0 + p_tau - 2*c(tau) with p_tau a sliding energy window and
     # c the linear cross-correlation of x[:window] against x, via FFT. Each
@@ -141,47 +112,63 @@ def difference_function(
     tau_max: int,
     window: int = AnalysisConfig.window,
     method: str = "fft",
-) -> DifferenceCurve:
-    """Compute d(tau) = sum_{j<window} (x[j] - x[j+tau])^2 for tau = 0..tau_max.
+) -> np.ndarray:
+    """Compute d(tau) = sum_{j<window} (x[j] - x[j+tau])^2 for tau = 0..tau_max,
+    along the last axis of the frame (one row per frame when 2-D).
 
     Args:
-        frame: analysis frame; must hold at least window + tau_max samples.
+        frame: analysis frame, or a stack of frames; each must hold at least
+            window + tau_max samples.
         tau_max: largest lag, inclusive.
         window: integration window W in samples.
         method: "fft" for the accelerated path, "naive" for direct summation.
             Both produce the same values up to float rounding.
     """
-    x = _as_samples(frame)
-    if len(x) < window + tau_max:
+    x = np.asarray(frame.samples if isinstance(frame, Frame) else frame, dtype=np.float64)
+    if x.shape[-1] < window + tau_max:
         raise ValueError(
-            f"insufficient frame length: need {window + tau_max}, got {len(x)}"
+            f"insufficient frame length: need {window + tau_max}, got {x.shape[-1]}"
         )
     if method == "naive":
-        d = _difference_naive(x, tau_max, window)
-    elif method == "fft":
-        d = _difference_fft(x, tau_max, window)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return DifferenceCurve(d, window)
+        return _difference_naive(x, tau_max, window)
+    if method == "fft":
+        return _difference_fft(x, tau_max, window)
+    raise ValueError(f"unknown method {method!r}")
 
 
-def cmnd(d: DifferenceCurve, sample_rate: int) -> CmndCurve:
-    """Cumulative mean normalized difference of a DifferenceCurve, row by
-    row when it is 2-D.
+def cmnd(d: np.ndarray) -> np.ndarray:
+    """Cumulative mean normalized difference of difference values d along
+    their last axis (row by row when 2-D).
 
     d'(0) = 1 and d'(tau) = d(tau) * tau / sum_{j<=tau} d(j). Where the
     cumulative sum falls below CMND_EPS the value is defined as 1, so
     silence yields a flat curve and is marked unvoiced downstream.
+
+    Raises:
+        ValueError: "non-finite difference values" when d holds NaN or inf
+            or its CMND sums overflow float64.
     """
-    return CmndCurve(_cmnd_terms(d.values)[0], sample_rate)
+    return _cmnd_terms(np.asarray(d, dtype=np.float64))[0]
 
 
-def _cmnd_terms(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cmnd_terms(d: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(values, csum, guarded) of `cmnd` along the last axis of difference
     values d: the one place its rule is written. A guarded lag has value 1,
-    zero gradient and a csum of 1.0, so every quotient by csum is safe."""
+    zero gradient and a csum of 1.0, so every quotient by csum is safe.
+    Rows whose sums overflow raise ValueError naming them as frames start,
+    start + 1, ..."""
     csum = np.zeros_like(d)
-    np.cumsum(d[..., 1:], axis=-1, out=csum[..., 1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumsum(d[..., 1:], axis=-1, out=csum[..., 1:])
+        # d >= 0, so the last CMND sum times tau_max bounds every d, every
+        # cumulative sum and every numerator d(tau) * tau
+        bad = ~np.isfinite(csum[..., -1] * (d.shape[-1] - 1))
+    if bad.any():
+        frames = start + np.flatnonzero(bad)
+        raise ValueError(
+            f"non-finite difference values: the samples of frames {frames[0]}.."
+            f"{frames[-1]} are too large for their CMND in float64"
+        )
     guarded = csum < CMND_EPS
     csum[guarded] = 1.0
     values = np.where(guarded, 1.0, d * np.arange(d.shape[-1]) / csum)
@@ -210,7 +197,7 @@ def cmnd_blocks(w: Waveform, config: AnalysisConfig) -> Iterator[CmndBlock]:
         ValueError: the waveform is not at the config's sample rate or
             holds non-finite samples (before the first block), or a block's
             difference values or their CMND sums overflow (as that block is
-            computed).
+            computed; the message names the clip's frames).
     """
     if w.sample_rate != config.sample_rate:
         raise ValueError(
@@ -219,34 +206,18 @@ def cmnd_blocks(w: Waveform, config: AnalysisConfig) -> Iterator[CmndBlock]:
         )
     x = np.asarray(w.samples, dtype=np.float64)
     require_finite(x, "samples")
-    count = frame_count(len(x), config.frame_length, config.hop)
-    return _blocks(x, count, config)
+    return _blocks(x, config)
 
 
-def _blocks(x: np.ndarray, count: int, cfg: AnalysisConfig) -> Iterator[CmndBlock]:
-    if count == 0:
-        return
-    frame_len, hop = cfg.frame_length, cfg.hop
-    buf = np.zeros(max(len(x), (count - 1) * hop + frame_len))
-    buf[: len(x)] = x
-    frames = sliding_window_view(buf, frame_len)[::hop][:count]
-    for start in range(0, count, BLOCK_FRAMES):
-        block = frames[start : start + BLOCK_FRAMES]
-        with np.errstate(over="ignore", invalid="ignore"):
-            # d stays bound until the next block's replaces it: freed earlier,
-            # the heap top is trimmed and the next block's FFT faults it back in
-            d = _difference_fft(block, cfg.tau_max, cfg.window)
-            values, csum, _ = _cmnd_terms(d)
-            # d >= 0, so the last CMND denominator times tau_max bounds every
-            # d, every cumulative sum and every numerator d(tau) * tau
-            bound = csum[:, -1] * cfg.tau_max
-        if not np.isfinite(bound).all():
-            raise ValueError(
-                f"non-finite difference values: the samples of frames {start}.."
-                f"{start + len(block) - 1} are too large for their CMND in float64"
-            )
-        ends = np.arange(start, start + len(block)) * hop + frame_len
-        yield CmndBlock(start, values, ends > len(x))
+def _blocks(x: np.ndarray, cfg: AnalysisConfig) -> Iterator[CmndBlock]:
+    frames, padded = _strided_frames(x, cfg.frame_length, cfg.hop)
+    for start in range(0, len(frames), BLOCK_FRAMES):
+        rows = slice(start, start + BLOCK_FRAMES)
+        # d and csum live until the next block's replace them: freed earlier,
+        # the heap top is trimmed and the next block's FFT faults it back in
+        d = _difference_fft(frames[rows], cfg.tau_max, cfg.window)
+        values, csum, _ = _cmnd_terms(d, start)
+        yield CmndBlock(start, values, padded[rows])
 
 
 def refine_lags(values: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -271,11 +242,11 @@ def refine_lags(values: np.ndarray, taus: np.ndarray) -> np.ndarray:
     return np.where(inner & ~flat, refined, taus.astype(np.float64))
 
 
-def parabolic_refine(c: CmndCurve, tau: int) -> float:
-    """Refine an integer lag to the vertex of the parabola through its
-    neighbors, clamped to [tau-1, tau+1]. Boundary lags return unchanged.
-    The one-row case of `refine_lags`."""
-    return float(refine_lags(np.asarray(c.values)[None], np.array([tau]))[0])
+def parabolic_refine(values: np.ndarray, tau: int) -> float:
+    """Refine an integer lag of a CMND curve to the vertex of the parabola
+    through its neighbors, clamped to [tau-1, tau+1]. Boundary lags return
+    unchanged. The one-row case of `refine_lags`."""
+    return float(refine_lags(np.asarray(values)[None], np.array([tau]))[0])
 
 
 def pick_lags(
@@ -346,26 +317,28 @@ def f0_rows(
 
 
 def estimate_f0(
-    c: CmndCurve,
+    values: np.ndarray,
+    sample_rate: int,
     threshold: float = AnalysisConfig.f0_threshold,
     f_min: float = AnalysisConfig.f_min,
     f_max: float = AnalysisConfig.f_max,
     voicing_cutoff: float = AnalysisConfig.voicing_cutoff,
 ) -> tuple[float, float] | None:
-    """Estimate (f0_hz, aperiodicity) from a CMND curve, or None if unvoiced.
+    """Estimate (f0_hz, aperiodicity) from the CMND curve of a frame sampled
+    at sample_rate, or None if unvoiced.
 
     The one-row case of `f0_rows`: the chosen integer lag is refined
     parabolically, f0 = sr / lag is clamped into [f_min, f_max], and an
     aperiodicity (d' at the integer lag) above voicing_cutoff reports the
     frame as unvoiced.
     """
-    if not f0_bounds_valid(c.sample_rate, f_min, f_max):
+    if not f0_bounds_valid(sample_rate, f_min, f_max):
         raise ValueError(
             f"invalid f0 bounds: need 0 < f_min < f_max <= sr/2, got "
-            f"[{f_min}, {f_max}] at {c.sample_rate} Hz"
+            f"[{f_min}, {f_max}] at {sample_rate} Hz"
         )
     f0, aperiodicity = f0_rows(
-        np.asarray(c.values)[None], c.sample_rate, threshold, f_min, f_max, voicing_cutoff
+        np.asarray(values)[None], sample_rate, threshold, f_min, f_max, voicing_cutoff
     )
     if np.isnan(f0[0]):
         return None

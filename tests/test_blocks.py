@@ -57,7 +57,7 @@ def test_blocks_equal_per_frame_cmnd(w):
         assert block.start == covered
         assert 0 < len(block.values) <= BLOCK_FRAMES
         for row, padded, frame in zip(block.values, block.padded, frames[block.rows]):
-            ref = cmnd(difference_function(frame, CFG.tau_max, CFG.window), SR).values
+            ref = cmnd(difference_function(frame, CFG.tau_max, CFG.window))
             np.testing.assert_array_equal(row, ref)
             assert padded == frame.padded
         covered += len(block.values)
@@ -78,8 +78,8 @@ def test_yingram_and_contour_equal_per_frame_path(w):
         if frame.padded:
             assert np.isnan(contour.f0[k]) and contour.aperiodicity[k] == 1.0
             continue
-        curve = cmnd(difference_function(frame, CFG.tau_max, CFG.window), SR)
-        result = estimate_f0(curve, CFG.f0_threshold, CFG.f_min, CFG.f_max, CFG.voicing_cutoff)
+        curve = cmnd(difference_function(frame, CFG.tau_max, CFG.window))
+        result = estimate_f0(curve, SR, CFG.f0_threshold, CFG.f_min, CFG.f_max, CFG.voicing_cutoff)
         if result is None:
             assert np.isnan(contour.f0[k])
         else:
@@ -94,7 +94,7 @@ def test_blocks_follow_hop_and_frame_count(hop):
     values = np.concatenate([b.values for b in cmnd_blocks(w, cfg)])
     assert len(values) == len(frames)
     for k in (0, len(frames) // 2, len(frames) - 1):
-        ref = cmnd(difference_function(frames[k], cfg.tau_max, cfg.window), SR).values
+        ref = cmnd(difference_function(frames[k], cfg.tau_max, cfg.window))
         np.testing.assert_array_equal(values[k], ref)
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from yingram import (
-    CmndCurve,
     NoteGrid,
     Waveform,
     YingramMatrix,
@@ -33,25 +32,23 @@ def test_integer_lag_is_sampled_exactly(rng):
     # at 44000 Hz the reference note's lag is exactly 100 samples
     grid = NoteGrid()
     values = rng.uniform(0.0, 2.0, size=900)
-    curve = CmndCurve(values, 44000)
-    out = yingram_frame(curve, grid)
+    out = yingram_frame(values, 44000, grid)
     assert 44000 / note_to_hz(69) == 100.0
     assert out[74] == values[100]
 
 
 def test_interpolation_matches_np_interp(rng):
     values = rng.uniform(0.0, 2.0, size=500)
-    curve = CmndCurve(values, SR)
-    out = yingram_frame(curve, NoteGrid())
+    out = yingram_frame(values, SR, NoteGrid())
     lags = channel_lags(NoteGrid(), SR)
     expected = np.interp(lags, np.arange(len(values)), values)
     np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
 
 
 def test_lag_out_of_range(rng):
-    curve = CmndCurve(rng.uniform(0.0, 2.0, size=100), SR)
+    values = rng.uniform(0.0, 2.0, size=100)
     with pytest.raises(ValueError, match="lag out of range"):
-        yingram_frame(curve, NoteGrid())
+        yingram_frame(values, SR, NoteGrid())
 
 
 def test_frame_count_and_shape(cfg):

@@ -10,6 +10,8 @@ from yingram import (
     AnalysisConfig,
     Frame,
     NoteGrid,
+    cmnd,
+    difference_function,
     finite_diff_check,
     gradcheck_suite,
     random_tonal_frame,
@@ -180,7 +182,7 @@ def test_finite_diff_check_runs_forward_once(monkeypatch, k):
         gradients, "difference_function", counted("forward", gradients.difference_function)
     )
     finite_diff_check(_frame(x), GRID, probes=4)
-    # the probes run their own forwards through yingram_from_frame
+    # the probes run their own forwards on the FFT kernel, without the checks
     assert calls == {"checked": 1, "forward": 1}
 
 
@@ -295,10 +297,42 @@ def test_finite_diff_check_rejects_settings_that_check_nothing(rng, settings_, m
         gradcheck_suite(0, **settings_)
 
 
-def test_finite_diff_check_fails_on_nan_error(rng):
-    # samples near 1e160 overflow d(k) to inf, so both gradients are NaN
-    frame = _frame(1e160 * random_tonal_frame(rng, FRAME_LEN))
-    with np.errstate(all="ignore"):
-        report = finite_diff_check(frame, GRID, eps=1e155, probes=5)
+OVERFLOWING = 1e160 * np.sin(2 * np.pi * 220.0 * np.arange(FRAME_LEN) / SR)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    lambda x: finite_diff_check(_frame(x), GRID, probes=5),
+    lambda x: yingram_vjp(_frame(x), GRID, np.ones(80)),
+    lambda x: yingram_from_frame(x, GRID, SR, 2048),
+    lambda x: cmnd(difference_function(x, 426, 2048)),
+], ids=["finite_diff_check", "yingram_vjp", "yingram_from_frame", "cmnd"])
+def test_overflowing_frame_raises(call):
+    # d(k) of samples near 1e160 overflows float64; once it produced NaN
+    with pytest.raises(ValueError, match="non-finite difference values"):
+        call(OVERFLOWING)
+
+
+def test_finite_diff_check_fails_on_nan_error(monkeypatch, rng):
+    x = random_tonal_frame(rng, 64 + 426)
+    vjp = gradients._vjp
+
+    def one_nan(*args):
+        grad, guarded = vjp(*args)
+        grad[len(grad) // 2] = np.nan
+        return grad, guarded
+
+    monkeypatch.setattr(gradients, "_vjp", one_nan)
+    report = finite_diff_check(_frame(x), GRID, probes=len(x), window=64)
     assert not report.passed
     assert math.isnan(report.max_rel_error)
+
+
+@pytest.mark.filterwarnings("error")
+def test_finite_diff_check_passes_frame_with_zero_gradient():
+    # only d(425) and d(426) are nonzero and d'(425) = 425 whatever their
+    # scale, so the true gradient is zero; steps that lift the guarded lags
+    # below 425 out of the guard, and rounding at the loss scale, once failed it
+    report = finite_diff_check(_frame(_silent_but_tail(2)), window=2048)
+    assert (report.passed, report.guarded) == (True, False)
+    assert report.probes_checked + report.probes_skipped == 25
