@@ -16,7 +16,7 @@ import numpy as np
 from .audio import Waveform, frame_count, load_wav, resample
 from .config import AnalysisConfig
 from .feature import yingram_rows
-from .grid import channel_lags, shift_to_semitones
+from .grid import Scope, channel_lags, shift_to_semitones
 from .losses import LossConfig, shift_consistency_metric
 from .yin import cmnd_blocks, f0_rows
 
@@ -181,9 +181,11 @@ def evaluate_shift_pair(
     contour offset (time-aligned by the pair's duration ratio), and a
     verdict: offset within shift_tolerance of -s/2 and voiced overlap at
     least min_overlap. A pair without unpadded frames has no metric; a pair
-    without co-voiced frames keeps its metric and fails on that.
+    without co-voiced frames keeps its metric and fails on that. A shift
+    that `Scope` rejects raises ValueError before any analysis.
     """
     cfg = config or AnalysisConfig()
+    s = Scope(s).shift
     normal = resample(normal, cfg.sample_rate)
     shifted = resample(shifted, cfg.sample_rate)
     y_normal, contour_a = _analyse(normal, cfg)
@@ -297,7 +299,8 @@ def batch_report(manifest: list[dict], config: AnalysisConfig | None = None) -> 
     """Evaluate every manifest entry {normal, shifted, scope_shift}.
 
     Unreadable or malformed entries (including entries that are not
-    objects) are recorded as errors and the batch continues; results keep
+    objects, and a scope_shift that `Scope` rejects, such as 2.9, true or
+    "2") are recorded as errors and the batch continues; results keep
     manifest order.
     """
     cfg = config or AnalysisConfig()
@@ -311,7 +314,7 @@ def batch_report(manifest: list[dict], config: AnalysisConfig | None = None) -> 
                 )
             normal_path = Path(item["normal"])
             shifted_path = Path(item["shifted"])
-            s = int(item["scope_shift"])
+            s = Scope(item["scope_shift"]).shift
             entry.update(normal=str(item["normal"]), shifted=str(item["shifted"]), scope_shift=s)
             normal, shifted = load_wav(normal_path), load_wav(shifted_path)
         except (KeyError, TypeError, OSError, ValueError) as exc:

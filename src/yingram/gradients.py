@@ -61,12 +61,12 @@ def _check_fd_settings(eps: float, probes: int, tolerance: float) -> None:
 
 
 def _checked_inputs(
-    frame: Frame, grid: NoteGrid, cotangent: np.ndarray | None, window: int | None
+    frame: Frame, grid: NoteGrid, cotangent: np.ndarray, window: int | None
 ) -> tuple[np.ndarray, int, int, int, np.ndarray]:
     """(samples, sample_rate, tau_max, window, cotangent) of a gradient
     request, checked: a Frame of finite samples, a window (by default
     len(frame) - tau_max, as the analysis frames) that fits the frame, and
-    a finite cotangent of one entry per channel (zeros when None)."""
+    a finite cotangent of one entry per channel."""
     if not isinstance(frame, Frame):
         raise TypeError("yingram_vjp needs a Frame (it carries the sample rate)")
     x = np.asarray(frame.samples, dtype=np.float64)
@@ -79,9 +79,7 @@ def _checked_inputs(
             f"insufficient frame length: need window + tau_max = "
             f"{max(window, 1) + tau_max}, got {len(x)}"
         )
-    cot = np.zeros(grid.num_channels) if cotangent is None else np.asarray(
-        cotangent, dtype=np.float64
-    )
+    cot = np.asarray(cotangent, dtype=np.float64)
     if cot.shape != (grid.num_channels,):
         raise ValueError(
             f"dimension error: cotangent must have {grid.num_channels} entries"
@@ -91,10 +89,7 @@ def _checked_inputs(
 
 
 def yingram_vjp(
-    frame: Frame,
-    grid: NoteGrid = DEFAULT_GRID,
-    cotangent: np.ndarray | None = None,
-    window: int | None = None,
+    frame: Frame, grid: NoteGrid, cotangent: np.ndarray, window: int | None = None
 ) -> np.ndarray:
     """Gradient of sum_c cotangent[c] * Y[c] with respect to the frame samples.
 
@@ -102,7 +97,8 @@ def yingram_vjp(
     analysis framing. Channels whose lags sit in the CMND guard region
     contribute zero gradient; a fully guarded (silent) frame returns all
     zeros and emits a warning. Non-finite samples or cotangent entries raise
-    ValueError, since either would turn the whole gradient into NaN.
+    ValueError, since either would turn the whole gradient into NaN; so do
+    frames too large for the forward's CMND, and only those.
     """
     x, sample_rate, tau_max, window, cot = _checked_inputs(frame, grid, cotangent, window)
     grad, guarded = _vjp(grid, x, sample_rate, tau_max, window, cot)
@@ -121,8 +117,7 @@ def _vjp(grid: NoteGrid, x: np.ndarray, sample_rate: int, tau_max: int, window: 
     lags 0 up to the highest lag any channel reads; the CMND sums grow with
     tau, so when that lag is guarded, all are."""
     floors, ceils, frac = _lag_brackets(channel_lags(grid, sample_rate), tau_max)
-    d = difference_function(x, tau_max, window, method="fft")
-    _, csum, guarded = _cmnd_terms(d)
+    values, csum, guarded = _cmnd_terms(difference_function(x, tau_max, window, method="fft"))
     taus = np.arange(tau_max + 1)
 
     # adjoint on d'; a guarded lag holds the constant 1, so none flows through it
@@ -131,12 +126,11 @@ def _vjp(grid: NoteGrid, x: np.ndarray, sample_rate: int, tau_max: int, window: 
     np.add.at(adj_dp, ceils, cot * frac)
     adj_dp[guarded] = 0.0
 
-    # adjoint on d through d'(tau) = d(tau) * tau / csum(tau):
-    #   dd'(t)/dd(k) = t/csum(t) * [k == t]  -  t*d(t)/csum(t)^2 * [1 <= k <= t]
+    # adjoint on d through d'(t) = d(t) * t / csum(t), csum(t) = sum_{1<=k<=t} d(k):
+    #   dd'(t)/dd(k) = (t * [k == t] - d'(t) * [1 <= k <= t]) / csum(t),
+    # where d'(t) <= t, so nothing here overflows unless the forward does
     adj_d = adj_dp * taus / csum
-    tail = adj_dp * taus * d / csum**2
-    rev = np.cumsum(tail[::-1])[::-1]  # rev[k] = sum_{t >= k} tail[t]
-    adj_d[1:] -= rev[1:]
+    adj_d[1:] -= np.cumsum((adj_dp * values / csum)[::-1])[::-1][1:]  # sums over t >= k
 
     return _difference_adjoint(x, adj_d, window), guarded[: ceils.max() + 1]
 

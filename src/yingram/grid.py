@@ -7,6 +7,7 @@ shifting the scope by s corresponds to -s/2 semitones of output pitch.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from math import ceil
 
@@ -50,16 +51,20 @@ DEFAULT_GRID = NoteGrid()
 
 @dataclass(frozen=True)
 class Scope:
-    """A 50-channel window into the 80-channel axis at shift s."""
+    """A 50-channel window into the 80-channel axis at shift s: the one
+    rule for a shift. s is a Python or numpy integer (stored as int); a bool,
+    float or string raises, so 2.9 is never truncated to 2."""
 
     shift: int
     length: int = SCOPE_LENGTH
 
     def __post_init__(self):
-        if abs(self.shift) > MAX_SHIFT:
+        s = self.shift
+        if isinstance(s, bool) or not isinstance(s, numbers.Integral) or abs(s) > MAX_SHIFT:
             raise ValueError(
-                f"shift out of range: s={self.shift}, must be in [-{MAX_SHIFT}, {MAX_SHIFT}]"
+                f"shift out of range: s={s!r}, must be an integer in [-{MAX_SHIFT}, {MAX_SHIFT}]"
             )
+        object.__setattr__(self, "shift", int(s))
 
     @property
     def start_channel(self) -> int:
@@ -112,7 +117,7 @@ def crop_scope(matrix, s: int) -> np.ndarray:
     Row c of the output equals channel 15 + s + c of the input (0-indexed),
     i.e. the unshifted scope covers channels 15..64.
     """
-    scope = Scope(int(s))
+    scope = Scope(s)
     values = _matrix_values(matrix)
     if values.ndim != 2 or values.shape[1] < scope.stop_channel:
         raise ValueError(

@@ -37,9 +37,13 @@ class LossConfig:
 
 
 def _require_same_shape(*arrays: np.ndarray) -> None:
+    """One shape for all arrays, with at least one entry: the mean of an
+    empty array is NaN, not a loss."""
     shapes = {a.shape for a in arrays}
     if len(shapes) > 1:
         raise ValueError(f"dimension error: shapes differ: {sorted(shapes)}")
+    if arrays[0].size == 0:
+        raise ValueError(f"dimension error: empty inputs of shape {arrays[0].shape}")
 
 
 def decoding_loss(
@@ -101,4 +105,5 @@ def shift_consistency_metric(
         shifted = shifted[:frames]
     a = np.exp(-crop_scope(normal, s))
     b = np.exp(-crop_scope(shifted, 0))
+    _require_same_shape(a, b)
     return float(cfg.lambda_yin * np.mean(np.abs(a - b)))

@@ -149,3 +149,32 @@ def contour_offsets_loop(a, b, time_scale: float | None) -> np.ndarray:
         lb = log_b[j0] + (log_b[j1] - log_b[j0]) * (j - j0)
         out.append(12.0 * (lb - np.log2(a.f0[i])))
     return np.asarray(out)
+
+
+def yingram_vjp_csum_squared(
+    x: np.ndarray, lags: np.ndarray, cot: np.ndarray, window: int, tau_max: int,
+    eps: float = 1e-8,
+) -> np.ndarray:
+    """The Yingram VJP with the CMND quotient rule written on d, one lag at
+    a time: adj_d[k] = adj_dp[k]*k/csum(k) - sum_{t>=k} adj_dp[t]*t*d(t)/csum(t)^2.
+    It squares the CMND sums, so it overflows for frames above about 1e75;
+    at unit scale it is the reference for the VJP that reads d'."""
+    x = np.asarray(x, dtype=np.float64)
+    head = x[:window]
+    d = np.array([np.sum((head - x[k : k + window]) ** 2) for k in range(tau_max + 1)])
+    csum = np.concatenate(([0.0], np.cumsum(d[1:])))
+    guarded = csum < eps
+    adj_dp = np.zeros(tau_max + 1)
+    for c, lag in enumerate(lags):
+        lo = math.floor(lag)
+        frac = lag - lo
+        adj_dp[lo] += cot[c] * (1.0 - frac)
+        adj_dp[math.ceil(lag)] += cot[c] * frac
+    adj_dp[guarded] = 0.0
+    adj_d = np.zeros(tau_max + 1)
+    for t in range(1, tau_max + 1):
+        if adj_dp[t] == 0.0:
+            continue
+        adj_d[t] += adj_dp[t] * t / csum[t]
+        adj_d[1 : t + 1] -= adj_dp[t] * t * d[t] / csum[t] ** 2
+    return difference_adjoint_loop(x, adj_d, window, tau_max)

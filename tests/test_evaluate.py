@@ -160,6 +160,31 @@ def test_shift_pair_without_unpadded_frames(cfg):
     json.dumps(payload, allow_nan=False)
 
 
+@pytest.mark.parametrize("s", [2.9, True, "2"])
+def test_shift_pair_rejects_non_integer_shift(monkeypatch, cfg, s):
+    # 2.9 once reported scope_shift 2.9 and expected -1.45 st beside the
+    # metric of s=2, and passed
+    a = harmonic_tone(220.0, 0.5)
+    monkeypatch.setattr(evaluate, "_analyse", None)  # checked before any analysis
+    with pytest.raises(ValueError, match="shift out of range"):
+        evaluate_shift_pair(a, pitch_shifted_copy(a, -1.0), s, cfg)
+
+
+@pytest.mark.parametrize("s", [2.9, True, "2"])
+def test_batch_records_non_integer_shift_as_error(tmp_path, cfg, s):
+    normal = harmonic_tone(220.0, 0.5)
+    write_wav(tmp_path / "n.wav", normal)
+    write_wav(tmp_path / "s.wav", pitch_shifted_copy(normal, -1.0))
+    pair = {"normal": str(tmp_path / "n.wav"), "shifted": str(tmp_path / "s.wav")}
+    report = batch_report([{**pair, "scope_shift": s}, {**pair, "scope_shift": 2}], cfg)
+    bad, good = report.entries
+    assert "shift out of range" in bad["error"]
+    assert "scope_shift" not in bad and "report" not in bad
+    assert good["report"].passed
+    assert report.csv_lines()[1] == ",,,,,false"
+    json.dumps(report.to_dict(), allow_nan=False)
+
+
 def test_batch_empty(cfg):
     report = batch_report([], cfg)
     assert report.entries == []

@@ -20,7 +20,8 @@ from yingram import (
 )
 from yingram import gradients
 from yingram.gradients import _difference_adjoint
-from oracles import difference_adjoint_loop
+from yingram.grid import channel_lags
+from oracles import difference_adjoint_loop, yingram_vjp_csum_squared
 
 SR = 22050
 GRID = NoteGrid()
@@ -214,6 +215,12 @@ def test_vjp_rejects_short_frames(rng):
         yingram_vjp(_frame(np.zeros(100)), GRID, np.zeros(80))
 
 
+def test_vjp_requires_a_cotangent(rng):
+    # a missing cotangent once gave an all-zero gradient without a word
+    with pytest.raises(TypeError):
+        yingram_vjp(_frame(rng.standard_normal(FRAME_LEN)), GRID)
+
+
 def test_vjp_rejects_bad_cotangent(rng):
     x = rng.standard_normal(FRAME_LEN)
     with pytest.raises(ValueError, match="dimension error"):
@@ -336,3 +343,38 @@ def test_finite_diff_check_passes_frame_with_zero_gradient():
     report = finite_diff_check(_frame(_silent_but_tail(2)), window=2048)
     assert (report.passed, report.guarded) == (True, False)
     assert report.probes_checked + report.probes_skipped == 25
+
+
+@st.composite
+def tonal_vjp_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    window = draw(st.sampled_from([64, 517, 2048]))
+    x = random_tonal_frame(rng, window + 426)
+    cot = rng.standard_normal(80)
+    if draw(st.booleans()):  # a scope-only cotangent, as the losses give
+        cot[:15] = cot[65:] = 0.0
+    return x, cot, window
+
+
+@settings(deadline=None, max_examples=40)
+@given(tonal_vjp_cases())
+def test_vjp_matches_csum_squared_reference(case):
+    # the CMND adjoint reads d' and csum; the reference differentiates the
+    # quotient on d, squaring csum, which is exact at unit scale
+    x, cot, window = case
+    reference = yingram_vjp_csum_squared(x, channel_lags(GRID, SR), cot, window, 426)
+    got = yingram_vjp(_frame(x), GRID, cot, window)
+    np.testing.assert_allclose(got, reference, rtol=0, atol=1e-12 * np.max(np.abs(reference)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e75, 1e100, 1e140])
+def test_vjp_scales_up_to_the_forward_bound(scale):
+    # Y is homogeneous of degree 0, so grad(c*x) = grad(x) / c; squaring the
+    # CMND sums once overflowed here, though the forward accepts these frames
+    rng = np.random.default_rng(6)
+    x = random_tonal_frame(rng, FRAME_LEN)
+    cot = rng.standard_normal(80)
+    unit = yingram_vjp(_frame(x), GRID, cot)
+    scaled = scale * yingram_vjp(_frame(scale * x), GRID, cot)
+    np.testing.assert_allclose(scaled, unit, rtol=0, atol=1e-12 * np.max(np.abs(unit)))

@@ -76,6 +76,21 @@ def test_scope_arithmetic():
         Scope(16)
 
 
+@pytest.mark.parametrize("s", [2.9, True, "2", 2.0, np.bool_(True)])
+def test_scope_rejects_non_integer_shifts(rng, s):
+    # once truncated (2.9 -> 2) or taken as 1 (True) instead of rejected
+    with pytest.raises(ValueError, match="shift out of range"):
+        Scope(s)
+    with pytest.raises(ValueError, match="shift out of range"):
+        crop_scope(rng.standard_normal((3, 80)), s)
+
+
+def test_scope_stores_numpy_integers_as_int():
+    scope = Scope(np.int64(-3))
+    assert type(scope.shift) is int and scope.shift == -3
+    assert scope.start_channel == 12
+
+
 def test_crop_default_scope_selects_middle(rng):
     y = rng.standard_normal((7, 80))
     assert np.array_equal(crop_scope(y, 0), y[:, 15:65])

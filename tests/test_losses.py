@@ -16,6 +16,18 @@ from yingram import (
 from oracles import crop_rows, exp_l1_mean, mean_abs_diff
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    lambda: decoding_loss(np.zeros((0, 50)), np.zeros((0, 50))),
+    lambda: recon_loss(*[np.zeros((0, 50))] * 4),
+    lambda: shift_consistency_metric(np.zeros((0, 80)), np.zeros((0, 80)), 0),
+], ids=["decoding_loss", "recon_loss", "shift_consistency_metric"])
+def test_losses_reject_empty_inputs(call):
+    # the mean of an empty slice once came back as nan after a RuntimeWarning
+    with pytest.raises(ValueError, match="dimension error: empty inputs"):
+        call()
+
+
 def test_decoding_loss_identity(rng):
     y = rng.uniform(0, 2, (9, 50))
     assert decoding_loss(y, y) == 0.0
