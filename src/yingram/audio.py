@@ -10,6 +10,8 @@ import numpy as np
 import scipy.signal
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .config import _require_int
+
 __all__ = [
     "Waveform",
     "Frame",
@@ -48,8 +50,7 @@ class Waveform:
     sample_rate: int
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        object.__setattr__(self, "sample_rate", _require_int(self.sample_rate, "sample_rate", 1))
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -72,6 +73,9 @@ class Frame:
     start_index: int
     sample_rate: int
     padded: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "sample_rate", _require_int(self.sample_rate, "sample_rate", 1))
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -191,15 +195,14 @@ def resample(w: Waveform, target_sr: int) -> Waveform:
     bounded (see `_polyphase_factors`), whatever rate a WAV header claims.
 
     Raises:
-        ValueError: for a non-positive target rate, or rates more than a
-            factor 32768 apart.
+        ValueError: for a target rate that is not a positive integer, or
+            rates more than a factor 32768 apart.
     """
-    if target_sr <= 0:
-        raise ValueError(f"target_sr must be positive, got {target_sr}")
+    target_sr = _require_int(target_sr, "target_sr", 1)
     if target_sr == w.sample_rate:
         return Waveform(w.samples.copy(), target_sr)
 
-    up, down = _polyphase_factors(int(w.sample_rate), int(target_sr))
+    up, down = _polyphase_factors(w.sample_rate, target_sr)
     max_rate = max(up, down)
     numtaps = 2 * _SINC_HALF_WIDTH * max_rate + 1
     fir = scipy.signal.firwin(numtaps, 1.0 / max_rate, window=("kaiser", _KAISER_BETA))

@@ -113,9 +113,6 @@ def _cmd_compare_shift(args: argparse.Namespace) -> int:
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    if args.frames < 0:
-        print("error: --frames must be non-negative", file=sys.stderr)
-        return 2
     if args.frames == 0:
         print("warning: --frames 0 requested, gradcheck passes vacuously", file=sys.stderr)
     reports = gradcheck_suite(

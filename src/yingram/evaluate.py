@@ -13,15 +13,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import Waveform, frame_count, load_wav, resample
+from .audio import Waveform, load_wav, resample
 from .config import AnalysisConfig
-from .feature import yingram_rows
-from .grid import Scope, channel_lags, shift_to_semitones
+# re-exported: `feature._analyse` builds a clip's Yingram and contour in one pass
+from .feature import PitchContour, _analyse, extract_pitch_contour
+from .grid import Scope, shift_to_semitones
 from .losses import LossConfig, shift_consistency_metric
-from .yin import cmnd_blocks, f0_rows
 
-# Unused here since analysis reads `cmnd_blocks`, but kept as attributes of
-# this module: the benchmark's tracer (bench/spans.py) checks that it
+# Unused here since analysis reads `feature._analyse`, but kept as attributes
+# of this module: the benchmark's tracer (bench/spans.py) checks that it
 # rebinds these per-frame kernels in every module that imports them.
 from .yin import _pick_lag, difference_function  # noqa: F401,E402
 
@@ -34,28 +34,6 @@ __all__ = [
     "evaluate_shift_pair",
     "batch_report",
 ]
-
-
-@dataclass
-class PitchContour:
-    """Per-frame f0 track: NaN f0 means unvoiced. Times step by hop/sr."""
-
-    times: np.ndarray
-    f0: np.ndarray
-    aperiodicity: np.ndarray
-    hop: int
-    sample_rate: int
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    @property
-    def voiced(self) -> np.ndarray:
-        return ~np.isnan(self.f0)
-
-    @property
-    def num_voiced(self) -> int:
-        return int(self.voiced.sum())
 
 
 @dataclass(frozen=True)
@@ -83,52 +61,6 @@ class ShiftReport:
         }
 
 
-def _unvoiced_contour(w: Waveform, cfg: AnalysisConfig) -> PitchContour:
-    n = frame_count(len(w.samples), cfg.frame_length, cfg.hop)
-    times = np.arange(n) * (cfg.hop / cfg.sample_rate)
-    return PitchContour(times, np.full(n, np.nan), np.ones(n), cfg.hop, cfg.sample_rate)
-
-
-def _voice(contour: PitchContour, start: int, values: np.ndarray, cfg: AnalysisConfig) -> None:
-    """Fill the contour's f0 and aperiodicity at frames start, start + 1, ...
-    from their CMND rows."""
-    frames = slice(start, start + len(values))
-    contour.f0[frames], contour.aperiodicity[frames] = f0_rows(
-        values, cfg.sample_rate, cfg.f0_threshold, cfg.f_min, cfg.f_max, cfg.voicing_cutoff
-    )
-
-
-def extract_pitch_contour(w: Waveform, config: AnalysisConfig | None = None) -> PitchContour:
-    """Frame-wise f0 estimation over a waveform.
-
-    Padded tail frames are marked unvoiced. The f0 estimate follows the
-    CMND threshold rule with parabolic refinement (`f0_rows`); aperiodicity
-    is the CMND value at the chosen integer lag.
-    """
-    cfg = config or AnalysisConfig()
-    blocks = cmnd_blocks(w, cfg)
-    contour = _unvoiced_contour(w, cfg)
-    for block in blocks:
-        _voice(contour, block.start, block.unpadded, cfg)
-    return contour
-
-
-def _analyse(w: Waveform, cfg: AnalysisConfig) -> tuple[np.ndarray, PitchContour]:
-    """Float32 Yingram rows of the unpadded frames, and the pitch contour, of
-    one clip from a single pass over its CMND blocks."""
-    blocks = cmnd_blocks(w, cfg)
-    lags = channel_lags(cfg.grid, cfg.sample_rate)
-    contour = _unvoiced_contour(w, cfg)
-    rows = np.empty((len(contour), cfg.grid.num_channels), dtype=np.float32)
-    unpadded = 0
-    for block in blocks:
-        kept = block.unpadded
-        rows[block.start : block.start + len(kept)] = yingram_rows(kept, lags)
-        _voice(contour, block.start, kept, cfg)
-        unpadded += len(kept)
-    return rows[:unpadded], contour
-
-
 def median_semitone_offset(
     a: PitchContour, b: PitchContour, time_scale: float | None = None
 ) -> tuple[float, float]:
@@ -141,8 +73,11 @@ def median_semitone_offset(
     time-stretched copies align exactly.
 
     Raises:
-        ValueError: "no voiced overlap" when no frame pair is co-voiced.
+        ValueError: "no voiced overlap" when no frame pair is co-voiced,
+            and for a time_scale that is neither None nor finite and positive.
     """
+    if time_scale is not None and not (np.isfinite(time_scale) and time_scale > 0):
+        raise ValueError(f"time_scale must be finite and positive, got {time_scale}")
     if a.hop != b.hop or a.sample_rate != b.sample_rate:
         raise ValueError("contours must share hop and sample rate")
     floor_voiced = min(a.num_voiced, b.num_voiced)
@@ -163,9 +98,9 @@ def _contour_offsets(
     log_b = np.log2(b.f0)
     i = np.flatnonzero(a.voiced)
     j = i * time_scale
+    inside = j <= len(b) - 1  # before the cast, which a huge j would overflow
+    i, j = i[inside], j[inside]
     j0, j1 = np.floor(j).astype(np.intp), np.ceil(j).astype(np.intp)
-    inside = j1 < len(b)
-    i, j, j0, j1 = i[inside], j[inside], j0[inside], j1[inside]
     lb = log_b[j0] + (log_b[j1] - log_b[j0]) * (j - j0)
     co = ~(np.isnan(log_b[j0]) | np.isnan(log_b[j1]))
     return 12.0 * (lb[co] - np.log2(a.f0[i[co]]))
@@ -188,8 +123,9 @@ def evaluate_shift_pair(
     s = Scope(s).shift
     normal = resample(normal, cfg.sample_rate)
     shifted = resample(shifted, cfg.sample_rate)
-    y_normal, contour_a = _analyse(normal, cfg)
-    y_shifted, contour_b = _analyse(shifted, cfg)
+    matrix_a, contour_a = _analyse(normal, cfg)
+    matrix_b, contour_b = _analyse(shifted, cfg)
+    y_normal, y_shifted = matrix_a.unpadded(), matrix_b.unpadded()
     frames = min(len(y_normal), len(y_shifted))
     expected = shift_to_semitones(s)
     metric, measured, overlap, reason = None, float("nan"), 0.0, None

@@ -2,7 +2,8 @@
 
 A Yingram frame holds one CMND value per grid channel, obtained by linear
 interpolation between the integer lags bracketing each note's fractional
-period. Low values mark strong periodicity at that note.
+period. Low values mark strong periodicity at that note. One pass over a
+clip's CMND blocks (`_analyse`) yields its Yingram and its pitch contour.
 """
 from __future__ import annotations
 
@@ -18,14 +19,16 @@ import numpy as np
 from .audio import Frame, Waveform, frame_count
 from .config import AnalysisConfig
 from .grid import DEFAULT_GRID, NoteGrid, channel_lags, tau_max_for
-from .yin import cmnd, cmnd_blocks, difference_function
+from .yin import cmnd, cmnd_blocks, difference_function, f0_rows
 
 __all__ = [
     "YingramMatrix",
+    "PitchContour",
     "yingram_rows",
     "yingram_frame",
     "yingram_from_frame",
     "compute_yingram",
+    "extract_pitch_contour",
     "yingram_metadata",
     "write_yingram_csv",
     "write_yingram_binary",
@@ -61,6 +64,28 @@ class YingramMatrix:
     def unpadded(self) -> np.ndarray:
         """Rows of frames that were fully backed by signal."""
         return self.values[~self.padded]
+
+
+@dataclass
+class PitchContour:
+    """Per-frame f0 track: NaN f0 means unvoiced. Times step by hop/sr."""
+
+    times: np.ndarray
+    f0: np.ndarray
+    aperiodicity: np.ndarray
+    hop: int
+    sample_rate: int
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    @property
+    def voiced(self) -> np.ndarray:
+        return ~np.isnan(self.f0)
+
+    @property
+    def num_voiced(self) -> int:
+        return int(self.voiced.sum())
 
 
 def yingram_rows(values: np.ndarray, lags: np.ndarray) -> np.ndarray:
@@ -112,24 +137,46 @@ def yingram_from_frame(
     return yingram_frame(cmnd(d), sample_rate, grid)
 
 
-def compute_yingram(w: Waveform, config: AnalysisConfig | None = None) -> YingramMatrix:
-    """Yingram of a whole waveform under the given analysis config.
+def _analyse(w: Waveform, cfg: AnalysisConfig) -> tuple[YingramMatrix, PitchContour]:
+    """The Yingram and the pitch contour of one clip, from a single pass over
+    its CMND blocks: the one reader of `cmnd_blocks` outside `yin`.
 
-    The waveform is framed at window + tau_max samples every hop; each frame
-    contributes one row, read from the clip's CMND blocks (`cmnd_blocks`).
-    Values are stored as float32 (internal math is float64).
+    Every frame gets a Yingram row; padded frames are flagged and stay
+    unvoiced (f0 NaN, aperiodicity 1), the others get the f0 of `f0_rows`.
     """
-    cfg = config or AnalysisConfig()
     blocks = cmnd_blocks(w, cfg)
-    grid = cfg.grid
-    lags = channel_lags(grid, cfg.sample_rate)
+    lags = channel_lags(cfg.grid, cfg.sample_rate)
     n = frame_count(len(w.samples), cfg.frame_length, cfg.hop)
-    rows = np.empty((n, grid.num_channels), dtype=np.float32)
+    rows = np.empty((n, cfg.grid.num_channels), dtype=np.float32)
     padded = np.empty(n, dtype=bool)
+    f0, aperiodicity = np.full(n, np.nan), np.ones(n)
     for block in blocks:
         rows[block.rows] = yingram_rows(block.values, lags)
         padded[block.rows] = block.padded
-    return YingramMatrix(rows, grid, cfg.hop, cfg.sample_rate, padded)
+        kept = block.unpadded  # frames start, start + 1, ...
+        frames = slice(block.start, block.start + len(kept))
+        f0[frames], aperiodicity[frames] = f0_rows(
+            kept, cfg.sample_rate, cfg.f0_threshold, cfg.f_min, cfg.f_max, cfg.voicing_cutoff
+        )
+    times = np.arange(n) * (cfg.hop / cfg.sample_rate)
+    matrix = YingramMatrix(rows, cfg.grid, cfg.hop, cfg.sample_rate, padded)
+    return matrix, PitchContour(times, f0, aperiodicity, cfg.hop, cfg.sample_rate)
+
+
+def compute_yingram(w: Waveform, config: AnalysisConfig | None = None) -> YingramMatrix:
+    """Yingram of a whole waveform under the given analysis config (`_analyse`).
+
+    The waveform is framed at window + tau_max samples every hop; each frame
+    contributes one row. Values are stored as float32 (internal math is float64).
+    """
+    return _analyse(w, config or AnalysisConfig())[0]
+
+
+def extract_pitch_contour(w: Waveform, config: AnalysisConfig | None = None) -> PitchContour:
+    """Frame-wise f0 over a waveform (`_analyse`): padded tail frames are
+    unvoiced, the others follow the CMND threshold rule with parabolic
+    refinement (`f0_rows`); aperiodicity is the CMND at the chosen integer lag."""
+    return _analyse(w, config or AnalysisConfig())[1]
 
 
 def write_yingram_csv(matrix: YingramMatrix, path) -> None:

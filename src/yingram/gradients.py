@@ -17,6 +17,7 @@ import numpy as np
 import scipy.fft
 
 from .audio import Frame
+from .config import AnalysisConfig, _require_int
 from .grid import DEFAULT_GRID, NoteGrid, channel_lags, tau_max_for
 from .feature import _lag_brackets, yingram_rows
 from .yin import _cmnd_terms, _difference_fft, difference_function, require_finite
@@ -53,8 +54,7 @@ class GradReport:
 
 
 def _check_fd_settings(eps: float, probes: int, tolerance: float) -> None:
-    if probes < 1:
-        raise ValueError(f"probes must be at least 1, got {probes}")
+    _require_int(probes, "probes", 1)
     for name, value in (("eps", eps), ("tolerance", tolerance)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
@@ -183,9 +183,10 @@ def finite_diff_check(
     A frame whose channels all read guarded CMND lags (a silent frame, say)
     has a zero gradient by definition; it passes with the comparison skipped
     and the report flagged `guarded`. A NaN relative error fails the
-    report. Raises ValueError for probes < 1, an eps or tolerance that is
-    not finite and positive, and for any frame, window or cotangent that
-    yingram_vjp rejects, silent and overflowing frames included.
+    report. Raises ValueError for probes that is not an integer of at least
+    1 (a bool is not), an eps or tolerance that is not finite and positive,
+    and for any frame, window or cotangent that yingram_vjp rejects, silent
+    and overflowing frames included.
     """
     _check_fd_settings(eps, probes, tolerance)
     rng = np.random.default_rng(seed)
@@ -243,10 +244,12 @@ def gradcheck_suite(
 
     The frame population, probe indices and cotangents all derive from
     config.seed, so a given configuration always produces the same reports.
+    Raises ValueError for a negative or non-integer n_frames, and for the
+    settings `finite_diff_check` rejects.
     """
-    from .config import AnalysisConfig
     from .synth import random_tonal_frame
 
+    _require_int(n_frames, "n_frames", 0)
     _check_fd_settings(eps, probes, tolerance)
     cfg = config or AnalysisConfig()
     rng = np.random.default_rng(cfg.seed)

@@ -1,11 +1,13 @@
 """WAV ingestion, resampling and framing."""
 import tracemalloc
 
+import math
+
 import numpy as np
 import pytest
 import scipy.signal
 
-from yingram import WavFormatError, Waveform, frame_signal, load_wav, resample, sine_tone
+from yingram import Frame, WavFormatError, Waveform, frame_signal, load_wav, resample, sine_tone
 from conftest import (
     write_extensible_pcm16,
     write_float32,
@@ -112,6 +114,27 @@ def test_load_wav_does_not_copy_the_data_chunk(tmp_path):
 def test_waveform_requires_positive_rate():
     with pytest.raises(ValueError):
         Waveform(np.zeros(4), 0)
+
+
+@pytest.mark.parametrize("rate", [0, -1, math.nan, math.inf, True, 22050.5, 22050.0, "22050"])
+def test_one_sample_rate_rule(rate):
+    # inf, nan and 22050.5 once failed inside resample, each differently,
+    # and True resampled 100 samples as a 1 Hz clip into 2,205,000
+    x = np.zeros(100)
+    with pytest.raises(ValueError, match="sample_rate must be"):
+        Waveform(x, rate)
+    with pytest.raises(ValueError, match="sample_rate must be"):
+        Frame(x, 0, rate)
+    with pytest.raises(ValueError, match="target_sr must be"):
+        resample(Waveform(x, 22050), rate)
+
+
+def test_numpy_integer_rates_are_stored_as_int():
+    w = Waveform(np.zeros(100), np.int64(22050))
+    assert type(w.sample_rate) is int
+    assert type(Frame(w.samples, 0, np.uint16(22050)).sample_rate) is int
+    out = resample(w, np.int32(11025))
+    assert type(out.sample_rate) is int and len(out) == 50
 
 
 def test_resample_identity():

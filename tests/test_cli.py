@@ -189,6 +189,7 @@ def test_gradcheck_large_eps_fails(tmp_path):
     (["--eps=-1e-5"], "eps must be finite and positive"),
     (["--tolerance", "inf"], "tolerance must be finite and positive"),
     (["--tolerance", "0"], "tolerance must be finite and positive"),
+    (["--frames", "-1"], "n_frames must be at least 0"),
 ])
 def test_gradcheck_rejects_settings_that_check_nothing(tmp_path, capsys, flags, message):
     out = tmp_path / "grad.json"

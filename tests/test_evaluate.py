@@ -1,5 +1,8 @@
 """Pitch contours, offset measurement and the shift evaluation harness."""
+import dataclasses
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from yingram import (
     AnalysisConfig,
+    LossConfig,
     PitchContour,
     Waveform,
     batch_report,
@@ -17,9 +21,11 @@ from yingram import (
     median_semitone_offset,
     pitch_shifted_copy,
     resample,
+    shift_consistency_metric,
+    shift_to_semitones,
     sine_tone,
 )
-from yingram import evaluate
+from yingram import evaluate, feature
 from yingram.evaluate import _contour_offsets
 from conftest import write_wav
 from oracles import contour_offsets_loop
@@ -104,6 +110,25 @@ def test_offset_requires_overlap(cfg):
         median_semitone_offset(voiced, silent)
 
 
+@pytest.mark.parametrize("scale", [-1.0, 0.0, math.nan, math.inf])
+def test_offset_rejects_a_time_scale_that_is_not_finite_and_positive(cfg, scale):
+    # -1.0 once read b from its end and returned an offset; nan and inf
+    # raised IndexError after a RuntimeWarning from the integer cast
+    a = extract_pitch_contour(sine_tone(440.0, 1.0), cfg)
+    with pytest.raises(ValueError, match="time_scale must be finite and positive"):
+        median_semitone_offset(a, a, time_scale=scale)
+
+
+def test_offset_huge_time_scale_aligns_only_frame_zero(cfg):
+    # j = i * 1e30 once overflowed the integer cast (a RuntimeWarning, then
+    # IndexError); frames past the end of b are now dropped before it
+    a = extract_pitch_contour(sine_tone(440.0, 1.0), cfg)
+    assert median_semitone_offset(a, a, time_scale=1e30) == (0.0, 1 / a.num_voiced)
+    late = dataclasses.replace(a, f0=np.where(np.arange(len(a)) == 0, np.nan, a.f0))
+    with pytest.raises(ValueError, match="no voiced overlap"):
+        median_semitone_offset(late, a, time_scale=1e30)
+
+
 def test_offset_requires_matching_timebase(cfg):
     a = extract_pitch_contour(sine_tone(440.0, 0.4), cfg)
     b = extract_pitch_contour(sine_tone(440.0, 0.4), cfg.replace(hop=512))
@@ -158,6 +183,53 @@ def test_shift_pair_without_unpadded_frames(cfg):
     payload = report.to_dict()
     assert payload["l_yin_shift"] is None
     json.dumps(payload, allow_nan=False)
+
+
+# a pair shorter than one frame, a pair inside one block, and a pair over
+# several blocks with a padded tail (BLOCK_FRAMES = 32 frames of hop 256)
+@pytest.mark.parametrize("seconds", [0.08, 0.3, 1.0])
+@pytest.mark.parametrize("s", [0, 4, -6])
+def test_shift_pair_equals_the_public_paths(cfg, seconds, s):
+    normal = harmonic_tone(220.0, seconds)
+    shifted = pitch_shifted_copy(normal, shift_to_semitones(s))
+    report = evaluate_shift_pair(normal, shifted, s, cfg)
+    y_normal = compute_yingram(normal, cfg).unpadded()
+    y_shifted = compute_yingram(shifted, cfg).unpadded()
+    k = min(len(y_normal), len(y_shifted))
+    if k == 0:
+        assert seconds * SR < cfg.frame_length
+        assert (report.l_yin_shift, report.voiced_overlap_fraction) == (None, 0.0)
+        assert math.isnan(report.measured_semitone_offset)
+        return
+    assert report.l_yin_shift == shift_consistency_metric(
+        y_normal[:k], y_shifted[:k], s, LossConfig(cfg.lambda_yin)
+    )
+    offset, overlap = median_semitone_offset(
+        extract_pitch_contour(normal, cfg),
+        extract_pitch_contour(shifted, cfg),
+        len(shifted.samples) / len(normal.samples),
+    )
+    assert (report.measured_semitone_offset, report.voiced_overlap_fraction) == (offset, overlap)
+
+
+def test_each_clip_analysis_reads_the_cmnd_blocks_once(monkeypatch, cfg):
+    calls = []
+
+    def counting(w, config):
+        calls.append(len(w.samples))
+        return real(w, config)
+
+    real = feature.cmnd_blocks
+    for name, module in list(sys.modules.items()):  # wherever the name is bound
+        if name.startswith("yingram.") and getattr(module, "cmnd_blocks", None) is real:
+            monkeypatch.setattr(module, "cmnd_blocks", counting)
+    w = harmonic_tone(220.0, 0.5)
+    shifted = pitch_shifted_copy(w, -1.0)
+    compute_yingram(w, cfg)
+    extract_pitch_contour(w, cfg)
+    assert calls == [len(w), len(w)]
+    evaluate_shift_pair(w, shifted, 2, cfg)
+    assert calls == [len(w), len(w), len(w), len(shifted)]
 
 
 @pytest.mark.parametrize("s", [2.9, True, "2"])

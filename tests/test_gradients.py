@@ -288,6 +288,14 @@ def test_vjp_rejects_non_finite_cotangent(rng):
         yingram_vjp(_frame(x), GRID, cot)
 
 
+@pytest.mark.parametrize("rate", [math.inf, 22050.5])
+def test_vjp_rejects_a_rate_that_is_not_an_integer(rng, rate):
+    # inf once raised OverflowError, and a frame at 22050.5 Hz got a gradient
+    x = random_tonal_frame(rng, FRAME_LEN)
+    with pytest.raises(ValueError, match="sample_rate must be"):
+        yingram_vjp(Frame(x, 0, rate), GRID, np.ones(80))
+
+
 @pytest.mark.parametrize("settings_, message", [
     ({"probes": 0}, "probes must be at least 1"),
     ({"eps": math.nan}, "eps must be finite and positive"),
@@ -295,6 +303,8 @@ def test_vjp_rejects_non_finite_cotangent(rng):
     ({"eps": 0.0}, "eps must be finite and positive"),
     ({"tolerance": math.nan}, "tolerance must be finite and positive"),
     ({"tolerance": -1e-4}, "tolerance must be finite and positive"),
+    ({"probes": 2.5}, "probes must be an integer"),
+    ({"probes": True}, "probes must be an integer"),
 ])
 def test_finite_diff_check_rejects_settings_that_check_nothing(rng, settings_, message):
     frame = _frame(random_tonal_frame(rng, FRAME_LEN))
@@ -302,6 +312,16 @@ def test_finite_diff_check_rejects_settings_that_check_nothing(rng, settings_, m
         finite_diff_check(frame, GRID, **settings_)
     with pytest.raises(ValueError, match=message):  # even with no frame to check
         gradcheck_suite(0, **settings_)
+
+
+@pytest.mark.parametrize("n_frames, message", [
+    (-1, "n_frames must be at least 0"),  # once an empty, passing suite
+    (1.5, "n_frames must be an integer"),
+    (True, "n_frames must be an integer"),
+])
+def test_gradcheck_suite_rejects_frame_counts(n_frames, message):
+    with pytest.raises(ValueError, match=message):
+        gradcheck_suite(n_frames)
 
 
 OVERFLOWING = 1e160 * np.sin(2 * np.pi * 220.0 * np.arange(FRAME_LEN) / SR)
