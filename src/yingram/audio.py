@@ -10,7 +10,7 @@ import numpy as np
 import scipy.signal
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import _require_int
+from .grid import _require_int
 
 __all__ = [
     "Waveform",
@@ -219,13 +219,10 @@ def frame_count(num_samples: int, frame_len: int, hop: int) -> int:
     ceil(num_samples / hop).
 
     Raises:
-        ValueError: for a non-positive frame_len or hop.
+        ValueError: for a frame_len or hop that is not an integer of at least 1.
     """
-    if frame_len <= 0:
-        raise ValueError(f"frame_len must be positive, got {frame_len}")
-    if hop <= 0:
-        raise ValueError(f"hop must be positive, got {hop}")
-    return -(-num_samples // hop)
+    _require_int(frame_len, "frame_len", 1)
+    return -(-num_samples // _require_int(hop, "hop", 1))
 
 
 def _strided_frames(x: np.ndarray, frame_len: int, hop: int) -> tuple[np.ndarray, np.ndarray]:

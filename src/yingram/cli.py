@@ -23,10 +23,10 @@ from .evaluate import batch_report, evaluate_shift_pair, extract_pitch_contour
 from .feature import (
     _atomic_write,
     _write_json,
+    _write_sidecar,
     compute_yingram,
     write_yingram_binary,
     write_yingram_csv,
-    yingram_metadata,
 )
 from .gradients import DEFAULT_FD_EPS, DEFAULT_FD_TOLERANCE, DEFAULT_PROBES, gradcheck_suite
 
@@ -80,7 +80,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     extra = {"config": cfg.to_dict()}
     if args.out:
         write_yingram_csv(matrix, args.out)
-        _write_json(args.out + ".json", {**yingram_metadata(matrix), **extra})
+        _write_sidecar(matrix, args.out, extra)
     if args.binary:
         write_yingram_binary(matrix, args.binary, extra=extra)
     return 0

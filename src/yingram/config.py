@@ -47,16 +47,6 @@ def f0_lag_range(sample_rate: int, f_min: float, f_max: float, tau_max: int) -> 
 MAX_FRAME_LENGTH = 1 << 16
 
 
-def _require_int(value, name: str, least: int) -> int:
-    """value as int if it is an integer (numpy integers count, bools do not) of
-    at least `least`, else ValueError: the rule of sample rates and gradcheck counts."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
-    return int(value)
-
-
 def _invalid(name: str, value, rule: str) -> ValueError:
     return ValueError(f"invalid config: {name}={value!r} {rule}")
 
@@ -160,13 +150,7 @@ class AnalysisConfig:
 
     @property
     def grid(self) -> NoteGrid:
-        return NoteGrid(
-            start_note=self.start_note,
-            num_channels=self.num_channels,
-            bins_per_octave=self.bins_per_octave,
-            reference_note=self.reference_note,
-            reference_hz=self.reference_hz,
-        )
+        return NoteGrid(**{f.name: getattr(self, f.name) for f in dataclasses.fields(NoteGrid)})
 
     @property
     def tau_max(self) -> int:

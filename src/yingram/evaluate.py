@@ -17,7 +17,7 @@ from .audio import Waveform, load_wav, resample
 from .config import AnalysisConfig
 # re-exported: `feature._analyse` builds a clip's Yingram and contour in one pass
 from .feature import PitchContour, _analyse, extract_pitch_contour
-from .grid import Scope, shift_to_semitones
+from .grid import Scope, _require_positive, shift_to_semitones
 from .losses import LossConfig, shift_consistency_metric
 
 # Unused here since analysis reads `feature._analyse`, but kept as attributes
@@ -76,8 +76,8 @@ def median_semitone_offset(
         ValueError: "no voiced overlap" when no frame pair is co-voiced,
             and for a time_scale that is neither None nor finite and positive.
     """
-    if time_scale is not None and not (np.isfinite(time_scale) and time_scale > 0):
-        raise ValueError(f"time_scale must be finite and positive, got {time_scale}")
+    if time_scale is not None:
+        _require_positive(time_scale, "time_scale")
     if a.hop != b.hop or a.sample_rate != b.sample_rate:
         raise ValueError("contours must share hop and sample rate")
     floor_voiced = min(a.num_voiced, b.num_voiced)

@@ -11,7 +11,7 @@ import itertools
 import json
 import os
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -129,10 +129,12 @@ def yingram_from_frame(
 ) -> np.ndarray:
     """One frame end to end: difference function, CMND, grid sampling.
 
-    Runs in float64; compute_yingram handles storage precision. A frame
-    whose difference values overflow float64 raises ValueError (`cmnd`).
+    Runs in float64; compute_yingram stores float32. Raises ValueError for a
+    Frame not at sample_rate, or whose difference values overflow (`cmnd`).
     """
     tau_max = tau_max_for(grid, sample_rate)
+    if isinstance(frame, Frame) and frame.sample_rate != sample_rate:
+        raise ValueError(f"frame at {frame.sample_rate} Hz, sample_rate is {sample_rate}")
     d = difference_function(frame, tau_max, window, method=method)
     return yingram_frame(cmnd(d), sample_rate, grid)
 
@@ -196,21 +198,19 @@ def yingram_metadata(matrix: YingramMatrix) -> dict:
         "sample_rate": int(matrix.sample_rate),
         "dtype": "float32_le",
         "layout": "row_major_frames_x_channels",
-        "grid": {
-            "start_note": matrix.grid.start_note,
-            "num_channels": matrix.grid.num_channels,
-            "bins_per_octave": matrix.grid.bins_per_octave,
-            "reference_note": matrix.grid.reference_note,
-            "reference_hz": matrix.grid.reference_hz,
-        },
+        "grid": asdict(matrix.grid),
     }
 
 
 def write_yingram_binary(matrix: YingramMatrix, path, extra: dict | None = None) -> None:
-    """Raw little-endian float32 row-major matrix plus a JSON sidecar at
-    path + ".json" describing its shape, timing and grid. `extra` entries
-    (e.g. the resolved analysis config) are merged into the sidecar."""
+    """Raw little-endian float32 row-major matrix, plus the `_write_sidecar`
+    JSON sidecar of its shape, timing, grid and `extra` (say, the config)."""
     _atomic_write(path, np.ascontiguousarray(matrix.values, dtype="<f4"))
+    _write_sidecar(matrix, path, extra)
+
+
+def _write_sidecar(matrix: YingramMatrix, path, extra: dict | None = None) -> None:
+    """The one writer of an export's JSON sidecar: metadata and `extra` at path + ".json"."""
     _write_json(str(path) + ".json", {**yingram_metadata(matrix), **(extra or {})})
 
 

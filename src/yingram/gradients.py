@@ -9,7 +9,6 @@ exact up to float64 rounding.
 from __future__ import annotations
 
 import dataclasses
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -17,8 +16,8 @@ import numpy as np
 import scipy.fft
 
 from .audio import Frame
-from .config import AnalysisConfig, _require_int
-from .grid import DEFAULT_GRID, NoteGrid, channel_lags, tau_max_for
+from .config import AnalysisConfig
+from .grid import DEFAULT_GRID, NoteGrid, _require_int, _require_positive, channel_lags, tau_max_for
 from .feature import _lag_brackets, yingram_rows
 from .yin import _cmnd_terms, _difference_fft, difference_function, require_finite
 
@@ -55,30 +54,24 @@ class GradReport:
 
 def _check_fd_settings(eps: float, probes: int, tolerance: float) -> None:
     _require_int(probes, "probes", 1)
-    for name, value in (("eps", eps), ("tolerance", tolerance)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+    _require_positive(eps, "eps")
+    _require_positive(tolerance, "tolerance")
 
 
 def _checked_inputs(
     frame: Frame, grid: NoteGrid, cotangent: np.ndarray, window: int | None
 ) -> tuple[np.ndarray, int, int, int, np.ndarray]:
     """(samples, sample_rate, tau_max, window, cotangent) of a gradient
-    request, checked: a Frame of finite samples, a window (by default
-    len(frame) - tau_max, as the analysis frames) that fits the frame, and
-    a finite cotangent of one entry per channel."""
+    request: a Frame of finite samples, a finite cotangent of one entry per
+    channel, and a window of len(frame) - tau_max (at least 1) by default,
+    as the analysis frames; `difference_function` checks that it fits."""
     if not isinstance(frame, Frame):
         raise TypeError("yingram_vjp needs a Frame (it carries the sample rate)")
     x = np.asarray(frame.samples, dtype=np.float64)
     require_finite(x, "samples")
     tau_max = tau_max_for(grid, frame.sample_rate)
     if window is None:
-        window = len(x) - tau_max
-    if window < 1 or len(x) < window + tau_max:
-        raise ValueError(
-            f"insufficient frame length: need window + tau_max = "
-            f"{max(window, 1) + tau_max}, got {len(x)}"
-        )
+        window = max(len(x) - tau_max, 1)
     cot = np.asarray(cotangent, dtype=np.float64)
     if cot.shape != (grid.num_channels,):
         raise ValueError(

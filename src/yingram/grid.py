@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, inf
 
 import numpy as np
 
@@ -75,6 +75,24 @@ class Scope:
         return self.start_channel + self.length
 
 
+def _require_int(value, name: str, least: int) -> int:
+    """value as int if it is an integer (numpy integers count, bools do not) of
+    at least `least`, else ValueError: the rule of sample rates, frame and hop
+    lengths, lags and counts."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return int(value)
+
+
+def _require_positive(value, name: str) -> None:
+    """ValueError unless value is a finite real above zero (a bool or a string
+    is not): the rule of loss weights, step sizes and time scales."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def note_to_hz(note: int | float, grid: NoteGrid = DEFAULT_GRID) -> float:
     """Equal-temperament frequency of a note index.
 
@@ -87,17 +105,19 @@ def note_to_hz(note: int | float, grid: NoteGrid = DEFAULT_GRID) -> float:
 
 
 def note_to_lag(note: int | float, sample_rate: int, grid: NoteGrid = DEFAULT_GRID) -> float:
-    """Fractional lag in samples of a note's period; strictly decreasing in note."""
-    if sample_rate <= 0:
-        raise ValueError(f"sample_rate must be positive, got {sample_rate}")
-    return sample_rate / note_to_hz(note, grid)
+    """Fractional lag in samples of a note's period; strictly decreasing in note.
+
+    Raises:
+        ValueError: for a sample_rate that is not an integer of at least 1.
+    """
+    return _require_int(sample_rate, "sample_rate", 1) / note_to_hz(note, grid)
 
 
 def channel_lags(grid: NoteGrid, sample_rate: int) -> np.ndarray:
-    """Per-channel fractional lags, channel c holding note start_note + c."""
-    return np.array(
-        [note_to_lag(m, sample_rate, grid) for m in grid.notes], dtype=np.float64
-    )
+    """Per-channel fractional lags, channel c holding note start_note + c: the
+    `note_to_lag` of each note, with the rate checked once per call."""
+    sample_rate = _require_int(sample_rate, "sample_rate", 1)
+    return np.array([sample_rate / note_to_hz(m, grid) for m in grid.notes], dtype=np.float64)
 
 
 def tau_max_for(grid: NoteGrid, sample_rate: int) -> int:
@@ -106,9 +126,8 @@ def tau_max_for(grid: NoteGrid, sample_rate: int) -> int:
     return ceil(note_to_lag(grid.start_note, sample_rate, grid)) + 1
 
 
-def _matrix_values(matrix) -> np.ndarray:
-    values = getattr(matrix, "values", matrix)
-    return np.asarray(values)
+def _matrix_values(matrix, dtype=None) -> np.ndarray:
+    return np.asarray(getattr(matrix, "values", matrix), dtype=dtype)
 
 
 def crop_scope(matrix, s: int) -> np.ndarray:

@@ -10,14 +10,13 @@ weight comparable across clip lengths.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import AnalysisConfig
-from .grid import crop_scope
+from .grid import _matrix_values, _require_positive, crop_scope
 
 __all__ = [
     "LossConfig",
@@ -32,8 +31,7 @@ class LossConfig:
     lambda_yin: float = AnalysisConfig.lambda_yin
 
     def __post_init__(self):
-        if not (math.isfinite(self.lambda_yin) and self.lambda_yin > 0):
-            raise ValueError(f"lambda_yin must be finite and positive, got {self.lambda_yin}")
+        _require_positive(self.lambda_yin, "lambda_yin")
 
 
 def _require_same_shape(*arrays: np.ndarray) -> None:
@@ -87,8 +85,8 @@ def shift_consistency_metric(
     input, with a warning, since paired clips often differ by a frame.
     """
     cfg = config or LossConfig()
-    normal = np.asarray(getattr(y_normal, "values", y_normal), dtype=np.float64)
-    shifted = np.asarray(getattr(y_shifted_audio, "values", y_shifted_audio), dtype=np.float64)
+    normal = _matrix_values(y_normal, np.float64)
+    shifted = _matrix_values(y_shifted_audio, np.float64)
     if normal.ndim != 2 or shifted.ndim != 2 or normal.shape[1] != shifted.shape[1]:
         raise ValueError(
             f"dimension error: expected matrices with matching channel axes, "

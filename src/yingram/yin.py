@@ -24,6 +24,7 @@ import scipy.fft
 
 from .audio import Frame, Waveform, _strided_frames
 from .config import AnalysisConfig, f0_bounds_valid, f0_lag_range
+from .grid import _require_int
 
 __all__ = [
     "CmndBlock",
@@ -117,18 +118,21 @@ def difference_function(
     along the last axis of the frame (one row per frame when 2-D).
 
     Args:
-        frame: analysis frame, or a stack of frames; each must hold at least
-            window + tau_max samples.
+        frame: analysis frame, or a stack of frames, one per row.
         tau_max: largest lag, inclusive.
         window: integration window W in samples.
         method: "fft" for the accelerated path, "naive" for direct summation.
             Both produce the same values up to float rounding.
+
+    Raises:
+        ValueError: for a window below 1 or a tau_max below 0 (or either not
+            an integer), "insufficient frame length" for a frame shorter than
+            window + tau_max, and for an unknown method.
     """
     x = np.asarray(frame.samples if isinstance(frame, Frame) else frame, dtype=np.float64)
-    if x.shape[-1] < window + tau_max:
-        raise ValueError(
-            f"insufficient frame length: need {window + tau_max}, got {x.shape[-1]}"
-        )
+    need = _require_int(window, "window", 1) + _require_int(tau_max, "tau_max", 0)
+    if x.shape[-1] < need:
+        raise ValueError(f"insufficient frame length: need {need}, got {x.shape[-1]}")
     if method == "naive":
         return _difference_naive(x, tau_max, window)
     if method == "fft":
@@ -260,7 +264,16 @@ def pick_lags(
     next value is smaller, stopping at the top of the range.
 
     Returns (integer lags, aperiodicity = d' at those lags).
+
+    Raises:
+        ValueError: "invalid f0 bounds" unless 0 < f_min < f_max <=
+            sample_rate / 2 and the f0 lag range (`f0_lag_range`) is not empty.
     """
+    if not f0_bounds_valid(sample_rate, f_min, f_max):
+        raise ValueError(
+            f"invalid f0 bounds: need 0 < f_min < f_max <= sr/2, got "
+            f"[{f_min}, {f_max}] at {sample_rate} Hz"
+        )
     lo, hi = f0_lag_range(sample_rate, f_min, f_max, values.shape[-1] - 1)
     if lo > hi:
         raise ValueError(
@@ -287,9 +300,7 @@ def _pick_lag(
     vals: np.ndarray, sample_rate: int, threshold: float, f_min: float, f_max: float
 ) -> tuple[int, float]:
     """`pick_lags` of a single CMND curve: (integer lag, aperiodicity)."""
-    taus, aperiodicity = pick_lags(
-        np.asarray(vals)[None], sample_rate, threshold, f_min, f_max
-    )
+    taus, aperiodicity = pick_lags(np.asarray(vals)[None], sample_rate, threshold, f_min, f_max)
     return int(taus[0]), float(aperiodicity[0])
 
 
@@ -331,12 +342,10 @@ def estimate_f0(
     parabolically, f0 = sr / lag is clamped into [f_min, f_max], and an
     aperiodicity (d' at the integer lag) above voicing_cutoff reports the
     frame as unvoiced.
+
+    Raises:
+        ValueError: "invalid f0 bounds" for the bands `pick_lags` rejects.
     """
-    if not f0_bounds_valid(sample_rate, f_min, f_max):
-        raise ValueError(
-            f"invalid f0 bounds: need 0 < f_min < f_max <= sr/2, got "
-            f"[{f_min}, {f_max}] at {sample_rate} Hz"
-        )
     f0, aperiodicity = f0_rows(
         np.asarray(values)[None], sample_rate, threshold, f_min, f_max, voicing_cutoff
     )

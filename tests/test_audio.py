@@ -8,6 +8,7 @@ import pytest
 import scipy.signal
 
 from yingram import Frame, WavFormatError, Waveform, frame_signal, load_wav, resample, sine_tone
+from yingram.audio import frame_count
 from conftest import (
     write_extensible_pcm16,
     write_float32,
@@ -243,3 +244,17 @@ def test_framing_validates_arguments():
         frame_signal(w, 0, 10)
     with pytest.raises(ValueError):
         frame_signal(w, 10, 0)
+
+
+@pytest.mark.parametrize("frame_len, hop, message", [
+    (10, 2.5, "hop must be an integer, got 2.5"),  # frame_count once returned 400.0
+    (10, True, "hop must be an integer, got True"),
+    (10, 0, "hop must be at least 1, got 0"),
+    (10.0, 5, "frame_len must be an integer, got 10.0"),
+    (0, 5, "frame_len must be at least 1, got 0"),
+])
+def test_frame_lengths_and_hops_read_the_integer_rule(frame_len, hop, message):
+    with pytest.raises(ValueError, match=message):
+        frame_count(1000, frame_len, hop)
+    with pytest.raises(ValueError, match=message):
+        frame_signal(Waveform(np.ones(1000), 22050), frame_len, hop)

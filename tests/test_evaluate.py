@@ -110,10 +110,11 @@ def test_offset_requires_overlap(cfg):
         median_semitone_offset(voiced, silent)
 
 
-@pytest.mark.parametrize("scale", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("scale", [-1.0, 0.0, math.nan, math.inf, "2", True])
 def test_offset_rejects_a_time_scale_that_is_not_finite_and_positive(cfg, scale):
     # -1.0 once read b from its end and returned an offset; nan and inf
-    # raised IndexError after a RuntimeWarning from the integer cast
+    # raised IndexError after a RuntimeWarning from the integer cast; "2"
+    # raised TypeError, and True was taken for 1.0
     a = extract_pitch_contour(sine_tone(440.0, 1.0), cfg)
     with pytest.raises(ValueError, match="time_scale must be finite and positive"):
         median_semitone_offset(a, a, time_scale=scale)

@@ -1,11 +1,14 @@
 """Yingram computation, valley placement and export formats."""
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from yingram import (
+    DEFAULT_GRID,
+    Frame,
     NoteGrid,
     Waveform,
     YingramMatrix,
@@ -17,8 +20,11 @@ from yingram import (
     write_yingram_binary,
     write_yingram_csv,
     yingram_frame,
+    yingram_from_frame,
 )
+from yingram.cli import main
 from yingram.feature import _atomic_write
+from conftest import write_wav
 
 SR = 22050
 
@@ -69,6 +75,31 @@ def test_deterministic(cfg):
 def test_sample_rate_mismatch(cfg):
     with pytest.raises(ValueError, match="resample"):
         compute_yingram(sine_tone(440.0, 0.2, 16000), cfg)
+
+
+@pytest.mark.parametrize("rate, message", [
+    (math.nan, "sample_rate must be an integer, got nan"),  # yingram_frame: IndexError
+    (True, "sample_rate must be an integer, got True"),
+    (22050.5, "sample_rate must be an integer, got 22050.5"),
+])
+def test_per_frame_features_read_the_integer_rate_rule(rng, rate, message):
+    x = rng.standard_normal(2048 + 426)
+    values = np.ones(427)
+    with pytest.raises(ValueError, match=message):
+        yingram_frame(values, rate)
+    with pytest.raises(ValueError, match=message):
+        yingram_from_frame(x, DEFAULT_GRID, rate, 2048)
+
+
+def test_yingram_from_frame_reads_the_frame_rate(rng):
+    x = rng.standard_normal(2 * 2048 + 852)
+    # once the 22050 Hz Yingram of a 44100 Hz frame, without a word
+    with pytest.raises(ValueError, match="frame at 44100 Hz, sample_rate is 22050"):
+        yingram_from_frame(Frame(x, 0, 44100), DEFAULT_GRID, 22050, 2048)
+    np.testing.assert_array_equal(
+        yingram_from_frame(Frame(x, 0, 44100), DEFAULT_GRID, 44100, 2048),
+        yingram_from_frame(x, DEFAULT_GRID, 44100, 2048),
+    )
 
 
 def test_valley_at_reference_note(cfg):
@@ -128,6 +159,19 @@ def test_binary_export_roundtrip(tmp_path, cfg):
     assert sidecar["sample_rate"] == SR
     assert sidecar["grid"]["bins_per_octave"] == 24
     assert sidecar["grid"]["reference_hz"] == 440.0
+
+
+def test_csv_and_binary_exports_share_one_sidecar(tmp_path):
+    wav = tmp_path / "tone.wav"
+    write_wav(wav, sine_tone(330.0, 0.3))
+    csv, binary = tmp_path / "y.csv", tmp_path / "y.f32"
+    assert main(["analyze", str(wav), "--out", str(csv), "--binary", str(binary)]) == 0
+    sidecar = (tmp_path / "y.csv.json").read_bytes()
+    assert sidecar == (tmp_path / "y.f32.json").read_bytes()
+    assert json.loads(sidecar)["grid"] == {
+        "start_note": -5, "num_channels": 80, "bins_per_octave": 24,
+        "reference_note": 69, "reference_hz": 440.0,
+    }
 
 
 def test_failed_export_leaves_no_files(tmp_path, cfg):

@@ -215,6 +215,26 @@ def test_vjp_rejects_short_frames(rng):
         yingram_vjp(_frame(np.zeros(100)), GRID, np.zeros(80))
 
 
+def test_vjp_short_frame_message_names_the_length_and_the_minimum():
+    # the default window is at least 1, so the minimum is 1 + tau_max = 427
+    for frame in (np.zeros(100), np.zeros(426)):
+        with pytest.raises(ValueError, match=f"need 427, got {len(frame)}$"):
+            yingram_vjp(_frame(frame), GRID, np.ones(80))
+
+
+@pytest.mark.parametrize("window, message", [
+    (-5, "window must be at least 1, got -5"),
+    (0, "window must be at least 1, got 0"),
+    (2049, "insufficient frame length: need 2475, got 2474"),
+])
+def test_gradients_read_the_frame_rule_of_difference_function(rng, window, message):
+    frame = _frame(random_tonal_frame(rng, FRAME_LEN))
+    with pytest.raises(ValueError, match=message):
+        yingram_vjp(frame, GRID, np.ones(80), window=window)
+    with pytest.raises(ValueError, match=message):
+        finite_diff_check(frame, GRID, window=window)
+
+
 def test_vjp_requires_a_cotangent(rng):
     # a missing cotangent once gave an all-zero gradient without a word
     with pytest.raises(TypeError):
@@ -305,6 +325,8 @@ def test_vjp_rejects_a_rate_that_is_not_an_integer(rng, rate):
     ({"tolerance": -1e-4}, "tolerance must be finite and positive"),
     ({"probes": 2.5}, "probes must be an integer"),
     ({"probes": True}, "probes must be an integer"),
+    ({"eps": True}, "eps must be finite and positive"),
+    ({"tolerance": "1e-4"}, "tolerance must be finite and positive"),
 ])
 def test_finite_diff_check_rejects_settings_that_check_nothing(rng, settings_, message):
     frame = _frame(random_tonal_frame(rng, FRAME_LEN))

@@ -1,4 +1,6 @@
 """Note grid, lag conversion and crop/shift arithmetic."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -61,6 +63,33 @@ def test_lag_strictly_decreasing():
 def test_lag_requires_positive_rate():
     with pytest.raises(ValueError):
         note_to_lag(69, 0)
+
+
+RATE_RULE_CALLS = {
+    "note_to_lag": lambda sr: note_to_lag(69, sr),
+    "channel_lags": lambda sr: channel_lags(NoteGrid(), sr),
+    "tau_max_for": lambda sr: tau_max_for(NoteGrid(), sr),
+}
+
+
+@pytest.mark.parametrize("rate, message", [
+    (math.nan, "sample_rate must be an integer, got nan"),  # once a nan lag
+    (True, "sample_rate must be an integer, got True"),  # once a lag of 0.0023
+    (22050.5, "sample_rate must be an integer, got 22050.5"),
+    (0, "sample_rate must be at least 1, got 0"),
+    (-22050, "sample_rate must be at least 1, got -22050"),
+])
+@pytest.mark.parametrize("call", RATE_RULE_CALLS.values(), ids=RATE_RULE_CALLS.keys())
+def test_lags_read_the_integer_rate_rule(call, rate, message):
+    with pytest.raises(ValueError, match=message):
+        call(rate)
+
+
+@pytest.mark.parametrize("rate", [8000, 22050, 44100, np.int64(48000)])
+def test_channel_lags_equal_note_to_lag_bit_for_bit(rate):
+    grid = NoteGrid()
+    expected = [note_to_lag(m, rate, grid) for m in grid.notes]
+    assert channel_lags(grid, rate).tolist() == expected
 
 
 def test_tau_max_default_grid():

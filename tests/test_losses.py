@@ -103,7 +103,7 @@ def test_lambda_must_be_positive():
         LossConfig(0.0)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "45"])
 def test_lambda_must_be_finite(value):
     with pytest.raises(ValueError, match="lambda_yin must be finite and positive"):
         LossConfig(value)

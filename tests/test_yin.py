@@ -1,4 +1,6 @@
 """YIN kernels: difference function, CMND, refinement, f0 estimation."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,7 @@ from yingram import (
     parabolic_refine,
     sine_tone,
 )
-from yingram.yin import CMND_EPS, _cmnd_terms
+from yingram.yin import CMND_EPS, _cmnd_terms, f0_rows, pick_lags
 from oracles import cmnd_brute, difference_brute
 
 SR = 22050
@@ -67,6 +69,19 @@ def test_insufficient_frame_length():
         difference_function(np.zeros(100), TAU_MAX, 2048)
     with pytest.raises(ValueError, match="need 2474, got 100"):
         difference_function(np.zeros((3, 100)), TAU_MAX, 2048)
+
+
+@pytest.mark.parametrize("method", ["naive", "fft"])
+@pytest.mark.parametrize("tau_max, window, message", [
+    (TAU_MAX, 0, "window must be at least 1, got 0"),
+    (TAU_MAX, -5, "window must be at least 1, got -5"),  # once gave d(0) = 0.23
+    (TAU_MAX, 2048.0, "window must be an integer, got 2048.0"),
+    (-1, 2048, "tau_max must be at least 0, got -1"),
+    (TAU_MAX, 2049, "insufficient frame length: need 2475, got 2474"),
+])
+def test_difference_function_frame_rule(rng, method, tau_max, window, message):
+    with pytest.raises(ValueError, match=message):
+        difference_function(rng.standard_normal(FRAME_LEN), tau_max, window, method=method)
 
 
 @pytest.mark.parametrize("method", ["naive", "fft"])
@@ -195,6 +210,26 @@ def test_estimate_f0_invalid_bounds():
     curve = cmnd(difference_function(_sine_frame(440.0), TAU_MAX, 2048))
     with pytest.raises(ValueError, match="invalid f0 bounds"):
         estimate_f0(curve, SR, f_min=500.0, f_max=100.0)
+
+
+F0_KERNELS = {
+    "pick_lags": lambda values, f_min, f_max: pick_lags(values, SR, 0.1, f_min, f_max),
+    "f0_rows": lambda values, f_min, f_max: f0_rows(values, SR, 0.1, f_min, f_max, 0.25),
+}
+
+
+@pytest.mark.parametrize("f_min, f_max", [
+    (0.0, 508.0),  # once a ZeroDivisionError
+    (-5.0, 508.0),
+    (math.nan, 508.0),
+    (52.0, SR / 2 + 1),  # above Nyquist, once accepted
+    (52.0, math.nan),
+])
+@pytest.mark.parametrize("kernel", F0_KERNELS.values(), ids=F0_KERNELS.keys())
+def test_f0_kernels_read_the_band_rule(kernel, f_min, f_max):
+    values = cmnd(difference_function(np.stack([_sine_frame(440.0)] * 2), TAU_MAX, 2048))
+    with pytest.raises(ValueError, match="invalid f0 bounds: need 0 < f_min < f_max"):
+        kernel(values, f_min, f_max)
 
 
 def test_estimate_f0_grid_edge_note():
