@@ -219,8 +219,9 @@ def frame_count(num_samples: int, frame_len: int, hop: int) -> int:
     ceil(num_samples / hop).
 
     Raises:
-        ValueError: for a frame_len or hop that is not an integer of at least 1.
+        ValueError: unless num_samples (at least 0), frame_len and hop (at least 1) are integers.
     """
+    num_samples = _require_int(num_samples, "num_samples", 0)
     _require_int(frame_len, "frame_len", 1)
     return -(-num_samples // _require_int(hop, "hop", 1))
 

@@ -14,7 +14,7 @@ import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
-from .grid import MAX_SHIFT, SCOPE_LENGTH, SCOPE_START, NoteGrid, note_to_hz, tau_max_for
+from .grid import MAX_SHIFT, SCOPE_LENGTH, SCOPE_START, NoteGrid, tau_max_for
 
 __all__ = [
     "AnalysisConfig",
@@ -51,26 +51,20 @@ def _invalid(name: str, value, rule: str) -> ValueError:
     return ValueError(f"invalid config: {name}={value!r} {rule}")
 
 
-def _note_hz(note: int, grid: NoteGrid) -> float:
-    try:
-        return note_to_hz(note, grid)
-    except OverflowError:
-        return math.inf
-
-
 @dataclass(frozen=True)
 class AnalysisConfig:
     """Every tunable of the analysis pipeline; reports echo the resolved
     values so results stay reproducible.
 
     Construction validates the values (`ValueError` "invalid config: ..."
-    naming the field and its value): sample_rate, window, hop and
-    bins_per_octave are positive, seed is non-negative, every float is
-    finite, reference_hz is positive, the grid lies between 0 Hz and
-    Nyquist and holds every scope shift, a frame (window + tau_max) is at
-    most MAX_FRAME_LENGTH samples, 0 < f_min < f_max <= sr/2, the f0
-    lag range is not empty, lambda_yin is positive, and f0_threshold,
-    shift_tolerance and min_overlap (at most 1) are non-negative.
+    naming the field and its value) and stores them as plain int and float:
+    sample_rate, window, hop and bins_per_octave are positive, seed is
+    non-negative, every float is finite, reference_hz is positive, the grid
+    holds every scope shift and lies above 0 Hz and below Nyquist (read
+    through `tau_max_for`), a frame (window + tau_max) is at most
+    MAX_FRAME_LENGTH samples, 0 < f_min < f_max <= sr/2, the f0 lag range is
+    not empty, lambda_yin is positive, and f0_threshold, shift_tolerance and
+    min_overlap (at most 1) are non-negative.
     """
 
     sample_rate: int = 22050
@@ -100,6 +94,7 @@ class AnalysisConfig:
                 raise _invalid(f.name, value, "must be a number")
             elif not math.isfinite(value):
                 raise _invalid(f.name, value, "must be finite")
+            object.__setattr__(self, f.name, _FIELD_TYPES[f.name](value))
         for name in ("sample_rate", "window", "hop", "bins_per_octave", "reference_hz", "lambda_yin"):
             if getattr(self, name) <= 0:
                 raise _invalid(name, getattr(self, name), "must be positive")
@@ -114,25 +109,15 @@ class AnalysisConfig:
                 "num_channels", self.num_channels,
                 f"must be at least {scope_channels} to hold every scope shift",
             )
-        grid = self.grid
-        top = grid.start_note + grid.num_channels - 1
-        low_hz, top_hz = _note_hz(grid.start_note, grid), _note_hz(top, grid)
-        # the lowest note sets tau_max, so its lag must be a finite number
-        if not (
-            low_hz > 0.0
-            and math.isfinite(self.sample_rate / low_hz)
-            and top_hz < self.sample_rate / 2
-        ):
-            raise _invalid(
-                "sample_rate", self.sample_rate,
-                f"does not hold {grid}: its notes span {low_hz:.6g}..{top_hz:.6g} Hz, "
-                f"which must lie above 0 Hz and below Nyquist ({self.sample_rate / 2} Hz)",
-            )
-        if self.frame_length > MAX_FRAME_LENGTH:
+        try:  # the grid's span rule, read through the lag it sets
+            tau_max = tau_max_for(self.grid, self.sample_rate)
+        except ValueError as exc:
+            raise ValueError(f"invalid config: {exc}") from None
+        if self.window + tau_max > MAX_FRAME_LENGTH:
             raise _invalid(
                 "window", self.window,
-                f"plus tau_max={self.tau_max} (the lag of the lowest note of {grid}) "
-                f"makes a frame of {self.frame_length} samples, above {MAX_FRAME_LENGTH}",
+                f"plus tau_max={tau_max} (the lag of the lowest note of {self.grid}) "
+                f"makes a frame of {self.window + tau_max} samples, above {MAX_FRAME_LENGTH}",
             )
         if not f0_bounds_valid(self.sample_rate, self.f_min, self.f_max):
             raise _invalid(
@@ -140,12 +125,12 @@ class AnalysisConfig:
                 f"and f_max={self.f_max!r} must satisfy 0 < f_min < f_max <= "
                 f"sample_rate/2 = {self.sample_rate / 2}",
             )
-        lo, hi = f0_lag_range(self.sample_rate, self.f_min, self.f_max, self.tau_max)
+        lo, hi = f0_lag_range(self.sample_rate, self.f_min, self.f_max, tau_max)
         if lo > hi:
             raise _invalid(
                 "f_max", self.f_max,
                 f"leaves the f0 lag range [{lo}, {hi}] empty (f_min={self.f_min!r}, "
-                f"tau_max={self.tau_max})",
+                f"tau_max={tau_max})",
             )
 
     @property

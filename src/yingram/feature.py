@@ -101,13 +101,13 @@ def yingram_rows(values: np.ndarray, lags: np.ndarray) -> np.ndarray:
 
 def _lag_brackets(lags: np.ndarray, tau_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(floors, ceils, frac) of fractional lags; raises if a ceiling passes tau_max."""
-    ceils = np.ceil(lags).astype(int)
-    if tau_max < ceils.max():
+    ceils = np.ceil(lags)
+    if tau_max < ceils.max():  # before the cast, which a huge lag would overflow
         raise ValueError(
-            f"lag out of range: curve covers tau <= {tau_max}, grid needs {ceils.max()}"
+            f"lag out of range: curve covers tau <= {tau_max}, grid needs {int(ceils.max())}"
         )
     floors = np.floor(lags).astype(int)
-    return floors, ceils, lags - floors
+    return floors, ceils.astype(int), lags - floors
 
 
 def yingram_frame(
@@ -115,8 +115,8 @@ def yingram_frame(
 ) -> np.ndarray:
     """Sample the CMND curve of a frame at sample_rate at every grid
     channel's fractional lag (the one-curve case of `yingram_rows`, with the
-    lags of note start_note + ch).
-    """
+    lags of note start_note + ch). Raises ValueError for a rate `channel_lags`
+    rejects and for a curve that stops short of the lags ("lag out of range")."""
     return yingram_rows(values, channel_lags(grid, sample_rate))
 
 
@@ -149,7 +149,7 @@ def _analyse(w: Waveform, cfg: AnalysisConfig) -> tuple[YingramMatrix, PitchCont
     blocks = cmnd_blocks(w, cfg)
     lags = channel_lags(cfg.grid, cfg.sample_rate)
     n = frame_count(len(w.samples), cfg.frame_length, cfg.hop)
-    rows = np.empty((n, cfg.grid.num_channels), dtype=np.float32)
+    rows = np.empty((n, len(lags)), dtype=np.float32)
     padded = np.empty(n, dtype=bool)
     f0, aperiodicity = np.full(n, np.nan), np.ones(n)
     for block in blocks:

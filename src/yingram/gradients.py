@@ -60,8 +60,8 @@ def _check_fd_settings(eps: float, probes: int, tolerance: float) -> None:
 
 def _checked_inputs(
     frame: Frame, grid: NoteGrid, cotangent: np.ndarray, window: int | None
-) -> tuple[np.ndarray, int, int, int, np.ndarray]:
-    """(samples, sample_rate, tau_max, window, cotangent) of a gradient
+) -> tuple[np.ndarray, np.ndarray, int, int, np.ndarray]:
+    """(samples, channel lags, tau_max, window, cotangent) of a gradient
     request: a Frame of finite samples, a finite cotangent of one entry per
     channel, and a window of len(frame) - tau_max (at least 1) by default,
     as the analysis frames; `difference_function` checks that it fits."""
@@ -78,7 +78,7 @@ def _checked_inputs(
             f"dimension error: cotangent must have {grid.num_channels} entries"
         )
     require_finite(cot, "cotangent")
-    return x, frame.sample_rate, tau_max, window, cot
+    return x, channel_lags(grid, frame.sample_rate), tau_max, window, cot
 
 
 def yingram_vjp(
@@ -91,10 +91,10 @@ def yingram_vjp(
     contribute zero gradient; a fully guarded (silent) frame returns all
     zeros and emits a warning. Non-finite samples or cotangent entries raise
     ValueError, since either would turn the whole gradient into NaN; so do
-    frames too large for the forward's CMND, and only those.
+    frames too large for the forward's CMND (and only those) and grids `tau_max_for` rejects.
     """
-    x, sample_rate, tau_max, window, cot = _checked_inputs(frame, grid, cotangent, window)
-    grad, guarded = _vjp(grid, x, sample_rate, tau_max, window, cot)
+    x, lags, tau_max, window, cot = _checked_inputs(frame, grid, cotangent, window)
+    grad, guarded = _vjp(lags, x, tau_max, window, cot)
     if guarded[-1] and np.any(cot != 0.0):
         warnings.warn(
             "guarded region: CMND denominator below epsilon on checked "
@@ -104,13 +104,13 @@ def yingram_vjp(
     return grad
 
 
-def _vjp(grid: NoteGrid, x: np.ndarray, sample_rate: int, tau_max: int, window: int,
+def _vjp(lags: np.ndarray, x: np.ndarray, tau_max: int, window: int,
          cot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(gradient, guarded) for checked inputs. guarded: the CMND guard mask of
     lags 0 up to the highest lag any channel reads; the CMND sums grow with
     tau, so when that lag is guarded, all are."""
-    floors, ceils, frac = _lag_brackets(channel_lags(grid, sample_rate), tau_max)
     values, csum, guarded = _cmnd_terms(difference_function(x, tau_max, window, method="fft"))
+    floors, ceils, frac = _lag_brackets(lags, tau_max)
     taus = np.arange(tau_max + 1)
 
     # adjoint on d'; a guarded lag holds the constant 1, so none flows through it
@@ -178,17 +178,15 @@ def finite_diff_check(
     and the report flagged `guarded`. A NaN relative error fails the
     report. Raises ValueError for probes that is not an integer of at least
     1 (a bool is not), an eps or tolerance that is not finite and positive,
-    and for any frame, window or cotangent that yingram_vjp rejects, silent
+    and for any frame, grid, window or cotangent yingram_vjp rejects, silent
     and overflowing frames included.
     """
     _check_fd_settings(eps, probes, tolerance)
     rng = np.random.default_rng(seed)
     if cotangent is None:
         cotangent = rng.standard_normal(grid.num_channels)
-    x, sample_rate, tau_max, win, cot = _checked_inputs(frame, grid, cotangent, window)
-
-    lags = channel_lags(grid, sample_rate)
-    analytic, guard = _vjp(grid, x, sample_rate, tau_max, win, cot)
+    x, lags, tau_max, win, cot = _checked_inputs(frame, grid, cotangent, window)
+    analytic, guard = _vjp(lags, x, tau_max, win, cot)
 
     def loss(i: int, step: float) -> tuple[float, bool]:
         # L(x + step*e_i) as yingram_from_frame computes it, and whether the

@@ -8,8 +8,9 @@ shifting the scope by s corresponds to -s/2 semitones of output pitch.
 from __future__ import annotations
 
 import numbers
+from contextlib import suppress
 from dataclasses import dataclass
-from math import ceil, inf
+from math import ceil, inf, isfinite
 
 import numpy as np
 
@@ -33,13 +34,41 @@ SCOPE_START = 15  # 0-indexed first channel of the unshifted scope
 MAX_SHIFT = 15
 
 
+def _require_int(value, name: str, least: float = -inf) -> int:
+    """value as int if it is an integer (numpy integers count, bools do not) of
+    at least `least`, else ValueError: the rule of sample rates, frame and hop
+    lengths, lags and counts."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return int(value)
+
+
+def _require_positive(value, name: str) -> float:
+    """value as float if it is a finite real above zero (a bool or a string
+    is not), else ValueError: the rule of loss weights, step sizes, time scales and reference_hz."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class NoteGrid:
+    """Channel c holds note start_note + c. Raises ValueError unless the notes
+    are integers, bins_per_octave and num_channels at least 1, and reference_hz finite and > 0."""
+
     start_note: int = -5
     num_channels: int = 80
     bins_per_octave: int = 24
     reference_note: int = 69
     reference_hz: float = 440.0
+
+    def __post_init__(self):
+        for name, least in (("start_note", -inf), ("reference_note", -inf),
+                            ("bins_per_octave", 1), ("num_channels", 1)):
+            object.__setattr__(self, name, _require_int(getattr(self, name), name, least))
+        object.__setattr__(self, "reference_hz", _require_positive(self.reference_hz, "reference_hz"))
 
     @property
     def notes(self) -> range:
@@ -75,24 +104,6 @@ class Scope:
         return self.start_channel + self.length
 
 
-def _require_int(value, name: str, least: int) -> int:
-    """value as int if it is an integer (numpy integers count, bools do not) of
-    at least `least`, else ValueError: the rule of sample rates, frame and hop
-    lengths, lags and counts."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
-    return int(value)
-
-
-def _require_positive(value, name: str) -> None:
-    """ValueError unless value is a finite real above zero (a bool or a string
-    is not): the rule of loss weights, step sizes and time scales."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < inf:
-        raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
 def note_to_hz(note: int | float, grid: NoteGrid = DEFAULT_GRID) -> float:
     """Equal-temperament frequency of a note index.
 
@@ -113,17 +124,34 @@ def note_to_lag(note: int | float, sample_rate: int, grid: NoteGrid = DEFAULT_GR
     return _require_int(sample_rate, "sample_rate", 1) / note_to_hz(note, grid)
 
 
+def _require_span(grid: NoteGrid, sample_rate: int) -> int:
+    """sample_rate as int if every grid note lies above 0 Hz, at a finite lag
+    (the lowest sets tau_max), and below Nyquist, else ValueError."""
+    sample_rate = _require_int(sample_rate, "sample_rate", 1)
+    low_hz = top_hz = inf  # a note too high for a float is out of range
+    with suppress(OverflowError):
+        low_hz = note_to_hz(grid.start_note, grid)
+        top_hz = note_to_hz(grid.notes[-1], grid)
+    if not (low_hz > 0.0 and isfinite(sample_rate / low_hz) and top_hz < sample_rate / 2):
+        raise ValueError(
+            f"sample_rate={sample_rate!r} does not hold {grid}: its notes span {low_hz:.6g}.."
+            f"{top_hz:.6g} Hz, which must lie above 0 Hz and below Nyquist ({sample_rate / 2} Hz)"
+        )
+    return sample_rate
+
+
 def channel_lags(grid: NoteGrid, sample_rate: int) -> np.ndarray:
     """Per-channel fractional lags, channel c holding note start_note + c: the
-    `note_to_lag` of each note, with the rate checked once per call."""
-    sample_rate = _require_int(sample_rate, "sample_rate", 1)
+    `note_to_lag` of each note. Raises ValueError, once per call, for a rate
+    that is not an integer of at least 1 or does not hold the grid."""
+    sample_rate = _require_span(grid, sample_rate)
     return np.array([sample_rate / note_to_hz(m, grid) for m in grid.notes], dtype=np.float64)
 
 
 def tau_max_for(grid: NoteGrid, sample_rate: int) -> int:
     """Largest lag the analysis needs: the lowest note's interpolation
-    ceiling plus one (426 for the default grid at 22050 Hz)."""
-    return ceil(note_to_lag(grid.start_note, sample_rate, grid)) + 1
+    ceiling plus one (426 for the default grid at 22050 Hz); raises as `channel_lags`."""
+    return ceil(_require_span(grid, sample_rate) / note_to_hz(grid.start_note, grid)) + 1
 
 
 def _matrix_values(matrix, dtype=None) -> np.ndarray:

@@ -214,12 +214,13 @@ def cmnd_blocks(w: Waveform, config: AnalysisConfig) -> Iterator[CmndBlock]:
 
 
 def _blocks(x: np.ndarray, cfg: AnalysisConfig) -> Iterator[CmndBlock]:
-    frames, padded = _strided_frames(x, cfg.frame_length, cfg.hop)
+    tau_max, window = cfg.tau_max, cfg.window  # once per clip: cfg.grid is checked per read
+    frames, padded = _strided_frames(x, window + tau_max, cfg.hop)
     for start in range(0, len(frames), BLOCK_FRAMES):
         rows = slice(start, start + BLOCK_FRAMES)
         # d and csum live until the next block's replace them: freed earlier,
         # the heap top is trimmed and the next block's FFT faults it back in
-        d = _difference_fft(frames[rows], cfg.tau_max, cfg.window)
+        d = _difference_fft(frames[rows], tau_max, window)
         values, csum, _ = _cmnd_terms(d, start)
         yield CmndBlock(start, values, padded[rows])
 
@@ -266,9 +267,10 @@ def pick_lags(
     Returns (integer lags, aperiodicity = d' at those lags).
 
     Raises:
-        ValueError: "invalid f0 bounds" unless 0 < f_min < f_max <=
-            sample_rate / 2 and the f0 lag range (`f0_lag_range`) is not empty.
+        ValueError: for a rate `_require_int` rejects, and "invalid f0 bounds"
+            unless 0 < f_min < f_max <= sample_rate / 2 and the lag range is not empty.
     """
+    sample_rate = _require_int(sample_rate, "sample_rate", 1)
     if not f0_bounds_valid(sample_rate, f_min, f_max):
         raise ValueError(
             f"invalid f0 bounds: need 0 < f_min < f_max <= sr/2, got "
@@ -344,7 +346,7 @@ def estimate_f0(
     frame as unvoiced.
 
     Raises:
-        ValueError: "invalid f0 bounds" for the bands `pick_lags` rejects.
+        ValueError: for the rates and bands `pick_lags` rejects.
     """
     f0, aperiodicity = f0_rows(
         np.asarray(values)[None], sample_rate, threshold, f_min, f_max, voicing_cutoff

@@ -258,3 +258,19 @@ def test_frame_lengths_and_hops_read_the_integer_rule(frame_len, hop, message):
         frame_count(1000, frame_len, hop)
     with pytest.raises(ValueError, match=message):
         frame_signal(Waveform(np.ones(1000), 22050), frame_len, hop)
+
+
+@pytest.mark.parametrize("num_samples, message", [
+    (-5, "num_samples must be at least 0, got -5"),  # once -1 frames
+    (1000.5, "num_samples must be an integer, got 1000.5"),  # once 201.0 frames
+    (True, "num_samples must be an integer, got True"),
+])
+def test_frame_count_reads_the_integer_rule_for_its_sample_count(num_samples, message):
+    with pytest.raises(ValueError, match=message):
+        frame_count(num_samples, 10, 5)
+
+
+def test_frame_count_of_integer_sample_counts():
+    assert frame_count(0, 10, 5) == 0
+    assert frame_count(1000, 10, 5) == 200
+    assert type(frame_count(np.int64(1001), 10, 5)) is int

@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import json
 
+import numpy as np
 import pytest
 
 from yingram import (
@@ -10,6 +11,7 @@ from yingram import (
     AnalysisConfig,
     LossConfig,
     NoteGrid,
+    compute_yingram,
     difference_function,
     estimate_f0,
     harmonic_tone,
@@ -17,6 +19,7 @@ from yingram import (
     random_tonal_frame,
     sine_tone,
     vibrato_tone,
+    write_yingram_binary,
 )
 from conftest import INVALID_CONFIGS, changed_value
 
@@ -90,6 +93,21 @@ def test_invalid_config_rejected(tmp_path, overrides, field):
     path.write_text(json.dumps(overrides))
     with pytest.raises(ValueError, match=f"invalid config: .*{field}="):
         load_config_file(path)
+
+
+def test_numbers_are_stored_as_plain_int_and_float(tmp_path):
+    numpy_values = AnalysisConfig(
+        start_note=np.int64(-5), sample_rate=np.int32(22050), reference_hz=np.float32(440.0),
+        f_max=np.float64(508.0), lambda_yin=45, seed=np.uint8(0),
+    )
+    assert numpy_values == AnalysisConfig()
+    for f in dataclasses.fields(AnalysisConfig):
+        assert type(getattr(numpy_values, f.name)) is (int if f.type == "int" else float)
+    # once the .f32 was written and its sidecar raised "int64 is not JSON serializable"
+    for name, cfg in [("numpy", numpy_values), ("plain", AnalysisConfig())]:
+        matrix = compute_yingram(sine_tone(220.0, 0.1), cfg)
+        write_yingram_binary(matrix, tmp_path / f"{name}.f32", extra={"config": cfg.to_dict()})
+    assert (tmp_path / "numpy.f32.json").read_bytes() == (tmp_path / "plain.f32.json").read_bytes()
 
 
 def test_every_field_is_a_config_file_key(tmp_path):

@@ -1,4 +1,5 @@
 """Note grid, lag conversion and crop/shift arithmetic."""
+import dataclasses
 import math
 
 import numpy as np
@@ -6,14 +7,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from yingram import (
+    DEFAULT_GRID,
+    AnalysisConfig,
+    Frame,
     NoteGrid,
     Scope,
     channel_lags,
     crop_scope,
+    finite_diff_check,
     note_to_hz,
     note_to_lag,
     shift_to_semitones,
     tau_max_for,
+    yingram_frame,
+    yingram_from_frame,
+    yingram_vjp,
 )
 
 
@@ -94,6 +102,80 @@ def test_channel_lags_equal_note_to_lag_bit_for_bit(rate):
 
 def test_tau_max_default_grid():
     assert tau_max_for(NoteGrid(), 22050) == 426
+
+
+@pytest.mark.parametrize("fields, message", [
+    # a negative reference once read the Yingram through wrapped negative indices
+    ({"reference_hz": -440.0}, "reference_hz must be finite and positive, got -440.0"),
+    ({"reference_hz": 0.0}, "reference_hz must be finite and positive, got 0.0"),
+    ({"reference_hz": math.nan}, "reference_hz must be finite and positive, got nan"),
+    ({"reference_hz": math.inf}, "reference_hz must be finite and positive, got inf"),
+    ({"reference_hz": True}, "reference_hz must be finite and positive, got True"),
+    ({"reference_hz": "440"}, "reference_hz must be finite and positive, got 440"),
+    ({"bins_per_octave": 0}, "bins_per_octave must be at least 1, got 0"),  # ZeroDivisionError
+    ({"bins_per_octave": True}, "bins_per_octave must be an integer, got True"),
+    ({"bins_per_octave": 2.5}, "bins_per_octave must be an integer, got 2.5"),
+    ({"num_channels": 0}, "num_channels must be at least 1, got 0"),
+    ({"start_note": 2.5}, "start_note must be an integer, got 2.5"),  # once a TypeError
+])
+def test_note_grid_reads_the_field_rules(fields, message):
+    with pytest.raises(ValueError, match=message):
+        NoteGrid(**fields)
+
+
+def test_note_grid_stores_plain_numbers():
+    grid = NoteGrid(np.int64(-5), np.int32(80), np.int64(24), np.int16(69), np.float32(440.0))
+    assert grid == DEFAULT_GRID
+    assert [type(v) for v in dataclasses.astuple(grid)] == [int, int, int, int, float]
+    assert type(NoteGrid(reference_hz=440).reference_hz) is float
+
+
+def _tonal_frame():
+    t = np.arange(2048 + 426) / 22050
+    return np.sin(2 * np.pi * 220.0 * t) + 0.3 * np.sin(2 * np.pi * 660.0 * t)
+
+
+# every reader of a grid's lags, called at 22050 Hz on a 2474-sample frame
+LAG_READERS = {
+    "channel_lags": lambda grid: channel_lags(grid, 22050),
+    "tau_max_for": lambda grid: tau_max_for(grid, 22050),
+    "yingram_frame": lambda grid: yingram_frame(np.linspace(1.0, 0.0, 427), 22050, grid),
+    "yingram_from_frame": lambda grid: yingram_from_frame(_tonal_frame(), grid, 22050, 2048),
+    "yingram_vjp": lambda grid: yingram_vjp(Frame(_tonal_frame(), 0, 22050), grid, np.ones(80)),
+    "finite_diff_check": lambda grid: finite_diff_check(Frame(_tonal_frame(), 0, 22050), grid),
+}
+
+
+@pytest.mark.parametrize("grid", [
+    NoteGrid(start_note=200),  # once silently sampled lags under 2
+    NoteGrid(reference_note=-100000),  # once an OverflowError
+    NoteGrid(start_note=-100000),  # notes at 0 Hz
+], ids=["above-nyquist", "overflows", "underflows"])
+@pytest.mark.parametrize("read", LAG_READERS.values(), ids=LAG_READERS.keys())
+def test_lag_readers_read_the_span_rule(read, grid):
+    with pytest.raises(ValueError, match=r"sample_rate=22050 does not hold NoteGrid\("):
+        read(grid)
+
+
+@pytest.mark.parametrize("read", [LAG_READERS["yingram_frame"], LAG_READERS["yingram_vjp"]],
+                         ids=["yingram_frame", "yingram_vjp"])
+def test_a_huge_finite_lag_raises_without_a_cast_warning(read):
+    # reference_hz=1e-300 holds at 22050 Hz, with lags near 1e304; their
+    # cast to int once raised "RuntimeWarning: invalid value encountered in cast"
+    with pytest.raises(ValueError, match="lag out of range|insufficient frame length"):
+        read(NoteGrid(reference_hz=1e-300))
+
+
+@pytest.mark.parametrize("overrides", [
+    {"sample_rate": 1000}, {"reference_note": -100000}, {"start_note": -100000},
+])
+def test_config_reads_the_span_rule_of_the_grid(overrides):
+    grid_fields = {k: v for k, v in overrides.items() if k != "sample_rate"}
+    with pytest.raises(ValueError) as span:
+        tau_max_for(NoteGrid(**grid_fields), overrides.get("sample_rate", 22050))
+    with pytest.raises(ValueError) as config:
+        AnalysisConfig(**overrides)
+    assert str(config.value) == f"invalid config: {span.value}"
 
 
 def test_scope_arithmetic():

@@ -16,6 +16,7 @@ SOURCES = sorted(Path(yingram.__file__).parent.glob("*.py"))
 # message literal -> the one module that may raise it
 RULE_HOMES = {
     "must be finite and positive": "grid",
+    "does not hold": "grid",
     "insufficient frame length": "yin",
     "invalid f0 bounds": "yin",
 }

@@ -13,7 +13,7 @@ from yingram import (
     parabolic_refine,
     sine_tone,
 )
-from yingram.yin import CMND_EPS, _cmnd_terms, f0_rows, pick_lags
+from yingram.yin import CMND_EPS, _cmnd_terms, _pick_lag, f0_rows, pick_lags
 from oracles import cmnd_brute, difference_brute
 
 SR = 22050
@@ -213,8 +213,10 @@ def test_estimate_f0_invalid_bounds():
 
 
 F0_KERNELS = {
-    "pick_lags": lambda values, f_min, f_max: pick_lags(values, SR, 0.1, f_min, f_max),
-    "f0_rows": lambda values, f_min, f_max: f0_rows(values, SR, 0.1, f_min, f_max, 0.25),
+    "pick_lags": lambda values, f_min, f_max, sr=SR: pick_lags(values, sr, 0.1, f_min, f_max),
+    "f0_rows": lambda values, f_min, f_max, sr=SR: f0_rows(values, sr, 0.1, f_min, f_max, 0.25),
+    "estimate_f0": lambda values, f_min, f_max, sr=SR: estimate_f0(values[0], sr, 0.1, f_min, f_max),
+    "_pick_lag": lambda values, f_min, f_max, sr=SR: _pick_lag(values[0], sr, 0.1, f_min, f_max),
 }
 
 
@@ -230,6 +232,20 @@ def test_f0_kernels_read_the_band_rule(kernel, f_min, f_max):
     values = cmnd(difference_function(np.stack([_sine_frame(440.0)] * 2), TAU_MAX, 2048))
     with pytest.raises(ValueError, match="invalid f0 bounds: need 0 < f_min < f_max"):
         kernel(values, f_min, f_max)
+
+
+@pytest.mark.parametrize("rate, message", [
+    (22050.5, "sample_rate must be an integer, got 22050.5"),  # once 220.014 Hz
+    (True, "sample_rate must be an integer, got True"),  # once "invalid f0 bounds ... True Hz"
+    (math.nan, "sample_rate must be an integer, got nan"),
+    (0, "sample_rate must be at least 1, got 0"),
+])
+@pytest.mark.parametrize("kernel", F0_KERNELS.values(), ids=F0_KERNELS.keys())
+def test_f0_kernels_read_the_integer_rate_rule(kernel, rate, message):
+    values = cmnd(difference_function(np.stack([_sine_frame(220.0)] * 2), TAU_MAX, 2048))
+    with pytest.raises(ValueError, match=message):
+        kernel(values, 52.0, 508.0, sr=rate)
+    assert kernel(values, 52.0, 508.0, sr=np.int64(SR)) is not None
 
 
 def test_estimate_f0_grid_edge_note():
