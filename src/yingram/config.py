@@ -8,43 +8,43 @@ from this class.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
-from .grid import MAX_SHIFT, SCOPE_LENGTH, SCOPE_START, NoteGrid, tau_max_for
+from .grid import MAX_FRAME_LENGTH, MAX_SHIFT, SCOPE_LENGTH, SCOPE_START, NoteGrid, tau_max_for
 
 __all__ = [
     "AnalysisConfig",
     "MAX_FRAME_LENGTH",
     "coerce_field",
-    "f0_bounds_valid",
     "f0_lag_range",
     "load_config_file",
     "read_config_file",
 ]
 
 
-def f0_bounds_valid(sample_rate: int, f_min: float, f_max: float) -> bool:
-    """The f0 search band rule: 0 < f_min < f_max <= sample_rate / 2."""
-    return 0.0 < f_min < f_max <= sample_rate / 2
-
-
 def f0_lag_range(sample_rate: int, f_min: float, f_max: float, tau_max: int) -> tuple[int, int]:
     """Integer lags (lo, hi) the f0 search covers: [sr/f_max, sr/f_min],
-    kept inside [1, tau_max - 1] so every lag has two neighbors. The range
-    is empty when lo > hi."""
+    kept inside [1, tau_max - 1] so every lag has two neighbors: the one
+    f0-band rule. Raises ValueError("invalid f0 bounds: ...") unless
+    0 < f_min < f_max <= sample_rate / 2 and the range is not empty (lo <= hi)."""
+    if not 0.0 < f_min < f_max <= sample_rate / 2:
+        raise ValueError(
+            f"invalid f0 bounds: need 0 < f_min < f_max <= sr/2, got f_min={f_min}, "
+            f"f_max={f_max} at {sample_rate} Hz"
+        )
     lo = max(1, math.floor(sample_rate / f_max))
     hi = min(tau_max - 1, math.ceil(sample_rate / f_min))
+    if lo > hi:
+        raise ValueError(
+            f"invalid f0 bounds: lag range [{lo}, {hi}] is empty for "
+            f"f_min={f_min}, f_max={f_max} at {sample_rate} Hz"
+        )
     return lo, hi
-
-
-# Longest analysis frame (window + tau_max) a config may ask for. Clip
-# analysis holds BLOCK_FRAMES frames and their spectra at once, so this
-# bounds its working set; common configs need under 3000 samples.
-MAX_FRAME_LENGTH = 1 << 16
 
 
 def _invalid(name: str, value, rule: str) -> ValueError:
@@ -60,11 +60,11 @@ class AnalysisConfig:
     naming the field and its value) and stores them as plain int and float:
     sample_rate, window, hop and bins_per_octave are positive, seed is
     non-negative, every float is finite, reference_hz is positive, the grid
-    holds every scope shift and lies above 0 Hz and below Nyquist (read
-    through `tau_max_for`), a frame (window + tau_max) is at most
-    MAX_FRAME_LENGTH samples, 0 < f_min < f_max <= sr/2, the f0 lag range is
-    not empty, lambda_yin is positive, and f0_threshold, shift_tolerance and
-    min_overlap (at most 1) are non-negative.
+    holds every scope shift, a frame (window + tau_max) is at most
+    MAX_FRAME_LENGTH samples, lambda_yin is positive, and f0_threshold,
+    shift_tolerance and min_overlap (at most 1) are non-negative. The grid's
+    span rule (`tau_max_for`) and the f0-band rule (`f0_lag_range`) are read
+    from their homes, their messages prefixed with "invalid config: ".
     """
 
     sample_rate: int = 22050
@@ -109,35 +109,23 @@ class AnalysisConfig:
                 "num_channels", self.num_channels,
                 f"must be at least {scope_channels} to hold every scope shift",
             )
-        try:  # the grid's span rule, read through the lag it sets
-            tau_max = tau_max_for(self.grid, self.sample_rate)
+        try:  # the grid's span rule and the f0-band rule, read from their homes
+            f0_lag_range(self.sample_rate, self.f_min, self.f_max, self.tau_max)
         except ValueError as exc:
             raise ValueError(f"invalid config: {exc}") from None
-        if self.window + tau_max > MAX_FRAME_LENGTH:
+        if self.frame_length > MAX_FRAME_LENGTH:
             raise _invalid(
                 "window", self.window,
-                f"plus tau_max={tau_max} (the lag of the lowest note of {self.grid}) "
-                f"makes a frame of {self.window + tau_max} samples, above {MAX_FRAME_LENGTH}",
-            )
-        if not f0_bounds_valid(self.sample_rate, self.f_min, self.f_max):
-            raise _invalid(
-                "f_min", self.f_min,
-                f"and f_max={self.f_max!r} must satisfy 0 < f_min < f_max <= "
-                f"sample_rate/2 = {self.sample_rate / 2}",
-            )
-        lo, hi = f0_lag_range(self.sample_rate, self.f_min, self.f_max, tau_max)
-        if lo > hi:
-            raise _invalid(
-                "f_max", self.f_max,
-                f"leaves the f0 lag range [{lo}, {hi}] empty (f_min={self.f_min!r}, "
-                f"tau_max={tau_max})",
+                f"plus tau_max={self.tau_max} (the lag of the lowest note of {self.grid}) "
+                f"makes a frame of {self.frame_length} samples, above {MAX_FRAME_LENGTH}",
             )
 
-    @property
+    # resolved once, after __post_init__ has normalised the fields they read
+    @functools.cached_property
     def grid(self) -> NoteGrid:
         return NoteGrid(**{f.name: getattr(self, f.name) for f in dataclasses.fields(NoteGrid)})
 
-    @property
+    @functools.cached_property
     def tau_max(self) -> int:
         return tau_max_for(self.grid, self.sample_rate)
 

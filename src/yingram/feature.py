@@ -94,17 +94,22 @@ def yingram_rows(values: np.ndarray, lags: np.ndarray) -> np.ndarray:
 
     Y[ch] = d'(floor(tau)) + (d'(ceil(tau)) - d'(floor(tau))) * frac(tau)
     with tau = lags[ch]. Integer lags reproduce the curve value exactly.
+    Raises ValueError("lag out of range: ...") unless every lag is at least 0
+    and its ceiling at most the curve's last lag, so a NaN lag raises too.
     """
     floors, ceils, frac = _lag_brackets(lags, values.shape[-1] - 1)
     return values[..., floors] * (1.0 - frac) + values[..., ceils] * frac
 
 
 def _lag_brackets(lags: np.ndarray, tau_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(floors, ceils, frac) of fractional lags; raises if a ceiling passes tau_max."""
+    """(floors, ceils, frac) of fractional lags: the one bracket rule of
+    `yingram_rows`, `yingram_frame` and the VJP; raises as `yingram_rows`."""
     ceils = np.ceil(lags)
-    if tau_max < ceils.max():  # before the cast, which a huge lag would overflow
+    low = np.min(lags)
+    if not (low >= 0 and ceils.max() <= tau_max):  # before the cast; NaN fails both
         raise ValueError(
-            f"lag out of range: curve covers tau <= {tau_max}, grid needs {int(ceils.max())}"
+            f"lag out of range: the curve covers lags 0..{tau_max:.6g}, "
+            f"the lags span {low:.6g}..{np.max(lags):.6g}"
         )
     floors = np.floor(lags).astype(int)
     return floors, ceils.astype(int), lags - floors
@@ -130,7 +135,8 @@ def yingram_from_frame(
     """One frame end to end: difference function, CMND, grid sampling.
 
     Runs in float64; compute_yingram stores float32. Raises ValueError for a
-    Frame not at sample_rate, or whose difference values overflow (`cmnd`).
+    Frame not at sample_rate, non-finite samples (`difference_function`) and
+    difference values that overflow (`cmnd`).
     """
     tau_max = tau_max_for(grid, sample_rate)
     if isinstance(frame, Frame) and frame.sample_rate != sample_rate:

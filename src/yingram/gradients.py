@@ -62,13 +62,13 @@ def _checked_inputs(
     frame: Frame, grid: NoteGrid, cotangent: np.ndarray, window: int | None
 ) -> tuple[np.ndarray, np.ndarray, int, int, np.ndarray]:
     """(samples, channel lags, tau_max, window, cotangent) of a gradient
-    request: a Frame of finite samples, a finite cotangent of one entry per
-    channel, and a window of len(frame) - tau_max (at least 1) by default,
-    as the analysis frames; `difference_function` checks that it fits."""
+    request: a Frame, a finite cotangent of one entry per channel, and a
+    window of len(frame) - tau_max (at least 1) by default, as the analysis
+    frames; the forward's `difference_function` checks that the window fits
+    and that the samples are finite."""
     if not isinstance(frame, Frame):
         raise TypeError("yingram_vjp needs a Frame (it carries the sample rate)")
     x = np.asarray(frame.samples, dtype=np.float64)
-    require_finite(x, "samples")
     tau_max = tau_max_for(grid, frame.sample_rate)
     if window is None:
         window = max(len(x) - tau_max, 1)

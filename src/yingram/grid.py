@@ -10,7 +10,7 @@ from __future__ import annotations
 import numbers
 from contextlib import suppress
 from dataclasses import dataclass
-from math import ceil, inf, isfinite
+from math import ceil, inf
 
 import numpy as np
 
@@ -21,6 +21,7 @@ __all__ = [
     "SCOPE_LENGTH",
     "SCOPE_START",
     "MAX_SHIFT",
+    "MAX_FRAME_LENGTH",
     "note_to_hz",
     "note_to_lag",
     "channel_lags",
@@ -32,6 +33,12 @@ __all__ = [
 SCOPE_LENGTH = 50
 SCOPE_START = 15  # 0-indexed first channel of the unshifted scope
 MAX_SHIFT = 15
+
+# Longest lag of a grid's lowest note, and longest analysis frame (window +
+# tau_max) a config may ask for. Clip analysis holds BLOCK_FRAMES frames and
+# their spectra at once, so this bounds its working set; common configs need
+# under 3000 samples.
+MAX_FRAME_LENGTH = 1 << 16
 
 
 def _require_int(value, name: str, least: float = -inf) -> int:
@@ -125,17 +132,18 @@ def note_to_lag(note: int | float, sample_rate: int, grid: NoteGrid = DEFAULT_GR
 
 
 def _require_span(grid: NoteGrid, sample_rate: int) -> int:
-    """sample_rate as int if every grid note lies above 0 Hz, at a finite lag
-    (the lowest sets tau_max), and below Nyquist, else ValueError."""
+    """sample_rate as int if every grid note lies at a lag of at most
+    MAX_FRAME_LENGTH samples (the lowest sets tau_max) and below Nyquist, else ValueError."""
     sample_rate = _require_int(sample_rate, "sample_rate", 1)
     low_hz = top_hz = inf  # a note too high for a float is out of range
     with suppress(OverflowError):
         low_hz = note_to_hz(grid.start_note, grid)
         top_hz = note_to_hz(grid.notes[-1], grid)
-    if not (low_hz > 0.0 and isfinite(sample_rate / low_hz) and top_hz < sample_rate / 2):
+    if not (sample_rate / MAX_FRAME_LENGTH <= low_hz and top_hz < sample_rate / 2):
         raise ValueError(
             f"sample_rate={sample_rate!r} does not hold {grid}: its notes span {low_hz:.6g}.."
-            f"{top_hz:.6g} Hz, which must lie above 0 Hz and below Nyquist ({sample_rate / 2} Hz)"
+            f"{top_hz:.6g} Hz, which must lie at or above {sample_rate / MAX_FRAME_LENGTH:.6g} Hz "
+            f"(a lag of at most {MAX_FRAME_LENGTH} samples) and below Nyquist ({sample_rate / 2} Hz)"
         )
     return sample_rate
 
@@ -143,14 +151,16 @@ def _require_span(grid: NoteGrid, sample_rate: int) -> int:
 def channel_lags(grid: NoteGrid, sample_rate: int) -> np.ndarray:
     """Per-channel fractional lags, channel c holding note start_note + c: the
     `note_to_lag` of each note. Raises ValueError, once per call, for a rate
-    that is not an integer of at least 1 or does not hold the grid."""
+    that is not an integer of at least 1, and "does not hold" for a grid with
+    a note at or above Nyquist or a lowest lag above MAX_FRAME_LENGTH samples."""
     sample_rate = _require_span(grid, sample_rate)
     return np.array([sample_rate / note_to_hz(m, grid) for m in grid.notes], dtype=np.float64)
 
 
 def tau_max_for(grid: NoteGrid, sample_rate: int) -> int:
     """Largest lag the analysis needs: the lowest note's interpolation
-    ceiling plus one (426 for the default grid at 22050 Hz); raises as `channel_lags`."""
+    ceiling plus one (426 for the default grid at 22050 Hz, at most
+    MAX_FRAME_LENGTH + 1); raises for the rates and grids `channel_lags` rejects."""
     return ceil(_require_span(grid, sample_rate) / note_to_hz(grid.start_note, grid)) + 1
 
 

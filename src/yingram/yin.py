@@ -23,7 +23,7 @@ import numpy as np
 import scipy.fft
 
 from .audio import Frame, Waveform, _strided_frames
-from .config import AnalysisConfig, f0_bounds_valid, f0_lag_range
+from .config import AnalysisConfig, f0_lag_range
 from .grid import _require_int
 
 __all__ = [
@@ -127,12 +127,14 @@ def difference_function(
     Raises:
         ValueError: for a window below 1 or a tau_max below 0 (or either not
             an integer), "insufficient frame length" for a frame shorter than
-            window + tau_max, and for an unknown method.
+            window + tau_max, "non-finite samples" for a NaN or inf sample, and
+            for an unknown method.
     """
     x = np.asarray(frame.samples if isinstance(frame, Frame) else frame, dtype=np.float64)
     need = _require_int(window, "window", 1) + _require_int(tau_max, "tau_max", 0)
     if x.shape[-1] < need:
         raise ValueError(f"insufficient frame length: need {need}, got {x.shape[-1]}")
+    require_finite(x, "samples")
     if method == "naive":
         return _difference_naive(x, tau_max, window)
     if method == "fft":
@@ -214,13 +216,12 @@ def cmnd_blocks(w: Waveform, config: AnalysisConfig) -> Iterator[CmndBlock]:
 
 
 def _blocks(x: np.ndarray, cfg: AnalysisConfig) -> Iterator[CmndBlock]:
-    tau_max, window = cfg.tau_max, cfg.window  # once per clip: cfg.grid is checked per read
-    frames, padded = _strided_frames(x, window + tau_max, cfg.hop)
+    frames, padded = _strided_frames(x, cfg.frame_length, cfg.hop)
     for start in range(0, len(frames), BLOCK_FRAMES):
         rows = slice(start, start + BLOCK_FRAMES)
         # d and csum live until the next block's replace them: freed earlier,
         # the heap top is trimmed and the next block's FFT faults it back in
-        d = _difference_fft(frames[rows], tau_max, window)
+        d = _difference_fft(frames[rows], cfg.tau_max, cfg.window)
         values, csum, _ = _cmnd_terms(d, start)
         yield CmndBlock(start, values, padded[rows])
 
@@ -267,21 +268,11 @@ def pick_lags(
     Returns (integer lags, aperiodicity = d' at those lags).
 
     Raises:
-        ValueError: for a rate `_require_int` rejects, and "invalid f0 bounds"
-            unless 0 < f_min < f_max <= sample_rate / 2 and the lag range is not empty.
+        ValueError: for a rate `_require_int` rejects, and for the bands
+            `f0_lag_range` rejects ("invalid f0 bounds") on this curve length.
     """
     sample_rate = _require_int(sample_rate, "sample_rate", 1)
-    if not f0_bounds_valid(sample_rate, f_min, f_max):
-        raise ValueError(
-            f"invalid f0 bounds: need 0 < f_min < f_max <= sr/2, got "
-            f"[{f_min}, {f_max}] at {sample_rate} Hz"
-        )
     lo, hi = f0_lag_range(sample_rate, f_min, f_max, values.shape[-1] - 1)
-    if lo > hi:
-        raise ValueError(
-            f"invalid f0 bounds: lag range [{lo}, {hi}] is empty for "
-            f"f_min={f_min}, f_max={f_max} at {sample_rate} Hz"
-        )
     seg = values[:, lo : hi + 1]
     rows = np.arange(len(seg))
     last = seg.shape[1] - 1

@@ -23,7 +23,7 @@ from yingram import (
     yingram_from_frame,
 )
 from yingram.cli import main
-from yingram.feature import _atomic_write
+from yingram.feature import _atomic_write, yingram_rows
 from conftest import write_wav
 
 SR = 22050
@@ -55,6 +55,27 @@ def test_lag_out_of_range(rng):
     values = rng.uniform(0.0, 2.0, size=100)
     with pytest.raises(ValueError, match="lag out of range"):
         yingram_frame(values, SR, NoteGrid())
+
+
+@pytest.mark.parametrize("lags", [
+    [-3.5, 10.0],  # once read near tau 424 through a wrapped index
+    [math.nan, 10.0],  # once "RuntimeWarning: invalid value encountered in cast"
+    [1e304],  # once a 305-digit lag in the message
+], ids=["negative", "nan", "huge"])
+def test_yingram_rows_rejects_lags_off_the_curve(lags):
+    with pytest.raises(ValueError, match="lag out of range") as err:
+        yingram_rows(np.linspace(1.0, 0.0, 427), np.array(lags))
+    assert len(str(err.value)) < 200
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("method", ["fft", "naive"])
+def test_yingram_from_frame_rejects_non_finite_samples(rng, method, bad):
+    # once "the samples of frames 0..0 are too large for their CMND in float64"
+    x = rng.standard_normal(2048 + 426)
+    x[7] = bad
+    with pytest.raises(ValueError, match=r"non-finite samples: 1 of 2474 .* index 7"):
+        yingram_from_frame(x, DEFAULT_GRID, SR, 2048, method=method)
 
 
 def test_frame_count_and_shape(cfg):

@@ -23,6 +23,9 @@ from yingram import (
     yingram_from_frame,
     yingram_vjp,
 )
+from yingram import config as config_module
+from yingram.config import f0_lag_range
+from yingram.yin import pick_lags
 
 
 def test_reference_note_exact():
@@ -150,7 +153,9 @@ LAG_READERS = {
     NoteGrid(start_note=200),  # once silently sampled lags under 2
     NoteGrid(reference_note=-100000),  # once an OverflowError
     NoteGrid(start_note=-100000),  # notes at 0 Hz
-], ids=["above-nyquist", "overflows", "underflows"])
+    NoteGrid(reference_hz=1e-300),  # once a 305-digit lag in "lag out of range"
+    NoteGrid(reference_hz=1e-3),  # a lowest lag of 186,889,289 samples
+], ids=["above-nyquist", "overflows", "underflows", "lag-near-1e304", "lag-beyond-frame-limit"])
 @pytest.mark.parametrize("read", LAG_READERS.values(), ids=LAG_READERS.keys())
 def test_lag_readers_read_the_span_rule(read, grid):
     with pytest.raises(ValueError, match=r"sample_rate=22050 does not hold NoteGrid\("):
@@ -160,9 +165,10 @@ def test_lag_readers_read_the_span_rule(read, grid):
 @pytest.mark.parametrize("read", [LAG_READERS["yingram_frame"], LAG_READERS["yingram_vjp"]],
                          ids=["yingram_frame", "yingram_vjp"])
 def test_a_huge_finite_lag_raises_without_a_cast_warning(read):
-    # reference_hz=1e-300 holds at 22050 Hz, with lags near 1e304; their
-    # cast to int once raised "RuntimeWarning: invalid value encountered in cast"
-    with pytest.raises(ValueError, match="lag out of range|insufficient frame length"):
+    # reference_hz=1e-300 has lags near 1e304; their cast to int once raised
+    # "RuntimeWarning: invalid value encountered in cast", and then a message
+    # with a 305-digit lag. The span rule now bounds the lag of the lowest note.
+    with pytest.raises(ValueError, match=r"a lag of at most 65536 samples"):
         read(NoteGrid(reference_hz=1e-300))
 
 
@@ -176,6 +182,38 @@ def test_config_reads_the_span_rule_of_the_grid(overrides):
     with pytest.raises(ValueError) as config:
         AnalysisConfig(**overrides)
     assert str(config.value) == f"invalid config: {span.value}"
+
+
+@pytest.mark.parametrize("overrides", [
+    {"f_min": 600.0, "f_max": 500.0}, {"f_max": 15000.0}, {"f_min": 10.0, "f_max": 20.0},
+])
+def test_config_reads_the_f0_band_rule(overrides):
+    band = {"f_min": 52.0, "f_max": 508.0, **overrides}
+    with pytest.raises(ValueError) as rule:
+        f0_lag_range(22050, band["f_min"], band["f_max"], 426)
+    with pytest.raises(ValueError) as picked:
+        pick_lags(np.ones((1, 427)), 22050, 0.1, band["f_min"], band["f_max"])
+    with pytest.raises(ValueError) as config:
+        AnalysisConfig(**overrides)
+    assert str(picked.value) == str(rule.value)
+    assert str(config.value) == f"invalid config: {rule.value}"
+
+
+def test_config_resolves_its_grid_once(monkeypatch):
+    calls = []
+
+    def counting(grid, sample_rate):
+        calls.append(sample_rate)
+        return tau_max_for(grid, sample_rate)
+
+    monkeypatch.setattr(config_module, "tau_max_for", counting)
+    cfg = AnalysisConfig()
+    assert cfg.grid is cfg.grid
+    assert len(calls) == 1
+    assert (cfg.tau_max, cfg.frame_length, cfg.tau_max) == (426, 2474, 426)
+    assert len(calls) == 1
+    assert cfg.replace(hop=128).tau_max == 426
+    assert len(calls) == 2
 
 
 def test_scope_arithmetic():

@@ -18,7 +18,8 @@ RULE_HOMES = {
     "must be finite and positive": "grid",
     "does not hold": "grid",
     "insufficient frame length": "yin",
-    "invalid f0 bounds": "yin",
+    "invalid f0 bounds": "config",
+    "lag out of range": "feature",
 }
 
 
