@@ -43,7 +43,7 @@ class WavFormatError(ValueError):
 class Waveform:
     """Mono sample buffer at a known rate.
 
-    Samples are float64 with nominal range [-1, 1]; sample_rate is in Hz.
+    Samples are 1-D float64 with nominal range [-1, 1]; sample_rate is in Hz.
     """
 
     samples: np.ndarray
@@ -51,6 +51,8 @@ class Waveform:
 
     def __post_init__(self):
         object.__setattr__(self, "sample_rate", _require_int(self.sample_rate, "sample_rate", 1))
+        if np.ndim(self.samples) != 1:
+            raise ValueError(f"samples must be 1-D (mono), got shape {np.shape(self.samples)}")
 
     def __len__(self) -> int:
         return len(self.samples)

@@ -3,7 +3,7 @@
 A Yingram frame holds one CMND value per grid channel, obtained by linear
 interpolation between the integer lags bracketing each note's fractional
 period. Low values mark strong periodicity at that note. One pass over a
-clip's CMND blocks (`_analyse`) yields its Yingram and its pitch contour.
+clip's frames (`_analyse`) yields its Yingram and its pitch contour.
 """
 from __future__ import annotations
 
@@ -16,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import Frame, Waveform, frame_count
+from .audio import Frame, Waveform, _strided_frames
 from .config import AnalysisConfig
 from .grid import DEFAULT_GRID, NoteGrid, channel_lags, tau_max_for
-from .yin import cmnd, cmnd_blocks, difference_function, f0_rows
+from .yin import _cmnd_terms, _difference_fft, cmnd, difference_function, f0_rows, require_finite
 
 __all__ = [
     "YingramMatrix",
@@ -33,6 +33,11 @@ __all__ = [
     "write_yingram_csv",
     "write_yingram_binary",
 ]
+
+# Frames per block of `_analyse`. A block holds the spectra of all its
+# frames, so the block size, not the clip length, bounds the working set;
+# larger blocks cost memory and gain no speed.
+BLOCK_FRAMES = 32
 
 
 @dataclass
@@ -146,24 +151,38 @@ def yingram_from_frame(
 
 
 def _analyse(w: Waveform, cfg: AnalysisConfig) -> tuple[YingramMatrix, PitchContour]:
-    """The Yingram and the pitch contour of one clip, from a single pass over
-    its CMND blocks: the one reader of `cmnd_blocks` outside `yin`.
+    """The Yingram and the pitch contour of one clip, from one pass over the
+    frames `frame_signal` cuts, BLOCK_FRAMES at a time: a frame's CMND equals
+    cmnd(difference_function(frame, tau_max, window)) exactly. Every frame
+    gets a Yingram row; padded frames are flagged and stay unvoiced (f0 NaN,
+    aperiodicity 1), the others get the f0 of `f0_rows`.
 
-    Every frame gets a Yingram row; padded frames are flagged and stay
-    unvoiced (f0 NaN, aperiodicity 1), the others get the f0 of `f0_rows`.
+    Raises ValueError for a clip not at the config's rate or with non-finite
+    samples (before any block), and for a block whose difference values
+    overflow their CMND (naming the clip's frames).
     """
-    blocks = cmnd_blocks(w, cfg)
+    if w.sample_rate != cfg.sample_rate:
+        raise ValueError(
+            f"waveform at {w.sample_rate} Hz, config expects {cfg.sample_rate}; "
+            "resample first"
+        )
+    x = np.asarray(w.samples, dtype=np.float64)
+    require_finite(x, "samples")
+    frames, padded = _strided_frames(x, cfg.frame_length, cfg.hop)
     lags = channel_lags(cfg.grid, cfg.sample_rate)
-    n = frame_count(len(w.samples), cfg.frame_length, cfg.hop)
+    n = len(frames)
     rows = np.empty((n, len(lags)), dtype=np.float32)
-    padded = np.empty(n, dtype=bool)
     f0, aperiodicity = np.full(n, np.nan), np.ones(n)
-    for block in blocks:
-        rows[block.rows] = yingram_rows(block.values, lags)
-        padded[block.rows] = block.padded
-        kept = block.unpadded  # frames start, start + 1, ...
-        frames = slice(block.start, block.start + len(kept))
-        f0[frames], aperiodicity[frames] = f0_rows(
+    for start in range(0, n, BLOCK_FRAMES):
+        block = slice(start, start + BLOCK_FRAMES)
+        # d and csum live until the next block's replace them: freed earlier,
+        # the heap top is trimmed and the next block's FFT faults it back in
+        d = _difference_fft(frames[block], cfg.tau_max, cfg.window)
+        values, csum, _ = _cmnd_terms(d, start)
+        rows[block] = yingram_rows(values, lags)
+        kept = values[~padded[block]]  # padded frames form the clip's tail
+        unpadded = slice(start, start + len(kept))
+        f0[unpadded], aperiodicity[unpadded] = f0_rows(
             kept, cfg.sample_rate, cfg.f0_threshold, cfg.f_min, cfg.f_max, cfg.voicing_cutoff
         )
     times = np.arange(n) * (cfg.hop / cfg.sample_rate)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numbers
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import lru_cache
 from math import ceil, inf
 
 import numpy as np
@@ -35,9 +36,9 @@ SCOPE_START = 15  # 0-indexed first channel of the unshifted scope
 MAX_SHIFT = 15
 
 # Longest lag of a grid's lowest note, and longest analysis frame (window +
-# tau_max) a config may ask for. Clip analysis holds BLOCK_FRAMES frames and
-# their spectra at once, so this bounds its working set; common configs need
-# under 3000 samples.
+# tau_max) a config may ask for. Clip analysis (`feature._analyse`) holds
+# BLOCK_FRAMES frames and their spectra at once, so this bounds its working
+# set; common configs need under 3000 samples.
 MAX_FRAME_LENGTH = 1 << 16
 
 
@@ -149,19 +150,25 @@ def _require_span(grid: NoteGrid, sample_rate: int) -> int:
 
 
 def channel_lags(grid: NoteGrid, sample_rate: int) -> np.ndarray:
-    """Per-channel fractional lags, channel c holding note start_note + c: the
-    `note_to_lag` of each note. Raises ValueError, once per call, for a rate
-    that is not an integer of at least 1, and "does not hold" for a grid with
-    a note at or above Nyquist or a lowest lag above MAX_FRAME_LENGTH samples."""
-    sample_rate = _require_span(grid, sample_rate)
-    return np.array([sample_rate / note_to_hz(m, grid) for m in grid.notes], dtype=np.float64)
+    """Read-only table of the `note_to_lag` of each grid note, channel c holding
+    note start_note + c, cached per (grid, rate). Raises ValueError, on every
+    call, for a rate that is not an integer of at least 1, and "does not hold"
+    for a grid with a note at or above Nyquist or a lowest lag above MAX_FRAME_LENGTH."""
+    return _lag_table(grid, _require_span(grid, sample_rate))
+
+
+@lru_cache
+def _lag_table(grid: NoteGrid, sample_rate: int) -> np.ndarray:
+    lags = np.array([sample_rate / note_to_hz(m, grid) for m in grid.notes], dtype=np.float64)
+    lags.flags.writeable = False
+    return lags
 
 
 def tau_max_for(grid: NoteGrid, sample_rate: int) -> int:
     """Largest lag the analysis needs: the lowest note's interpolation
     ceiling plus one (426 for the default grid at 22050 Hz, at most
     MAX_FRAME_LENGTH + 1); raises for the rates and grids `channel_lags` rejects."""
-    return ceil(_require_span(grid, sample_rate) / note_to_hz(grid.start_note, grid)) + 1
+    return ceil(channel_lags(grid, sample_rate)[0]) + 1
 
 
 def _matrix_values(matrix, dtype=None) -> np.ndarray:

@@ -4,35 +4,29 @@ Every stage passes plain float64 arrays with the lag along the last axis:
 `difference_function` returns d, `cmnd` returns d', and `estimate_f0` and
 `parabolic_refine` read d'. A 2-D array holds one frame per row.
 
-Clip analysis runs through `cmnd_blocks`, which computes the CMND rows of a
-whole clip in blocks of BLOCK_FRAMES frames. The per-frame functions are the
-reference path and the path the gradients differentiate. Both paths share
-every rule (the FFT difference and its clamp, the CMND guard and overflow
-check, the lag pick and the parabolic refinement), so they agree to the
-last bit.
+This module holds array kernels only. Clip analysis (`feature._analyse`)
+runs `_difference_fft` and `_cmnd_terms` on blocks of frames; the per-frame
+functions are the reference path and the path the gradients differentiate.
+Both paths share every rule (the FFT difference and its clamp, the CMND guard
+and overflow check, the lag pick and the parabolic refinement), so they agree
+to the last bit.
 
 All arithmetic runs in 64-bit floats; gradient verification elsewhere in the
 package depends on that.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.fft
 
-from .audio import Frame, Waveform, _strided_frames
+from .audio import Frame
 from .config import AnalysisConfig, f0_lag_range
 from .grid import _require_int
 
 __all__ = [
-    "CmndBlock",
     "CMND_EPS",
-    "BLOCK_FRAMES",
     "difference_function",
     "cmnd",
-    "cmnd_blocks",
     "require_finite",
     "pick_lags",
     "refine_lags",
@@ -44,35 +38,6 @@ __all__ = [
 # Denominator guard for the cumulative mean. Below this the curve is defined
 # as 1 everywhere, which marks silence as unvoiced.
 CMND_EPS = 1e-8
-
-# Frames per block of `cmnd_blocks`. A block holds the spectra of all its
-# frames, so the block size, not the clip length, bounds the working set;
-# larger blocks cost memory and gain no speed.
-BLOCK_FRAMES = 32
-
-
-@dataclass(frozen=True)
-class CmndBlock:
-    """CMND rows of the consecutive frames start, start + 1, ... of a clip.
-
-    values is (frames, tau_max + 1); padded flags the frames that ran past
-    end-of-signal.
-    """
-
-    start: int
-    values: np.ndarray
-    padded: np.ndarray
-
-    @property
-    def rows(self) -> slice:
-        """This block's frames as a slice of the clip's frame axis."""
-        return slice(self.start, self.start + len(self.values))
-
-    @property
-    def unpadded(self) -> np.ndarray:
-        """Rows of the frames fully backed by signal. Padded frames form the
-        tail of a clip, so these are frames start, start + 1, ..."""
-        return self.values[~self.padded]
 
 
 def _difference_naive(x: np.ndarray, tau_max: int, window: int) -> np.ndarray:
@@ -132,8 +97,9 @@ def difference_function(
     """
     x = np.asarray(frame.samples if isinstance(frame, Frame) else frame, dtype=np.float64)
     need = _require_int(window, "window", 1) + _require_int(tau_max, "tau_max", 0)
-    if x.shape[-1] < need:
-        raise ValueError(f"insufficient frame length: need {need}, got {x.shape[-1]}")
+    length = x.shape[-1] if x.ndim else 0  # a 0-D frame holds no samples
+    if length < need:
+        raise ValueError(f"insufficient frame length: need {need}, got {length}")
     require_finite(x, "samples")
     if method == "naive":
         return _difference_naive(x, tau_max, window)
@@ -189,41 +155,6 @@ def require_finite(values: np.ndarray, name: str) -> None:
             f"non-finite {name}: {int(bad.sum())} of {bad.size} entries are NaN "
             f"or inf, the first at index {int(np.argmax(bad))}"
         )
-
-
-def cmnd_blocks(w: Waveform, config: AnalysisConfig) -> Iterator[CmndBlock]:
-    """CMND rows of every analysis frame of a clip, BLOCK_FRAMES at a time.
-
-    Frames are cut as `frame_signal` cuts them: window + tau_max samples
-    every hop, zero padded past end-of-signal. Row k equals
-    cmnd(difference_function(frame_k, tau_max, window)) exactly. The clip is
-    validated here, before the first block is computed.
-
-    Raises:
-        ValueError: the waveform is not at the config's sample rate or
-            holds non-finite samples (before the first block), or a block's
-            difference values or their CMND sums overflow (as that block is
-            computed; the message names the clip's frames).
-    """
-    if w.sample_rate != config.sample_rate:
-        raise ValueError(
-            f"waveform at {w.sample_rate} Hz, config expects {config.sample_rate}; "
-            "resample first"
-        )
-    x = np.asarray(w.samples, dtype=np.float64)
-    require_finite(x, "samples")
-    return _blocks(x, config)
-
-
-def _blocks(x: np.ndarray, cfg: AnalysisConfig) -> Iterator[CmndBlock]:
-    frames, padded = _strided_frames(x, cfg.frame_length, cfg.hop)
-    for start in range(0, len(frames), BLOCK_FRAMES):
-        rows = slice(start, start + BLOCK_FRAMES)
-        # d and csum live until the next block's replace them: freed earlier,
-        # the heap top is trimmed and the next block's FFT faults it back in
-        d = _difference_fft(frames[rows], cfg.tau_max, cfg.window)
-        values, csum, _ = _cmnd_terms(d, start)
-        yield CmndBlock(start, values, padded[rows])
 
 
 def refine_lags(values: np.ndarray, taus: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 import tracemalloc
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,6 +129,15 @@ def test_one_sample_rate_rule(rate):
         Frame(x, 0, rate)
     with pytest.raises(ValueError, match="target_sr must be"):
         resample(Waveform(x, 22050), rate)
+
+
+@pytest.mark.parametrize("samples, shape", [
+    (np.zeros((3000, 2)), "(3000, 2)"),  # once failed later with "could not broadcast"
+    (np.float64(0.5), "()"),
+])
+def test_waveform_rejects_samples_that_are_not_1d(samples, shape):
+    with pytest.raises(ValueError, match=re.escape(f"samples must be 1-D (mono), got shape {shape}")):
+        Waveform(samples, 22050)
 
 
 def test_numpy_integer_rates_are_stored_as_int():

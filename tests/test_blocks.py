@@ -1,5 +1,5 @@
-"""The blocked CMND kernel and the vectorised lag pick against the
-per-frame reference path."""
+"""The clip pass (its blocked CMND kernels) and the vectorised lag pick
+against the per-frame reference path."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +15,9 @@ from yingram import (
     frame_signal,
     yingram_from_frame,
 )
-from yingram.yin import BLOCK_FRAMES, cmnd_blocks, f0_rows, pick_lags, refine_lags
+from yingram.audio import _strided_frames
+from yingram.feature import BLOCK_FRAMES
+from yingram.yin import _cmnd_terms, _difference_fft, f0_rows, pick_lags, refine_lags
 from oracles import parabolic_refine_scalar, pick_lag_loop
 
 SR = 22050
@@ -51,17 +53,16 @@ def _frames(w, cfg=CFG):
 @settings(deadline=None, max_examples=25)
 @given(clips())
 def test_blocks_equal_per_frame_cmnd(w):
+    # the clip pass's kernels on a strided stack sliced at BLOCK_FRAMES
     frames = _frames(w)
-    covered = 0
-    for block in cmnd_blocks(w, CFG):
-        assert block.start == covered
-        assert 0 < len(block.values) <= BLOCK_FRAMES
-        for row, padded, frame in zip(block.values, block.padded, frames[block.rows]):
+    stack, padded = _strided_frames(w.samples, FRAME_LEN, HOP)
+    assert padded.tolist() == [frame.padded for frame in frames]
+    for start in range(0, len(stack), BLOCK_FRAMES):
+        d = _difference_fft(stack[start : start + BLOCK_FRAMES], CFG.tau_max, CFG.window)
+        values = _cmnd_terms(d, start)[0]
+        for row, frame in zip(values, frames[start : start + BLOCK_FRAMES]):
             ref = cmnd(difference_function(frame, CFG.tau_max, CFG.window))
             np.testing.assert_array_equal(row, ref)
-            assert padded == frame.padded
-        covered += len(block.values)
-    assert covered == len(frames)
 
 
 @settings(deadline=None, max_examples=25)
@@ -91,16 +92,17 @@ def test_blocks_follow_hop_and_frame_count(hop):
     cfg = CFG.replace(hop=hop)
     w = Waveform(np.random.default_rng(hop).standard_normal(BLOCK_FRAMES * 97 + 5000), SR)
     frames = _frames(w, cfg)
-    values = np.concatenate([b.values for b in cmnd_blocks(w, cfg)])
-    assert len(values) == len(frames)
+    matrix = compute_yingram(w, cfg)
+    assert len(matrix.values) == len(extract_pitch_contour(w, cfg)) == len(frames)
+    assert matrix.padded.tolist() == [frame.padded for frame in frames]
     for k in (0, len(frames) // 2, len(frames) - 1):
-        ref = cmnd(difference_function(frames[k], cfg.tau_max, cfg.window))
-        np.testing.assert_array_equal(values[k], ref)
+        ref = yingram_from_frame(frames[k], cfg.grid, SR, cfg.window).astype(np.float32)
+        np.testing.assert_array_equal(matrix.values[k], ref)
 
 
 def test_empty_clip_has_no_blocks():
-    assert list(cmnd_blocks(Waveform(np.zeros(0), SR), CFG)) == []
-    assert compute_yingram(Waveform(np.zeros(0), SR), CFG).values.shape == (0, 80)
+    matrix = compute_yingram(Waveform(np.zeros(0), SR), CFG)
+    assert matrix.values.shape == (0, 80) and matrix.padded.shape == (0,)
     assert len(extract_pitch_contour(Waveform(np.zeros(0), SR), CFG)) == 0
 
 
@@ -114,8 +116,10 @@ def test_non_finite_samples_rejected(analyse, bad):
 
 
 def test_rate_mismatch_rejected():
-    with pytest.raises(ValueError, match="resample first"):
-        cmnd_blocks(Waveform(np.zeros(100), 16000), CFG)
+    message = "waveform at 16000 Hz, config expects 22050; resample first"
+    for analyse in (compute_yingram, extract_pitch_contour):
+        with pytest.raises(ValueError, match=message):
+            analyse(Waveform(np.zeros(100), 16000), CFG)
 
 
 # -- lag pick and refinement against the scalar loops

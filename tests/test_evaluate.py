@@ -2,7 +2,6 @@
 import dataclasses
 import json
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -213,17 +212,15 @@ def test_shift_pair_equals_the_public_paths(cfg, seconds, s):
     assert (report.measured_semitone_offset, report.voiced_overlap_fraction) == (offset, overlap)
 
 
-def test_each_clip_analysis_reads_the_cmnd_blocks_once(monkeypatch, cfg):
+def test_each_clip_analysis_frames_the_clip_once(monkeypatch, cfg):
     calls = []
 
-    def counting(w, config):
-        calls.append(len(w.samples))
-        return real(w, config)
+    def counting(x, frame_len, hop):
+        calls.append(len(x))
+        return real(x, frame_len, hop)
 
-    real = feature.cmnd_blocks
-    for name, module in list(sys.modules.items()):  # wherever the name is bound
-        if name.startswith("yingram.") and getattr(module, "cmnd_blocks", None) is real:
-            monkeypatch.setattr(module, "cmnd_blocks", counting)
+    real = feature._strided_frames
+    monkeypatch.setattr(feature, "_strided_frames", counting)
     w = harmonic_tone(220.0, 0.5)
     shifted = pitch_shifted_copy(w, -1.0)
     compute_yingram(w, cfg)

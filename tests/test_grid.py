@@ -1,5 +1,6 @@
 """Note grid, lag conversion and crop/shift arithmetic."""
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -105,6 +106,42 @@ def test_channel_lags_equal_note_to_lag_bit_for_bit(rate):
 
 def test_tau_max_default_grid():
     assert tau_max_for(NoteGrid(), 22050) == 426
+
+
+def test_channel_lags_table_is_read_only():
+    lags = channel_lags(NoteGrid(), 22050)
+    with pytest.raises(ValueError, match="read-only"):
+        lags[0] = 1.0
+    assert channel_lags(NoteGrid(), 22050)[0] == note_to_lag(-5, 22050)
+
+
+@pytest.mark.parametrize("rate", [22050.0, True, math.nan])
+def test_cached_lags_still_read_the_rate_rule(rate):
+    # 22050.0 == 22050 and True == 1 as cache keys: a cache hit must not skip the rule
+    channel_lags(NoteGrid(), 22050)
+    with pytest.raises(ValueError, match="sample_rate must be an integer"):
+        channel_lags(NoteGrid(), rate)
+
+
+# 36 grids x 9 rates; six of the pairs fail the span rule
+SWEEP_GRIDS = [
+    NoteGrid(start_note=note, bins_per_octave=bins, reference_hz=hz)
+    for note in (-40, -5, 0, 30) for bins in (12, 24, 36) for hz in (415.3, 440.0, 466.2)
+]
+SWEEP_RATES = (8000, 11025, 16000, 22050, 24000, 32000, 44100, 48000, 96000)
+
+
+def test_tau_max_is_the_lowest_lag_formula():
+    held = 0
+    for grid, rate in itertools.product(SWEEP_GRIDS, SWEEP_RATES):
+        try:
+            tau_max = tau_max_for(grid, rate)
+        except ValueError as exc:
+            assert "does not hold" in str(exc)
+            continue
+        assert tau_max == math.ceil(rate / note_to_hz(grid.start_note, grid)) + 1
+        held += 1
+    assert held > 100
 
 
 @pytest.mark.parametrize("fields, message", [

@@ -20,6 +20,9 @@ RULE_HOMES = {
     "insufficient frame length": "yin",
     "invalid f0 bounds": "config",
     "lag out of range": "feature",
+    "resample first": "feature",
+    "non-finite difference values": "yin",
+    "samples must be 1-D": "audio",
 }
 
 

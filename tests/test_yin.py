@@ -69,6 +69,8 @@ def test_insufficient_frame_length():
         difference_function(np.zeros(100), TAU_MAX, 2048)
     with pytest.raises(ValueError, match="need 2474, got 100"):
         difference_function(np.zeros((3, 100)), TAU_MAX, 2048)
+    with pytest.raises(ValueError, match="insufficient frame length: need 1, got 0"):
+        difference_function(np.float64(1.0), 0, 1)  # once an IndexError
 
 
 @pytest.mark.parametrize("method", ["naive", "fft"])
