@@ -34,9 +34,11 @@ __all__ = [
     "write_yingram_binary",
 ]
 
-# Frames per block of `_analyse`. A block holds the spectra of all its
-# frames, so the block size, not the clip length, bounds the working set;
-# larger blocks cost memory and gain no speed.
+# Frames per block of `_analyse`. A block holds the spectra of its hop
+# blocks and the energy cumsums of its frames, so the block size, not the
+# clip length, bounds the working set. Each block also transforms the
+# window // hop - 1 hop blocks past its last frame's start again, but 64 or
+# 128 frames measured no faster than 32 on a 10 s clip.
 BLOCK_FRAMES = 32
 
 
@@ -152,10 +154,12 @@ def yingram_from_frame(
 
 def _analyse(w: Waveform, cfg: AnalysisConfig) -> tuple[YingramMatrix, PitchContour]:
     """The Yingram and the pitch contour of one clip, from one pass over the
-    frames `frame_signal` cuts, BLOCK_FRAMES at a time: a frame's CMND equals
-    cmnd(difference_function(frame, tau_max, window)) exactly. Every frame
-    gets a Yingram row; padded frames are flagged and stay unvoiced (f0 NaN,
-    aperiodicity 1), the others get the f0 of `f0_rows`.
+    frames `frame_signal` cuts, BLOCK_FRAMES at a time. A frame's CMND is
+    cmnd(difference_function(frame, tau_max, window)), with the correlation
+    summed from hop blocks when the hop divides the window (to about 1e-15
+    of the frame's peak; exact otherwise). Every frame gets a Yingram row;
+    padded frames are flagged and stay unvoiced (f0 NaN, aperiodicity 1),
+    the others get the f0 of `f0_rows`.
 
     Raises ValueError for a clip not at the config's rate or with non-finite
     samples (before any block), and for a block whose difference values
@@ -176,8 +180,8 @@ def _analyse(w: Waveform, cfg: AnalysisConfig) -> tuple[YingramMatrix, PitchCont
     for start in range(0, n, BLOCK_FRAMES):
         block = slice(start, start + BLOCK_FRAMES)
         # d and csum live until the next block's replace them: freed earlier,
-        # the heap top is trimmed and the next block's FFT faults it back in
-        d = _difference_fft(frames[block], cfg.tau_max, cfg.window)
+        # the heap top is trimmed and the next block faults it back in
+        d = _difference_fft(frames[block], cfg.tau_max, cfg.window, cfg.hop)
         values, csum, _ = _cmnd_terms(d, start)
         rows[block] = yingram_rows(values, lags)
         kept = values[~padded[block]]  # padded frames form the clip's tail

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.fft
 import scipy.signal
 
 
@@ -178,3 +179,24 @@ def yingram_vjp_csum_squared(
         adj_d[t] += adj_dp[t] * t / csum[t]
         adj_d[1 : t + 1] -= adj_dp[t] * t * d[t] / csum[t] ** 2
     return difference_adjoint_loop(x, adj_d, window, tau_max)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def difference_fft_per_frame(x: np.ndarray, tau_max: int, window: int) -> np.ndarray:
+    """The per-frame FFT difference function that the hop-block kernel
+    replaced in clip analysis, kept verbatim: three next_fast_len(row)
+    transforms per row, the energy cumsum of the whole row, p_tau gathered
+    by index, and the clamp. `_difference_fft` without a hop (or with one
+    that does not divide the window) must equal it bit for bit."""
+    n = scipy.fft.next_fast_len(x.shape[-1])
+    spec_all = scipy.fft.rfft(x, n, axis=-1)
+    spec_head = scipy.fft.rfft(x[..., :window], n, axis=-1)
+    corr = scipy.fft.irfft(np.conj(spec_head) * spec_all, n, axis=-1)[..., : tau_max + 1]
+    energy = np.cumsum(x * x, axis=-1)
+    csum = np.concatenate((np.zeros(x.shape[:-1] + (1,)), energy), axis=-1)
+    taus = np.arange(tau_max + 1)
+    p0 = csum[..., window, None]
+    p_tau = csum[..., taus + window] - csum[..., taus]
+    d = p0 + p_tau - 2.0 * corr
+    d[d < 1e-11 * (p0 + p_tau)] = 0.0
+    return d

@@ -2,6 +2,7 @@
 against the per-frame reference path."""
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from yingram import (
@@ -15,10 +16,11 @@ from yingram import (
     frame_signal,
     yingram_from_frame,
 )
+from yingram import yin
 from yingram.audio import _strided_frames
 from yingram.feature import BLOCK_FRAMES
 from yingram.yin import _cmnd_terms, _difference_fft, f0_rows, pick_lags, refine_lags
-from oracles import parabolic_refine_scalar, pick_lag_loop
+from oracles import difference_fft_per_frame, parabolic_refine_scalar, pick_lag_loop
 
 SR = 22050
 CFG = AnalysisConfig()
@@ -39,7 +41,11 @@ LENGTHS = st.one_of(
 def clips(draw):
     n = draw(LENGTHS)
     seed = draw(st.integers(0, 2**32 - 1))
-    x = np.random.default_rng(seed).standard_normal(n) * draw(st.sampled_from([1e-3, 0.5, 40.0]))
+    x = np.random.default_rng(seed).standard_normal(n)
+    if draw(st.booleans()):  # a voiced tone under a little noise, so f0 is compared too
+        f0 = draw(st.floats(60.0, 500.0))
+        x = np.sin(2.0 * np.pi * f0 * np.arange(n) / SR) + draw(st.sampled_from([0.0, 1e-2])) * x
+    x *= draw(st.sampled_from([1e-3, 0.5, 40.0]))
     if draw(st.booleans()):  # a silent stretch
         start = draw(st.integers(0, n - 1))
         x[start : start + draw(st.integers(1, 3 * FRAME_LEN))] = 0.0
@@ -81,23 +87,118 @@ def test_yingram_and_contour_equal_per_frame_path(w):
             continue
         curve = cmnd(difference_function(frame, CFG.tau_max, CFG.window))
         result = estimate_f0(curve, SR, CFG.f0_threshold, CFG.f_min, CFG.f_max, CFG.voicing_cutoff)
+        # the clip pass sums hop blocks, the frame path one window: f0 and
+        # aperiodicity may differ in their last bits, voicing may not. The
+        # aperiodicity of a clean tone nears 0, where its last bits are the
+        # cancellation residue of d, so it is held to 1e-12 absolute: a CMND
+        # value's scale is 1
         if result is None:
             assert np.isnan(contour.f0[k])
         else:
-            assert (contour.f0[k], contour.aperiodicity[k]) == result
+            assert contour.f0[k] == pytest.approx(result[0], rel=1e-12, abs=0.0)
+            assert contour.aperiodicity[k] == pytest.approx(result[1], rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("hop", [97, 4000])
 def test_blocks_follow_hop_and_frame_count(hop):
+    # a hop that does not divide the window keeps the per-frame transforms,
+    # so rows and contour equal the frame path bit for bit
     cfg = CFG.replace(hop=hop)
-    w = Waveform(np.random.default_rng(hop).standard_normal(BLOCK_FRAMES * 97 + 5000), SR)
+    n = BLOCK_FRAMES * 97 + 5000
+    rng = np.random.default_rng(hop)
+    w = Waveform(np.sin(2.0 * np.pi * 180.0 * np.arange(n) / SR) + 0.3 * rng.standard_normal(n), SR)
     frames = _frames(w, cfg)
     matrix = compute_yingram(w, cfg)
-    assert len(matrix.values) == len(extract_pitch_contour(w, cfg)) == len(frames)
+    contour = extract_pitch_contour(w, cfg)
+    assert len(matrix.values) == len(contour) == len(frames)
     assert matrix.padded.tolist() == [frame.padded for frame in frames]
     for k in (0, len(frames) // 2, len(frames) - 1):
         ref = yingram_from_frame(frames[k], cfg.grid, SR, cfg.window).astype(np.float32)
         np.testing.assert_array_equal(matrix.values[k], ref)
+    for k, frame in enumerate(frames):
+        if frame.padded:
+            continue
+        curve = cmnd(difference_function(frame, cfg.tau_max, cfg.window))
+        f0, aperiodicity = f0_rows(
+            curve[None], SR, cfg.f0_threshold, cfg.f_min, cfg.f_max, cfg.voicing_cutoff
+        )
+        assert contour.f0[k : k + 1].tobytes() == f0.tobytes()  # NaN when unvoiced
+        assert contour.aperiodicity[k] == aperiodicity[0]
+    assert contour.num_voiced > 0
+
+
+# -- the hop-block difference kernel against the window kernel
+
+
+@st.composite
+def hop_runs(draw):
+    """(rows, tau_max, window, hop): a run of consecutive frames, hop apart,
+    of a seeded clip, with window a multiple of hop. Clips may be shorter
+    than one frame, and runs may end on the clip's last, padded frame."""
+    hop = draw(st.integers(1, 96))
+    window = hop * draw(st.integers(1, 9))
+    tau_max = draw(st.integers(0, 300))
+    frame_len = window + tau_max
+    n = draw(st.one_of(st.integers(1, frame_len), st.integers(frame_len, frame_len + 40 * hop)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(n) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    if draw(st.booleans()):  # a tone dominates: CMND dips near zero
+        x += 50.0 * np.sin(2.0 * np.pi * draw(st.floats(0.001, 0.2)) * np.arange(n))
+    if draw(st.booleans()):  # a loud head: sums carried across frames lose the quiet tail
+        x[: draw(st.integers(0, n))] *= 1e6
+    stack, _ = _strided_frames(x, frame_len, hop)
+    count = draw(st.integers(1, len(stack)))
+    start = len(stack) - count if draw(st.booleans()) else draw(st.integers(0, len(stack) - count))
+    return stack[start : start + count], tau_max, window, hop
+
+
+@settings(deadline=None, max_examples=200)
+@given(hop_runs())
+def test_hop_blocks_match_window_kernel(run):
+    rows, tau_max, window, hop = run
+    blocked = _difference_fft(rows, tau_max, window, hop)
+    ref = _difference_fft(rows, tau_max, window)
+    assert blocked.shape == ref.shape == (len(rows), tau_max + 1)
+    peak = np.abs(ref).max(axis=1, keepdims=True)
+    assert (np.abs(blocked - ref) <= 1e-12 * peak).all()
+
+
+WINDOW_CONFIGS = [  # (window, tau_max, hop): each makes one block per window
+    (2048, 426, None), (2048, 426, 97), (48, 16, 5), (64, 20, 64), (300, 0, 2048), (1, 7, 3),
+]
+
+
+@pytest.mark.parametrize("window, tau_max, hop", WINDOW_CONFIGS)
+@pytest.mark.parametrize("scale", [0.0, 1e-3, 1.0, 1e100])
+def test_window_kernel_is_the_per_frame_reference(window, tau_max, hop, scale):
+    # bit for bit: strided stacks, independent rows, rows longer than a
+    # frame, and single 1-D frames
+    rng = np.random.default_rng(window + tau_max)
+    frame_len = window + tau_max
+    x = scale * rng.standard_normal(5 * frame_len + 3)
+    stack, _ = _strided_frames(x, frame_len, hop or 64)
+    loose = scale * rng.standard_normal((4, frame_len + 37))
+    for frames in (stack, loose, stack[0], loose[1]):
+        got = _difference_fft(frames, tau_max, window, hop)
+        assert got.tobytes() == difference_fft_per_frame(frames, tau_max, window).tobytes()
+
+
+@pytest.mark.parametrize("hop", [CFG.hop, 97])
+def test_analyse_transform_lengths(monkeypatch, hop):
+    # the clip pass transforms hop blocks when the hop divides the window,
+    # whole frames otherwise; a fallback to frame-length transforms fails here
+    lengths = set()
+    rfft = scipy.fft.rfft
+
+    def recording(x, n=None, *args, **kwargs):
+        lengths.add(n)
+        return rfft(x, n, *args, **kwargs)
+
+    monkeypatch.setattr(yin.scipy.fft, "rfft", recording)
+    cfg = CFG.replace(hop=hop)
+    compute_yingram(Waveform(np.random.default_rng(0).standard_normal(SR // 2), SR), cfg)
+    block = hop + cfg.tau_max if cfg.window % hop == 0 else cfg.frame_length
+    assert lengths == {scipy.fft.next_fast_len(block)}
 
 
 def test_empty_clip_has_no_blocks():

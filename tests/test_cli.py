@@ -6,7 +6,17 @@ import json
 import numpy as np
 import pytest
 
-from yingram import AnalysisConfig, harmonic_tone, pitch_shifted_copy, sine_tone
+from yingram import (
+    AnalysisConfig,
+    Waveform,
+    feature,
+    harmonic_tone,
+    pitch_shifted_copy,
+    shift_to_semitones,
+    sine_tone,
+    vibrato_tone,
+    yin,
+)
 from yingram.cli import _build_parser, _resolve_config, main
 from conftest import INVALID_CONFIGS, changed_value, write_wav
 
@@ -384,3 +394,77 @@ def test_config_file_value_valid_only_with_a_flag(tmp_path, tone_wav, capsys):
     assert main(argv + ["--sample-rate", "44100"]) == 0
     config = json.loads((tmp_path / "y.csv.json").read_text())["config"]
     assert (config["sample_rate"], config["f_max"]) == (44100, 15000.0)
+
+
+def _run_reports(tmp_path, name: str, pairs: list[tuple[str, str, int]], clip: str) -> dict:
+    """Every output a pair or clip yields: compare-shift JSON per pair, the
+    batch JSON, CSV and exit code, and the analyze and f0 files of one clip."""
+    out = tmp_path / name
+    out.mkdir()
+    manifest = tmp_path / f"{name}.json"
+    entries = [{"normal": a, "shifted": b, "scope_shift": s} for a, b, s in pairs]
+    manifest.write_text(json.dumps(entries))
+    for i, (a, b, s) in enumerate(pairs):
+        argv = ["compare-shift", a, b, "--scope-shift", str(s), "--no-verdict-exit"]
+        assert main(argv + ["--out", str(out / f"pair{i}.json")]) == 0
+    code = main(["batch", str(manifest), "--out-json", str(out / "batch.json"),
+                 "--out-csv", str(out / "batch.csv")])
+    assert main(["analyze", clip, "--out", str(out / "y.csv"), "--binary", str(out / "y.f32")]) == 0
+    assert main(["f0", clip, "--out", str(out / "f0.csv")]) == 0
+    return {"batch exit code": code, **{p.name: p.read_bytes() for p in out.iterdir()}}
+
+
+def _assert_same_report(got, ref, path=""):
+    """Equal key by key, except measured_semitone_offset within 1e-12."""
+    if isinstance(ref, dict):
+        assert isinstance(got, dict) and got.keys() == ref.keys(), path
+        for key in ref:
+            _assert_same_report(got[key], ref[key], f"{path}.{key}")
+    elif isinstance(ref, list):
+        assert isinstance(got, list) and len(got) == len(ref), path
+        for i, (g, r) in enumerate(zip(got, ref)):
+            _assert_same_report(g, r, f"{path}[{i}]")
+    elif path.endswith(".measured_semitone_offset") and ref is not None:
+        assert abs(got - ref) < 1e-12, path
+    else:
+        assert got == ref and type(got) is type(ref), path
+
+
+def test_reports_match_the_window_kernel(tmp_path, monkeypatch):
+    # the clip pass sums hop blocks; on the per-frame transforms (block =
+    # window) every output byte is the same, and the reports agree key by
+    # key apart from the full-precision measured offset
+    rng = np.random.default_rng(7)
+    pairs = []
+    for i, s in enumerate([-9, -4, -1, 0, 3, 6, 11, 12]):
+        f0 = float(rng.uniform(90.0, 300.0))
+        normal = harmonic_tone(f0, 1.0, seed=i) if i % 2 else vibrato_tone(f0, 1.0)
+        shifted = pitch_shifted_copy(normal, shift_to_semitones(s))
+        paths = (tmp_path / f"n{i}.wav", tmp_path / f"s{i}.wav")
+        write_wav(paths[0], normal)
+        write_wav(paths[1], shifted)
+        pairs.append((str(paths[0]), str(paths[1]), s))
+    gap = np.zeros(3000)
+    clip = np.concatenate((
+        gap, vibrato_tone(150.0, 1.5).samples, gap, 0.05 * rng.standard_normal(5000),
+        harmonic_tone(260.0, 1.0, seed=3).samples, gap[:1234],
+    ))
+    write_wav(tmp_path / "clip.wav", Waveform(clip, 22050))
+    clip_path = str(tmp_path / "clip.wav")
+
+    blocked = _run_reports(tmp_path, "hop", pairs, clip_path)
+    kernel = yin._difference_fft
+    monkeypatch.setattr(
+        feature, "_difference_fft", lambda x, tau_max, window, hop: kernel(x, tau_max, window)
+    )
+    reference = _run_reports(tmp_path, "window", pairs, clip_path)
+
+    assert blocked.keys() == reference.keys()
+    reports = [f"pair{i}.json" for i in range(len(pairs))] + ["batch.json"]
+    for name in reference:
+        if name in reports:
+            _assert_same_report(json.loads(blocked[name]), json.loads(reference[name]), name)
+        else:  # the exit code, batch CSV, analyze CSV and .f32, f0 CSV and sidecars
+            assert blocked[name] == reference[name], name
+    for name in reports[:-1]:  # every pair is voiced, so its offset is compared
+        assert json.loads(reference[name])["measured_semitone_offset"] is not None
