@@ -39,6 +39,12 @@ class WavFormatError(ValueError):
     """Raised for WAV files we cannot or refuse to decode."""
 
 
+def _require_mono(samples) -> None:
+    """The mono rule of `Waveform` and `Frame`: samples form one 1-D channel."""
+    if np.ndim(samples) != 1:
+        raise ValueError(f"samples must be 1-D (mono), got shape {np.shape(samples)}")
+
+
 @dataclass(frozen=True)
 class Waveform:
     """Mono sample buffer at a known rate.
@@ -51,8 +57,7 @@ class Waveform:
 
     def __post_init__(self):
         object.__setattr__(self, "sample_rate", _require_int(self.sample_rate, "sample_rate", 1))
-        if np.ndim(self.samples) != 1:
-            raise ValueError(f"samples must be 1-D (mono), got shape {np.shape(self.samples)}")
+        _require_mono(self.samples)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -65,7 +70,7 @@ class Waveform:
 
 @dataclass(frozen=True)
 class Frame:
-    """One analysis window cut from a waveform.
+    """One analysis window cut from a waveform: 1-D samples, as `Waveform`.
 
     Frames past end-of-signal are zero padded and flagged, so the frame count
     is deterministic from the hop alone.
@@ -78,6 +83,7 @@ class Frame:
 
     def __post_init__(self):
         object.__setattr__(self, "sample_rate", _require_int(self.sample_rate, "sample_rate", 1))
+        _require_mono(self.samples)
 
     def __len__(self) -> int:
         return len(self.samples)

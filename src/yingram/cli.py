@@ -63,19 +63,10 @@ def _load_analysis_input(path: str, cfg: AnalysisConfig):
     return resample(load_wav(path), cfg.sample_rate)
 
 
-def _emit(payload: dict, path: str | None) -> None:
-    """Write a JSON report to `path`, or print the same bytes to stdout."""
-    if path:
-        _write_json(path, payload)
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace, cfg: AnalysisConfig) -> int:
     if not args.out and not args.binary:
         print("error: analyze needs --out and/or --binary", file=sys.stderr)
         return 2
-    cfg = _resolve_config(args)
     matrix = compute_yingram(_load_analysis_input(args.input, cfg), cfg)
     extra = {"config": cfg.to_dict()}
     if args.out:
@@ -86,8 +77,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_f0(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def _cmd_f0(args: argparse.Namespace, cfg: AnalysisConfig) -> int:
     wave = _load_analysis_input(args.input, cfg)
     contour = extract_pitch_contour(wave, cfg)
     lines = ["frame,time_sec,f0_hz,aperiodicity"]
@@ -101,25 +91,23 @@ def _cmd_f0(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compare_shift(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def _cmd_compare_shift(args: argparse.Namespace, cfg: AnalysisConfig) -> int:
     normal, shifted = load_wav(args.normal), load_wav(args.shifted)
     report = evaluate_shift_pair(normal, shifted, args.scope_shift, cfg)
-    _emit({**report.to_dict(), "config": cfg.to_dict()}, args.out)
+    _write_json(args.out, {**report.to_dict(), "config": cfg.to_dict()})
     if args.no_verdict_exit:
         return 0
     return 0 if report.passed else 1
 
 
-def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def _cmd_gradcheck(args: argparse.Namespace, cfg: AnalysisConfig) -> int:
     if args.frames == 0:
         print("warning: --frames 0 requested, gradcheck passes vacuously", file=sys.stderr)
     reports = gradcheck_suite(
         args.frames, cfg, eps=args.eps, probes=args.probes, tolerance=args.tolerance
     )
     all_pass = all(r.passed for r in reports)
-    _emit({
+    _write_json(args.out, {
         "frames": args.frames,
         "eps": args.eps,
         "tolerance": args.tolerance,
@@ -127,12 +115,11 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
         "max_rel_error": max((r.max_rel_error for r in reports), default=0.0),
         "reports": [r.to_dict() for r in reports],
         "config": cfg.to_dict(),
-    }, args.out)
+    })
     return 0 if all_pass else 1
 
 
-def _cmd_batch(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def _cmd_batch(args: argparse.Namespace, cfg: AnalysisConfig) -> int:
     try:
         manifest = json.loads(Path(args.manifest).read_text())
     except json.JSONDecodeError as exc:
@@ -143,7 +130,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         return 2
     report = batch_report(manifest, cfg)
     if args.out_json or not args.out_csv:
-        _emit(report.to_dict(), args.out_json)
+        _write_json(args.out_json, report.to_dict())
     if args.out_csv:
         _atomic_write(args.out_csv, report.csv_lines())
     return 0 if report.all_passed else 1
@@ -206,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _resolve_config(args))
     except (WavFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
-from .grid import MAX_FRAME_LENGTH, MAX_SHIFT, SCOPE_LENGTH, SCOPE_START, NoteGrid, tau_max_for
+from .grid import MAX_FRAME_LENGTH, MAX_SHIFT, NoteGrid, Scope, tau_max_for
 
 __all__ = [
     "AnalysisConfig",
@@ -103,7 +103,7 @@ class AnalysisConfig:
                 raise _invalid(name, getattr(self, name), "must not be negative")
         if not 0.0 <= self.min_overlap <= 1.0:
             raise _invalid("min_overlap", self.min_overlap, "must lie in [0, 1]")
-        scope_channels = SCOPE_START + MAX_SHIFT + SCOPE_LENGTH
+        scope_channels = Scope(MAX_SHIFT).stop_channel
         if self.num_channels < scope_channels:
             raise _invalid(
                 "num_channels", self.num_channels,
@@ -146,12 +146,12 @@ _FIELD_TYPES = {
 
 
 def coerce_field(name: str, value):
-    """A config-file or command-line value as the type of field `name`.
+    """A config-file or command-line value parsed for field `name`.
 
-    Strings are parsed; an integral float becomes an int for an int field,
-    and an int becomes a float for a float field. A value that does not
-    convert without loss (a bool, a fractional hop, a list, an unparsable
-    string) is returned as is, for `AnalysisConfig` to reject by name.
+    Strings are parsed as the field's type, and an integral float becomes an
+    int for an int field. Any other value is returned as is, for
+    `AnalysisConfig` to store (an int in a float field becomes a float) or to
+    reject by name (a bool, a fractional hop, a list, an unparsable string).
 
     Raises:
         ValueError: for an unknown key.
@@ -164,18 +164,14 @@ def coerce_field(name: str, value):
             return kind(value)
         except ValueError:
             return value
-    if isinstance(value, bool):
-        return value
     if kind is int and isinstance(value, float) and value.is_integer():
         return int(value)
-    if kind is float and isinstance(value, int):
-        return float(value)
     return value
 
 
 def read_config_file(path: str | Path) -> dict:
     """The field values of a config file, either JSON or key=value lines,
-    coerced by `coerce_field` but not yet validated as a whole.
+    parsed by `coerce_field` (a float field may hold an int) but not yet validated.
 
     Unknown keys are rejected so typos fail loudly.
     """

@@ -176,7 +176,7 @@ def _analyse(w: Waveform, cfg: AnalysisConfig) -> tuple[YingramMatrix, PitchCont
     lags = channel_lags(cfg.grid, cfg.sample_rate)
     n = len(frames)
     rows = np.empty((n, len(lags)), dtype=np.float32)
-    f0, aperiodicity = np.full(n, np.nan), np.ones(n)
+    f0, aperiodicity = np.empty(n), np.empty(n)
     for start in range(0, n, BLOCK_FRAMES):
         block = slice(start, start + BLOCK_FRAMES)
         # d and csum live until the next block's replace them: freed earlier,
@@ -184,11 +184,10 @@ def _analyse(w: Waveform, cfg: AnalysisConfig) -> tuple[YingramMatrix, PitchCont
         d = _difference_fft(frames[block], cfg.tau_max, cfg.window, cfg.hop)
         values, csum, _ = _cmnd_terms(d, start)
         rows[block] = yingram_rows(values, lags)
-        kept = values[~padded[block]]  # padded frames form the clip's tail
-        unpadded = slice(start, start + len(kept))
-        f0[unpadded], aperiodicity[unpadded] = f0_rows(
-            kept, cfg.sample_rate, cfg.f0_threshold, cfg.f_min, cfg.f_max, cfg.voicing_cutoff
+        f0[block], aperiodicity[block] = f0_rows(
+            values, cfg.sample_rate, cfg.f0_threshold, cfg.f_min, cfg.f_max, cfg.voicing_cutoff
         )
+    f0[padded], aperiodicity[padded] = np.nan, 1.0
     times = np.arange(n) * (cfg.hop / cfg.sample_rate)
     matrix = YingramMatrix(rows, cfg.grid, cfg.hop, cfg.sample_rate, padded)
     return matrix, PitchContour(times, f0, aperiodicity, cfg.hop, cfg.sample_rate)
@@ -244,8 +243,13 @@ def _write_sidecar(matrix: YingramMatrix, path, extra: dict | None = None) -> No
 
 
 def _write_json(path, payload: dict) -> None:
-    """Pretty, key-sorted JSON with a trailing newline, written atomically."""
-    _atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True)])
+    """Pretty, key-sorted JSON with a trailing newline, written atomically to
+    `path`, or the same text printed to stdout when `path` is empty or None."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if not path:
+        print(text)
+    else:
+        _atomic_write(path, [text])
 
 
 def _atomic_write(path, data: bytes | np.ndarray | Iterable[str]) -> None:

@@ -93,7 +93,6 @@ class Scope:
     float or string raises, so 2.9 is never truncated to 2."""
 
     shift: int
-    length: int = SCOPE_LENGTH
 
     def __post_init__(self):
         s = self.shift
@@ -109,7 +108,7 @@ class Scope:
 
     @property
     def stop_channel(self) -> int:
-        return self.start_channel + self.length
+        return self.start_channel + SCOPE_LENGTH
 
 
 def note_to_hz(note: int | float, grid: NoteGrid = DEFAULT_GRID) -> float:

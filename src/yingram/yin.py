@@ -147,9 +147,12 @@ def cmnd(d: np.ndarray) -> np.ndarray:
 
     Raises:
         ValueError: "non-finite difference values" when d holds NaN or inf
-            or its CMND sums overflow float64.
+            or its CMND sums overflow float64, and for d with no lag axis or an empty one.
     """
-    return _cmnd_terms(np.asarray(d, dtype=np.float64))[0]
+    d = np.asarray(d, dtype=np.float64)
+    if d.ndim == 0 or d.shape[-1] == 0:
+        raise ValueError(f"cmnd needs at least one lag, got shape {d.shape}")
+    return _cmnd_terms(d)[0]
 
 
 def _cmnd_terms(d: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -211,8 +214,14 @@ def refine_lags(values: np.ndarray, taus: np.ndarray) -> np.ndarray:
 def parabolic_refine(values: np.ndarray, tau: int) -> float:
     """Refine an integer lag of a CMND curve to the vertex of the parabola
     through its neighbors, clamped to [tau-1, tau+1]. Boundary lags return
-    unchanged. The one-row case of `refine_lags`."""
-    return float(refine_lags(np.asarray(values)[None], np.array([tau]))[0])
+    unchanged. The one-row case of `refine_lags`. Raises ValueError unless
+    values is one 1-D curve and tau an integer lag on it (0 <= tau < len)."""
+    values, tau = np.asarray(values), _require_int(tau, "tau", 0)
+    if values.ndim != 1 or tau >= len(values):
+        raise ValueError(
+            f"parabolic_refine needs a 1-D curve holding lag {tau}, got shape {values.shape}"
+        )
+    return float(refine_lags(values[None], np.array([tau]))[0])
 
 
 def pick_lags(
@@ -235,16 +244,14 @@ def pick_lags(
     lo, hi = f0_lag_range(sample_rate, f_min, f_max, values.shape[-1] - 1)
     seg = values[:, lo : hi + 1]
     rows = np.arange(len(seg))
-    last = seg.shape[1] - 1
-    # stop[q]: where a descent reaching offset q ends, i.e. the first q' >= q
-    # whose next value is not smaller (or the top of the range)
-    falls = seg[:, 1:] < seg[:, :-1]
-    stop = np.where(falls, last, np.arange(last))
-    stop = np.concatenate((stop, np.full((len(seg), 1), last)), axis=1)
-    stop = np.minimum.accumulate(stop[:, ::-1], axis=1)[:, ::-1]
     below = seg < threshold
     first = np.argmax(below, axis=1)
-    offset = np.where(below.any(axis=1), stop[rows, first], np.argmin(seg, axis=1))
+    # the descent ends at the first offset at or after `first` whose next
+    # value is not smaller, or at the top of the range
+    ends = np.ones(seg.shape, dtype=bool)
+    ends[:, :-1] = ~(seg[:, 1:] < seg[:, :-1])
+    stop = np.argmax(ends & (np.arange(seg.shape[1]) >= first[:, None]), axis=1)
+    offset = np.where(below.any(axis=1), stop, np.argmin(seg, axis=1))
     taus = lo + offset
     return taus, values[rows, taus]
 

@@ -11,6 +11,8 @@ import scipy.signal
 from yingram import Frame, WavFormatError, Waveform, frame_signal, load_wav, resample, sine_tone
 from yingram.audio import frame_count
 from conftest import (
+    _fmt,
+    _riff,
     write_extensible_pcm16,
     write_float32,
     write_mulaw,
@@ -95,6 +97,31 @@ def test_extra_chunks_skipped(tmp_path):
     write_with_extra_chunk(path, np.array([16384], dtype=np.int16))
     w = load_wav(path)
     np.testing.assert_allclose(w.samples, [0.5])
+
+
+@pytest.mark.parametrize("blob, message", [
+    (_riff(_fmt(1, 1, 8000, 16)[:8], b"\x00\x00"), "corrupt file: fmt chunk too short"),
+    (_riff(_fmt(0xFFFE, 1, 8000, 16), b"\x00\x00"),
+     "corrupt file: extensible fmt chunk too short"),
+    (b"RIFF\x00\x00", "corrupt file: shorter than a RIFF header"),
+    (b"RIFF\x04\x00\x00\x00WAVE", "corrupt file: missing fmt or data chunk"),
+    (_riff(_fmt(1, 0, 8000, 16), b"\x00\x00"), "corrupt file: zero channels"),
+    (_riff(_fmt(3, 1, 8000, 32), np.array([0.5, np.nan], dtype="<f4").tobytes()),
+     "corrupt file: non-finite samples"),
+])
+def test_corrupt_files_name_their_fault(tmp_path, blob, message):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(blob)
+    with pytest.raises(WavFormatError, match=f"^{re.escape(message)}$"):
+        load_wav(path)
+
+
+def test_a_trailing_partial_sample_frame_is_dropped(tmp_path):
+    path = tmp_path / "odd.wav"
+    # one stereo PCM16 frame (L=16384, R=0) and two bytes of the next
+    data = np.array([16384, 0, 8192], dtype="<i2").tobytes()
+    path.write_bytes(_riff(_fmt(1, 2, 8000, 16), data))
+    np.testing.assert_array_equal(load_wav(path).samples, [0.25])
 
 
 def test_load_wav_does_not_copy_the_data_chunk(tmp_path):

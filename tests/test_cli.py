@@ -321,6 +321,27 @@ def test_batch_malformed_manifest(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, files, message", [
+    (["analyze", "{wav}"], {}, "error: analyze needs --out and/or --binary"),
+    (["batch", "{dir}/manifest.json"], {"manifest.json": '{"normal": "a.wav"}'},
+     "error: manifest must be a JSON array"),
+    (["analyze", "{wav}", "--out", "{dir}/y.csv", "--config", "{dir}/cfg.txt"],
+     {"cfg.txt": "hop = 512\nwindow 1024\n"}, "error: bad config line 2: 'window 1024'"),
+    # the config is resolved before any command runs, so it is reported first
+    (["analyze", "{wav}", "--hop", "0"], {},
+     "error: invalid config: hop=0 must be positive"),
+], ids=["analyze-without-output", "manifest-not-an-array", "config-line-without-equals",
+        "bad-config-before-missing-output"])
+def test_input_errors_exit_2_with_one_line(tmp_path, tone_wav, capsys, argv, files, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    before = set(tmp_path.iterdir())
+    assert main([a.format(wav=tone_wav, dir=tmp_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message + "\n")
+    assert set(tmp_path.iterdir()) == before
+
+
 def test_config_file_and_flag_precedence(tmp_path, tone_wav):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"hop": 512, "lambda_yin": 90.0}))

@@ -1,5 +1,6 @@
 """Analytic VJP against finite differences, plus its structural properties."""
 import math
+import re
 import warnings
 
 import numpy as np
@@ -306,6 +307,26 @@ def test_vjp_rejects_non_finite_cotangent(rng):
     cot[30] = np.inf
     with pytest.raises(ValueError, match=r"non-finite cotangent: 1 of 80 .* index 30"):
         yingram_vjp(_frame(x), GRID, cot)
+
+
+@pytest.mark.parametrize("call", [
+    lambda frame: yingram_vjp(frame, GRID, np.ones(80)),
+    lambda frame: finite_diff_check(frame, GRID),
+], ids=["yingram_vjp", "finite_diff_check"])
+@pytest.mark.parametrize("stack, shape", [
+    (lambda x: np.stack([x, x]), "(2, 2474)"),  # once an IndexError
+    (lambda x: np.float64(x[0]), "()"),  # once "len() of unsized object"
+], ids=["2-D", "0-D"])
+def test_gradients_need_a_mono_frame(rng, call, stack, shape):
+    x = random_tonal_frame(rng, FRAME_LEN)
+    with pytest.raises(ValueError, match=re.escape(f"samples must be 1-D (mono), got shape {shape}")):
+        call(Frame(stack(x), 0, SR))
+
+
+def test_vjp_rejects_a_bare_array(rng):
+    x = random_tonal_frame(rng, FRAME_LEN)
+    with pytest.raises(TypeError, match=r"^yingram_vjp needs a Frame \(it carries the sample rate\)$"):
+        yingram_vjp(x, GRID, np.ones(80))
 
 
 @pytest.mark.parametrize("rate", [math.inf, 22050.5])

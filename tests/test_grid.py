@@ -2,6 +2,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -290,6 +291,14 @@ def test_crop_row_identity_all_shifts(rng):
         assert cropped.shape == (11, 50)
         for c in range(50):
             assert np.array_equal(cropped[:, c], y[:, 15 + s + c])
+
+
+@pytest.mark.parametrize("shape", [(3, 79), (80,)])
+def test_crop_rejects_a_matrix_without_the_scope(shape):
+    with pytest.raises(ValueError, match=re.escape(
+        f"dimension error: expected (frames, >= 80) matrix, got {shape}"
+    )):
+        crop_scope(np.zeros(shape), 15)
 
 
 def test_crop_shift_out_of_range(rng):

@@ -1,5 +1,6 @@
 """YIN kernels: difference function, CMND, refinement, f0 estimation."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -183,6 +184,32 @@ def test_parabolic_asymmetric_case():
 def test_parabolic_boundary_returns_input():
     assert parabolic_refine(np.array([1.0, 0.5, 0.7]), 0) == 0.0
     assert parabolic_refine(np.array([1.0, 0.5, 0.7]), 2) == 2.0
+
+
+@pytest.mark.parametrize("values, tau, message", [
+    (np.ones(10), 20, "parabolic_refine needs a 1-D curve holding lag 20, got shape (10,)"),
+    (np.ones(10), 10, "parabolic_refine needs a 1-D curve holding lag 10, got shape (10,)"),
+    (np.ones((2, 10)), 3, "parabolic_refine needs a 1-D curve holding lag 3, got shape (2, 10)"),
+    (np.ones(10), -3, "tau must be at least 0, got -3"),
+    (np.ones(10), 4.5, "tau must be an integer, got 4.5"),
+])
+def test_parabolic_refine_rejects_a_lag_off_its_curve(values, tau, message):
+    # a lag past the end, or below 0, once came back unchanged; 4.5 and a
+    # 2-D curve raised IndexError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parabolic_refine(values, tau)
+
+
+@pytest.mark.parametrize("d", [np.array([]), np.zeros((3, 0)), np.float64(1.0)],
+                         ids=["empty", "rows-without-lags", "0-D"])
+def test_cmnd_rejects_an_empty_lag_axis(d):
+    with pytest.raises(ValueError, match=re.escape(f"cmnd needs at least one lag, got shape {d.shape}")):
+        cmnd(d)
+
+
+def test_difference_function_rejects_an_unknown_method():
+    with pytest.raises(ValueError, match=r"^unknown method 'bogus'$"):
+        difference_function(np.zeros(FRAME_LEN), TAU_MAX, 2048, method="bogus")
 
 
 def test_estimate_f0_sine():
