@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -136,6 +137,8 @@ def _cmd_batch(args: argparse.Namespace, cfg: AnalysisConfig) -> int:
     return 0 if report.all_passed else 1
 
 
+# built once per process: every call of `main` parses into a fresh Namespace
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parent = _config_parent()
     parser = argparse.ArgumentParser(

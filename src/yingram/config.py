@@ -90,11 +90,17 @@ class AnalysisConfig:
             if f.type == "int":
                 if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                     raise _invalid(f.name, value, "must be an integer")
+                stored = int(value)
             elif isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise _invalid(f.name, value, "must be a number")
-            elif not math.isfinite(value):
-                raise _invalid(f.name, value, "must be finite")
-            object.__setattr__(self, f.name, _FIELD_TYPES[f.name](value))
+            else:
+                try:
+                    stored = float(value)
+                except OverflowError:  # an int past the float range
+                    stored = math.inf
+                if not math.isfinite(stored):
+                    raise _invalid(f.name, value, "must be finite")
+            object.__setattr__(self, f.name, stored)
         for name in ("sample_rate", "window", "hop", "bins_per_octave", "reference_hz", "lambda_yin"):
             if getattr(self, name) <= 0:
                 raise _invalid(name, getattr(self, name), "must be positive")

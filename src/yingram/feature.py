@@ -34,11 +34,11 @@ __all__ = [
     "write_yingram_binary",
 ]
 
-# Frames per block of `_analyse`. A block holds the spectra of its hop
-# blocks and the energy cumsums of its frames, so the block size, not the
-# clip length, bounds the working set. Each block also transforms the
-# window // hop - 1 hop blocks past its last frame's start again, but 64 or
-# 128 frames measured no faster than 32 on a 10 s clip.
+# Frames per block of `_analyse`. A block holds the spectra and energy
+# cumsums of its hop blocks, so the block size, not the clip length, bounds
+# the working set. Each block also transforms the window // hop - 1 hop
+# blocks past its last frame's start again, but 64 or 128 frames measured no
+# faster than 32 on a 10 s clip.
 BLOCK_FRAMES = 32
 
 
@@ -156,8 +156,9 @@ def _analyse(w: Waveform, cfg: AnalysisConfig) -> tuple[YingramMatrix, PitchCont
     """The Yingram and the pitch contour of one clip, from one pass over the
     frames `frame_signal` cuts, BLOCK_FRAMES at a time. A frame's CMND is
     cmnd(difference_function(frame, tau_max, window)), with the correlation
-    summed from hop blocks when the hop divides the window (to about 1e-15
-    of the frame's peak; exact otherwise). Every frame gets a Yingram row;
+    and the energies summed from hop blocks when the hop divides the window
+    (d to about 1e-15 of the frame's peak, a stored value to 1 float32 ulp;
+    exact otherwise). Every frame gets a Yingram row;
     padded frames are flagged and stay unvoiced (f0 NaN, aperiodicity 1),
     the others get the f0 of `f0_rows`.
 

@@ -7,12 +7,13 @@ Every stage passes plain float64 arrays with the lag along the last axis:
 This module holds array kernels only. Clip analysis (`feature._analyse`)
 runs `_difference_fft` and `_cmnd_terms` on blocks of frames; the per-frame
 functions are the reference path and the path the gradients differentiate.
-Both paths share every rule (the difference's energy terms and clamp, the
-CMND guard and overflow check, the lag pick and the parabolic refinement).
-Only the correlation is summed differently: when the hop divides the window,
-clip analysis adds up hop blocks that overlapping frames share, so its d
-agrees with the per-frame transform to about 1e-15 of each frame's peak, not
-to the last bit. Otherwise the two paths run the same transforms bit for bit.
+Both paths share every rule (d = p0 + p_tau - 2c and its clamp, the CMND
+guard and overflow check, the lag pick and the parabolic refinement). Only
+the sums are taken differently: when the hop divides the window, clip
+analysis adds up the correlations and energies of hop blocks that
+overlapping frames share, so its d agrees with the per-frame path to about
+1e-15 of each frame's peak, not to the last bit. Otherwise the two paths run
+the same transforms and cumsums bit for bit.
 
 All arithmetic runs in 64-bit floats; gradient verification elsewhere in the
 package depends on that.
@@ -58,42 +59,45 @@ def _difference_naive(x: np.ndarray, tau_max: int, window: int) -> np.ndarray:
 def _difference_fft(x: np.ndarray, tau_max: int, window: int, hop: int | None = None) -> np.ndarray:
     # d(tau) = p0 + p_tau - 2*c(tau) with p_tau a sliding energy window and
     # c(tau) = sum_{j<window} x[j]*x[j+tau], via FFT. Each row of a 2-D x is
-    # one frame. Without a hop that divides the window, each row's c is one
-    # transform of the whole row, independent of the other rows. With one,
-    # the rows must be consecutive frames of one clip, hop samples apart (as
-    # `_strided_frames` cuts them), and c is a sum of window // hop blocks
-    # g_m(tau) = sum_{j<hop} x[m*hop+j]*x[m*hop+j+tau]: each block is
-    # transformed once, at next_fast_len(hop + tau_max) points, for all the
-    # frames it overlaps. p0 and p_tau are the same either way: each frame's
-    # energy cumsum runs from its own first sample.
-    span = window + tau_max
+    # one frame. Without a hop that divides the window, each row is one
+    # segment with head = window: its c is one transform of the whole row and
+    # its p_tau comes from one cumsum of its squares, independent of the other
+    # rows. With one, the rows must be consecutive frames of one clip, hop
+    # samples apart (as `_strided_frames` cuts them), and head = hop: segment
+    # m holds the hop + tau_max samples from m*hop, and frame k sums the
+    # window // hop blocks k, k+1, ... of g_m(tau) = sum_{j<hop} x[m*hop+j] *
+    # x[m*hop+j+tau] and of e_m(tau) = sum_{j<hop} x[m*hop+j+tau]^2. Each
+    # block is transformed once, at next_fast_len(hop + tau_max, real=True)
+    # points, and its energies come from one cumsum of hop + tau_max squares.
+    # The per-frame path keeps its own length rule: it is the bit-for-bit
+    # reference. Either way p0 = p_tau(0).
     blocks = window // hop if hop and window % hop == 0 else 1
     if blocks == 1:
-        head, segments, squares = window, x, x[..., :span] * x[..., :span]
+        head, segments = window, x
     else:
         # the rows' hop heads and the last row's rest are the clip's samples
-        # from the first frame's start to the last frame's end; block m
-        # starts at m*hop, and frame k at block k
+        # from the first frame's start to the last frame's end
         head = hop
-        samples = np.concatenate((x[:, :hop].ravel(), x[-1, hop:span]))
+        samples = np.concatenate((x[:, :hop].ravel(), x[-1, hop : window + tau_max]))
         segments = sliding_window_view(samples, hop + tau_max)[::hop]
-        squares = sliding_window_view(samples * samples, span)[::hop]
-    n = scipy.fft.next_fast_len(segments.shape[-1])
+    n = scipy.fft.next_fast_len(segments.shape[-1], real=blocks > 1)
     spec_all = scipy.fft.rfft(segments, n, axis=-1)
     spec_head = scipy.fft.rfft(segments[..., :head], n, axis=-1)
     corr = scipy.fft.irfft(np.conj(spec_head) * spec_all, n, axis=-1)[..., : tau_max + 1]
+    squares = np.square(segments[..., : head + tau_max])
+    csum = np.empty(squares.shape[:-1] + (head + tau_max + 1,))
+    csum[..., 0] = 0.0
+    np.cumsum(squares, axis=-1, out=csum[..., 1:])
+    p_tau = csum[..., head:] - csum[..., : tau_max + 1]
     if blocks > 1:
         # frame k sums blocks k..k+blocks-1 in order; a running sum over the
         # clip would round differently and flip float32 Yingram values
-        g, rows = np.ascontiguousarray(corr), len(x)
-        corr = g[:rows] + g[1 : rows + 1]
+        g, e, rows = np.ascontiguousarray(corr), p_tau, len(x)
+        corr, p_tau = g[:rows] + g[1 : rows + 1], e[:rows] + e[1 : rows + 1]
         for b in range(2, blocks):
             corr += g[b : b + rows]
-    csum = np.empty(squares.shape[:-1] + (span + 1,))
-    csum[..., 0] = 0.0
-    np.cumsum(squares, axis=-1, out=csum[..., 1:])
-    p0 = csum[..., window, None]
-    p_tau = csum[..., window:] - csum[..., : tau_max + 1]
+            p_tau += e[b : b + rows]
+    p0 = p_tau[..., :1]
     d = p0 + p_tau - 2.0 * corr
     # cancellation noise sits ~1e-13 relative to the summed energies; clamp
     # well above it (and far below real CMND valleys at ~1e-6 relative) so

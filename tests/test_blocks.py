@@ -13,7 +13,11 @@ from yingram import (
     difference_function,
     estimate_f0,
     extract_pitch_contour,
+    feature,
     frame_signal,
+    harmonic_tone,
+    sine_tone,
+    vibrato_tone,
     yingram_from_frame,
 )
 from yingram import yin
@@ -163,6 +167,45 @@ def test_hop_blocks_match_window_kernel(run):
     assert (np.abs(blocked - ref) <= 1e-12 * peak).all()
 
 
+def _tone_in_noise(rng):
+    return sine_tone(196.0, 10.0).samples + 0.1 * rng.standard_normal(10 * SR)
+
+
+def _loud_noise_head(rng):
+    # a 1e3 noise head before a 1e-3 tone: 1e12 apart in energy
+    quiet = 1e-3 * sine_tone(196.0, 10.0).samples
+    quiet[: 10 * SR // 4] = 1e3 * rng.standard_normal(10 * SR // 4)
+    return quiet
+
+
+POLICY_CLIPS = {
+    "harmonic": lambda rng: harmonic_tone(140.0, 10.0, seed=1).samples,
+    "vibrato": lambda rng: vibrato_tone(220.0, 10.0).samples,
+    "tone-in-noise": _tone_in_noise,
+    "loud-noise-head": _loud_noise_head,
+}
+
+
+@pytest.mark.parametrize("name", POLICY_CLIPS)
+def test_hop_blocks_keep_the_output_policy(monkeypatch, name):
+    # the hop-block kernel sums correlations and energies in another order
+    # than the window kernel: a stored float32 value may move by 1 ulp,
+    # padding and voicing not at all, f0 only in its last bits
+    w = Waveform(POLICY_CLIPS[name](np.random.default_rng(16)), SR)
+    matrix, contour = compute_yingram(w, CFG), extract_pitch_contour(w, CFG)
+    kernel = yin._difference_fft
+    monkeypatch.setattr(
+        feature, "_difference_fft", lambda x, tau_max, window, hop: kernel(x, tau_max, window)
+    )
+    ref_matrix, ref_contour = compute_yingram(w, CFG), extract_pitch_contour(w, CFG)
+    np.testing.assert_array_max_ulp(matrix.values, ref_matrix.values, maxulp=1)
+    assert matrix.padded.tolist() == ref_matrix.padded.tolist()
+    assert contour.voiced.tolist() == ref_contour.voiced.tolist()
+    assert ref_contour.num_voiced > len(ref_contour) // 2
+    voiced = ref_contour.voiced
+    np.testing.assert_allclose(contour.f0[voiced], ref_contour.f0[voiced], rtol=1e-13, atol=0.0)
+
+
 WINDOW_CONFIGS = [  # (window, tau_max, hop): each makes one block per window
     (2048, 426, None), (2048, 426, 97), (48, 16, 5), (64, 20, 64), (300, 0, 2048), (1, 7, 3),
 ]
@@ -185,8 +228,10 @@ def test_window_kernel_is_the_per_frame_reference(window, tau_max, hop, scale):
 
 @pytest.mark.parametrize("hop", [CFG.hop, 97])
 def test_analyse_transform_lengths(monkeypatch, hop):
-    # the clip pass transforms hop blocks when the hop divides the window,
-    # whole frames otherwise; a fallback to frame-length transforms fails here
+    # the clip pass transforms hop blocks at the real-FFT fast length of
+    # hop + tau_max (720 by default) when the hop divides the window, whole
+    # frames at next_fast_len(frame_length) otherwise; a fallback to
+    # frame-length transforms fails here
     lengths = set()
     rfft = scipy.fft.rfft
 
@@ -197,8 +242,11 @@ def test_analyse_transform_lengths(monkeypatch, hop):
     monkeypatch.setattr(yin.scipy.fft, "rfft", recording)
     cfg = CFG.replace(hop=hop)
     compute_yingram(Waveform(np.random.default_rng(0).standard_normal(SR // 2), SR), cfg)
-    block = hop + cfg.tau_max if cfg.window % hop == 0 else cfg.frame_length
-    assert lengths == {scipy.fft.next_fast_len(block)}
+    if cfg.window % hop == 0:
+        expected = scipy.fft.next_fast_len(hop + cfg.tau_max, real=True)
+    else:
+        expected = scipy.fft.next_fast_len(cfg.frame_length)
+    assert lengths == {expected}
 
 
 def test_empty_clip_has_no_blocks():

@@ -56,6 +56,22 @@ def test_analyze_hop_override(tmp_path, tone_wav):
     assert sidecar["config"]["hop"] == 512
 
 
+def test_calls_in_one_process_keep_their_own_flags(tmp_path, tone_wav, capsys):
+    # the parser is built once per process: a flag given to one call must
+    # not reach the next one's config or sidecar, and usage errors still exit 2
+    assert _build_parser() is _build_parser()
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["analyze", str(tone_wav), "--out", str(first), "--hop", "128"]) == 0
+    assert main(["analyze", str(tone_wav), "--out", str(second)]) == 0
+    assert json.loads((tmp_path / "a.csv.json").read_text())["config"]["hop"] == 128
+    assert json.loads((tmp_path / "b.csv.json").read_text())["config"] == AnalysisConfig().to_dict()
+    assert len(second.read_text().splitlines()) == 1 + 87
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(tone_wav), "--hop"])
+    assert exc.value.code == 2
+    assert "--hop: expected one argument" in capsys.readouterr().err
+
+
 def test_analyze_binary(tmp_path, tone_wav):
     binary = tmp_path / "y.f32"
     assert main(["analyze", str(tone_wav), "--binary", str(binary)]) == 0
