@@ -234,15 +234,16 @@ def frame_count(num_samples: int, frame_len: int, hop: int) -> int:
     return -(-num_samples // _require_int(hop, "hop", 1))
 
 
-def _strided_frames(x: np.ndarray, frame_len: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
-    """(frames, padded): a read-only view of the frame_count frames of x, row
-    k = x[k*hop : k*hop + frame_len] read from a zero-padded copy of x, and
-    flags of the rows that run past the end of x. The one framing rule."""
-    count = frame_count(len(x), frame_len, hop)
-    buf = np.zeros(max(len(x), max(count - 1, 0) * hop + frame_len), dtype=x.dtype)
-    buf[: len(x)] = x
-    frames = sliding_window_view(buf, frame_len)[::hop][:count]
-    return frames, np.arange(count) * hop + frame_len > len(x)
+def _frame_span(x: np.ndarray, frame_len: int, hop: int, first: int, stop: int) -> tuple:
+    """(span, padded) of frames first..stop-1 of x, first < stop: the samples
+    they read, x[first*hop : (stop-1)*hop + frame_len], and their padded
+    flags. The one framing rule: frame k starts at k*hop and is padded when
+    it runs past the end of x, and x has `frame_count` frames. The span is a
+    view of x, or, when it runs past the end, a copy with a zero-padded tail."""
+    span = x[first * hop : (stop - 1) * hop + frame_len]
+    tail = (stop - 1 - first) * hop + frame_len - len(span)
+    padded = np.arange(first, stop) * hop + frame_len > len(x)
+    return (np.concatenate((span, np.zeros(tail, x.dtype))) if tail > 0 else span), padded
 
 
 def frame_signal(w: Waveform, frame_len: int, hop: int) -> list[Frame]:
@@ -251,5 +252,8 @@ def frame_signal(w: Waveform, frame_len: int, hop: int) -> list[Frame]:
     Frame k starts at k*hop; the count is ceil(len/hop). Tail frames are
     zero padded and flagged `padded`. Frames are read-only views.
     """
-    frames, padded = _strided_frames(np.asarray(w.samples), frame_len, hop)
-    return [Frame(f, k * hop, w.sample_rate, bool(padded[k])) for k, f in enumerate(frames)]
+    count = frame_count(len(w), frame_len, hop)
+    # an empty clip still gets one frame's span, of which it keeps no frame
+    span, padded = _frame_span(np.asarray(w.samples), frame_len, hop, 0, max(count, 1))
+    frames = zip(sliding_window_view(span, frame_len)[::hop][:count], padded)
+    return [Frame(f, k * hop, w.sample_rate, bool(p)) for k, (f, p) in enumerate(frames)]

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import Frame, Waveform, _strided_frames
+from .audio import Frame, Waveform, _frame_span, frame_count
 from .config import AnalysisConfig
 from .grid import DEFAULT_GRID, NoteGrid, channel_lags, tau_max_for
 from .yin import _cmnd_terms, _difference_fft, cmnd, difference_function, f0_rows, require_finite
@@ -34,8 +34,9 @@ __all__ = [
     "write_yingram_binary",
 ]
 
-# Frames per block of `_analyse`. A block holds the spectra and energy
-# cumsums of its hop blocks, so the block size, not the clip length, bounds
+# Frames per block of `_analyse`. A block holds its span of clip samples (a
+# view, or a small padded copy at the clip's end) and the spectra and energy
+# cumsums of its segments, so the block size, not the clip length, bounds
 # the working set. Each block also transforms the window // hop - 1 hop
 # blocks past its last frame's start again, but 64 or 128 frames measured no
 # faster than 32 on a 10 s clip.
@@ -154,7 +155,10 @@ def yingram_from_frame(
 
 def _analyse(w: Waveform, cfg: AnalysisConfig) -> tuple[YingramMatrix, PitchContour]:
     """The Yingram and the pitch contour of one clip, from one pass over the
-    frames `frame_signal` cuts, BLOCK_FRAMES at a time. A frame's CMND is
+    frames `frame_signal` cuts, BLOCK_FRAMES at a time. Each block hands the
+    difference kernel its span of clip samples (`audio._frame_span`: a view,
+    zero padded only past the clip's end), so no copy of the whole clip is
+    made. A frame's CMND is
     cmnd(difference_function(frame, tau_max, window)), with the correlation
     and the energies summed from hop blocks when the hop divides the window
     (d to about 1e-15 of the frame's peak, a stored value to 1 float32 ulp;
@@ -173,16 +177,17 @@ def _analyse(w: Waveform, cfg: AnalysisConfig) -> tuple[YingramMatrix, PitchCont
         )
     x = np.asarray(w.samples, dtype=np.float64)
     require_finite(x, "samples")
-    frames, padded = _strided_frames(x, cfg.frame_length, cfg.hop)
+    n = frame_count(len(x), cfg.frame_length, cfg.hop)
     lags = channel_lags(cfg.grid, cfg.sample_rate)
-    n = len(frames)
+    padded = np.empty(n, dtype=bool)
     rows = np.empty((n, len(lags)), dtype=np.float32)
     f0, aperiodicity = np.empty(n), np.empty(n)
     for start in range(0, n, BLOCK_FRAMES):
-        block = slice(start, start + BLOCK_FRAMES)
+        block = slice(start, min(start + BLOCK_FRAMES, n))
+        span, padded[block] = _frame_span(x, cfg.frame_length, cfg.hop, block.start, block.stop)
         # d and csum live until the next block's replace them: freed earlier,
         # the heap top is trimmed and the next block faults it back in
-        d = _difference_fft(frames[block], cfg.tau_max, cfg.window, cfg.hop)
+        d = _difference_fft(span, cfg.tau_max, cfg.window, cfg.hop)
         values, csum, _ = _cmnd_terms(d, start)
         rows[block] = yingram_rows(values, lags)
         f0[block], aperiodicity[block] = f0_rows(
@@ -257,9 +262,12 @@ def _atomic_write(path, data: bytes | np.ndarray | Iterable[str]) -> None:
     """Stream a bytes-like buffer, or text lines each ended by a newline, to a
     temp file beside `path`, then rename it into place, so a reader never
     sees a partial file; the temp file is removed when the write fails. A
-    str raises TypeError: it would iterate as one-character lines."""
+    str raises TypeError: it would iterate as one-character lines. An empty
+    path raises ValueError."""
     if isinstance(data, str):
         raise TypeError("_atomic_write takes a buffer or an iterable of lines, not a str")
+    if not os.fspath(path):
+        raise ValueError("empty output path")
     binary = isinstance(data, (bytes, bytearray, memoryview, np.ndarray))
     path = Path(path)
     tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")

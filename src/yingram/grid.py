@@ -36,9 +36,10 @@ SCOPE_START = 15  # 0-indexed first channel of the unshifted scope
 MAX_SHIFT = 15
 
 # Longest lag of a grid's lowest note, and longest analysis frame (window +
-# tau_max) a config may ask for. Clip analysis (`feature._analyse`) holds
-# BLOCK_FRAMES frames and their spectra at once, so this bounds its working
-# set; common configs need under 3000 samples.
+# tau_max) a config may ask for. Clip analysis (`feature._analyse`) holds the
+# span of BLOCK_FRAMES frames and the spectra of its segments at once, each
+# segment at most one frame long, so this bounds its working set; common
+# configs need under 3000 samples.
 MAX_FRAME_LENGTH = 1 << 16
 
 

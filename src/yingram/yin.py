@@ -5,15 +5,17 @@ Every stage passes plain float64 arrays with the lag along the last axis:
 `parabolic_refine` read d'. A 2-D array holds one frame per row.
 
 This module holds array kernels only. Clip analysis (`feature._analyse`)
-runs `_difference_fft` and `_cmnd_terms` on blocks of frames; the per-frame
-functions are the reference path and the path the gradients differentiate.
-Both paths share every rule (d = p0 + p_tau - 2c and its clamp, the CMND
-guard and overflow check, the lag pick and the parabolic refinement). Only
-the sums are taken differently: when the hop divides the window, clip
-analysis adds up the correlations and energies of hop blocks that
-overlapping frames share, so its d agrees with the per-frame path to about
-1e-15 of each frame's peak, not to the last bit. Otherwise the two paths run
-the same transforms and cumsums bit for bit.
+runs `_difference_fft` on each block's span of clip samples and
+`_cmnd_terms` on the block's rows; the per-frame functions, which take
+stacks of independent frames, are the reference path and the path the
+gradients differentiate. Both paths share every rule (d = p0 + p_tau - 2c
+and its clamp, the CMND guard and overflow check, the lag pick and the
+parabolic refinement). Only the sums are taken differently: when the hop
+divides the window, clip analysis adds up the correlations and energies of
+hop blocks that overlapping frames share, so its d agrees with the
+per-frame path to about 1e-15 of each frame's peak, not to the last bit.
+Otherwise each segment is one frame, and the two paths run the same
+transforms and cumsums bit for bit.
 
 All arithmetic runs in 64-bit floats; gradient verification elsewhere in the
 package depends on that.
@@ -57,29 +59,21 @@ def _difference_naive(x: np.ndarray, tau_max: int, window: int) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow: see _cmnd_terms
 def _difference_fft(x: np.ndarray, tau_max: int, window: int, hop: int | None = None) -> np.ndarray:
-    # d(tau) = p0 + p_tau - 2*c(tau) with p_tau a sliding energy window and
-    # c(tau) = sum_{j<window} x[j]*x[j+tau], via FFT. Each row of a 2-D x is
-    # one frame. Without a hop that divides the window, each row is one
-    # segment with head = window: its c is one transform of the whole row and
-    # its p_tau comes from one cumsum of its squares, independent of the other
-    # rows. With one, the rows must be consecutive frames of one clip, hop
-    # samples apart (as `_strided_frames` cuts them), and head = hop: segment
-    # m holds the hop + tau_max samples from m*hop, and frame k sums the
-    # window // hop blocks k, k+1, ... of g_m(tau) = sum_{j<hop} x[m*hop+j] *
-    # x[m*hop+j+tau] and of e_m(tau) = sum_{j<hop} x[m*hop+j+tau]^2. Each
-    # block is transformed once, at next_fast_len(hop + tau_max, real=True)
-    # points, and its energies come from one cumsum of hop + tau_max squares.
-    # The per-frame path keeps its own length rule: it is the bit-for-bit
-    # reference. Either way p0 = p_tau(0).
-    blocks = window // hop if hop and window % hop == 0 else 1
-    if blocks == 1:
-        head, segments = window, x
-    else:
-        # the rows' hop heads and the last row's rest are the clip's samples
-        # from the first frame's start to the last frame's end
-        head = hop
-        samples = np.concatenate((x[:, :hop].ravel(), x[-1, hop : window + tau_max]))
-        segments = sliding_window_view(samples, hop + tau_max)[::hop]
+    # d(tau) = p0 + p_tau - 2*c(tau) with c(tau) = sum_{j<window} x[j]*x[j+tau]
+    # and p_tau = sum_{j<window} x[j+tau]^2, both summed from segments of
+    # head + tau_max samples: segment s contributes g(tau) = sum_{j<head}
+    # s[j]*s[j+tau], via FFT, and e(tau) = sum_{j<head} s[j+tau]^2, from one
+    # cumsum of its squares. Without a hop, each row of x is one frame and one
+    # segment, head = window, independent of the other rows. With one, x is
+    # the span of clip samples that consecutive frames hop apart read
+    # (`audio._frame_span`): head = hop when the hop divides the window, else
+    # window, segment m starts at m*hop, and frame k sums the window // head
+    # segments k, k+1, ... Each segment is transformed once, at
+    # next_fast_len(segment length), real=True for hop heads: the per-frame
+    # length rule is the bit-for-bit reference. Either way p0 = p_tau(0).
+    head = hop if hop and window % hop == 0 else window
+    segments = x if hop is None else sliding_window_view(x, head + tau_max)[::hop]
+    blocks = window // head
     n = scipy.fft.next_fast_len(segments.shape[-1], real=blocks > 1)
     spec_all = scipy.fft.rfft(segments, n, axis=-1)
     spec_head = scipy.fft.rfft(segments[..., :head], n, axis=-1)
@@ -90,9 +84,9 @@ def _difference_fft(x: np.ndarray, tau_max: int, window: int, hop: int | None = 
     np.cumsum(squares, axis=-1, out=csum[..., 1:])
     p_tau = csum[..., head:] - csum[..., : tau_max + 1]
     if blocks > 1:
-        # frame k sums blocks k..k+blocks-1 in order; a running sum over the
+        # frame k sums segments k..k+blocks-1 in order; a running sum over the
         # clip would round differently and flip float32 Yingram values
-        g, e, rows = np.ascontiguousarray(corr), p_tau, len(x)
+        g, e, rows = np.ascontiguousarray(corr), p_tau, len(segments) - blocks + 1
         corr, p_tau = g[:rows] + g[1 : rows + 1], e[:rows] + e[1 : rows + 1]
         for b in range(2, blocks):
             corr += g[b : b + rows]

@@ -186,10 +186,12 @@ def difference_fft_per_frame(x: np.ndarray, tau_max: int, window: int) -> np.nda
     """The per-frame FFT difference function that the hop-block kernel
     replaced in clip analysis, kept verbatim: three next_fast_len(row)
     transforms per row, the energy cumsum of the whole row, p_tau gathered
-    by index, and the clamp. `_difference_fft` without a hop (or with one
-    that does not divide the window) must equal it bit for bit. The hop
-    path transforms hop blocks at next_fast_len(hop + tau_max, real=True)
-    and sums their energies, so it only agrees with this to rounding."""
+    by index, and the clamp. `_difference_fft` on a stack of independent
+    rows (no hop), and on a clip span with a hop that does not divide the
+    window (each segment one frame, head = window), must equal it bit for
+    bit on those frames. With a hop that divides the window the kernel
+    transforms hop segments at next_fast_len(hop + tau_max, real=True) and
+    sums their energies, so it only agrees with this to rounding."""
     n = scipy.fft.next_fast_len(x.shape[-1])
     spec_all = scipy.fft.rfft(x, n, axis=-1)
     spec_head = scipy.fft.rfft(x[..., :window], n, axis=-1)

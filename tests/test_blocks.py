@@ -1,9 +1,12 @@
-"""The clip pass (its blocked CMND kernels) and the vectorised lag pick
-against the per-frame reference path."""
+"""The clip pass (its block spans and CMND kernels) and the vectorised lag
+pick against the per-frame reference path."""
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
 from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from yingram import (
     AnalysisConfig,
@@ -21,7 +24,7 @@ from yingram import (
     yingram_from_frame,
 )
 from yingram import yin
-from yingram.audio import _strided_frames
+from yingram.audio import _frame_span, frame_count
 from yingram.feature import BLOCK_FRAMES
 from yingram.yin import _cmnd_terms, _difference_fft, f0_rows, pick_lags, refine_lags
 from oracles import difference_fft_per_frame, parabolic_refine_scalar, pick_lag_loop
@@ -60,17 +63,24 @@ def _frames(w, cfg=CFG):
     return frame_signal(w, cfg.frame_length, cfg.hop)
 
 
+def _span_frames(span, frame_len, hop):
+    """The frames a span of clip samples holds: rows frame_len long, hop apart."""
+    return sliding_window_view(span, frame_len)[::hop]
+
+
 @settings(deadline=None, max_examples=25)
 @given(clips())
 def test_blocks_equal_per_frame_cmnd(w):
-    # the clip pass's kernels on a strided stack sliced at BLOCK_FRAMES
+    # the clip pass's block spans, framed, through the window kernel and CMND
     frames = _frames(w)
-    stack, padded = _strided_frames(w.samples, FRAME_LEN, HOP)
-    assert padded.tolist() == [frame.padded for frame in frames]
-    for start in range(0, len(stack), BLOCK_FRAMES):
-        d = _difference_fft(stack[start : start + BLOCK_FRAMES], CFG.tau_max, CFG.window)
+    assert frame_count(len(w), FRAME_LEN, HOP) == len(frames)
+    for start in range(0, len(frames), BLOCK_FRAMES):
+        stop = min(start + BLOCK_FRAMES, len(frames))
+        span, padded = _frame_span(w.samples, FRAME_LEN, HOP, start, stop)
+        assert padded.tolist() == [frame.padded for frame in frames[start:stop]]
+        d = _difference_fft(_span_frames(span, FRAME_LEN, HOP), CFG.tau_max, CFG.window)
         values = _cmnd_terms(d, start)[0]
-        for row, frame in zip(values, frames[start : start + BLOCK_FRAMES]):
+        for row, frame in zip(values, frames[start:stop]):
             ref = cmnd(difference_function(frame, CFG.tau_max, CFG.window))
             np.testing.assert_array_equal(row, ref)
 
@@ -136,9 +146,9 @@ def test_blocks_follow_hop_and_frame_count(hop):
 
 @st.composite
 def hop_runs(draw):
-    """(rows, tau_max, window, hop): a run of consecutive frames, hop apart,
-    of a seeded clip, with window a multiple of hop. Clips may be shorter
-    than one frame, and runs may end on the clip's last, padded frame."""
+    """(span, tau_max, window, hop): the span of a run of consecutive frames,
+    hop apart, of a seeded clip, with window a multiple of hop. Clips may be
+    shorter than one frame, and runs may end on the clip's last, padded frame."""
     hop = draw(st.integers(1, 96))
     window = hop * draw(st.integers(1, 9))
     tau_max = draw(st.integers(0, 300))
@@ -150,17 +160,18 @@ def hop_runs(draw):
         x += 50.0 * np.sin(2.0 * np.pi * draw(st.floats(0.001, 0.2)) * np.arange(n))
     if draw(st.booleans()):  # a loud head: sums carried across frames lose the quiet tail
         x[: draw(st.integers(0, n))] *= 1e6
-    stack, _ = _strided_frames(x, frame_len, hop)
-    count = draw(st.integers(1, len(stack)))
-    start = len(stack) - count if draw(st.booleans()) else draw(st.integers(0, len(stack) - count))
-    return stack[start : start + count], tau_max, window, hop
+    total = frame_count(n, frame_len, hop)
+    count = draw(st.integers(1, total))
+    start = total - count if draw(st.booleans()) else draw(st.integers(0, total - count))
+    return _frame_span(x, frame_len, hop, start, start + count)[0], tau_max, window, hop
 
 
 @settings(deadline=None, max_examples=200)
 @given(hop_runs())
 def test_hop_blocks_match_window_kernel(run):
-    rows, tau_max, window, hop = run
-    blocked = _difference_fft(rows, tau_max, window, hop)
+    span, tau_max, window, hop = run
+    rows = _span_frames(span, window + tau_max, hop)
+    blocked = _difference_fft(span, tau_max, window, hop)
     ref = _difference_fft(rows, tau_max, window)
     assert blocked.shape == ref.shape == (len(rows), tau_max + 1)
     peak = np.abs(ref).max(axis=1, keepdims=True)
@@ -195,7 +206,10 @@ def test_hop_blocks_keep_the_output_policy(monkeypatch, name):
     matrix, contour = compute_yingram(w, CFG), extract_pitch_contour(w, CFG)
     kernel = yin._difference_fft
     monkeypatch.setattr(
-        feature, "_difference_fft", lambda x, tau_max, window, hop: kernel(x, tau_max, window)
+        feature, "_difference_fft",
+        lambda span, tau_max, window, hop: kernel(
+            _span_frames(span, window + tau_max, hop), tau_max, window
+        ),
     )
     ref_matrix, ref_contour = compute_yingram(w, CFG), extract_pitch_contour(w, CFG)
     np.testing.assert_array_max_ulp(matrix.values, ref_matrix.values, maxulp=1)
@@ -206,7 +220,7 @@ def test_hop_blocks_keep_the_output_policy(monkeypatch, name):
     np.testing.assert_allclose(contour.f0[voiced], ref_contour.f0[voiced], rtol=1e-13, atol=0.0)
 
 
-WINDOW_CONFIGS = [  # (window, tau_max, hop): each makes one block per window
+WINDOW_CONFIGS = [  # (window, tau_max, hop): each makes one segment per frame
     (2048, 426, None), (2048, 426, 97), (48, 16, 5), (64, 20, 64), (300, 0, 2048), (1, 7, 3),
 ]
 
@@ -214,39 +228,60 @@ WINDOW_CONFIGS = [  # (window, tau_max, hop): each makes one block per window
 @pytest.mark.parametrize("window, tau_max, hop", WINDOW_CONFIGS)
 @pytest.mark.parametrize("scale", [0.0, 1e-3, 1.0, 1e100])
 def test_window_kernel_is_the_per_frame_reference(window, tau_max, hop, scale):
-    # bit for bit: strided stacks, independent rows, rows longer than a
-    # frame, and single 1-D frames
+    # bit for bit: a clip span cut at the hop, strided stacks, independent
+    # rows, rows longer than a frame, and single 1-D frames
     rng = np.random.default_rng(window + tau_max)
     frame_len = window + tau_max
     x = scale * rng.standard_normal(5 * frame_len + 3)
-    stack, _ = _strided_frames(x, frame_len, hop or 64)
+    stack = _span_frames(x, frame_len, hop or 64)
     loose = scale * rng.standard_normal((4, frame_len + 37))
+    if hop:
+        got = _difference_fft(x, tau_max, window, hop)
+        assert got.tobytes() == difference_fft_per_frame(stack, tau_max, window).tobytes()
     for frames in (stack, loose, stack[0], loose[1]):
-        got = _difference_fft(frames, tau_max, window, hop)
+        got = _difference_fft(frames, tau_max, window)
         assert got.tobytes() == difference_fft_per_frame(frames, tau_max, window).tobytes()
 
 
 @pytest.mark.parametrize("hop", [CFG.hop, 97])
 def test_analyse_transform_lengths(monkeypatch, hop):
-    # the clip pass transforms hop blocks at the real-FFT fast length of
-    # hop + tau_max (720 by default) when the hop divides the window, whole
-    # frames at next_fast_len(frame_length) otherwise; a fallback to
-    # frame-length transforms fails here
+    # the clip pass cuts each block's span into segments of head + tau_max
+    # samples and transforms each segment and its head: hop heads at the
+    # real-FFT fast length of hop + tau_max (720 by default) when the hop
+    # divides the window, whole frames and window heads at
+    # next_fast_len(frame_length) otherwise; a fallback to frame-length
+    # transforms fails here
     lengths = set()
     rfft = scipy.fft.rfft
 
     def recording(x, n=None, *args, **kwargs):
-        lengths.add(n)
+        lengths.add((x.shape[-1], n))
         return rfft(x, n, *args, **kwargs)
 
     monkeypatch.setattr(yin.scipy.fft, "rfft", recording)
     cfg = CFG.replace(hop=hop)
     compute_yingram(Waveform(np.random.default_rng(0).standard_normal(SR // 2), SR), cfg)
-    if cfg.window % hop == 0:
-        expected = scipy.fft.next_fast_len(hop + cfg.tau_max, real=True)
-    else:
-        expected = scipy.fft.next_fast_len(cfg.frame_length)
-    assert lengths == {expected}
+    head = hop if cfg.window % hop == 0 else cfg.window
+    n = scipy.fft.next_fast_len(head + cfg.tau_max, real=head < cfg.window)
+    assert lengths == {(head + cfg.tau_max, n), (head, n)}
+
+
+def _working_set(seconds):
+    """Traced peak of compute_yingram on a tone, less the arrays it returns."""
+    w = sine_tone(220.0, seconds)
+    tracemalloc.start()
+    try:
+        matrix = compute_yingram(w, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - matrix.values.nbytes - matrix.padded.nbytes
+
+
+def test_clip_pass_working_set_does_not_grow_with_the_clip():
+    # a block's span, not the clip, bounds it: a zero-padded copy of the
+    # whole clip once put 9.7 MB more on it at 60 s than at 5 s
+    assert abs(_working_set(60.0) - _working_set(5.0)) <= 1e6
 
 
 def test_empty_clip_has_no_blocks():

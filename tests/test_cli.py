@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from yingram import (
     AnalysisConfig,
@@ -98,6 +99,14 @@ def test_f0_csv(tmp_path, tone_wav):
     voiced = [float(l.split(",")[2]) for l in lines[1:] if l.split(",")[2]]
     assert len(voiced) > 60
     np.testing.assert_allclose(voiced, 440.0, atol=1.0)
+
+
+def test_f0_rejects_an_empty_out_path(tmp_path, tone_wav, capsys, monkeypatch):
+    # once "error: PosixPath('.') has an empty name"
+    monkeypatch.chdir(tmp_path)
+    assert main(["f0", str(tone_wav), "--out", ""]) == 2
+    assert capsys.readouterr().err == "error: empty output path\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tone.wav"]
 
 
 def test_f0_silence_empty_column(tmp_path):
@@ -231,6 +240,19 @@ def test_gradcheck_zero_frames_vacuous(capsys):
     captured = capsys.readouterr()
     assert "vacuous" in captured.err
     assert json.loads(captured.out)["all_pass"] is True
+
+
+def test_gradcheck_warns_when_every_probe_is_skipped(capsys):
+    # at eps 1e-300 each probe falls under the rounding floor: the exit code
+    # and the JSON stay as they are, and stderr says the pass is vacuous
+    assert main(["gradcheck", "--frames", "2", "--eps", "1e-300"]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["all_pass"] is True
+    assert [(r["probes_checked"], r["guarded"]) for r in payload["reports"]] == [(0, False)] * 2
+    assert captured.err == "warning: no probe was compared, gradcheck passes vacuously\n"
+    assert main(["gradcheck", "--frames", "1"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_batch_manifest(tmp_path, shifted_pair):
@@ -492,7 +514,10 @@ def test_reports_match_the_window_kernel(tmp_path, monkeypatch):
     blocked = _run_reports(tmp_path, "hop", pairs, clip_path)
     kernel = yin._difference_fft
     monkeypatch.setattr(
-        feature, "_difference_fft", lambda x, tau_max, window, hop: kernel(x, tau_max, window)
+        feature, "_difference_fft",
+        lambda span, tau_max, window, hop: kernel(
+            sliding_window_view(span, window + tau_max)[::hop], tau_max, window
+        ),
     )
     reference = _run_reports(tmp_path, "window", pairs, clip_path)
 

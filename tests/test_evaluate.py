@@ -26,6 +26,7 @@ from yingram import (
 )
 from yingram import evaluate, feature
 from yingram.evaluate import _contour_offsets
+from yingram.feature import BLOCK_FRAMES
 from conftest import write_wav
 from oracles import contour_offsets_loop
 
@@ -213,21 +214,33 @@ def test_shift_pair_equals_the_public_paths(cfg, seconds, s):
 
 
 def test_each_clip_analysis_frames_the_clip_once(monkeypatch, cfg):
-    calls = []
+    # one frame count per analysis, and block spans that tile its frames once
+    calls, runs = [], []
 
-    def counting(x, frame_len, hop):
-        calls.append(len(x))
-        return real(x, frame_len, hop)
+    def counting(num_samples, frame_len, hop):
+        calls.append(num_samples)
+        return real_count(num_samples, frame_len, hop)
 
-    real = feature._strided_frames
-    monkeypatch.setattr(feature, "_strided_frames", counting)
+    def spanning(x, frame_len, hop, first, stop):
+        runs.append((first, stop))
+        return real_span(x, frame_len, hop, first, stop)
+
+    def tiles(w):
+        n = real_count(len(w), cfg.frame_length, cfg.hop)
+        return [(k, min(k + BLOCK_FRAMES, n)) for k in range(0, n, BLOCK_FRAMES)]
+
+    real_count, real_span = feature.frame_count, feature._frame_span
+    monkeypatch.setattr(feature, "frame_count", counting)
+    monkeypatch.setattr(feature, "_frame_span", spanning)
     w = harmonic_tone(220.0, 0.5)
     shifted = pitch_shifted_copy(w, -1.0)
     compute_yingram(w, cfg)
     extract_pitch_contour(w, cfg)
     assert calls == [len(w), len(w)]
+    assert runs == tiles(w) * 2
     evaluate_shift_pair(w, shifted, 2, cfg)
     assert calls == [len(w), len(w), len(w), len(shifted)]
+    assert runs == tiles(w) * 3 + tiles(shifted)
 
 
 @pytest.mark.parametrize("s", [2.9, True, "2"])

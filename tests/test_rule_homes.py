@@ -25,6 +25,7 @@ RULE_HOMES = {
     "samples must be 1-D": "audio",
     "parabolic_refine needs a 1-D curve holding lag": "yin",
     "cmnd needs at least one lag": "yin",
+    "empty output path": "feature",
 }
 
 
