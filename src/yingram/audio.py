@@ -33,6 +33,8 @@ _KAISER_BETA = 8.6
 # (`pitch_shifted_copy` by -s/2 semitones, |s| <= 15; s = 12 needs
 # 31183/22050). Other pairs resample at the nearest ratio within the cap.
 _MAX_POLYPHASE = 1 << 15
+# (format tag, bits) -> (the type a sample is viewed as, full scale)
+_STORED_TYPES = {(1, 16): ("<i2", 2.0**15), (1, 24): ("<i4", 2.0**23), (3, 32): ("<f4", 1.0)}
 
 
 class WavFormatError(ValueError):
@@ -103,24 +105,32 @@ def _decode_fmt(chunk: bytes) -> tuple[int, int, int, int]:
     return audio_format, n_channels, sample_rate, bits
 
 
-def _decode_samples(data: bytes, audio_format: int, bits: int) -> np.ndarray:
-    if audio_format == 1 and bits == 16:
-        return np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    if audio_format == 1 and bits == 24:
-        raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3)
-        # assemble little-endian 24-bit two's complement into int32
-        vals = (
-            raw[:, 0].astype(np.int32)
-            | (raw[:, 1].astype(np.int32) << 8)
-            | (raw[:, 2].astype(np.int32) << 16)
-        )
-        vals -= (vals & 0x800000) << 1
-        return vals.astype(np.float64) / 8388608.0
-    if audio_format == 3 and bits == 32:
-        return np.frombuffer(data, dtype="<f4").astype(np.float64)
-    raise WavFormatError(
-        f"unsupported format: audio format tag {audio_format} at {bits} bits"
-    )
+@np.errstate(invalid="ignore")  # inf + -inf channels: load_wav's finite check names them
+def _decode_samples(data, audio_format: int, bits: int, n_channels: int) -> np.ndarray:
+    """Mono float64 samples of a data chunk, one rule for every format: view
+    the chunk as its stored type, sum each frame's channels in float64, and
+    divide once by full scale x channel count. A trailing partial frame is
+    dropped. Integer samples and their sums are exact and full scale is a
+    power of two, so this rounds once, as the mean of the scaled channels
+    does; float32 channels add in the mean's order."""
+    if (audio_format, bits) not in _STORED_TYPES:
+        raise WavFormatError(f"unsupported format: audio format tag {audio_format} at {bits} bits")
+    stored, full_scale = _STORED_TYPES[audio_format, bits]
+    frame_bytes = n_channels * (bits // 8)
+    data = np.frombuffer(data, np.uint8)[: len(data) - len(data) % frame_bytes]
+    if bits == 24:
+        # each sample in the top three bytes of an int32; shifting right by 8
+        # brings its sign back
+        words = np.zeros(len(data) // 3, stored)
+        words.view(np.uint8).reshape(-1, 4)[:, 1:] = data.reshape(-1, 3)
+        words >>= 8
+    else:
+        words = data.view(stored)
+    frames = words.reshape(-1, n_channels)
+    # astype for mono: a one-term sum would turn -0.0 into +0.0
+    mono = frames[:, 0].astype(np.float64) if n_channels == 1 else frames.sum(1, np.float64)
+    mono /= full_scale * n_channels
+    return mono
 
 
 def load_wav(path: str | os.PathLike) -> Waveform:
@@ -162,13 +172,7 @@ def load_wav(path: str | os.PathLike) -> Waveform:
     audio_format, n_channels, sample_rate, bits = fmt
     if n_channels < 1:
         raise WavFormatError("corrupt file: zero channels")
-    frame_bytes = n_channels * (bits // 8)
-    if frame_bytes and len(data) % frame_bytes:
-        data = data[: len(data) - (len(data) % frame_bytes)]
-
-    samples = _decode_samples(data, audio_format, bits)
-    if n_channels > 1:
-        samples = samples.reshape(-1, n_channels).mean(axis=1)
+    samples = _decode_samples(data, audio_format, bits, n_channels)
     if not np.all(np.isfinite(samples)):
         raise WavFormatError("corrupt file: non-finite samples")
     return Waveform(samples, sample_rate)
@@ -199,8 +203,9 @@ def resample(w: Waveform, target_sr: int) -> Waveform:
     """Resample with a polyphase Kaiser-windowed sinc filter.
 
     Output length is round(len * target_sr / source_sr). When the rates
-    already match the samples pass through unchanged. The filter size is
-    bounded (see `_polyphase_factors`), whatever rate a WAV header claims.
+    already match, `w` itself is returned: its samples are not copied. The
+    filter size is bounded (see `_polyphase_factors`), whatever rate a WAV
+    header claims.
 
     Raises:
         ValueError: for a target rate that is not a positive integer, or
@@ -208,7 +213,7 @@ def resample(w: Waveform, target_sr: int) -> Waveform:
     """
     target_sr = _require_int(target_sr, "target_sr", 1)
     if target_sr == w.sample_rate:
-        return Waveform(w.samples.copy(), target_sr)
+        return w
 
     up, down = _polyphase_factors(w.sample_rate, target_sr)
     max_rate = max(up, down)

@@ -161,7 +161,7 @@ def _analyse(w: Waveform, cfg: AnalysisConfig) -> tuple[YingramMatrix, PitchCont
     made. A frame's CMND is
     cmnd(difference_function(frame, tau_max, window)), with the correlation
     and the energies summed from hop blocks when the hop divides the window
-    (d to about 1e-15 of the frame's peak, a stored value to 1 float32 ulp;
+    (d to about 1e-13 of p0 + p_tau, a stored value to 1 float32 ulp;
     exact otherwise). Every frame gets a Yingram row;
     padded frames are flagged and stay unvoiced (f0 NaN, aperiodicity 1),
     the others get the f0 of `f0_rows`.

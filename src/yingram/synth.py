@@ -46,7 +46,7 @@ def harmonic_tone(
     x = np.zeros_like(t)
     for h in range(1, n_harmonics + 1):
         x += np.sin(2.0 * np.pi * f0 * h * t + rng.uniform(0.0, 2.0 * np.pi)) / h
-    return Waveform(amplitude * x / np.max(np.abs(x)), sample_rate)
+    return Waveform(amplitude * x / np.max(np.abs(x), initial=0.0), sample_rate)
 
 
 def vibrato_tone(
@@ -68,7 +68,8 @@ def pitch_shifted_copy(w: Waveform, semitones: float) -> Waveform:
     """Pitch-shift by resampling and relabeling at the original rate.
 
     Duration scales by 2^(-semitones/12); the shift is exact up to the
-    integer rounding of the intermediate rate (well under a cent).
+    integer rounding of the intermediate rate (well under a cent). A shift
+    too small to change the rate (0 semitones, say) shares `w`'s samples.
     """
     target = int(round(w.sample_rate * 2.0 ** (-semitones / 12.0)))
     return Waveform(resample(w, target).samples, w.sample_rate)

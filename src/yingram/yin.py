@@ -13,7 +13,8 @@ and its clamp, the CMND guard and overflow check, the lag pick and the
 parabolic refinement). Only the sums are taken differently: when the hop
 divides the window, clip analysis adds up the correlations and energies of
 hop blocks that overlapping frames share, so its d agrees with the
-per-frame path to about 1e-15 of each frame's peak, not to the last bit.
+per-frame path to the rounding of the energies summed, not to the last
+bit: at the default config within 1e-13 of p0 + p_tau at each lag.
 Otherwise each segment is one frame, and the two paths run the same
 transforms and cumsums bit for bit.
 

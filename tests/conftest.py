@@ -6,8 +6,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from yingram import AnalysisConfig, Waveform
+
+# a failing @given test prints its @reproduce_failure line, so a failure seen
+# once in a log can be replayed; example counts and seeds stay as they are
+settings.register_profile("reproducible", print_blob=True)
+settings.load_profile("reproducible")
 
 
 def _riff(fmt_body: bytes, data: bytes, extra_chunks: bytes = b"") -> bytes:

@@ -97,6 +97,25 @@ def parabolic_refine_scalar(vals: np.ndarray, tau: int) -> float:
     return float(min(max(vertex, tau - 1.0), tau + 1.0))
 
 
+def decode_mean(data: bytes, audio_format: int, bits: int, n_channels: int) -> np.ndarray:
+    """The per-format WAV decode: a trailing partial frame dropped, every
+    sample of every channel scaled to [-1, 1] in float64 (PCM 16 and 24-bit
+    by 2^15 and 2^23, float32 as is), then each frame's channels averaged
+    with `mean`."""
+    frame_bytes = n_channels * (bits // 8)
+    data = data[: len(data) - len(data) % frame_bytes]
+    if audio_format == 1 and bits == 16:
+        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
+    elif audio_format == 1 and bits == 24:
+        raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
+        vals = raw[:, 0] | (raw[:, 1] << 8) | (raw[:, 2] << 16)
+        vals -= (vals & 0x800000) << 1  # two's complement
+        samples = vals.astype(np.float64) / 8388608.0
+    else:
+        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
+    return samples if n_channels == 1 else samples.reshape(-1, n_channels).mean(axis=1)
+
+
 def resample_unbounded(samples: np.ndarray, source_sr: int, target_sr: int) -> np.ndarray:
     """The resampler with an unbounded filter: the exact ratio in lowest
     terms, 64 * max(up, down) + 1 Kaiser-sinc taps, and an output length of

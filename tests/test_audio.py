@@ -8,7 +8,18 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from yingram import Frame, WavFormatError, Waveform, frame_signal, load_wav, resample, sine_tone
+from yingram import (
+    Frame,
+    WavFormatError,
+    Waveform,
+    frame_signal,
+    harmonic_tone,
+    load_wav,
+    pitch_shifted_copy,
+    resample,
+    sine_tone,
+    vibrato_tone,
+)
 from yingram.audio import frame_count
 from conftest import (
     _fmt,
@@ -22,7 +33,7 @@ from conftest import (
     write_truncated,
     write_with_extra_chunk,
 )
-from oracles import fft_peak_hz, resample_unbounded
+from oracles import decode_mean, fft_peak_hz, resample_unbounded
 
 
 def test_pcm16_scaling(tmp_path):
@@ -108,6 +119,11 @@ def test_extra_chunks_skipped(tmp_path):
     (_riff(_fmt(1, 0, 8000, 16), b"\x00\x00"), "corrupt file: zero channels"),
     (_riff(_fmt(3, 1, 8000, 32), np.array([0.5, np.nan], dtype="<f4").tobytes()),
      "corrupt file: non-finite samples"),
+    # channels that cancel to NaN once raised numpy's "invalid value" warning
+    (_riff(_fmt(3, 2, 8000, 32), np.array([0.5, 0.5, np.inf, -np.inf], dtype="<f4").tobytes()),
+     "corrupt file: non-finite samples"),
+    (_riff(_fmt(3, 3, 8000, 32), np.array([np.inf, 1.0, 2.0], dtype="<f4").tobytes()),
+     "corrupt file: non-finite samples"),
 ])
 def test_corrupt_files_name_their_fault(tmp_path, blob, message):
     path = tmp_path / "bad.wav"
@@ -122,6 +138,77 @@ def test_a_trailing_partial_sample_frame_is_dropped(tmp_path):
     data = np.array([16384, 0, 8192], dtype="<i2").tobytes()
     path.write_bytes(_riff(_fmt(1, 2, 8000, 16), data))
     np.testing.assert_array_equal(load_wav(path).samples, [0.25])
+
+
+FORMATS = {"s16": (1, 16), "s24": (1, 24), "f32": (3, 32)}
+
+
+def _stored(name: str, values: np.ndarray) -> bytes:
+    """The data chunk bytes of sample values in format `name`."""
+    if name == "s24":
+        return np.asarray(values, "<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+    return np.asarray(values, {"s16": "<i2", "f32": "<f4"}[name]).tobytes()
+
+
+def _edge_values(name: str) -> np.ndarray:
+    if name == "f32":
+        tiny = np.finfo(np.float32).smallest_subnormal
+        big = np.float32(3.4e38)
+        return np.array([0.0, -0.0, tiny, -tiny, 2**-127, -1.0, 1.0, big, -big], np.float32)
+    top = 2 ** (FORMATS[name][1] - 1)
+    return np.array([-top, top - 1, -1, 0, 1])
+
+
+def _random_values(name: str, rng, count: int) -> np.ndarray:
+    if name == "f32":  # any finite float32: every exponent, subnormals too
+        bits = rng.integers(0, 2**32, count, dtype=np.uint64).astype(np.uint32)
+        values = bits.view(np.float32)
+        return np.where(np.isfinite(values), values, np.float32(-0.0))
+    top = 2 ** (FORMATS[name][1] - 1)
+    return rng.integers(-top, top, count)
+
+
+@pytest.mark.parametrize("name", FORMATS)
+@pytest.mark.parametrize("n_channels", range(1, 9))
+def test_decode_equals_the_mean_of_scaled_channels(tmp_path, name, n_channels):
+    # bit for bit against the per-format rule: a frame of each edge value in
+    # every channel, then the edge values scattered among random samples, past
+    # numpy's 8192-element cast buffer, and a trailing partial frame
+    rng = np.random.default_rng(n_channels)
+    edges = _edge_values(name)
+    values = _random_values(name, rng, 3000 * n_channels)
+    values[: len(edges) * n_channels] = np.repeat(edges, n_channels)
+    spots = rng.integers(0, len(values), 200)
+    values[spots] = rng.choice(edges, len(spots))
+    tag, bits = FORMATS[name]
+    data = _stored(name, values) + b"\x7f" * int(rng.integers(1, n_channels * bits // 8))
+    path = tmp_path / "x.wav"
+    path.write_bytes(_riff(_fmt(tag, n_channels, 8000, bits), data))
+    expected = decode_mean(data, tag, bits, n_channels)
+    assert len(expected) == 3000
+    assert load_wav(path).samples.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", FORMATS)
+def test_stereo_decode_holds_no_per_channel_float_copy(tmp_path, name):
+    # the traced peak is the file's bytes, the float64 mono samples (8 B per
+    # frame), the finite check's bool (1 B), for 24 bits the int32 stage
+    # (4 B per sample), and numpy's cast buffers; a float64 copy of every
+    # channel, averaged after, adds 16 B per frame
+    frames = 50_000
+    tag, bits = FORMATS[name]
+    values = _random_values(name, np.random.default_rng(bits), 2 * frames)
+    path = tmp_path / "st.wav"
+    path.write_bytes(_riff(_fmt(tag, 2, 44100, bits), _stored(name, values)))
+    stage = 8 * frames if bits == 24 else 0
+    tracemalloc.start()
+    try:
+        w = load_wav(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(w) == frames
+    assert peak < path.stat().st_size + 9 * frames + stage + 64 * 1024
 
 
 def test_load_wav_does_not_copy_the_data_chunk(tmp_path):
@@ -176,9 +263,18 @@ def test_numpy_integer_rates_are_stored_as_int():
 
 
 def test_resample_identity():
+    # a clip already at the target rate is returned itself, not copied
     w = sine_tone(440.0, 0.1)
-    out = resample(w, w.sample_rate)
-    np.testing.assert_array_equal(out.samples, w.samples)
+    assert resample(w, w.sample_rate) is w
+    assert resample(w, np.int64(w.sample_rate)) is w
+    assert pitch_shifted_copy(w, 0.0).samples is w.samples
+
+
+@pytest.mark.parametrize("tone", [sine_tone, harmonic_tone, vibrato_tone])
+@pytest.mark.parametrize("duration", [0.0, 1e-6])
+def test_tones_shorter_than_one_sample_are_empty(tone, duration):
+    w = tone(150.0, duration)
+    assert len(w) == 0 and w.samples.dtype == np.float64 and w.sample_rate == 22050
 
 
 def test_resample_length():

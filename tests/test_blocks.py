@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from yingram import (
@@ -168,14 +168,25 @@ def hop_runs(draw):
 
 @settings(deadline=None, max_examples=200)
 @given(hop_runs())
+# a loud ramp into silence: the two kernels differ by 1.1e-12 of the frame's
+# peak d, the window kernel being the one further from the direct sum
+@example(run=(np.array([41.57225326, 42.24199504, 42.88635846, 43.5034048, 44.09596495,
+                        0.0, 0.0, 0.0, 0.0]), 1, 4, 2))
 def test_hop_blocks_match_window_kernel(run):
     span, tau_max, window, hop = run
     rows = _span_frames(span, window + tau_max, hop)
     blocked = _difference_fft(span, tau_max, window, hop)
     ref = _difference_fft(rows, tau_max, window)
     assert blocked.shape == ref.shape == (len(rows), tau_max + 1)
-    peak = np.abs(ref).max(axis=1, keepdims=True)
-    assert (np.abs(blocked - ref) <= 1e-12 * peak).all()
+    # both kernels round on the scale of the energies they transform and sum.
+    # The frame's energy E, the sum of its squares, bounds every segment, and
+    # p0 + p_tau <= 2E; with a window far shorter than tau_max, p0 + p_tau
+    # alone is too small a scale (gaps of 1.4e-13 of it occur). A lag that
+    # one kernel clamps to 0 and the other does not may differ by up to the
+    # clamp, 1e-11 (p0 + p_tau) <= 2e-11 E
+    energy = np.square(rows).sum(axis=1, keepdims=True)
+    clamped = (blocked == 0.0) != (ref == 0.0)
+    assert (np.abs(blocked - ref) <= np.where(clamped, 3e-11, 3e-13) * energy).all()
 
 
 def _tone_in_noise(rng):
