@@ -35,6 +35,9 @@ _KAISER_BETA = 8.6
 _MAX_POLYPHASE = 1 << 15
 # (format tag, bits) -> (the type a sample is viewed as, full scale)
 _STORED_TYPES = {(1, 16): ("<i2", 2.0**15), (1, 24): ("<i4", 2.0**23), (3, 32): ("<f4", 1.0)}
+# Stored samples `load_wav` reads and decodes at a time (rounded down to
+# whole frames, at least one frame): the one block it holds besides the clip
+_BLOCK_SAMPLES = 1 << 14
 
 
 class WavFormatError(ValueError):
@@ -106,31 +109,49 @@ def _decode_fmt(chunk: bytes) -> tuple[int, int, int, int]:
 
 
 @np.errstate(invalid="ignore")  # inf + -inf channels: load_wav's finite check names them
-def _decode_samples(data, audio_format: int, bits: int, n_channels: int) -> np.ndarray:
-    """Mono float64 samples of a data chunk, one rule for every format: view
-    the chunk as its stored type, sum each frame's channels in float64, and
-    divide once by full scale x channel count. A trailing partial frame is
-    dropped. Integer samples and their sums are exact and full scale is a
-    power of two, so this rounds once, as the mean of the scaled channels
-    does; float32 channels add in the mean's order."""
+def _decode_samples(
+    buf: bytearray, audio_format: int, bits: int, n_channels: int, out: np.ndarray
+) -> None:
+    """Decode the first len(out) frames of buf into out, one mono float64
+    sample per frame, by one rule for every format: view the samples as
+    their stored type, sum each frame's channels in float64, and divide
+    once by full scale x channel count. Integer samples and their sums are
+    exact and full scale is a power of two, so this rounds once, as the mean
+    of the scaled channels does; float32 channels add in the mean's order.
+    24-bit samples start at buf[1]: word i, read with a 3-byte stride, holds
+    the byte before sample i and the sample in its top three bytes, and
+    shifting right by 8 brings its sign back."""
+    stored, full_scale = _STORED_TYPES[audio_format, bits]
+    count = len(out) * n_channels
+    if bits == 24:
+        words = np.ndarray(count, stored, buf, 0, (3,)) >> 8
+    else:
+        words = np.frombuffer(buf, stored, count)
+    frames = words.reshape(-1, n_channels)
+    if n_channels == 1:
+        out[:] = frames[:, 0]  # a one-term sum would turn -0.0 into +0.0
+    else:
+        frames.sum(1, np.float64, out=out)
+    out /= full_scale * n_channels
+
+
+def _read_samples(fh, size: int, audio_format: int, bits: int, n_channels: int) -> np.ndarray:
+    """Mono float64 samples of the data chunk of `size` bytes at fh's
+    position, read _BLOCK_SAMPLES samples at a time into one reused buffer
+    and decoded straight into the clip. A trailing partial frame is dropped."""
     if (audio_format, bits) not in _STORED_TYPES:
         raise WavFormatError(f"unsupported format: audio format tag {audio_format} at {bits} bits")
-    stored, full_scale = _STORED_TYPES[audio_format, bits]
-    frame_bytes = n_channels * (bits // 8)
-    data = np.frombuffer(data, np.uint8)[: len(data) - len(data) % frame_bytes]
-    if bits == 24:
-        # each sample in the top three bytes of an int32; shifting right by 8
-        # brings its sign back
-        words = np.zeros(len(data) // 3, stored)
-        words.view(np.uint8).reshape(-1, 4)[:, 1:] = data.reshape(-1, 3)
-        words >>= 8
-    else:
-        words = data.view(stored)
-    frames = words.reshape(-1, n_channels)
-    # astype for mono: a one-term sum would turn -0.0 into +0.0
-    mono = frames[:, 0].astype(np.float64) if n_channels == 1 else frames.sum(1, np.float64)
-    mono /= full_scale * n_channels
-    return mono
+    frame_bytes, lead = n_channels * (bits // 8), int(bits == 24)
+    block = max(1, _BLOCK_SAMPLES // n_channels)  # frames
+    buf = bytearray(lead + block * frame_bytes)
+    samples = np.empty(size // frame_bytes)
+    for start in range(0, len(samples), block):
+        out = samples[start : start + block]
+        fh.readinto(memoryview(buf)[lead : lead + len(out) * frame_bytes])
+        _decode_samples(buf, audio_format, bits, n_channels, out)
+        if not np.isfinite(out).all():
+            raise WavFormatError("corrupt file: non-finite samples")
+    return samples
 
 
 def load_wav(path: str | os.PathLike) -> Waveform:
@@ -138,44 +159,43 @@ def load_wav(path: str | os.PathLike) -> Waveform:
 
     Supports PCM 16-bit, PCM 24-bit and IEEE float 32-bit, any channel
     count. Multi-channel audio is averaged to mono; integer PCM is scaled
-    to [-1, 1].
+    to [-1, 1]. The data chunk is read in blocks, so beyond the returned
+    clip (8 B per frame) only one block is held.
 
     Raises:
         WavFormatError: "unsupported format" for codecs outside the list
             above, "corrupt file" for truncated or malformed chunks.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 12:
-        raise WavFormatError("corrupt file: shorter than a RIFF header")
-    if blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
-        raise WavFormatError("unsupported format: not a RIFF/WAVE file")
+        file_size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if len(head) < 12:
+            raise WavFormatError("corrupt file: shorter than a RIFF header")
+        if head[:4] != b"RIFF" or head[8:12] != b"WAVE":
+            raise WavFormatError("unsupported format: not a RIFF/WAVE file")
 
-    fmt = None
-    data = None
-    pos = 12
-    while pos + 8 <= len(blob):
-        cid = blob[pos : pos + 4]
-        size = struct.unpack("<I", blob[pos + 4 : pos + 8])[0]
-        body = memoryview(blob)[pos + 8 : pos + 8 + size]  # a view, not a copy
-        if len(body) < size:
-            raise WavFormatError(f"corrupt file: truncated {cid!r} chunk")
-        if cid == b"fmt ":
-            fmt = _decode_fmt(body)
-        elif cid == b"data":
-            data = body
-        pos += 8 + size + (size & 1)  # chunks are word aligned
+        fmt = None
+        data = None  # (offset, size) of the data chunk's body
+        pos = 12
+        while pos + 8 <= file_size:
+            fh.seek(pos)
+            cid, size = struct.unpack("<4sI", fh.read(8))
+            if pos + 8 + size > file_size:
+                raise WavFormatError(f"corrupt file: truncated {cid!r} chunk")
+            if cid == b"fmt ":
+                fmt = _decode_fmt(fh.read(size))
+            elif cid == b"data":
+                data = pos + 8, size
+            pos += 8 + size + (size & 1)  # chunks are word aligned
 
-    if fmt is None or data is None:
-        raise WavFormatError("corrupt file: missing fmt or data chunk")
+        if fmt is None or data is None:
+            raise WavFormatError("corrupt file: missing fmt or data chunk")
 
-    audio_format, n_channels, sample_rate, bits = fmt
-    if n_channels < 1:
-        raise WavFormatError("corrupt file: zero channels")
-    samples = _decode_samples(data, audio_format, bits, n_channels)
-    if not np.all(np.isfinite(samples)):
-        raise WavFormatError("corrupt file: non-finite samples")
-    return Waveform(samples, sample_rate)
+        audio_format, n_channels, sample_rate, bits = fmt
+        if n_channels < 1:
+            raise WavFormatError("corrupt file: zero channels")
+        fh.seek(data[0])
+        return Waveform(_read_samples(fh, data[1], audio_format, bits, n_channels), sample_rate)
 
 
 def _polyphase_factors(source_sr: int, target_sr: int) -> tuple[int, int]:

@@ -80,6 +80,10 @@ def write_inputs(root: Path) -> None:
     left, right = _voice(48000, 3), 0.8 * _voice(48000, 4)
     (root / "stereo48k.wav").write_bytes(_wav_bytes(np.stack((left, right), 1), 48000, "s24"))
     (root / "mono44k.wav").write_bytes(_wav_bytes(_voice(44100, 5), 44100, "s16"))
+    # about 2.7 s: `load_wav` reads its data chunk in many blocks
+    left = np.concatenate((_voice(48000, 6), _voice(48000, 7)))
+    right = 0.8 * np.concatenate((_voice(48000, 8), _voice(48000, 9)))
+    (root / "long48k.wav").write_bytes(_wav_bytes(np.stack((left, right), 1), 48000, "s24"))
     (root / "short.wav").write_bytes(_wav_bytes(harmonic_tone(200.0, 0.05).samples, SR, "f32"))
     (root / "empty.wav").write_bytes(_wav_bytes(np.zeros(0), SR, "s16"))
     (root / "notwav.wav").write_bytes(b"not a riff file at all")
@@ -114,6 +118,8 @@ CASES = {
     "f0-hop2048": ["f0", "voice.wav", *_io("f2048", "--hop", "2048")],
     "analyze-48k-stereo-s24": ["analyze", "stereo48k.wav", "--binary", "st.f32"],
     "f0-48k-stereo-s24": ["f0", "stereo48k.wav", *_io("fst")],
+    "analyze-48k-stereo-s24-blocks": ["analyze", "long48k.wav", *_io("lst"), "--binary", "lst.f32"],
+    "f0-48k-stereo-s24-blocks": ["f0", "long48k.wav", *_io("flst")],
     "analyze-44k-s16": ["analyze", "mono44k.wav", *_io("m44")],
     "f0-44k-s16": ["f0", "mono44k.wav", *_io("fm44")],
     "analyze-shorter-than-a-frame": ["analyze", "short.wav", *_io("sh"), "--binary", "sh.f32"],

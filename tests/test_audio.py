@@ -3,6 +3,7 @@ import tracemalloc
 
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from yingram import (
     sine_tone,
     vibrato_tone,
 )
+from yingram import audio
 from yingram.audio import frame_count
 from conftest import (
     _fmt,
@@ -225,6 +227,106 @@ def test_load_wav_does_not_copy_the_data_chunk(tmp_path):
     assert len(w.samples) == n
     # the file's bytes, the float64 samples, and less than one more file
     assert peak < 2 * size + 8 * n
+
+
+BLOCK = 6  # stored samples per block read, so a clip of a few frames spans many
+
+
+def _chunk(cid: bytes, body: bytes) -> bytes:
+    """One RIFF chunk, with the pad byte that word-aligns an odd-sized body."""
+    return cid + struct.pack("<I", len(body)) + body + b"\x00" * (len(body) & 1)
+
+
+def _wave(*chunks: bytes) -> bytes:
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+@pytest.mark.parametrize("layout", ["fmt-data", "fmt-data-list", "data-fmt"])
+@pytest.mark.parametrize("name", FORMATS)
+@pytest.mark.parametrize("n_channels", [1, 2, 3])
+def test_block_reads_equal_the_mean_of_scaled_channels(
+    tmp_path, monkeypatch, layout, name, n_channels
+):
+    # one block less a frame, one block, one block and a frame, and several
+    # blocks, each with a trailing partial frame; data chunks of odd size are
+    # followed by their pad byte
+    monkeypatch.setattr(audio, "_BLOCK_SAMPLES", BLOCK)
+    block = BLOCK // n_channels  # frames
+    tag, bits = FORMATS[name]
+    rng = np.random.default_rng(n_channels)
+    fmt = _chunk(b"fmt ", _fmt(tag, n_channels, 8000, bits))
+    listing = _chunk(b"LIST", b"INFOx")
+    for frames in (block - 1, block, block + 1, 5 * block + 2):
+        values = _random_values(name, rng, frames * n_channels)
+        data = _stored(name, values) + b"\x7f" * (n_channels * bits // 8 - 1)
+        chunks = {
+            "fmt-data": (fmt, _chunk(b"data", data)),
+            "fmt-data-list": (fmt, _chunk(b"data", data), listing),
+            "data-fmt": (_chunk(b"data", data), fmt),
+        }[layout]
+        path = tmp_path / f"{frames}.wav"
+        path.write_bytes(_wave(*chunks))
+        samples = load_wav(path).samples
+        assert len(samples) == frames
+        assert samples.tobytes() == decode_mean(data, tag, bits, n_channels).tobytes()
+
+
+@pytest.mark.parametrize("n_channels, last", [
+    (1, [np.nan]), (2, [np.inf, -np.inf]), (3, [1.0, 2.0, -np.inf]),
+])
+def test_a_non_finite_sample_in_the_last_block_is_named(tmp_path, monkeypatch, n_channels, last):
+    monkeypatch.setattr(audio, "_BLOCK_SAMPLES", BLOCK)
+    values = np.full(n_channels * 20, 0.25, "<f4")
+    values[-n_channels:] = last
+    path = tmp_path / "late.wav"
+    path.write_bytes(_riff(_fmt(3, n_channels, 8000, 32), values.tobytes()))
+    with pytest.raises(WavFormatError, match="^corrupt file: non-finite samples$"):
+        load_wav(path)
+
+
+@pytest.mark.parametrize("blob, message", [
+    # the data chunk claims 1000 bytes and carries 10
+    (_wave(_chunk(b"fmt ", _fmt(1, 1, 8000, 16)), b"data" + struct.pack("<I", 1000) + b"\x00" * 10),
+     "corrupt file: truncated b'data' chunk"),
+    # a LIST chunk after the data runs one byte past the end of the file
+    (_wave(_chunk(b"fmt ", _fmt(1, 1, 8000, 16)), _chunk(b"data", b"\x00" * 4),
+           b"LIST" + struct.pack("<I", 9) + b"INFOxxxx"),
+     "corrupt file: truncated b'LIST' chunk"),
+    # so does the fmt chunk, before any data
+    (_wave(b"fmt " + struct.pack("<I", 17) + _fmt(1, 1, 8000, 16)),
+     "corrupt file: truncated b'fmt ' chunk"),
+])
+def test_a_truncated_chunk_is_named(tmp_path, blob, message):
+    path = tmp_path / "trunc.wav"
+    path.write_bytes(blob)
+    with pytest.raises(WavFormatError, match=f"^{re.escape(message)}$"):
+        load_wav(path)
+
+
+@pytest.mark.parametrize("name", FORMATS)
+def test_load_wav_holds_the_clip_and_one_block(tmp_path, name):
+    # beyond the float64 clip (8 B per frame) the traced peak is one block of
+    # the data chunk and its decode, whatever the file's length: neither the
+    # file's bytes nor a stage per sample
+    tag, bits = FORMATS[name]
+
+    def excess(frames: int) -> int:
+        values = _random_values(name, np.random.default_rng(bits), 2 * frames)
+        path = tmp_path / f"{frames}.wav"
+        path.write_bytes(_riff(_fmt(tag, 2, 44100, bits), _stored(name, values)))
+        tracemalloc.start()
+        try:
+            w = load_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(w) == frames
+        return peak - 8 * frames
+
+    small, large = excess(50_000), excess(500_000)
+    assert large < 256 * 1024
+    assert large <= small + 4096
 
 
 def test_waveform_requires_positive_rate():

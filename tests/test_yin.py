@@ -14,7 +14,7 @@ from yingram import (
     parabolic_refine,
     sine_tone,
 )
-from yingram.yin import CMND_EPS, _cmnd_terms, _pick_lag, f0_rows, pick_lags
+from yingram.yin import CMND_EPS, _cmnd_terms, _pick_lag, f0_rows, pick_lags, require_finite
 from oracles import cmnd_brute, difference_brute
 
 SR = 22050
@@ -299,3 +299,24 @@ def test_f0_accuracy_on_grid_notes(m):
             good += 1
     assert total > 0
     assert good / total >= 0.95
+
+
+def test_require_finite_counts_and_places_a_late_non_finite_entry():
+    x = np.zeros(1_000_000)
+    x[987_654] = np.nan
+    x[999_999] = -np.inf
+    message = "non-finite samples: 2 of 1000000 entries are NaN or inf, the first at index 987654"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        require_finite(x, "samples")
+    with pytest.raises(ValueError, match="1 of 2 entries .* index 0$"):
+        require_finite(np.array([np.inf, 1.0]), "samples")
+
+
+@pytest.mark.parametrize("values", [
+    np.full(1000, 1e308),  # the sum overflows to inf
+    np.array([1e308, -1e308] * 500),
+    np.array([-1e308, -1e308, 1e308]),
+    np.zeros(0),
+])
+def test_require_finite_passes_finite_values_whose_sum_overflows(values):
+    require_finite(values, "samples")
