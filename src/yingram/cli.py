@@ -14,14 +14,14 @@ import dataclasses
 import functools
 import json
 import sys
+from collections.abc import Iterator
 from pathlib import Path
-
-import numpy as np
 
 from .audio import WavFormatError, load_wav, resample
 from .config import AnalysisConfig, coerce_field, read_config_file
 from .evaluate import batch_report, evaluate_shift_pair, extract_pitch_contour
 from .feature import (
+    PitchContour,
     _atomic_write,
     _write_json,
     _write_sidecar,
@@ -81,15 +81,19 @@ def _cmd_analyze(args: argparse.Namespace, cfg: AnalysisConfig) -> int:
 def _cmd_f0(args: argparse.Namespace, cfg: AnalysisConfig) -> int:
     wave = _load_analysis_input(args.input, cfg)
     contour = extract_pitch_contour(wave, cfg)
-    lines = ["frame,time_sec,f0_hz,aperiodicity"]
-    for k in range(len(contour)):
-        hz = "" if np.isnan(contour.f0[k]) else f"{contour.f0[k]:.4f}"
-        lines.append(
-            f"{k},{contour.times[k]:.6f},{hz},{contour.aperiodicity[k]:.6f}"
-        )
-    _atomic_write(args.out, lines)
+    _atomic_write(args.out, _f0_csv_lines(contour))
     _write_json(args.out + ".json", {"frames": len(contour), "config": cfg.to_dict()})
     return 0
+
+
+def _f0_csv_lines(contour: PitchContour) -> Iterator[str]:
+    """The contour CSV's lines: a header, then frame, time, f0 (empty when
+    unvoiced) and aperiodicity, formatted from Python floats (NaN is the one
+    value unequal to itself)."""
+    yield "frame,time_sec,f0_hz,aperiodicity"
+    rows = zip(contour.times.tolist(), contour.f0.tolist(), contour.aperiodicity.tolist())
+    for k, (t, hz, ap) in enumerate(rows):
+        yield f"{k},{t:.6f},{'' if hz != hz else format(hz, '.4f')},{ap:.6f}"
 
 
 def _cmd_compare_shift(args: argparse.Namespace, cfg: AnalysisConfig) -> int:

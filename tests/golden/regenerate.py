@@ -8,7 +8,8 @@ change of output bytes fails until the manifest is regenerated on purpose:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-A regeneration lists the keys that changed, and why, in CHANGES.md.
+The script prints each case whose record changed against the manifest it
+replaces; a regeneration lists those keys, and why, in CHANGES.md.
 """
 from __future__ import annotations
 
@@ -209,11 +210,42 @@ def run_all(root: Path) -> dict:
     }
 
 
+def _flat(case: dict) -> dict:
+    """A case record keyed by field, with each written file as "files/<name>"."""
+    files = {f"files/{name}": sha for name, sha in case["files"].items()}
+    return {**{k: v for k, v in case.items() if k != "files"}, **files}
+
+
+def changed_keys(old: dict, new: dict) -> list[str]:
+    """One line per case whose record differs between two manifests: the
+    case added or removed, or the case and the keys of its record that differ."""
+    lines = []
+    old_cases, new_cases = old.get("cases", {}), new["cases"]
+    for name in sorted(old_cases.keys() | new_cases.keys()):
+        if name not in old_cases or name not in new_cases:
+            lines.append(f"{name} ({'added' if name in new_cases else 'removed'})")
+            continue
+        a, b = _flat(old_cases[name]), _flat(new_cases[name])
+        keys = [k for k in sorted(a.keys() | b.keys()) if a.get(k) != b.get(k)]
+        if keys:
+            lines.append(f"{name}: {', '.join(keys)}")
+    return lines
+
+
 def main_regenerate() -> None:
+    old = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         record = run_all(Path(tmp))
     MANIFEST.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {MANIFEST}: {len(record['cases'])} cases", file=sys.stderr)
+    for key in ("numpy", "scipy", "inputs"):
+        if old.get(key) != record[key]:
+            print(f"changed: {key}", file=sys.stderr)
+    changed = changed_keys(old, record)
+    for line in changed:
+        print(f"changed: {line}", file=sys.stderr)
+    if not changed:
+        print("no case changed", file=sys.stderr)
 
 
 if __name__ == "__main__":

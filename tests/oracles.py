@@ -223,3 +223,15 @@ def difference_fft_per_frame(x: np.ndarray, tau_max: int, window: int) -> np.nda
     d = p0 + p_tau - 2.0 * corr
     d[d < 1e-11 * (p0 + p_tau)] = 0.0
     return d
+
+
+def f0_csv_lines_loop(contour) -> list[str]:
+    """The contour CSV as the f0 command formatted it frame by frame, from
+    numpy scalars: an f0 that `np.isnan` flags is an empty field."""
+    lines = ["frame,time_sec,f0_hz,aperiodicity"]
+    for k in range(len(contour)):
+        hz = "" if np.isnan(contour.f0[k]) else f"{contour.f0[k]:.4f}"
+        lines.append(
+            f"{k},{contour.times[k]:.6f},{hz},{contour.aperiodicity[k]:.6f}"
+        )
+    return lines

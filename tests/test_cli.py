@@ -2,13 +2,16 @@
 import argparse
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from yingram import (
     AnalysisConfig,
+    PitchContour,
     Waveform,
     feature,
     harmonic_tone,
@@ -18,8 +21,9 @@ from yingram import (
     vibrato_tone,
     yin,
 )
-from yingram.cli import _build_parser, _resolve_config, main
+from yingram.cli import _build_parser, _f0_csv_lines, _resolve_config, main
 from conftest import INVALID_CONFIGS, changed_value, write_wav
+from oracles import f0_csv_lines_loop
 
 FIELDS = [f.name for f in dataclasses.fields(AnalysisConfig)]
 
@@ -133,6 +137,34 @@ def test_f0_deterministic(tmp_path, tone_wav):
     assert main(["f0", str(tone_wav), "--out", str(out1)]) == 0
     assert main(["f0", str(tone_wav), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+_CFG = AnalysisConfig()
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.integers(1, 4096),
+    st.lists(
+        st.tuples(
+            st.one_of(
+                st.just(math.nan), st.just(_CFG.f_min), st.just(_CFG.f_max),
+                st.floats(_CFG.f_min, _CFG.f_max),
+            ),
+            st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+        ),
+        max_size=300,
+    ),
+)
+@example(256, [])
+@example(256, [(math.nan, 1.0)])
+@example(97, [(_CFG.f_min, 0.0), (_CFG.f_max, 1.0), (math.nan, 1.0)] * 200)
+def test_f0_csv_lines_equal_the_per_frame_format(hop, frames):
+    f0 = np.array([hz for hz, _ in frames], dtype=np.float64)
+    aperiodicity = np.array([ap for _, ap in frames], dtype=np.float64)
+    times = np.arange(len(frames)) * (hop / _CFG.sample_rate)
+    contour = PitchContour(times, f0, aperiodicity, hop, _CFG.sample_rate)
+    assert list(_f0_csv_lines(contour)) == f0_csv_lines_loop(contour)
 
 
 def test_compare_shift_identity(tmp_path, tone_wav, capsys):

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from yingram import (
     DEFAULT_GRID,
@@ -162,9 +163,53 @@ def test_csv_export_exact_text(tmp_path, cfg):
     values = np.array([[1e-9, -0.0, 1.0, 3.4e38]], dtype=np.float32)
     out = tmp_path / "y.csv"
     write_yingram_csv(YingramMatrix(values, cfg.grid, cfg.hop, cfg.sample_rate), out)
-    assert out.read_text() == (
-        "frame,c0,c1,c2,c3\n0,9.999999717180685e-10,-0.0,1.0,3.3999999521443642e+38\n"
-    )
+    assert out.read_text() == "frame,c0,c1,c2,c3\n0,9.99999972e-10,-0,1,3.39999995e+38\n"
+
+
+def _assert_csv_is_the_f32(matrix: YingramMatrix, tmp_path) -> None:
+    """The matrix's CSV, read back and cast to float32, is its .f32 (NaN by isnan)."""
+    csv, binary = tmp_path / "y.csv", tmp_path / "y.f32"
+    write_yingram_csv(matrix, csv)
+    write_yingram_binary(matrix, binary)
+    rows = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
+    np.testing.assert_array_equal(rows[:, 0], np.arange(len(rows)))
+    parsed, stored = rows[:, 1:].astype("<f4").ravel(), np.fromfile(binary, dtype="<f4")
+    assert parsed.size == stored.size
+    nan = np.isnan(stored)
+    np.testing.assert_array_equal(np.isnan(parsed), nan)
+    assert parsed[~nan].tobytes() == stored[~nan].tobytes()
+
+
+def test_csv_of_a_float64_matrix_is_its_f32(tmp_path, cfg):
+    # 1/3 is not a float32: the CSV writes the float32 the .f32 stores, not
+    # the float64's 17 digits (which parse and cast to the same float32 too)
+    values = np.array([[0.1, 1 / 3, 2.0]])
+    _assert_csv_is_the_f32(YingramMatrix(values, cfg.grid, cfg.hop, cfg.sample_rate), tmp_path)
+    assert (tmp_path / "y.csv").read_text().splitlines()[1] == "0,0.100000001,0.333333343,2"
+
+
+# bit patterns of subnormals, +-0, +-max finite, +-inf and NaN
+_F32_EDGES = [
+    0x00000001, 0x007FFFFF, 0x80000001, 0x807FFFFF, 0x00000000, 0x80000000,
+    0x7F7FFFFF, 0xFF7FFFFF, 0x7F800000, 0xFF800000, 0x7FC00000, 0xFFC00001,
+]
+
+
+def test_csv_parses_back_to_the_f32_edges(tmp_path):
+    values = np.array([_F32_EDGES], dtype=np.uint32).view(np.float32)
+    _assert_csv_is_the_f32(YingramMatrix(values, DEFAULT_GRID, 256, SR), tmp_path)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 16), st.integers(1, 16))
+def test_csv_parses_back_to_the_f32_bits(tmp_path_factory, seed, frames, channels):
+    # uniform bit patterns reach every exponent; %.8g fails on about 1.5% of them
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**32, size=(frames, channels), dtype=np.uint32)
+    edges = rng.random(bits.shape) < 0.25
+    bits[edges] = rng.choice(_F32_EDGES, size=int(edges.sum()))
+    matrix = YingramMatrix(bits.view(np.float32), DEFAULT_GRID, 256, SR)
+    _assert_csv_is_the_f32(matrix, tmp_path_factory.mktemp("bits"))
 
 
 def test_binary_export_roundtrip(tmp_path, cfg):
@@ -206,7 +251,7 @@ def test_failed_export_leaves_no_files(tmp_path, cfg):
 
 
 def test_csv_export_streams_rows(tmp_path, cfg):
-    # 5200 x 80 values make a 7.6 MiB file; the rows go out one at a time
+    # 5200 x 80 values make a 4.8 MiB file; the rows go out one at a time
     values = np.random.default_rng(0).random((5200, 80)).astype(np.float32)
     matrix = YingramMatrix(values, cfg.grid, cfg.hop, cfg.sample_rate)
     out = tmp_path / "y.csv"
@@ -216,11 +261,11 @@ def test_csv_export_streams_rows(tmp_path, cfg):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.stat().st_size > 7 << 20
+    assert out.stat().st_size > 9 << 19
     assert peak < 1 << 20
     lines = out.read_text().splitlines()
     assert len(lines) == 5201
-    assert lines[5200] == "5199," + ",".join(map(repr, values[-1].tolist()))
+    assert lines[5200] == "5199," + ",".join("%.9g" % v for v in values[-1].tolist())
 
 
 def test_atomic_write_rejects_a_str(tmp_path):

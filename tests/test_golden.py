@@ -6,6 +6,7 @@ and list the changed keys in CHANGES.md.
 """
 import json
 
+import numpy as np
 import pytest
 
 from golden.regenerate import CASES, MANIFEST, run_all, versions
@@ -14,8 +15,13 @@ GOLDEN = json.loads(MANIFEST.read_text())
 
 
 @pytest.fixture(scope="module")
-def fresh(tmp_path_factory):
-    return run_all(tmp_path_factory.mktemp("golden"))
+def golden_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("golden")
+
+
+@pytest.fixture(scope="module")
+def fresh(golden_dir):
+    return run_all(golden_dir)
 
 
 def test_toolchain_matches_the_manifest():
@@ -35,3 +41,11 @@ def test_inputs_and_cases_match_the_manifest(fresh):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_case_matches_the_manifest(fresh, name):
     assert fresh["cases"][name] == GOLDEN["cases"][name]
+
+
+def test_analyze_csv_parses_back_to_its_f32(fresh, golden_dir):
+    # the files the analyze-hop256 case wrote, whose hashes the manifest pins
+    assert set(fresh["cases"]["analyze-hop256"]["files"]) >= {"a256.csv", "a256.f32"}
+    rows = np.loadtxt(golden_dir / "a256.csv", delimiter=",", skiprows=1, ndmin=2)
+    stored = np.fromfile(golden_dir / "a256.f32", dtype="<f4")
+    assert rows[:, 1:].astype("<f4").tobytes() == stored.tobytes()
