@@ -138,7 +138,8 @@ def _decode_samples(
 def _read_samples(fh, size: int, audio_format: int, bits: int, n_channels: int) -> np.ndarray:
     """Mono float64 samples of the data chunk of `size` bytes at fh's
     position, read _BLOCK_SAMPLES samples at a time into one reused buffer
-    and decoded straight into the clip. A trailing partial frame is dropped."""
+    and decoded straight into the clip. A trailing partial frame is dropped;
+    a short read raises the chunk walk's "truncated" message."""
     if (audio_format, bits) not in _STORED_TYPES:
         raise WavFormatError(f"unsupported format: audio format tag {audio_format} at {bits} bits")
     frame_bytes, lead = n_channels * (bits // 8), int(bits == 24)
@@ -147,7 +148,9 @@ def _read_samples(fh, size: int, audio_format: int, bits: int, n_channels: int) 
     samples = np.empty(size // frame_bytes)
     for start in range(0, len(samples), block):
         out = samples[start : start + block]
-        fh.readinto(memoryview(buf)[lead : lead + len(out) * frame_bytes])
+        view = memoryview(buf)[lead : lead + len(out) * frame_bytes]
+        if fh.readinto(view) < len(view):  # the file shrank after the chunk walk
+            raise WavFormatError("corrupt file: truncated b'data' chunk")
         _decode_samples(buf, audio_format, bits, n_channels, out)
         if not np.isfinite(out).all():
             raise WavFormatError("corrupt file: non-finite samples")
@@ -267,7 +270,9 @@ def _frame_span(x: np.ndarray, frame_len: int, hop: int, first: int, stop: int) 
     view of x, or, when it runs past the end, a copy with a zero-padded tail."""
     span = x[first * hop : (stop - 1) * hop + frame_len]
     tail = (stop - 1 - first) * hop + frame_len - len(span)
-    padded = np.arange(first, stop) * hop + frame_len > len(x)
+    # frame k runs past the end from k = ceil((len(x) - frame_len + 1) / hop) on,
+    # found in Python ints: k * hop may not fit in int64
+    padded = np.arange(first, stop) >= -(-(len(x) - frame_len + 1) // hop)
     return (np.concatenate((span, np.zeros(tail, x.dtype))) if tail > 0 else span), padded
 
 

@@ -17,7 +17,7 @@ import sys
 from collections.abc import Iterator
 from pathlib import Path
 
-from .audio import WavFormatError, load_wav, resample
+from .audio import load_wav, resample
 from .config import AnalysisConfig, coerce_field, read_config_file
 from .evaluate import batch_report, evaluate_shift_pair, extract_pitch_contour
 from .feature import (
@@ -201,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, _resolve_config(args))
-    except (WavFormatError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

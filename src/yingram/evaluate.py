@@ -8,7 +8,7 @@ time-proportional alignment alongside the plain frame-indexed mode.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -49,16 +49,11 @@ class ShiftReport:
     reason: str | None = None
 
     def to_dict(self) -> dict:
-        measured = self.measured_semitone_offset
-        return {
-            "scope_shift": self.scope_shift,
-            "expected_semitones": self.expected_semitones,
-            "measured_semitone_offset": None if np.isnan(measured) else measured,
-            "voiced_overlap_fraction": self.voiced_overlap_fraction,
-            "l_yin_shift": self.l_yin_shift,
-            "pass": self.passed,
-            "reason": self.reason,
-        }
+        out = asdict(self)
+        out["pass"] = out.pop("passed")
+        if np.isnan(self.measured_semitone_offset):
+            out["measured_semitone_offset"] = None
+        return out
 
 
 def median_semitone_offset(

@@ -19,6 +19,7 @@ from .audio import Frame
 from .config import AnalysisConfig
 from .grid import DEFAULT_GRID, NoteGrid, _require_int, _require_positive, channel_lags, tau_max_for
 from .feature import _lag_brackets, yingram_rows
+from .synth import random_tonal_frame
 from .yin import _cmnd_terms, _difference_fft, difference_function, require_finite
 
 __all__ = ["GradReport", "yingram_vjp", "finite_diff_check", "gradcheck_suite"]
@@ -238,8 +239,6 @@ def gradcheck_suite(
     Raises ValueError for a negative or non-integer n_frames, and for the
     settings `finite_diff_check` rejects.
     """
-    from .synth import random_tonal_frame
-
     _require_int(n_frames, "n_frames", 0)
     _check_fd_settings(eps, probes, tolerance)
     cfg = config or AnalysisConfig()

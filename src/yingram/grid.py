@@ -132,10 +132,19 @@ def note_to_lag(note: int | float, sample_rate: int, grid: NoteGrid = DEFAULT_GR
     return _require_int(sample_rate, "sample_rate", 1) / note_to_hz(note, grid)
 
 
-def _require_span(grid: NoteGrid, sample_rate: int) -> int:
-    """sample_rate as int if every grid note lies at a lag of at most
-    MAX_FRAME_LENGTH samples (the lowest sets tau_max) and below Nyquist, else ValueError."""
-    sample_rate = _require_int(sample_rate, "sample_rate", 1)
+def channel_lags(grid: NoteGrid, sample_rate: int) -> np.ndarray:
+    """Read-only table of the `note_to_lag` of each grid note, channel c holding
+    note start_note + c, cached per (grid, rate). Raises ValueError, on every
+    call, for a rate that is not an integer of at least 1, and "does not hold"
+    for a grid with a note at or above Nyquist or a lowest lag above MAX_FRAME_LENGTH."""
+    return _lag_table(grid, _require_int(sample_rate, "sample_rate", 1))
+
+
+@lru_cache
+def _lag_table(grid: NoteGrid, sample_rate: int) -> np.ndarray:
+    """The span rule, then the table: every grid note must lie at a lag of at
+    most MAX_FRAME_LENGTH samples (the lowest sets tau_max) and below Nyquist.
+    A pair that fails raises, and `lru_cache` stores no exception."""
     low_hz = top_hz = inf  # a note too high for a float is out of range
     with suppress(OverflowError):
         low_hz = note_to_hz(grid.start_note, grid)
@@ -146,20 +155,7 @@ def _require_span(grid: NoteGrid, sample_rate: int) -> int:
             f"{top_hz:.6g} Hz, which must lie at or above {sample_rate / MAX_FRAME_LENGTH:.6g} Hz "
             f"(a lag of at most {MAX_FRAME_LENGTH} samples) and below Nyquist ({sample_rate / 2} Hz)"
         )
-    return sample_rate
-
-
-def channel_lags(grid: NoteGrid, sample_rate: int) -> np.ndarray:
-    """Read-only table of the `note_to_lag` of each grid note, channel c holding
-    note start_note + c, cached per (grid, rate). Raises ValueError, on every
-    call, for a rate that is not an integer of at least 1, and "does not hold"
-    for a grid with a note at or above Nyquist or a lowest lag above MAX_FRAME_LENGTH."""
-    return _lag_table(grid, _require_span(grid, sample_rate))
-
-
-@lru_cache
-def _lag_table(grid: NoteGrid, sample_rate: int) -> np.ndarray:
-    lags = np.array([sample_rate / note_to_hz(m, grid) for m in grid.notes], dtype=np.float64)
+    lags = np.array([note_to_lag(m, sample_rate, grid) for m in grid.notes])
     lags.flags.writeable = False
     return lags
 

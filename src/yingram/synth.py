@@ -6,6 +6,8 @@ pitch and duration together by an exact factor.
 """
 from __future__ import annotations
 
+from math import inf
+
 import numpy as np
 
 from .audio import Waveform, resample
@@ -20,6 +22,15 @@ __all__ = [
 ]
 
 
+def _time_axis(duration: float, sample_rate: int) -> np.ndarray:
+    """Sample times of a clip of round(duration * sample_rate) samples: the
+    one length rule of the generators. Raises ValueError unless duration is
+    finite and at least 0."""
+    if not 0 <= duration < inf:
+        raise ValueError(f"duration must be finite and at least 0, got {duration}")
+    return np.arange(int(round(duration * sample_rate))) / sample_rate
+
+
 def sine_tone(
     freq: float,
     duration: float,
@@ -28,7 +39,7 @@ def sine_tone(
     phase: float = 0.0,
 ) -> Waveform:
     """A plain sine at freq Hz."""
-    t = np.arange(int(round(duration * sample_rate))) / sample_rate
+    t = _time_axis(duration, sample_rate)
     return Waveform(amplitude * np.sin(2.0 * np.pi * freq * t + phase), sample_rate)
 
 
@@ -42,7 +53,7 @@ def harmonic_tone(
 ) -> Waveform:
     """Harmonic series with 1/h amplitude rolloff and seeded phases."""
     rng = np.random.default_rng(seed)
-    t = np.arange(int(round(duration * sample_rate))) / sample_rate
+    t = _time_axis(duration, sample_rate)
     x = np.zeros_like(t)
     for h in range(1, n_harmonics + 1):
         x += np.sin(2.0 * np.pi * f0 * h * t + rng.uniform(0.0, 2.0 * np.pi)) / h
@@ -58,7 +69,7 @@ def vibrato_tone(
     amplitude: float = 0.6,
 ) -> Waveform:
     """Sine with sinusoidal pitch vibrato of +-depth_semitones at rate_hz."""
-    t = np.arange(int(round(duration * sample_rate))) / sample_rate
+    t = _time_axis(duration, sample_rate)
     inst = f0 * 2.0 ** (depth_semitones * np.sin(2.0 * np.pi * rate_hz * t) / 12.0)
     phase = 2.0 * np.pi * np.cumsum(inst) / sample_rate
     return Waveform(amplitude * np.sin(phase), sample_rate)
@@ -70,8 +81,15 @@ def pitch_shifted_copy(w: Waveform, semitones: float) -> Waveform:
     Duration scales by 2^(-semitones/12); the shift is exact up to the
     integer rounding of the intermediate rate (well under a cent). A shift
     too small to change the rate (0 semitones, say) shares `w`'s samples.
+    Raises ValueError for a shift that is not finite or whose rate factor
+    overflows a float.
     """
-    target = int(round(w.sample_rate * 2.0 ** (-semitones / 12.0)))
+    if not -inf < semitones < inf:
+        raise ValueError(f"semitones must be finite, got {semitones}")
+    try:
+        target = int(round(w.sample_rate * 2.0 ** (-semitones / 12.0)))
+    except OverflowError:
+        raise ValueError(f"semitones={semitones} overflows the rate factor") from None
     return Waveform(resample(w, target).samples, w.sample_rate)
 
 

@@ -304,6 +304,36 @@ def test_a_truncated_chunk_is_named(tmp_path, blob, message):
         load_wav(path)
 
 
+class _ShrinkingFile:
+    """A file whose second `readinto` fills only 100 bytes, as when the file
+    shrinks after `load_wav` has walked its chunks."""
+
+    def __init__(self, fh):
+        self._fh, self._reads = fh, 0
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def readinto(self, view):
+        self._reads += 1
+        return self._fh.readinto(view[:100] if self._reads == 2 else view)
+
+
+def test_a_short_read_of_the_data_chunk_is_named(tmp_path, monkeypatch):
+    # once the block kept the previous block's bytes, and 40000 wrong samples came back
+    path = tmp_path / "shrinks.wav"
+    write_pcm16(path, np.arange(40000) % 2000 - 1000)
+    monkeypatch.setattr(audio, "open", lambda *a: _ShrinkingFile(open(*a)), raising=False)
+    with pytest.raises(WavFormatError, match=r"^corrupt file: truncated b'data' chunk$"):
+        load_wav(path)
+
+
 @pytest.mark.parametrize("name", FORMATS)
 def test_load_wav_holds_the_clip_and_one_block(tmp_path, name):
     # beyond the float64 clip (8 B per frame) the traced peak is one block of
@@ -377,6 +407,26 @@ def test_resample_identity():
 def test_tones_shorter_than_one_sample_are_empty(tone, duration):
     w = tone(150.0, duration)
     assert len(w) == 0 and w.samples.dtype == np.float64 and w.sample_rate == 22050
+
+
+@pytest.mark.parametrize("tone", [sine_tone, harmonic_tone, vibrato_tone])
+@pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf, -1.0, -1e-9])
+def test_tones_read_the_duration_rule(tone, duration):
+    # once "cannot convert float NaN", an OverflowError, or an empty clip
+    with pytest.raises(ValueError, match=f"^duration must be finite and at least 0, got {duration}$"):
+        tone(150.0, duration)
+
+
+@pytest.mark.parametrize("semitones, message", [
+    (math.nan, "semitones must be finite, got nan"),
+    (math.inf, "semitones must be finite, got inf"),
+    (-math.inf, "semitones must be finite, got -inf"),  # once an OverflowError
+    (-1e6, "semitones=-1000000.0 overflows the rate factor"),
+    (-12.0 * 1020, "semitones=-12240.0 overflows the rate factor"),  # the factor holds, the rate does not
+])
+def test_pitch_shifted_copy_reads_the_shift_rule(semitones, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        pitch_shifted_copy(sine_tone(150.0, 0.1), semitones)
 
 
 def test_resample_length():

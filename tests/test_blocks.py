@@ -85,6 +85,38 @@ def test_blocks_equal_per_frame_cmnd(w):
             np.testing.assert_array_equal(row, ref)
 
 
+# a clip no frame fits, one shorter than a frame, exactly one frame, and
+# one longer than several blocks of the drawn hop
+SPAN_LENGTHS = {
+    "empty": lambda frame_len, hop: st.just(0),
+    "short": lambda frame_len, hop: st.integers(1, frame_len - 1),
+    "one frame": lambda frame_len, hop: st.just(frame_len),
+    "several blocks": lambda frame_len, hop: st.integers(0, 600).map(
+        lambda extra: frame_len + 3 * BLOCK_FRAMES * min(hop, 600) + extra),
+}
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    frame_len=st.integers(2, 3000),
+    # in-range hops, and hops whose k * hop does not fit in int64
+    hop=st.one_of(st.integers(1, 600), st.integers(2**63 - 1, 10**30)),
+    length=st.sampled_from(sorted(SPAN_LENGTHS)),
+    data=st.data(),
+)
+def test_padded_flags_equal_the_product_rule(frame_len, hop, length, data):
+    # frame k is padded when k * hop + frame_len runs past the clip, the
+    # product taken in Python ints
+    draw = data.draw
+    n = draw(SPAN_LENGTHS[length](frame_len, hop))
+    count = max(frame_count(n, frame_len, hop), 1)
+    first = draw(st.integers(0, count - 1))
+    stop = draw(st.integers(first + 1, min(first + BLOCK_FRAMES, count)))
+    span, padded = _frame_span(np.zeros(n), frame_len, hop, first, stop)
+    assert padded.tolist() == [k * hop + frame_len > n for k in range(first, stop)]
+    assert len(span) == (stop - 1 - first) * hop + frame_len
+
+
 @settings(deadline=None, max_examples=25)
 @given(clips())
 def test_yingram_and_contour_equal_per_frame_path(w):

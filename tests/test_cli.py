@@ -475,6 +475,47 @@ def test_invalid_config_exits_2(tmp_path, tone_wav, capsys, overrides, field, so
     assert set(tmp_path.iterdir()) <= {tone_wav, cfg_file}
 
 
+@pytest.fixture(scope="module")
+def pair_dir(tmp_path_factory):
+    """A 1 s pair two semitones apart, its manifest, and a config file whose
+    float hop becomes an int of 301 digits."""
+    folder = tmp_path_factory.mktemp("pair")
+    normal = harmonic_tone(220.0, 1.0)
+    write_wav(folder / "normal.wav", normal)
+    write_wav(folder / "shifted.wav", pitch_shifted_copy(normal, -2.0))
+    entry = {"normal": str(folder / "normal.wav"), "shifted": str(folder / "shifted.wav"),
+             "scope_shift": 4}
+    (folder / "manifest.json").write_text(json.dumps([entry]))
+    (folder / "huge_hop.json").write_text('{"hop": 1e300}')
+    return folder
+
+
+SWEEP_COMMANDS = {
+    "analyze": ["analyze", "{pair}/normal.wav", "--out", "{out}/y.csv"],
+    "f0": ["f0", "{pair}/normal.wav", "--out", "{out}/f0.csv"],
+    "compare-shift": ["compare-shift", "{pair}/normal.wav", "{pair}/shifted.wav",
+                      "--scope-shift", "4", "--out", "{out}/report.json"],
+    "batch": ["batch", "{pair}/manifest.json", "--out-json", "{out}/batch.json"],
+    "gradcheck": ["gradcheck", "--frames", "1", "--out", "{out}/grad.json"],
+}
+INT_FIELDS = [f.name for f in dataclasses.fields(AnalysisConfig) if f.type == "int"]
+EXTREME_INTS = [2**63, -(2**63), 10**30, 2**31]
+EXTREME_SETTINGS = {
+    f"{name}={value}": [config_flag(name), str(value)]
+    for name in INT_FIELDS for value in EXTREME_INTS
+} | {"file-hop=1e300": ["--config", "{pair}/huge_hop.json"]}
+
+
+@pytest.mark.parametrize("setting", EXTREME_SETTINGS.values(), ids=EXTREME_SETTINGS.keys())
+@pytest.mark.parametrize("command", SWEEP_COMMANDS.values(), ids=SWEEP_COMMANDS.keys())
+def test_no_integer_config_value_escapes_as_a_traceback(pair_dir, tmp_path, capsys, command, setting):
+    # a hop of 2**63 or more once ended in an OverflowError from the framing
+    code = main([a.format(pair=pair_dir, out=tmp_path) for a in command + setting])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_config_file_value_valid_only_with_a_flag(tmp_path, tone_wav, capsys):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"f_max": 15000}))  # above Nyquist at 22050 Hz

@@ -27,6 +27,7 @@ from yingram import (
 )
 from yingram import config as config_module
 from yingram.config import f0_lag_range
+from yingram.grid import _lag_table
 from yingram.yin import pick_lags
 
 
@@ -122,6 +123,32 @@ def test_cached_lags_still_read_the_rate_rule(rate):
     channel_lags(NoteGrid(), 22050)
     with pytest.raises(ValueError, match="sample_rate must be an integer"):
         channel_lags(NoteGrid(), rate)
+
+
+def _table_builds_and_hits() -> tuple[int, int]:
+    info = _lag_table.cache_info()
+    return info.misses, info.hits
+
+
+def test_the_lag_table_is_built_once_per_grid_and_rate():
+    grid = NoteGrid(reference_hz=437.5)  # a grid no other test looks up
+    builds, hits = _table_builds_and_hits()
+    first = channel_lags(grid, 22050)
+    assert _table_builds_and_hits() == (builds + 1, hits)
+    assert channel_lags(grid, np.int64(22050)) is first
+    assert _table_builds_and_hits() == (builds + 1, hits + 1)
+    channel_lags(grid, 44100)
+    assert _table_builds_and_hits() == (builds + 2, hits + 1)
+
+
+def test_a_pair_the_span_rule_rejects_raises_on_every_call():
+    # the span rule runs inside the cached table, and a cache stores no exception
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^sample_rate=22050 does not hold NoteGrid\(") as exc:
+            channel_lags(NoteGrid(start_note=200), 22050)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
 
 
 # 36 grids x 9 rates; six of the pairs fail the span rule

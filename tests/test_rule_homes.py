@@ -26,6 +26,8 @@ RULE_HOMES = {
     "parabolic_refine needs a 1-D curve holding lag": "yin",
     "cmnd needs at least one lag": "yin",
     "empty output path": "feature",
+    "duration must be finite and at least 0": "synth",
+    "semitones must be finite": "synth",
 }
 
 
