@@ -8,7 +8,7 @@ time-proportional alignment alongside the plain frame-indexed mode.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,7 @@ import numpy as np
 from .audio import Waveform, load_wav, resample
 from .config import AnalysisConfig
 # re-exported: `feature._analyse` builds a clip's Yingram and contour in one pass
-from .feature import PitchContour, _analyse, extract_pitch_contour
+from .feature import PitchContour, _analyse, _record, extract_pitch_contour
 from .grid import Scope, _require_positive, shift_to_semitones
 from .losses import LossConfig, shift_consistency_metric
 
@@ -49,11 +49,7 @@ class ShiftReport:
     reason: str | None = None
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["pass"] = out.pop("passed")
-        if np.isnan(self.measured_semitone_offset):
-            out["measured_semitone_offset"] = None
-        return out
+        return _record(self)
 
 
 def median_semitone_offset(
@@ -92,7 +88,8 @@ def _contour_offsets(
         return 12.0 * np.log2(b.f0[:n][co] / a.f0[:n][co])
     log_b = np.log2(b.f0)
     i = np.flatnonzero(a.voiced)
-    j = i * time_scale
+    with np.errstate(over="ignore"):  # a huge product is dropped by `inside`
+        j = i * time_scale
     inside = j <= len(b) - 1  # before the cast, which a huge j would overflow
     i, j = i[inside], j[inside]
     j0, j1 = np.floor(j).astype(np.intp), np.ceil(j).astype(np.intp)
@@ -192,38 +189,27 @@ class BatchReport:
         }
 
     def to_dict(self) -> dict:
-        entries = []
-        for e in self.entries:
-            out = {k: v for k, v in e.items() if k != "report"}
-            if "report" in e:
-                out["report"] = e["report"].to_dict()
-            entries.append(out)
-        return {
-            "entries": entries,
-            "aggregates": self.aggregates(),
-            "config": self.config.to_dict(),
-        }
+        entries = [{**e, "report": e["report"].to_dict()} if "report" in e else dict(e)
+                   for e in self.entries]
+        return {"entries": entries, "aggregates": self.aggregates(),
+                "config": self.config.to_dict()}
 
     def csv_lines(self) -> list[str]:
+        """A view of `to_dict`'s entries: a null or missing value is an empty
+        field and a number `.6f`. An entry without a report fails, and keeps
+        the expected offset of its shift when the shift is valid."""
         lines = ["s,expected_st,measured_st,overlap,l_yin_shift,pass"]
-        for e in self.entries:
-            if "report" in e:
-                r = e["report"]
-                measured = (
-                    "" if np.isnan(r.measured_semitone_offset)
-                    else f"{r.measured_semitone_offset:.6f}"
-                )
-                metric = "" if r.l_yin_shift is None else f"{r.l_yin_shift:.6f}"
-                lines.append(
-                    f"{r.scope_shift},{r.expected_semitones:.6f},{measured},"
-                    f"{r.voiced_overlap_fraction:.6f},{metric},"
-                    f"{str(r.passed).lower()}"
-                )
-            else:
-                s = e.get("scope_shift", "")
-                exp = f"{shift_to_semitones(s):.6f}" if s != "" else ""
-                lines.append(f"{s},{exp},,,,false")
+        for e in self.to_dict()["entries"]:
+            s = e.get("scope_shift")
+            r = e.get("report", {"expected_semitones": s if s is None else shift_to_semitones(s)})
+            cells = ("" if r.get(k) is None else f"{r[k]:.6f}" for k in _CSV_KEYS)
+            verdict = str(r.get("pass", False)).lower()
+            lines.append(",".join(["" if s is None else str(s), *cells, verdict]))
         return lines
+
+
+_CSV_KEYS = ("expected_semitones", "measured_semitone_offset", "voiced_overlap_fraction",
+             "l_yin_shift")
 
 
 def batch_report(manifest: list[dict], config: AnalysisConfig | None = None) -> BatchReport:

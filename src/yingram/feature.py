@@ -260,10 +260,17 @@ def _write_sidecar(matrix: YingramMatrix, path, extra: dict | None = None) -> No
     _write_json(str(path) + ".json", {**yingram_metadata(matrix), **(extra or {})})
 
 
+def _record(report) -> dict:
+    """A report's JSON record: its fields, `passed` named `pass`, a NaN float as None."""
+    return {"pass" if k == "passed" else k: None if isinstance(v, float) and v != v else v
+            for k, v in asdict(report).items()}
+
+
 def _write_json(path, payload: dict) -> None:
     """Pretty, key-sorted JSON with a trailing newline, written atomically to
-    `path`, or the same text printed to stdout when `path` is empty or None."""
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    `path`, or the same text printed to stdout when `path` is empty or None.
+    A NaN or infinite float raises ValueError: the JSON never holds one."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if not path:
         print(text)
     else:

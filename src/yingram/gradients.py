@@ -8,7 +8,6 @@ exact up to float64 rounding.
 """
 from __future__ import annotations
 
-import dataclasses
 import warnings
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ import scipy.fft
 from .audio import Frame
 from .config import AnalysisConfig
 from .grid import DEFAULT_GRID, NoteGrid, _require_int, _require_positive, channel_lags, tau_max_for
-from .feature import _lag_brackets, yingram_rows
+from .feature import _lag_brackets, _record, yingram_rows
 from .synth import random_tonal_frame
 from .yin import _cmnd_terms, _difference_fft, difference_function, require_finite
 
@@ -48,9 +47,7 @@ class GradReport:
     guarded: bool = False
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["pass"] = out.pop("passed")
-        return out
+        return _record(self)
 
 
 def _check_fd_settings(eps: float, probes: int, tolerance: float) -> None:

@@ -11,7 +11,7 @@ import numbers
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, inf
+from math import ceil, inf, nan
 
 import numpy as np
 
@@ -117,17 +117,26 @@ def note_to_hz(note: int | float, grid: NoteGrid = DEFAULT_GRID) -> float:
 
     The octave part is factored out as an exact power of two, so
     note_to_hz(m + bins_per_octave) == 2 * note_to_hz(m) holds to the last
-    bit and the reference note maps to reference_hz exactly.
+    bit and the reference note maps to reference_hz exactly. Raises
+    ValueError for a note whose frequency is not finite and positive in a
+    float (a NaN note, or one too far from the reference).
     """
     octave, rem = divmod(note - grid.reference_note, grid.bins_per_octave)
-    return grid.reference_hz * (2.0 ** octave) * (2.0 ** (rem / grid.bins_per_octave))
+    try:
+        hz = grid.reference_hz * (2.0 ** octave) * (2.0 ** (rem / grid.bins_per_octave))
+    except OverflowError:
+        hz = inf
+    if not 0 < hz < inf:
+        raise ValueError(f"note {note} has no finite positive frequency on {grid}, got {hz} Hz")
+    return hz
 
 
 def note_to_lag(note: int | float, sample_rate: int, grid: NoteGrid = DEFAULT_GRID) -> float:
     """Fractional lag in samples of a note's period; strictly decreasing in note.
 
     Raises:
-        ValueError: for a sample_rate that is not an integer of at least 1.
+        ValueError: for a sample_rate that is not an integer of at least 1,
+            and for the notes `note_to_hz` rejects.
     """
     return _require_int(sample_rate, "sample_rate", 1) / note_to_hz(note, grid)
 
@@ -145,8 +154,8 @@ def _lag_table(grid: NoteGrid, sample_rate: int) -> np.ndarray:
     """The span rule, then the table: every grid note must lie at a lag of at
     most MAX_FRAME_LENGTH samples (the lowest sets tau_max) and below Nyquist.
     A pair that fails raises, and `lru_cache` stores no exception."""
-    low_hz = top_hz = inf  # a note too high for a float is out of range
-    with suppress(OverflowError):
+    low_hz = top_hz = nan  # a note without a finite positive frequency is out of range
+    with suppress(ValueError):
         low_hz = note_to_hz(grid.start_note, grid)
         top_hz = note_to_hz(grid.notes[-1], grid)
     if not (sample_rate / MAX_FRAME_LENGTH <= low_hz and top_hz < sample_rate / 2):

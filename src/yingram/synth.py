@@ -6,12 +6,14 @@ pitch and duration together by an exact factor.
 """
 from __future__ import annotations
 
+import sys
 from math import inf
 
 import numpy as np
 
 from .audio import Waveform, resample
 from .config import AnalysisConfig
+from .grid import _require_int
 
 __all__ = [
     "sine_tone",
@@ -22,13 +24,32 @@ __all__ = [
 ]
 
 
+def _require_finite(**values: float) -> None:
+    """The rule of every real generator parameter: ValueError naming the
+    first of `values` that is not finite."""
+    for name, value in values.items():
+        if not -inf < value < inf:
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _time_axis(duration: float, sample_rate: int) -> np.ndarray:
     """Sample times of a clip of round(duration * sample_rate) samples: the
     one length rule of the generators. Raises ValueError unless duration is
-    finite and at least 0."""
+    finite and at least 0, sample_rate an integer of at least 1, and the count
+    at most sys.maxsize; the check allocates nothing."""
     if not 0 <= duration < inf:
         raise ValueError(f"duration must be finite and at least 0, got {duration}")
-    return np.arange(int(round(duration * sample_rate))) / sample_rate
+    sample_rate = _require_int(sample_rate, "sample_rate", 1)
+    try:
+        n = round(float(duration) * sample_rate)
+    except OverflowError:  # the product is infinite, or the rate too large for a float
+        n = inf
+    if n > sys.maxsize:
+        raise ValueError(
+            f"duration={duration} s at sample_rate={sample_rate} Hz is over the clip limit "
+            f"of {sys.maxsize} samples"
+        )
+    return np.arange(n) / sample_rate
 
 
 def sine_tone(
@@ -39,6 +60,7 @@ def sine_tone(
     phase: float = 0.0,
 ) -> Waveform:
     """A plain sine at freq Hz."""
+    _require_finite(freq=freq, amplitude=amplitude, phase=phase)
     t = _time_axis(duration, sample_rate)
     return Waveform(amplitude * np.sin(2.0 * np.pi * freq * t + phase), sample_rate)
 
@@ -52,6 +74,8 @@ def harmonic_tone(
     seed: int = 0,
 ) -> Waveform:
     """Harmonic series with 1/h amplitude rolloff and seeded phases."""
+    _require_finite(f0=f0, amplitude=amplitude)
+    n_harmonics = _require_int(n_harmonics, "n_harmonics", 1)
     rng = np.random.default_rng(seed)
     t = _time_axis(duration, sample_rate)
     x = np.zeros_like(t)
@@ -69,6 +93,7 @@ def vibrato_tone(
     amplitude: float = 0.6,
 ) -> Waveform:
     """Sine with sinusoidal pitch vibrato of +-depth_semitones at rate_hz."""
+    _require_finite(f0=f0, depth_semitones=depth_semitones, rate_hz=rate_hz, amplitude=amplitude)
     t = _time_axis(duration, sample_rate)
     inst = f0 * 2.0 ** (depth_semitones * np.sin(2.0 * np.pi * rate_hz * t) / 12.0)
     phase = 2.0 * np.pi * np.cumsum(inst) / sample_rate
@@ -84,8 +109,7 @@ def pitch_shifted_copy(w: Waveform, semitones: float) -> Waveform:
     Raises ValueError for a shift that is not finite or whose rate factor
     overflows a float.
     """
-    if not -inf < semitones < inf:
-        raise ValueError(f"semitones must be finite, got {semitones}")
+    _require_finite(semitones=semitones)
     try:
         target = int(round(w.sample_rate * 2.0 ** (-semitones / 12.0)))
     except OverflowError:
@@ -102,6 +126,7 @@ def random_tonal_frame(
     """One random harmonic frame: log-uniform f0 in 70..400 Hz, four
     harmonics with random amplitudes and phases, plus a little noise.
     Used as the non-silent input population for gradient checks."""
+    frame_len = _require_int(frame_len, "frame_len", 1)
     f0 = float(np.exp(rng.uniform(np.log(70.0), np.log(400.0))))
     t = np.arange(frame_len) / sample_rate
     x = np.zeros(frame_len)

@@ -310,11 +310,13 @@ def estimate_f0(
     frame as unvoiced.
 
     Raises:
-        ValueError: for the rates and bands `pick_lags` rejects.
+        ValueError: unless values is one 1-D curve, and for the rates and
+            bands `pick_lags` rejects.
     """
-    f0, aperiodicity = f0_rows(
-        np.asarray(values)[None], sample_rate, threshold, f_min, f_max, voicing_cutoff
-    )
+    values = np.asarray(values)
+    if values.ndim != 1:
+        raise ValueError(f"estimate_f0 needs one 1-D CMND curve, got shape {values.shape}")
+    f0, aperiodicity = f0_rows(values[None], sample_rate, threshold, f_min, f_max, voicing_cutoff)
     if np.isnan(f0[0]):
         return None
     return float(f0[0]), float(aperiodicity[0])

@@ -4,6 +4,7 @@ import tracemalloc
 import math
 import re
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from yingram import (
     harmonic_tone,
     load_wav,
     pitch_shifted_copy,
+    random_tonal_frame,
     resample,
     sine_tone,
     vibrato_tone,
@@ -427,6 +429,67 @@ def test_tones_read_the_duration_rule(tone, duration):
 def test_pitch_shifted_copy_reads_the_shift_rule(semitones, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         pitch_shifted_copy(sine_tone(150.0, 0.1), semitones)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sine_tone(220.0, 1e305), "duration=1e+305 s at sample_rate=22050 Hz"),  # once OverflowError
+    (lambda: sine_tone(220.0, 1e300), "duration=1e+300 s at sample_rate=22050 Hz"),
+    (lambda: sine_tone(220.0, 1.0, sample_rate=10**30), f"duration=1.0 s at sample_rate={10**30} Hz"),
+    (lambda: harmonic_tone(220.0, 1.0, sample_rate=10**400), "duration=1.0 s at sample_rate=1000"),
+    (lambda: vibrato_tone(220.0, np.float64(1e300)), "duration=1e+300 s at sample_rate=22050 Hz"),
+], ids=["product-overflows", "count-too-large", "rate-too-large", "rate-beyond-a-float", "numpy-float"])
+def test_tones_read_the_sample_count_rule(call, message):
+    # the count is checked before `np.arange`, which once raised numpy's
+    # "Maximum allowed size exceeded"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}.* is over the clip limit of "
+                                         f"{sys.maxsize} samples$"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sine_tone(math.inf, 0.1), "freq must be finite, got inf"),  # once a RuntimeWarning
+    (lambda: sine_tone(math.nan, 0.1), "freq must be finite, got nan"),  # once an all-NaN clip
+    (lambda: sine_tone(220.0, 0.1, amplitude=math.inf), "amplitude must be finite, got inf"),
+    (lambda: sine_tone(220.0, 0.1, phase=-math.inf), "phase must be finite, got -inf"),
+    (lambda: harmonic_tone(math.nan, 0.1), "f0 must be finite, got nan"),
+    (lambda: harmonic_tone(220.0, 0.1, amplitude=math.nan), "amplitude must be finite, got nan"),
+    (lambda: vibrato_tone(math.inf, 0.1), "f0 must be finite, got inf"),
+    (lambda: vibrato_tone(220.0, 0.1, depth_semitones=math.nan), "depth_semitones must be finite, got nan"),
+    (lambda: vibrato_tone(220.0, 0.1, rate_hz=math.inf), "rate_hz must be finite, got inf"),
+    (lambda: harmonic_tone(220.0, 0.1, n_harmonics=0), "n_harmonics must be at least 1, got 0"),  # once all NaN
+    (lambda: harmonic_tone(220.0, 0.1, n_harmonics=2.5), "n_harmonics must be an integer, got 2.5"),
+    (lambda: random_tonal_frame(np.random.default_rng(0), 0), "frame_len must be at least 1, got 0"),
+])
+def test_generators_read_the_parameter_rules(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_numpy_parameters_give_the_same_tone():
+    # the rules pass a parameter on unchanged, so its type changes no sample
+    w = harmonic_tone(220.0, 0.1, n_harmonics=3)
+    v = harmonic_tone(np.float64(220.0), np.float64(0.1), np.int64(22050), n_harmonics=np.int32(3))
+    assert v.samples.tobytes() == w.samples.tobytes()
+
+
+def test_resample_pads_a_short_filter_output_with_zeros(monkeypatch):
+    # 48000 -> 47999 Hz: the bounded filter resamples by 32767/32768, so
+    # resample_poly returns 65534 samples of a 65536-sample clip, and the
+    # length rule asks for round(65536 * 47999 / 48000) = 65535
+    outputs = []
+
+    def spy(*args, **kwargs):
+        outputs.append(real(*args, **kwargs))
+        return outputs[-1]
+
+    real = scipy.signal.resample_poly
+    monkeypatch.setattr(scipy.signal, "resample_poly", spy)
+    w = Waveform(np.random.default_rng(0).uniform(-0.5, 0.5, 65536), 48000)
+    out = resample(w, 47999)
+    assert len(outputs) == 1 and len(outputs[0]) == 65534
+    assert len(out) == 65535 and out.sample_rate == 47999
+    assert out.samples[-1] == 0.0
+    assert out.samples[:-1].tobytes() == outputs[0].tobytes()
 
 
 def test_resample_length():

@@ -287,6 +287,20 @@ def test_gradcheck_warns_when_every_probe_is_skipped(capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("out", ["report.json", ""], ids=["file", "stdout"])
+def test_a_nan_that_reaches_the_json_writer_exits_2(tmp_path, capsys, monkeypatch, shifted_pair, out):
+    # the writer once printed a bare `NaN` token; a NaN injected into the
+    # payload now fails the command with one stderr line and no output
+    monkeypatch.setattr(AnalysisConfig, "to_dict", lambda self: {"lambda_yin": math.nan})
+    path = tmp_path / out if out else ""
+    args = ["compare-shift", *map(str, shifted_pair), "--scope-shift", "4", "--out", str(path)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: Out of range float values are not JSON compliant")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["normal.wav", "shifted.wav"]
+
+
 def test_batch_manifest(tmp_path, shifted_pair):
     np_path, sp_path = shifted_pair
     manifest = tmp_path / "manifest.json"

@@ -130,6 +130,14 @@ def test_offset_huge_time_scale_aligns_only_frame_zero(cfg):
         median_semitone_offset(late, a, time_scale=1e30)
 
 
+def test_offset_time_scale_near_the_float_limit_warns_nothing(cfg):
+    # j = i * 1e308 once raised "RuntimeWarning: overflow encountered in
+    # multiply"; the infinite j lie past the end of b and are dropped
+    a = extract_pitch_contour(sine_tone(440.0, 1.0), cfg)
+    assert median_semitone_offset(a, a, time_scale=1e308) == (0.0, 1 / a.num_voiced)
+    assert _contour_offsets(a, a, 1e308).tobytes() == _contour_offsets(a, a, 1e30).tobytes()
+
+
 def test_offset_requires_matching_timebase(cfg):
     a = extract_pitch_contour(sine_tone(440.0, 0.4), cfg)
     b = extract_pitch_contour(sine_tone(440.0, 0.4), cfg.replace(hop=512))
@@ -319,6 +327,44 @@ def test_batch_records_errors_and_continues(tmp_path, cfg):
     assert len(report.reports) == 1
     assert report.reports[0].passed
     assert "error" in report.entries[0]
+
+
+def _csv_view(entry: dict) -> str:
+    """The row a batch CSV must hold for one JSON entry, field by field:
+    null or missing is empty, a number `.6f`, and no report fails."""
+    report, s = entry.get("report", {}), entry.get("scope_shift")
+    expected = report.get("expected_semitones", None if s is None else -s / 2)
+    numbers = [expected] + [report.get(k) for k in (
+        "measured_semitone_offset", "voiced_overlap_fraction", "l_yin_shift")]
+    cells = ["" if v is None else f"{v:.6f}" for v in numbers]
+    return ",".join(["" if s is None else str(s), *cells, "true" if report.get("pass") else "false"])
+
+
+def test_batch_csv_rows_are_the_view_of_the_json_entries(tmp_path, cfg):
+    normal = harmonic_tone(220.0, 0.5)
+    write_wav(tmp_path / "n.wav", normal)
+    write_wav(tmp_path / "s.wav", pitch_shifted_copy(normal, -1.0))
+    write_wav(tmp_path / "short.wav", harmonic_tone(220.0, 0.05))
+    (tmp_path / "bad.wav").write_bytes(b"RIFF not a wave file")
+    n, shifted = str(tmp_path / "n.wav"), str(tmp_path / "s.wav")
+    manifest = [
+        {"normal": n, "shifted": shifted, "scope_shift": 2},  # passes
+        {"normal": n, "shifted": shifted, "scope_shift": -6},  # fails on its offset
+        {"normal": n, "shifted": str(tmp_path / "short.wav"), "scope_shift": 2},  # no metric
+        {"normal": n, "shifted": str(tmp_path / "bad.wav"), "scope_shift": -3},  # unreadable
+        {"normal": n, "shifted": shifted, "scope_shift": 16},  # a shift `Scope` rejects
+    ]
+    report = batch_report(manifest, cfg)
+    entries = json.loads(json.dumps(report.to_dict(), allow_nan=False))["entries"]
+    assert [e.get("report", {}).get("pass") for e in entries] == [True, False, False, None, None]
+    assert entries[2]["report"]["l_yin_shift"] is None
+    assert entries[2]["report"]["measured_semitone_offset"] is None
+    assert "error" in entries[3] and entries[3]["scope_shift"] == -3
+    assert "error" in entries[4] and "scope_shift" not in entries[4]
+    lines = report.csv_lines()
+    assert lines[0] == "s,expected_st,measured_st,overlap,l_yin_shift,pass"
+    assert lines[1:] == [_csv_view(e) for e in entries]
+    assert lines[4:] == ["-3,1.500000,,,,false", ",,,,,false"]
 
 
 def _contour(voiced, seed: int) -> PitchContour:

@@ -24,7 +24,7 @@ from yingram import (
     yingram_from_frame,
 )
 from yingram.cli import main
-from yingram.feature import _atomic_write, yingram_rows
+from yingram.feature import _atomic_write, _write_json, yingram_rows
 from conftest import write_wav
 
 SR = 22050
@@ -307,3 +307,16 @@ def test_translation_equivariance_small(cfg):
     a = yk.unpadded()[:frames, 10:70]
     b = y0.unpadded()[:frames, 10 + k : 70 + k]
     assert np.mean(np.abs(a - b)) < 0.05
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_the_json_writer_refuses_a_non_finite_float(tmp_path, capsys, value):
+    # it once wrote a bare `NaN` or `Infinity` token, which is not JSON
+    path = tmp_path / "r.json"
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        _write_json(path, {"ok": 1.0, "nested": [{"value": value}]})
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _write_json(None, {"value": value})
+    assert capsys.readouterr().out == ""
+

@@ -1,4 +1,5 @@
 """Analytic VJP against finite differences, plus its structural properties."""
+import json
 import math
 import re
 import warnings
@@ -396,6 +397,15 @@ def test_finite_diff_check_fails_on_nan_error(monkeypatch, rng):
     report = finite_diff_check(_frame(x), GRID, probes=len(x), window=64)
     assert not report.passed
     assert math.isnan(report.max_rel_error)
+
+
+def test_a_nan_grad_report_serialises_to_null():
+    # `to_dict` once passed the NaN through, to a bare `NaN` token in the JSON
+    report = gradients.GradReport(math.nan, checked_channels=80, eps=1e-5, passed=False)
+    record = report.to_dict()
+    assert record["max_rel_error"] is None and record["pass"] is False
+    assert "passed" not in record
+    json.dumps(record, allow_nan=False)
 
 
 @pytest.mark.filterwarnings("error")

@@ -33,6 +33,7 @@ from yingram.yin import pick_lags
 
 def test_reference_note_exact():
     assert note_to_hz(69) == 440.0
+    assert note_to_hz(69, NoteGrid(reference_hz=1e300)) == 1e300
 
 
 def test_octave_below_reference_exact():
@@ -53,6 +54,20 @@ def test_bottom_note():
 @given(st.integers(min_value=-5, max_value=50))
 def test_octave_doubling_is_exact(m):
     assert note_to_hz(m + 24) == 2.0 * note_to_hz(m)
+
+
+@pytest.mark.parametrize("call, note, hz", [
+    (lambda: note_to_hz(10**6), "1000000", "inf"),  # once an OverflowError
+    (lambda: note_to_hz(-10**6), "-1000000", "0.0"),
+    (lambda: note_to_hz(math.nan), "nan", "nan"),  # once returned NaN
+    (lambda: note_to_hz(math.inf), "inf", "nan"),
+    (lambda: note_to_hz(24 * 60, NoteGrid(reference_hz=1e300)), "1440", "inf"),  # the product overflows
+    (lambda: note_to_lag(-10**6, 22050), "-1000000", "0.0"),  # once a ZeroDivisionError
+], ids=["overflows", "underflows", "nan", "inf", "product-overflows", "lag-of-0-hz"])
+def test_notes_read_the_frequency_rule(call, note, hz):
+    with pytest.raises(ValueError, match=rf"^note {re.escape(note)} has no finite positive "
+                                         rf"frequency on NoteGrid\(.*\), got {re.escape(hz)} Hz$"):
+        call()
 
 
 def test_frequency_strictly_increasing():

@@ -27,7 +27,10 @@ RULE_HOMES = {
     "cmnd needs at least one lag": "yin",
     "empty output path": "feature",
     "duration must be finite and at least 0": "synth",
-    "semitones must be finite": "synth",
+    "must be finite, got": "synth",
+    "over the clip limit of": "synth",
+    "no finite positive frequency": "grid",
+    "estimate_f0 needs one 1-D CMND curve": "yin",
 }
 
 

@@ -235,6 +235,15 @@ def test_estimate_f0_white_noise_mostly_unvoiced(rng):
     assert unvoiced >= 95
 
 
+@pytest.mark.parametrize("values", [np.ones((2, 427)), np.ones((1, 427)), np.float64(0.5)],
+                         ids=["two-curves", "one-row-matrix", "scalar"])
+def test_estimate_f0_reads_one_curve(values):
+    # a (2, 427) matrix once raised numpy's "attempt to get argmax of an empty sequence"
+    with pytest.raises(ValueError, match=rf"^estimate_f0 needs one 1-D CMND curve, "
+                                         rf"got shape {re.escape(str(np.shape(values)))}$"):
+        estimate_f0(values, SR)
+
+
 def test_estimate_f0_invalid_bounds():
     curve = cmnd(difference_function(_sine_frame(440.0), TAU_MAX, 2048))
     with pytest.raises(ValueError, match="invalid f0 bounds"):
