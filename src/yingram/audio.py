@@ -78,7 +78,8 @@ class Frame:
     """One analysis window cut from a waveform: 1-D samples, as `Waveform`.
 
     Frames past end-of-signal are zero padded and flagged, so the frame count
-    is deterministic from the hop alone.
+    is deterministic from the hop alone. start_index (at least 0) and
+    sample_rate (at least 1) are integers.
     """
 
     samples: np.ndarray
@@ -87,6 +88,7 @@ class Frame:
     padded: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "start_index", _require_int(self.start_index, "start_index", 0))
         object.__setattr__(self, "sample_rate", _require_int(self.sample_rate, "sample_rate", 1))
         _require_mono(self.samples)
 

@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 from collections.abc import Iterator
 from pathlib import Path
@@ -112,12 +113,14 @@ def _cmd_gradcheck(args: argparse.Namespace, cfg: AnalysisConfig) -> int:
     if not any(r.probes_checked for r in reports):  # --frames 0, or each probe skipped
         print("warning: no probe was compared, gradcheck passes vacuously", file=sys.stderr)
     all_pass = all(r.passed for r in reports)
+    errors = [r.max_rel_error for r in reports]
     _write_json(args.out, {
         "frames": args.frames,
         "eps": args.eps,
         "tolerance": args.tolerance,
         "all_pass": all_pass,
-        "max_rel_error": max((r.max_rel_error for r in reports), default=0.0),
+        # max() of a list holding NaN depends on its order; any NaN makes it null
+        "max_rel_error": None if any(map(math.isnan, errors)) else max(errors, default=0.0),
         "reports": [r.to_dict() for r in reports],
         "config": cfg.to_dict(),
     })

@@ -11,11 +11,11 @@ import dataclasses
 import functools
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 from .grid import MAX_FRAME_LENGTH, MAX_SHIFT, NoteGrid, Scope, tau_max_for
+from .grid import _integer, _real, _require_float_int, _require_int
 
 __all__ = [
     "AnalysisConfig",
@@ -30,15 +30,19 @@ __all__ = [
 def f0_lag_range(sample_rate: int, f_min: float, f_max: float, tau_max: int) -> tuple[int, int]:
     """Integer lags (lo, hi) the f0 search covers: [sr/f_max, sr/f_min],
     kept inside [1, tau_max - 1] so every lag has two neighbors: the one
-    f0-band rule. Raises ValueError("invalid f0 bounds: ...") unless
-    0 < f_min < f_max <= sample_rate / 2 and the range is not empty (lo <= hi)."""
-    if not 0.0 < f_min < f_max <= sample_rate / 2:
+    f0-band rule. Raises ValueError for a rate `_require_float_int` rejects or a
+    tau_max that is not an integer, and "invalid f0 bounds: ..." unless f_min
+    and f_max are reals `_real` holds, 0 < f_min < f_max <= sample_rate / 2
+    and the range is not empty (lo <= hi)."""
+    sample_rate = _require_float_int(sample_rate, "sample_rate")
+    low, high = _real(f_min), _real(f_max)
+    if low is None or high is None or not 0.0 < low < high <= sample_rate / 2:
         raise ValueError(
             f"invalid f0 bounds: need 0 < f_min < f_max <= sr/2, got f_min={f_min}, "
             f"f_max={f_max} at {sample_rate} Hz"
         )
-    lo = max(1, math.floor(sample_rate / f_max))
-    hi = min(tau_max - 1, math.ceil(sample_rate / f_min))
+    lo = max(1, math.floor(sample_rate / high))
+    hi = min(_require_int(tau_max, "tau_max") - 1, math.ceil(sample_rate / low))
     if lo > hi:
         raise ValueError(
             f"invalid f0 bounds: lag range [{lo}, {hi}] is empty for "
@@ -62,7 +66,8 @@ class AnalysisConfig:
     non-negative, every float is finite, reference_hz is positive, the grid
     holds every scope shift, a frame (window + tau_max) is at most
     MAX_FRAME_LENGTH samples, lambda_yin is positive, and f0_threshold,
-    shift_tolerance and min_overlap (at most 1) are non-negative. The grid's
+    shift_tolerance and min_overlap (at most 1) are non-negative. The rule
+    that a float holds the hop and the rate (`_require_float_int`), the grid's
     span rule (`tau_max_for`) and the f0-band rule (`f0_lag_range`) are read
     from their homes, their messages prefixed with "invalid config: ".
     """
@@ -87,19 +92,10 @@ class AnalysisConfig:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if f.type == "int":
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                    raise _invalid(f.name, value, "must be an integer")
-                stored = int(value)
-            elif isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise _invalid(f.name, value, "must be a number")
-            else:
-                try:
-                    stored = float(value)
-                except OverflowError:  # an int past the float range
-                    stored = math.inf
-                if not math.isfinite(stored):
-                    raise _invalid(f.name, value, "must be finite")
+            stored = _integer(value) if f.type == "int" else _real(value)
+            if stored is None:
+                rule = "must be an integer" if f.type == "int" else "must be a finite number"
+                raise _invalid(f.name, value, rule)
             object.__setattr__(self, f.name, stored)
         for name in ("sample_rate", "window", "hop", "bins_per_octave", "reference_hz", "lambda_yin"):
             if getattr(self, name) <= 0:
@@ -115,7 +111,8 @@ class AnalysisConfig:
                 "num_channels", self.num_channels,
                 f"must be at least {scope_channels} to hold every scope shift",
             )
-        try:  # the grid's span rule and the f0-band rule, read from their homes
+        try:  # the hop rule, the grid's span rule and the f0-band rule, read from their homes
+            _require_float_int(self.hop, "hop")
             f0_lag_range(self.sample_rate, self.f_min, self.f_max, self.tau_max)
         except ValueError as exc:
             raise ValueError(f"invalid config: {exc}") from None

@@ -175,12 +175,12 @@ def finite_diff_check(
     has a zero gradient by definition; it passes with the comparison skipped
     and the report flagged `guarded`. A NaN relative error fails the
     report. Raises ValueError for probes that is not an integer of at least
-    1 (a bool is not), an eps or tolerance that is not finite and positive,
-    and for any frame, grid, window or cotangent yingram_vjp rejects, silent
-    and overflowing frames included.
+    1 (a bool is not), a seed that is not an integer of at least 0, an eps
+    or tolerance that is not finite and positive, and for any frame, grid,
+    window or cotangent yingram_vjp rejects, silent and overflowing frames included.
     """
     _check_fd_settings(eps, probes, tolerance)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_require_int(seed, "seed", 0))
     if cotangent is None:
         cotangent = rng.standard_normal(grid.num_channels)
     x, lags, tau_max, win, cot = _checked_inputs(frame, grid, cotangent, window)

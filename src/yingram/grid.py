@@ -43,23 +43,52 @@ MAX_SHIFT = 15
 MAX_FRAME_LENGTH = 1 << 16
 
 
+def _integer(value) -> int | None:
+    """The integer test: value as int if it is an Integral other than a bool, else None."""
+    return int(value) if isinstance(value, numbers.Integral) and type(value) is not bool else None
+
+
+def _real(value) -> float | None:
+    """The real-number test: value as a finite float if it is a Real (not a bool), else None."""
+    if isinstance(value, numbers.Real) and type(value) is not bool:
+        with suppress(OverflowError):  # an int past the float range
+            if -inf < (stored := float(value)) < inf:  # a long double may round to inf
+                return stored
+    return None
+
+
 def _require_int(value, name: str, least: float = -inf) -> int:
-    """value as int if it is an integer (numpy integers count, bools do not) of
-    at least `least`, else ValueError: the rule of sample rates, frame and hop
-    lengths, lags and counts."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    """value as int if `_integer` holds it and it is at least `least`, else
+    ValueError: the rule of sample rates, frame and hop lengths, lags, counts and seeds."""
+    if (stored := _integer(value)) is None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
+    if stored < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
-    return int(value)
+    return stored
 
 
 def _require_positive(value, name: str) -> float:
-    """value as float if it is a finite real above zero (a bool or a string
-    is not), else ValueError: the rule of loss weights, step sizes, time scales and reference_hz."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < inf:
+    """value as float if `_real` holds it and it is above zero, else
+    ValueError: the rule of loss weights, step sizes, time scales and reference_hz."""
+    if (stored := _real(value)) is None or not stored > 0:
         raise ValueError(f"{name} must be finite and positive, got {value}")
-    return float(value)
+    return stored
+
+
+def _require_real(value, name: str) -> None:
+    """ValueError unless `_real` holds value: the rule of f0 thresholds."""
+    if _real(value) is None:
+        raise ValueError(f"{name} must be a finite real, got {value!r}")
+
+
+def _require_float_int(value, name: str) -> int:
+    """value as int if it is an integer of at least 1 that a float holds, else
+    ValueError: the rule of sample rates and hops, which lags, frequencies and
+    times are computed from in floats."""
+    stored = _require_int(value, name, 1)
+    if _real(stored) is None:
+        raise ValueError(f"{name}={value} is beyond the float range")
+    return stored
 
 
 @dataclass(frozen=True)
@@ -97,7 +126,7 @@ class Scope:
 
     def __post_init__(self):
         s = self.shift
-        if isinstance(s, bool) or not isinstance(s, numbers.Integral) or abs(s) > MAX_SHIFT:
+        if _integer(s) is None or abs(s) > MAX_SHIFT:
             raise ValueError(
                 f"shift out of range: s={s!r}, must be an integer in [-{MAX_SHIFT}, {MAX_SHIFT}]"
             )
@@ -119,13 +148,15 @@ def note_to_hz(note: int | float, grid: NoteGrid = DEFAULT_GRID) -> float:
     note_to_hz(m + bins_per_octave) == 2 * note_to_hz(m) holds to the last
     bit and the reference note maps to reference_hz exactly. Raises
     ValueError for a note whose frequency is not finite and positive in a
-    float (a NaN note, or one too far from the reference).
+    float (a note `_real` rejects, or one too far from the reference).
     """
-    octave, rem = divmod(note - grid.reference_note, grid.bins_per_octave)
-    try:
-        hz = grid.reference_hz * (2.0 ** octave) * (2.0 ** (rem / grid.bins_per_octave))
-    except OverflowError:
-        hz = inf
+    hz = nan
+    if _real(note) is not None:
+        octave, rem = divmod(note - grid.reference_note, grid.bins_per_octave)
+        try:
+            hz = grid.reference_hz * (2.0 ** octave) * (2.0 ** (rem / grid.bins_per_octave))
+        except OverflowError:
+            hz = inf
     if not 0 < hz < inf:
         raise ValueError(f"note {note} has no finite positive frequency on {grid}, got {hz} Hz")
     return hz
@@ -135,18 +166,18 @@ def note_to_lag(note: int | float, sample_rate: int, grid: NoteGrid = DEFAULT_GR
     """Fractional lag in samples of a note's period; strictly decreasing in note.
 
     Raises:
-        ValueError: for a sample_rate that is not an integer of at least 1,
-            and for the notes `note_to_hz` rejects.
+        ValueError: for the rates `_require_float_int` rejects, and for the notes
+            `note_to_hz` rejects.
     """
-    return _require_int(sample_rate, "sample_rate", 1) / note_to_hz(note, grid)
+    return _require_float_int(sample_rate, "sample_rate") / note_to_hz(note, grid)
 
 
 def channel_lags(grid: NoteGrid, sample_rate: int) -> np.ndarray:
     """Read-only table of the `note_to_lag` of each grid note, channel c holding
     note start_note + c, cached per (grid, rate). Raises ValueError, on every
-    call, for a rate that is not an integer of at least 1, and "does not hold"
-    for a grid with a note at or above Nyquist or a lowest lag above MAX_FRAME_LENGTH."""
-    return _lag_table(grid, _require_int(sample_rate, "sample_rate", 1))
+    call, for a rate `_require_float_int` rejects, and "does not hold" for a grid
+    with a note at or above Nyquist or a lowest lag above MAX_FRAME_LENGTH."""
+    return _lag_table(grid, _require_float_int(sample_rate, "sample_rate"))
 
 
 @lru_cache
@@ -198,5 +229,5 @@ def crop_scope(matrix, s: int) -> np.ndarray:
 
 def shift_to_semitones(s: int) -> float:
     """Pitch shift produced by scope shift s: -s/2 semitones (2 bins per
-    semitone on the 24-bin octave)."""
-    return -s / 2.0
+    semitone on the 24-bin octave); raises for a shift `Scope` rejects."""
+    return -Scope(s).shift / 2.0

@@ -7,13 +7,13 @@ pitch and duration together by an exact factor.
 from __future__ import annotations
 
 import sys
-from math import inf
+from contextlib import contextmanager
 
 import numpy as np
 
 from .audio import Waveform, resample
 from .config import AnalysisConfig
-from .grid import _require_int
+from .grid import _real, _require_float_int, _require_int
 
 __all__ = [
     "sine_tone",
@@ -26,10 +26,23 @@ __all__ = [
 
 def _require_finite(**values: float) -> None:
     """The rule of every real generator parameter: ValueError naming the
-    first of `values` that is not finite."""
+    first of `values` that `_real` rejects."""
     for name, value in values.items():
-        if not -inf < value < inf:
+        if _real(value) is None:
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+@contextmanager
+def _phase_rule(**values: float):
+    """Run a generator's phase arithmetic with numpy's overflow and invalid
+    flags raising: a phase that overflows (inf, or inf * 0 = NaN at t = 0)
+    raises ValueError naming `values`, where numpy would warn and return NaN."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        named = ", ".join(f"{name}={value}" for name, value in values.items())
+        raise ValueError(f"the phase of {named} overflows a float") from None
 
 
 def _time_axis(duration: float, sample_rate: int) -> np.ndarray:
@@ -37,19 +50,17 @@ def _time_axis(duration: float, sample_rate: int) -> np.ndarray:
     one length rule of the generators. Raises ValueError unless duration is
     finite and at least 0, sample_rate an integer of at least 1, and the count
     at most sys.maxsize; the check allocates nothing."""
-    if not 0 <= duration < inf:
+    if (seconds := _real(duration)) is None or seconds < 0:
         raise ValueError(f"duration must be finite and at least 0, got {duration}")
     sample_rate = _require_int(sample_rate, "sample_rate", 1)
-    try:
-        n = round(float(duration) * sample_rate)
-    except OverflowError:  # the product is infinite, or the rate too large for a float
-        n = inf
-    if n > sys.maxsize:
+    # None when the rate, or the product, is too large for a float
+    n = None if _real(sample_rate) is None else _real(seconds * sample_rate)
+    if n is None or n > sys.maxsize:
         raise ValueError(
             f"duration={duration} s at sample_rate={sample_rate} Hz is over the clip limit "
             f"of {sys.maxsize} samples"
         )
-    return np.arange(n) / sample_rate
+    return np.arange(round(n)) / sample_rate
 
 
 def sine_tone(
@@ -62,7 +73,9 @@ def sine_tone(
     """A plain sine at freq Hz."""
     _require_finite(freq=freq, amplitude=amplitude, phase=phase)
     t = _time_axis(duration, sample_rate)
-    return Waveform(amplitude * np.sin(2.0 * np.pi * freq * t + phase), sample_rate)
+    with _phase_rule(freq=freq, phase=phase, duration=duration):
+        x = np.sin(2.0 * np.pi * freq * t + phase)
+    return Waveform(amplitude * x, sample_rate)
 
 
 def harmonic_tone(
@@ -76,11 +89,12 @@ def harmonic_tone(
     """Harmonic series with 1/h amplitude rolloff and seeded phases."""
     _require_finite(f0=f0, amplitude=amplitude)
     n_harmonics = _require_int(n_harmonics, "n_harmonics", 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_require_int(seed, "seed", 0))
     t = _time_axis(duration, sample_rate)
     x = np.zeros_like(t)
-    for h in range(1, n_harmonics + 1):
-        x += np.sin(2.0 * np.pi * f0 * h * t + rng.uniform(0.0, 2.0 * np.pi)) / h
+    with _phase_rule(f0=f0, n_harmonics=n_harmonics, duration=duration):
+        for h in range(1, n_harmonics + 1):
+            x += np.sin(2.0 * np.pi * f0 * h * t + rng.uniform(0.0, 2.0 * np.pi)) / h
     return Waveform(amplitude * x / np.max(np.abs(x), initial=0.0), sample_rate)
 
 
@@ -95,9 +109,10 @@ def vibrato_tone(
     """Sine with sinusoidal pitch vibrato of +-depth_semitones at rate_hz."""
     _require_finite(f0=f0, depth_semitones=depth_semitones, rate_hz=rate_hz, amplitude=amplitude)
     t = _time_axis(duration, sample_rate)
-    inst = f0 * 2.0 ** (depth_semitones * np.sin(2.0 * np.pi * rate_hz * t) / 12.0)
-    phase = 2.0 * np.pi * np.cumsum(inst) / sample_rate
-    return Waveform(amplitude * np.sin(phase), sample_rate)
+    with _phase_rule(f0=f0, depth_semitones=depth_semitones, rate_hz=rate_hz, duration=duration):
+        inst = f0 * 2.0 ** (depth_semitones * np.sin(2.0 * np.pi * rate_hz * t) / 12.0)
+        x = np.sin(2.0 * np.pi * np.cumsum(inst) / sample_rate)
+    return Waveform(amplitude * x, sample_rate)
 
 
 def pitch_shifted_copy(w: Waveform, semitones: float) -> Waveform:
@@ -127,6 +142,8 @@ def random_tonal_frame(
     harmonics with random amplitudes and phases, plus a little noise.
     Used as the non-silent input population for gradient checks."""
     frame_len = _require_int(frame_len, "frame_len", 1)
+    sample_rate = _require_float_int(sample_rate, "sample_rate")
+    _require_finite(noise=noise)
     f0 = float(np.exp(rng.uniform(np.log(70.0), np.log(400.0))))
     t = np.arange(frame_len) / sample_rate
     x = np.zeros(frame_len)

@@ -29,7 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import Frame
 from .config import AnalysisConfig, f0_lag_range
-from .grid import _require_int
+from .grid import _require_int, _require_real
 
 __all__ = [
     "CMND_EPS",
@@ -243,10 +243,10 @@ def pick_lags(
     Returns (integer lags, aperiodicity = d' at those lags).
 
     Raises:
-        ValueError: for a rate `_require_int` rejects, and for the bands
-            `f0_lag_range` rejects ("invalid f0 bounds") on this curve length.
+        ValueError: for a threshold `_require_real` rejects, and for the rates
+            and bands `f0_lag_range` rejects ("invalid f0 bounds") on this curve length.
     """
-    sample_rate = _require_int(sample_rate, "sample_rate", 1)
+    _require_real(threshold, "threshold")
     lo, hi = f0_lag_range(sample_rate, f_min, f_max, values.shape[-1] - 1)
     seg = values[:, lo : hi + 1]
     rows = np.arange(len(seg))
@@ -283,8 +283,10 @@ def f0_rows(
     The lag from `pick_lags` is refined by `refine_lags`; f0 = sr / lag,
     clamped into [f_min, f_max] (refinement can overshoot the search range
     by less than one lag). Rows whose aperiodicity exceeds voicing_cutoff
-    are unvoiced.
+    are unvoiced. Raises ValueError for a voicing_cutoff `_require_real`
+    rejects, and for the inputs `pick_lags` rejects.
     """
+    _require_real(voicing_cutoff, "voicing_cutoff")
     taus, aperiodicity = pick_lags(values, sample_rate, threshold, f_min, f_max)
     voiced = aperiodicity <= voicing_cutoff
     f0 = np.full(len(taus), np.nan)
@@ -310,8 +312,8 @@ def estimate_f0(
     frame as unvoiced.
 
     Raises:
-        ValueError: unless values is one 1-D curve, and for the rates and
-            bands `pick_lags` rejects.
+        ValueError: unless values is one 1-D curve, and for the rates,
+            thresholds and bands `f0_rows` rejects.
     """
     values = np.asarray(values)
     if values.ndim != 1:

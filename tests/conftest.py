@@ -115,6 +115,9 @@ INVALID_CONFIGS = [
     pytest.param({"lambda_yin": [45]}, "lambda_yin", id="list-lambda-yin"),
     # float() of this int overflows; it must read as any other infinite value
     pytest.param({"f_min": 10**400}, "f_min", id="float-field-overflows"),
+    # an int field a float cannot hold: every lag and frequency is a float of the rate
+    pytest.param({"sample_rate": 10**400}, "sample_rate", id="rate-beyond-a-float"),
+    pytest.param({"hop": 10**400}, "hop", id="hop-beyond-a-float"),
     # frames past MAX_FRAME_LENGTH: tau_max 186,889,291, and a 10**9 window
     pytest.param({"reference_hz": 1e-3}, "reference_hz", id="grid-lag-beyond-frame-limit"),
     pytest.param({"window": 10**9}, "window", id="window-beyond-frame-limit"),

@@ -465,6 +465,35 @@ def test_generators_read_the_parameter_rules(call, message):
         call()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, named", [
+    (lambda: sine_tone(1e308, 0.1), "freq=1e+308, phase=0.0, duration=0.1"),
+    (lambda: harmonic_tone(1e307, 0.1), "f0=1e+307, n_harmonics=6, duration=0.1"),
+    (lambda: vibrato_tone(220, 0.1, rate_hz=1e308), "f0=220, depth_semitones=0.5, rate_hz=1e+308"),
+    (lambda: vibrato_tone(220, 0.1, depth_semitones=1e5), "f0=220, depth_semitones=100000.0"),
+], ids=["sine-freq", "harmonic-f0", "vibrato-rate", "vibrato-depth"])
+def test_a_phase_that_overflows_is_named(call, named):
+    # each once warned (inf * 0 is NaN at t = 0) and returned a NaN clip
+    with pytest.raises(ValueError, match=f"^the phase of {re.escape(named)}.* overflows a float$"):
+        call()
+
+
+def test_the_phase_rule_changes_no_sample():
+    # the same expressions without the rule's flags, to the last bit
+    t = np.arange(2205) / 22050
+    sine = 0.6 * np.sin(2.0 * np.pi * 220.0 * t + 0.3)
+    inst = 180.0 * 2.0 ** (0.5 * np.sin(2.0 * np.pi * 5.0 * t) / 12.0)
+    vibrato = 0.6 * np.sin(2.0 * np.pi * np.cumsum(inst) / 22050)
+    rng = np.random.default_rng(4)
+    x = np.zeros_like(t)
+    for h in range(1, 7):
+        x += np.sin(2.0 * np.pi * 150.0 * h * t + rng.uniform(0.0, 2.0 * np.pi)) / h
+    harmonic = 0.5 * x / np.max(np.abs(x))
+    assert sine_tone(220.0, 0.1, phase=0.3).samples.tobytes() == sine.tobytes()
+    assert vibrato_tone(180.0, 0.1).samples.tobytes() == vibrato.tobytes()
+    assert harmonic_tone(150.0, 0.1, seed=4).samples.tobytes() == harmonic.tobytes()
+
+
 def test_numpy_parameters_give_the_same_tone():
     # the rules pass a parameter on unchanged, so its type changes no sample
     w = harmonic_tone(220.0, 0.1, n_harmonics=3)

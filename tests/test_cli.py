@@ -21,6 +21,7 @@ from yingram import (
     vibrato_tone,
     yin,
 )
+from yingram import cli, gradients
 from yingram.cli import _build_parser, _f0_csv_lines, _resolve_config, main
 from conftest import INVALID_CONFIGS, changed_value, write_wav
 from oracles import f0_csv_lines_loop
@@ -287,6 +288,37 @@ def test_gradcheck_warns_when_every_probe_is_skipped(capsys):
     assert capsys.readouterr().err == ""
 
 
+def _nan_gradient(monkeypatch):
+    vjp = gradients._vjp
+
+    def all_nan(*args):
+        grad, guarded = vjp(*args)
+        return np.full_like(grad, np.nan), guarded
+
+    monkeypatch.setattr(gradients, "_vjp", all_nan)
+
+
+@pytest.mark.parametrize("frames", ["1", "2", "3"])
+def test_a_nan_gradient_fails_gradcheck_with_a_null_error(monkeypatch, capsys, frames):
+    # the top-level max once reached the JSON writer as NaN: exit 2 and no report
+    _nan_gradient(monkeypatch)
+    assert main(["gradcheck", "--frames", frames]) == 1
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["all_pass"] is False and payload["max_rel_error"] is None
+    assert [r["max_rel_error"] for r in payload["reports"]] == [None] * int(frames)
+
+
+@pytest.mark.parametrize("nan_at", [0, -1], ids=["first", "last"])
+def test_one_nan_report_makes_the_top_level_error_null(monkeypatch, capsys, nan_at):
+    # max() over [nan, 0.1] is nan and over [0.1, nan] is 0.1: the order once decided
+    reports = [gradients.GradReport(1e-6, 80, 1e-5, True) for _ in range(3)]
+    reports[nan_at] = gradients.GradReport(math.nan, 80, 1e-5, False)
+    monkeypatch.setattr(cli, "gradcheck_suite", lambda *args, **kwargs: reports)
+    assert main(["gradcheck", "--frames", "3"]) == 1
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["all_pass"] is False and payload["max_rel_error"] is None
+
+
 @pytest.mark.parametrize("out", ["report.json", ""], ids=["file", "stdout"])
 def test_a_nan_that_reaches_the_json_writer_exits_2(tmp_path, capsys, monkeypatch, shifted_pair, out):
     # the writer once printed a bare `NaN` token; a NaN injected into the
@@ -517,6 +549,8 @@ EXTREME_INTS = [2**63, -(2**63), 10**30, 2**31]
 EXTREME_SETTINGS = {
     f"{name}={value}": [config_flag(name), str(value)]
     for name in INT_FIELDS for value in EXTREME_INTS
+} | {
+    f"{name}=10**400": [config_flag(name), str(10**400)] for name in INT_FIELDS  # past a float
 } | {"file-hop=1e300": ["--config", "{pair}/huge_hop.json"]}
 
 

@@ -31,6 +31,9 @@ RULE_HOMES = {
     "over the clip limit of": "synth",
     "no finite positive frequency": "grid",
     "estimate_f0 needs one 1-D CMND curve": "yin",
+    "must be a finite real": "grid",
+    "is beyond the float range": "grid",
+    "overflows a float": "synth",
 }
 
 
@@ -57,6 +60,27 @@ def test_the_package_source_is_found():
 @pytest.mark.parametrize("message, home", RULE_HOMES.items())
 def test_rule_message_is_raised_in_its_home_only(message, home):
     assert _modules_raising(message) == [home]
+
+
+def _number_tests_named(path: Path) -> set[str]:
+    """The `numbers.Integral` and `numbers.Real` a module names."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "numbers" and node.attr in ("Integral", "Real")
+    } | {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        and node.module == "numbers" for alias in node.names
+    }
+
+
+def test_the_number_tests_are_named_in_grid_only():
+    # a module that tests numbers itself drifts from `grid._integer` and
+    # `grid._real`, as a config copy once did
+    named = {p.stem: _number_tests_named(p) for p in SOURCES}
+    assert named.pop("grid") == {"Integral", "Real"}
+    assert not any(named.values()), named
 
 
 def test_a_copied_rule_is_caught(tmp_path):
