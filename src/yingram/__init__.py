@@ -33,7 +33,7 @@ from .grid import (
     shift_to_semitones,
     tau_max_for,
 )
-from .losses import LossConfig, decoding_loss, recon_loss, shift_consistency_metric
+from .losses import decoding_loss, recon_loss, shift_consistency_metric
 from .synth import (
     harmonic_tone,
     pitch_shifted_copy,
@@ -51,7 +51,6 @@ __all__ = [
     "DEFAULT_GRID",
     "Frame",
     "GradReport",
-    "LossConfig",
     "NoteGrid",
     "PitchContour",
     "Scope",

@@ -38,8 +38,8 @@ def f0_lag_range(sample_rate: int, f_min: float, f_max: float, tau_max: int) -> 
     low, high = _real(f_min), _real(f_max)
     if low is None or high is None or not 0.0 < low < high <= sample_rate / 2:
         raise ValueError(
-            f"invalid f0 bounds: need 0 < f_min < f_max <= sr/2, got f_min={f_min}, "
-            f"f_max={f_max} at {sample_rate} Hz"
+            f"invalid f0 bounds: need 0 < f_min < f_max <= sr/2, got f_min={f_min!r}, "
+            f"f_max={f_max!r} at {sample_rate} Hz"
         )
     lo = max(1, math.floor(sample_rate / high))
     hi = min(_require_int(tau_max, "tau_max") - 1, math.ceil(sample_rate / low))

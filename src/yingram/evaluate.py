@@ -18,7 +18,7 @@ from .config import AnalysisConfig
 # re-exported: `feature._analyse` builds a clip's Yingram and contour in one pass
 from .feature import PitchContour, _analyse, _record, extract_pitch_contour
 from .grid import Scope, _require_positive, shift_to_semitones
-from .losses import LossConfig, shift_consistency_metric
+from .losses import shift_consistency_metric
 
 # Unused here since analysis reads `feature._analyse`, but kept as attributes
 # of this module: the benchmark's tracer (bench/spans.py) checks that it
@@ -128,9 +128,7 @@ def evaluate_shift_pair(
             f"and {len(shifted.samples)} (shifted)"
         )
     else:
-        metric = shift_consistency_metric(
-            y_normal[:frames], y_shifted[:frames], s, LossConfig(cfg.lambda_yin)
-        )
+        metric = shift_consistency_metric(y_normal[:frames], y_shifted[:frames], s, cfg)
         scale = len(shifted.samples) / len(normal.samples)
         try:
             measured, overlap = median_semitone_offset(contour_a, contour_b, time_scale=scale)

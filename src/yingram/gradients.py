@@ -224,7 +224,7 @@ def finite_diff_check(
 
 def gradcheck_suite(
     n_frames: int,
-    config=None,
+    config: AnalysisConfig | None = None,
     eps: float = DEFAULT_FD_EPS,
     probes: int = DEFAULT_PROBES,
     tolerance: float = DEFAULT_FD_TOLERANCE,

@@ -69,16 +69,18 @@ def _require_int(value, name: str, least: float = -inf) -> int:
 
 def _require_positive(value, name: str) -> float:
     """value as float if `_real` holds it and it is above zero, else
-    ValueError: the rule of loss weights, step sizes, time scales and reference_hz."""
+    ValueError: the rule of step sizes, time scales and reference_hz."""
     if (stored := _real(value)) is None or not stored > 0:
-        raise ValueError(f"{name} must be finite and positive, got {value}")
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
     return stored
 
 
-def _require_real(value, name: str) -> None:
-    """ValueError unless `_real` holds value: the rule of f0 thresholds."""
-    if _real(value) is None:
-        raise ValueError(f"{name} must be a finite real, got {value!r}")
+def _require_real(**values) -> None:
+    """ValueError naming the first of `values` that `_real` rejects: the rule
+    of f0 thresholds and of the generators' real parameters."""
+    for name, value in values.items():
+        if _real(value) is None:
+            raise ValueError(f"{name} must be a finite real, got {value!r}")
 
 
 def _require_float_int(value, name: str) -> int:
@@ -158,7 +160,7 @@ def note_to_hz(note: int | float, grid: NoteGrid = DEFAULT_GRID) -> float:
         except OverflowError:
             hz = inf
     if not 0 < hz < inf:
-        raise ValueError(f"note {note} has no finite positive frequency on {grid}, got {hz} Hz")
+        raise ValueError(f"note {note!r} has no finite positive frequency on {grid}, got {hz} Hz")
     return hz
 
 

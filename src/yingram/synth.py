@@ -13,7 +13,7 @@ import numpy as np
 
 from .audio import Waveform, resample
 from .config import AnalysisConfig
-from .grid import _real, _require_float_int, _require_int
+from .grid import _real, _require_float_int, _require_int, _require_real
 
 __all__ = [
     "sine_tone",
@@ -24,25 +24,18 @@ __all__ = [
 ]
 
 
-def _require_finite(**values: float) -> None:
-    """The rule of every real generator parameter: ValueError naming the
-    first of `values` that `_real` rejects."""
-    for name, value in values.items():
-        if _real(value) is None:
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
 @contextmanager
-def _phase_rule(**values: float):
-    """Run a generator's phase arithmetic with numpy's overflow and invalid
-    flags raising: a phase that overflows (inf, or inf * 0 = NaN at t = 0)
-    raises ValueError naming `values`, where numpy would warn and return NaN."""
+def _float_rule(stage: str, **values: float):
+    """Run a generator's phase or scaling arithmetic with numpy's overflow and
+    invalid flags raising: a stage that overflows (inf, or inf * 0 = NaN at
+    t = 0) raises ValueError naming `values`, where numpy would warn and
+    return inf or NaN."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
     except FloatingPointError:
         named = ", ".join(f"{name}={value}" for name, value in values.items())
-        raise ValueError(f"the phase of {named} overflows a float") from None
+        raise ValueError(f"the {stage} of {named} overflows a float") from None
 
 
 def _time_axis(duration: float, sample_rate: int) -> np.ndarray:
@@ -51,7 +44,7 @@ def _time_axis(duration: float, sample_rate: int) -> np.ndarray:
     finite and at least 0, sample_rate an integer of at least 1, and the count
     at most sys.maxsize; the check allocates nothing."""
     if (seconds := _real(duration)) is None or seconds < 0:
-        raise ValueError(f"duration must be finite and at least 0, got {duration}")
+        raise ValueError(f"duration must be finite and at least 0, got {duration!r}")
     sample_rate = _require_int(sample_rate, "sample_rate", 1)
     # None when the rate, or the product, is too large for a float
     n = None if _real(sample_rate) is None else _real(seconds * sample_rate)
@@ -71,9 +64,9 @@ def sine_tone(
     phase: float = 0.0,
 ) -> Waveform:
     """A plain sine at freq Hz."""
-    _require_finite(freq=freq, amplitude=amplitude, phase=phase)
+    _require_real(freq=freq, amplitude=amplitude, phase=phase)
     t = _time_axis(duration, sample_rate)
-    with _phase_rule(freq=freq, phase=phase, duration=duration):
+    with _float_rule("phase", freq=freq, phase=phase, duration=duration):
         x = np.sin(2.0 * np.pi * freq * t + phase)
     return Waveform(amplitude * x, sample_rate)
 
@@ -87,15 +80,17 @@ def harmonic_tone(
     seed: int = 0,
 ) -> Waveform:
     """Harmonic series with 1/h amplitude rolloff and seeded phases."""
-    _require_finite(f0=f0, amplitude=amplitude)
+    _require_real(f0=f0, amplitude=amplitude)
     n_harmonics = _require_int(n_harmonics, "n_harmonics", 1)
     rng = np.random.default_rng(_require_int(seed, "seed", 0))
     t = _time_axis(duration, sample_rate)
     x = np.zeros_like(t)
-    with _phase_rule(f0=f0, n_harmonics=n_harmonics, duration=duration):
+    with _float_rule("phase", f0=f0, n_harmonics=n_harmonics, duration=duration):
         for h in range(1, n_harmonics + 1):
             x += np.sin(2.0 * np.pi * f0 * h * t + rng.uniform(0.0, 2.0 * np.pi)) / h
-    return Waveform(amplitude * x / np.max(np.abs(x), initial=0.0), sample_rate)
+    with _float_rule("scaled tone", amplitude=amplitude):
+        x = amplitude * x / np.max(np.abs(x), initial=0.0)
+    return Waveform(x, sample_rate)
 
 
 def vibrato_tone(
@@ -107,9 +102,10 @@ def vibrato_tone(
     amplitude: float = 0.6,
 ) -> Waveform:
     """Sine with sinusoidal pitch vibrato of +-depth_semitones at rate_hz."""
-    _require_finite(f0=f0, depth_semitones=depth_semitones, rate_hz=rate_hz, amplitude=amplitude)
+    _require_real(f0=f0, depth_semitones=depth_semitones, rate_hz=rate_hz, amplitude=amplitude)
     t = _time_axis(duration, sample_rate)
-    with _phase_rule(f0=f0, depth_semitones=depth_semitones, rate_hz=rate_hz, duration=duration):
+    with _float_rule("phase", f0=f0, depth_semitones=depth_semitones, rate_hz=rate_hz,
+                     duration=duration):
         inst = f0 * 2.0 ** (depth_semitones * np.sin(2.0 * np.pi * rate_hz * t) / 12.0)
         x = np.sin(2.0 * np.pi * np.cumsum(inst) / sample_rate)
     return Waveform(amplitude * x, sample_rate)
@@ -124,7 +120,7 @@ def pitch_shifted_copy(w: Waveform, semitones: float) -> Waveform:
     Raises ValueError for a shift that is not finite or whose rate factor
     overflows a float.
     """
-    _require_finite(semitones=semitones)
+    _require_real(semitones=semitones)
     try:
         target = int(round(w.sample_rate * 2.0 ** (-semitones / 12.0)))
     except OverflowError:
@@ -143,7 +139,7 @@ def random_tonal_frame(
     Used as the non-silent input population for gradient checks."""
     frame_len = _require_int(frame_len, "frame_len", 1)
     sample_rate = _require_float_int(sample_rate, "sample_rate")
-    _require_finite(noise=noise)
+    _require_real(noise=noise)
     f0 = float(np.exp(rng.uniform(np.log(70.0), np.log(400.0))))
     t = np.arange(frame_len) / sample_rate
     x = np.zeros(frame_len)

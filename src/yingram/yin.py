@@ -246,7 +246,7 @@ def pick_lags(
         ValueError: for a threshold `_require_real` rejects, and for the rates
             and bands `f0_lag_range` rejects ("invalid f0 bounds") on this curve length.
     """
-    _require_real(threshold, "threshold")
+    _require_real(threshold=threshold)
     lo, hi = f0_lag_range(sample_rate, f_min, f_max, values.shape[-1] - 1)
     seg = values[:, lo : hi + 1]
     rows = np.arange(len(seg))
@@ -286,7 +286,7 @@ def f0_rows(
     are unvoiced. Raises ValueError for a voicing_cutoff `_require_real`
     rejects, and for the inputs `pick_lags` rejects.
     """
-    _require_real(voicing_cutoff, "voicing_cutoff")
+    _require_real(voicing_cutoff=voicing_cutoff)
     taus, aperiodicity = pick_lags(values, sample_rate, threshold, f_min, f_max)
     voiced = aperiodicity <= voicing_cutoff
     f0 = np.full(len(taus), np.nan)

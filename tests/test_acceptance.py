@@ -176,11 +176,10 @@ def test_criterion_06_loss_oracles():
     ok &= decoding_loss(a, a) == 0.0
     ok &= recon_loss(mats[0], mats[1], mats[0], mats[1]) == 0.0
     ok &= shift_consistency_metric(ya, ya, 0) == 0.0
-    from yingram import LossConfig
-
-    ok &= decoding_loss(a, b, LossConfig(90.0)) == 2.0 * decoding_loss(a, b)
-    ok &= recon_loss(*mats, LossConfig(90.0)) == 2.0 * recon_loss(*mats)
-    ok &= shift_consistency_metric(ya, yb, s, LossConfig(90.0)) == 2.0 * (
+    doubled = AnalysisConfig(lambda_yin=90.0)
+    ok &= decoding_loss(a, b, doubled) == 2.0 * decoding_loss(a, b)
+    ok &= recon_loss(*mats, doubled) == 2.0 * recon_loss(*mats)
+    ok &= shift_consistency_metric(ya, yb, s, doubled) == 2.0 * (
         shift_consistency_metric(ya, yb, s)
     )
     _report(

@@ -420,9 +420,9 @@ def test_tones_read_the_duration_rule(tone, duration):
 
 
 @pytest.mark.parametrize("semitones, message", [
-    (math.nan, "semitones must be finite, got nan"),
-    (math.inf, "semitones must be finite, got inf"),
-    (-math.inf, "semitones must be finite, got -inf"),  # once an OverflowError
+    (math.nan, "semitones must be a finite real, got nan"),
+    (math.inf, "semitones must be a finite real, got inf"),
+    (-math.inf, "semitones must be a finite real, got -inf"),  # once an OverflowError
     (-1e6, "semitones=-1000000.0 overflows the rate factor"),
     (-12.0 * 1020, "semitones=-12240.0 overflows the rate factor"),  # the factor holds, the rate does not
 ])
@@ -447,15 +447,15 @@ def test_tones_read_the_sample_count_rule(call, message):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: sine_tone(math.inf, 0.1), "freq must be finite, got inf"),  # once a RuntimeWarning
-    (lambda: sine_tone(math.nan, 0.1), "freq must be finite, got nan"),  # once an all-NaN clip
-    (lambda: sine_tone(220.0, 0.1, amplitude=math.inf), "amplitude must be finite, got inf"),
-    (lambda: sine_tone(220.0, 0.1, phase=-math.inf), "phase must be finite, got -inf"),
-    (lambda: harmonic_tone(math.nan, 0.1), "f0 must be finite, got nan"),
-    (lambda: harmonic_tone(220.0, 0.1, amplitude=math.nan), "amplitude must be finite, got nan"),
-    (lambda: vibrato_tone(math.inf, 0.1), "f0 must be finite, got inf"),
-    (lambda: vibrato_tone(220.0, 0.1, depth_semitones=math.nan), "depth_semitones must be finite, got nan"),
-    (lambda: vibrato_tone(220.0, 0.1, rate_hz=math.inf), "rate_hz must be finite, got inf"),
+    (lambda: sine_tone(math.inf, 0.1), "freq must be a finite real, got inf"),  # once a RuntimeWarning
+    (lambda: sine_tone(math.nan, 0.1), "freq must be a finite real, got nan"),  # once an all-NaN clip
+    (lambda: sine_tone(220.0, 0.1, amplitude=math.inf), "amplitude must be a finite real, got inf"),
+    (lambda: sine_tone(220.0, 0.1, phase=-math.inf), "phase must be a finite real, got -inf"),
+    (lambda: harmonic_tone(math.nan, 0.1), "f0 must be a finite real, got nan"),
+    (lambda: harmonic_tone(220.0, 0.1, amplitude=math.nan), "amplitude must be a finite real, got nan"),
+    (lambda: vibrato_tone(math.inf, 0.1), "f0 must be a finite real, got inf"),
+    (lambda: vibrato_tone(220.0, 0.1, depth_semitones=math.nan), "depth_semitones must be a finite real, got nan"),
+    (lambda: vibrato_tone(220.0, 0.1, rate_hz=math.inf), "rate_hz must be a finite real, got inf"),
     (lambda: harmonic_tone(220.0, 0.1, n_harmonics=0), "n_harmonics must be at least 1, got 0"),  # once all NaN
     (lambda: harmonic_tone(220.0, 0.1, n_harmonics=2.5), "n_harmonics must be an integer, got 2.5"),
     (lambda: random_tonal_frame(np.random.default_rng(0), 0), "frame_len must be at least 1, got 0"),
@@ -476,6 +476,15 @@ def test_a_phase_that_overflows_is_named(call, named):
     # each once warned (inf * 0 is NaN at t = 0) and returned a NaN clip
     with pytest.raises(ValueError, match=f"^the phase of {re.escape(named)}.* overflows a float$"):
         call()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("amplitude", [1e308, -1e308, sys.float_info.max])
+def test_a_scaled_tone_that_overflows_is_named(amplitude):
+    # once a RuntimeWarning and a clip with infinite samples
+    named = re.escape(f"amplitude={amplitude}")
+    with pytest.raises(ValueError, match=f"^the scaled tone of {named} overflows a float$"):
+        harmonic_tone(220.0, 0.1, amplitude=amplitude)
 
 
 def test_the_phase_rule_changes_no_sample():

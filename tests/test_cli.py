@@ -206,6 +206,20 @@ def test_compare_shift_correct_and_wrong(tmp_path, shifted_pair):
     assert json.loads(out.read_text())["pass"] is False
 
 
+def test_the_lambda_flag_reaches_the_verdict(tmp_path, shifted_pair):
+    # the weight scales l_yin_shift exactly and changes no other verdict field
+    reports = []
+    for extra in ([], ["--lambda-yin", "90"]):
+        out = tmp_path / f"report{len(reports)}.json"
+        argv = ["compare-shift", *map(str, shifted_pair), "--scope-shift", "4", "--out", str(out)]
+        assert main(argv + extra) == 0
+        reports.append(json.loads(out.read_text()))
+    default, doubled = reports
+    assert doubled["l_yin_shift"] == 2.0 * default["l_yin_shift"]
+    for key in ("measured_semitone_offset", "voiced_overlap_fraction", "pass"):
+        assert doubled[key] == default[key], key
+
+
 def test_compare_shift_no_verdict_exit(tmp_path, shifted_pair):
     np_path, sp_path = shifted_pair
     code = main(

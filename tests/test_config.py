@@ -9,7 +9,6 @@ import pytest
 from yingram import (
     DEFAULT_GRID,
     AnalysisConfig,
-    LossConfig,
     NoteGrid,
     compute_yingram,
     difference_function,
@@ -123,7 +122,6 @@ MIRRORED_DEFAULTS = [
     (estimate_f0, {"threshold": "f0_threshold", "f_min": "f_min", "f_max": "f_max",
                    "voicing_cutoff": "voicing_cutoff"}),
     (difference_function, {"window": "window"}),
-    (LossConfig, {"lambda_yin": "lambda_yin"}),
     (sine_tone, {"sample_rate": "sample_rate"}),
     (harmonic_tone, {"sample_rate": "sample_rate"}),
     (vibrato_tone, {"sample_rate": "sample_rate"}),

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from yingram import (
     AnalysisConfig,
-    LossConfig,
     PitchContour,
     Waveform,
     batch_report,
@@ -211,7 +210,7 @@ def test_shift_pair_equals_the_public_paths(cfg, seconds, s):
         assert math.isnan(report.measured_semitone_offset)
         return
     assert report.l_yin_shift == shift_consistency_metric(
-        y_normal[:k], y_shifted[:k], s, LossConfig(cfg.lambda_yin)
+        y_normal[:k], y_shifted[:k], s, cfg
     )
     offset, overlap = median_semitone_offset(
         extract_pitch_contour(normal, cfg),

@@ -194,7 +194,7 @@ def test_tau_max_is_the_lowest_lag_formula():
     ({"reference_hz": math.nan}, "reference_hz must be finite and positive, got nan"),
     ({"reference_hz": math.inf}, "reference_hz must be finite and positive, got inf"),
     ({"reference_hz": True}, "reference_hz must be finite and positive, got True"),
-    ({"reference_hz": "440"}, "reference_hz must be finite and positive, got 440"),
+    ({"reference_hz": "440"}, "reference_hz must be finite and positive, got '440'"),  # once "got 440"
     ({"bins_per_octave": 0}, "bins_per_octave must be at least 1, got 0"),  # ZeroDivisionError
     ({"bins_per_octave": True}, "bins_per_octave must be an integer, got True"),
     ({"bins_per_octave": 2.5}, "bins_per_octave must be an integer, got 2.5"),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from yingram import (
-    LossConfig,
+    AnalysisConfig,
     compute_yingram,
     decoding_loss,
     recon_loss,
@@ -88,25 +88,50 @@ def test_recon_loss_shape_mismatch(rng):
 def test_lambda_scaling_is_exact(rng):
     a = rng.uniform(0, 2, (6, 50))
     b = rng.uniform(0, 2, (6, 50))
-    assert decoding_loss(a, b, LossConfig(90.0)) == 2.0 * decoding_loss(a, b)
+    doubled = AnalysisConfig(lambda_yin=90.0)
+    assert decoding_loss(a, b, doubled) == 2.0 * decoding_loss(a, b)
     mats = [rng.uniform(0, 2, (6, 50)) for _ in range(4)]
-    assert recon_loss(*mats, LossConfig(90.0)) == 2.0 * recon_loss(*mats)
+    assert recon_loss(*mats, doubled) == 2.0 * recon_loss(*mats)
     ya = rng.uniform(0, 2, (6, 80))
     yb = rng.uniform(0, 2, (6, 80))
-    assert shift_consistency_metric(ya, yb, 3, LossConfig(90.0)) == 2.0 * (
+    assert shift_consistency_metric(ya, yb, 3, doubled) == 2.0 * (
         shift_consistency_metric(ya, yb, 3)
     )
 
 
 def test_lambda_must_be_positive():
-    with pytest.raises(ValueError):
-        LossConfig(0.0)
+    with pytest.raises(ValueError, match="^invalid config: lambda_yin=0.0 must be positive$"):
+        AnalysisConfig(lambda_yin=0.0)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "45"])
 def test_lambda_must_be_finite(value):
-    with pytest.raises(ValueError, match="lambda_yin must be finite and positive"):
-        LossConfig(value)
+    with pytest.raises(ValueError, match="^invalid config: lambda_yin="):
+        AnalysisConfig(lambda_yin=value)
+
+
+# loss -> (function, the names of its matrix arguments, their shape, its other arguments)
+LOSS_INPUTS = {
+    "decoding_loss": (decoding_loss, ["target", "prediction"], (3, 50), ()),
+    "recon_loss": (recon_loss, ["y_crop", "y_crop_shift", "synth_default", "synth_shifted"],
+                   (3, 50), ()),
+    "shift_consistency_metric": (shift_consistency_metric, ["y_normal", "y_shifted_audio"],
+                                 (3, 80), (0,)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("loss, name", [
+    (loss, name) for loss, (_, names, _, _) in LOSS_INPUTS.items() for name in names
+])
+def test_losses_reject_non_finite_inputs(loss, name, value):
+    # each once returned nan or inf, or a finite loss for +inf (e^-inf = 0)
+    fn, names, shape, rest = LOSS_INPUTS[loss]
+    matrices = [np.zeros(shape) for _ in names]
+    matrices[names.index(name)][1, 7] = value
+    with pytest.raises(ValueError, match=f"^non-finite {name}: 1 of "):
+        fn(*matrices, *rest)
 
 
 def test_exponential_core_bounded(rng):

@@ -20,7 +20,6 @@ from yingram import (
     AnalysisConfig,
     DEFAULT_GRID,
     Frame,
-    LossConfig,
     NoteGrid,
     PitchContour,
     Scope,
@@ -95,7 +94,6 @@ def _f0_calls(prefix, call, names):
 # "function.parameter" -> a call that passes the value there, every other argument valid
 REAL_PARAMETERS = {
     "NoteGrid.reference_hz": _grid_field("reference_hz"),
-    "LossConfig.lambda_yin": lambda v: LossConfig(v),
     **{f"AnalysisConfig.{name}": _config_field(name) for name in _fields(AnalysisConfig, "float")},
     "note_to_hz.note": lambda v: note_to_hz(v),
     "note_to_lag.note": lambda v: note_to_lag(v, SR),
@@ -186,8 +184,11 @@ CASES = [
 def test_a_value_the_number_rule_rejects_raises_naming_its_parameter(call, value, name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=re.escape(name)):
+        with pytest.raises(ValueError, match=re.escape(name)) as caught:
             call(value)
+    if isinstance(value, str):
+        # by its repr: the positive, duration, note and f0-band rules once said "got 2"
+        assert repr(value) in str(caught.value)
 
 
 @pytest.mark.parametrize("parameter, value", [

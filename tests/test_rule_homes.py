@@ -27,7 +27,6 @@ RULE_HOMES = {
     "cmnd needs at least one lag": "yin",
     "empty output path": "feature",
     "duration must be finite and at least 0": "synth",
-    "must be finite, got": "synth",
     "over the clip limit of": "synth",
     "no finite positive frequency": "grid",
     "estimate_f0 needs one 1-D CMND curve": "yin",
@@ -37,13 +36,16 @@ RULE_HOMES = {
 }
 
 
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
 def _raised_literals(path: Path) -> set[str]:
     """Every string constant inside a `raise` statement of a module,
     the literal parts of f-strings included."""
-    tree = ast.parse(path.read_text(), filename=str(path))
     return {
         node.value
-        for stmt in ast.walk(tree) if isinstance(stmt, ast.Raise)
+        for stmt in ast.walk(_tree(path)) if isinstance(stmt, ast.Raise)
         for node in ast.walk(stmt)
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     }
@@ -64,7 +66,7 @@ def test_rule_message_is_raised_in_its_home_only(message, home):
 
 def _number_tests_named(path: Path) -> set[str]:
     """The `numbers.Integral` and `numbers.Real` a module names."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = _tree(path)
     return {
         node.attr for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
@@ -81,6 +83,25 @@ def test_the_number_tests_are_named_in_grid_only():
     named = {p.stem: _number_tests_named(p) for p in SOURCES}
     assert named.pop("grid") == {"Integral", "Real"}
     assert not any(named.values()), named
+
+
+def test_every_config_parameter_takes_an_analysis_config():
+    # a second config type for the same settings once held its own copy of lambda_yin
+    annotations = [
+        (p.stem, node.lineno, node.annotation and ast.unparse(node.annotation))
+        for p in SOURCES for node in ast.walk(_tree(p))
+        if isinstance(node, ast.arg) and node.arg == "config"
+    ]
+    assert {annotation for *_, annotation in annotations} == {"AnalysisConfig | None"}, annotations
+
+
+def test_only_the_config_module_declares_lambda_yin():
+    declaring = [
+        p.stem for p in SOURCES for node in ast.walk(_tree(p))
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        and node.target.id == "lambda_yin"
+    ]
+    assert declaring == ["config"]
 
 
 def test_a_copied_rule_is_caught(tmp_path):
