@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.signal
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import _require_int
@@ -239,6 +238,7 @@ def resample(w: Waveform, target_sr: int) -> Waveform:
     target_sr = _require_int(target_sr, "target_sr", 1)
     if target_sr == w.sample_rate:
         return w
+    import scipy.signal  # only resampling needs it, and it dominates start-up
 
     up, down = _polyphase_factors(w.sample_rate, target_sr)
     max_rate = max(up, down)

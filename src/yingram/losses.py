@@ -13,6 +13,7 @@ lambda_yin; without a config it reads the class default
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -44,6 +45,22 @@ def _finite_inputs(**arrays: np.ndarray) -> None:
         require_finite(values, name)
 
 
+@contextmanager
+def _overflow_rule(**arrays: np.ndarray):
+    """Run a loss's e^-Y terms with numpy's overflow flag raising: finite
+    entries below about -709.8, or sums of entries near it, would read inf.
+    The ValueError names the argument holding the least entry."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        name = min(arrays, key=lambda n: np.min(arrays[n]))
+        raise ValueError(
+            f"the e^-{name} term is too large for a float: its least entry is "
+            f"{float(np.min(arrays[name]))!r}"
+        ) from None
+
+
 def decoding_loss(
     target: np.ndarray, prediction: np.ndarray, config: AnalysisConfig | None = None
 ) -> float:
@@ -69,9 +86,11 @@ def recon_loss(
     _require_same_shape(*arrays)
     y, ys, gd, gs = arrays
     _finite_inputs(y_crop=y, y_crop_shift=ys, synth_default=gd, synth_shifted=gs)
-    default_term = np.mean(np.abs(np.exp(-y) - np.exp(-gd)))
-    shifted_term = np.mean(np.abs(np.exp(-ys) - np.exp(-gs)))
-    return float((config or AnalysisConfig).lambda_yin * (default_term + shifted_term))
+    with _overflow_rule(y_crop=y, y_crop_shift=ys, synth_default=gd, synth_shifted=gs):
+        default_term = np.mean(np.abs(np.exp(-y) - np.exp(-gd)))
+        shifted_term = np.mean(np.abs(np.exp(-ys) - np.exp(-gs)))
+        total = default_term + shifted_term
+    return float((config or AnalysisConfig).lambda_yin * total)
 
 
 def shift_consistency_metric(
@@ -101,7 +120,8 @@ def shift_consistency_metric(
         frames = min(normal.shape[0], shifted.shape[0])
         normal = normal[:frames]
         shifted = shifted[:frames]
-    a = np.exp(-crop_scope(normal, s))
-    b = np.exp(-crop_scope(shifted, 0))
-    _require_same_shape(a, b)
-    return float((config or AnalysisConfig).lambda_yin * np.mean(np.abs(a - b)))
+    normal, shifted = crop_scope(normal, s), crop_scope(shifted, 0)
+    _require_same_shape(normal, shifted)
+    with _overflow_rule(y_normal=normal, y_shifted_audio=shifted):
+        term = np.mean(np.abs(np.exp(-normal) - np.exp(-shifted)))
+    return float((config or AnalysisConfig).lambda_yin * term)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from yingram import (
     AnalysisConfig,
     compute_yingram,
+    crop_scope,
     decoding_loss,
     recon_loss,
     shift_consistency_metric,
@@ -132,6 +133,33 @@ def test_losses_reject_non_finite_inputs(loss, name, value):
     matrices[names.index(name)][1, 7] = value
     with pytest.raises(ValueError, match=f"^non-finite {name}: 1 of "):
         fn(*matrices, *rest)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("least", [-1000.0, -709.5], ids=["entry", "sum"])
+@pytest.mark.parametrize("loss, name", [
+    (loss, name) for loss in ("recon_loss", "shift_consistency_metric")
+    for name in LOSS_INPUTS[loss][1]
+])
+def test_exponential_losses_name_an_overflowing_argument(loss, name, least):
+    # e^1000 overflows, and a mean of e^709.5 entries sums past the float
+    # range: each once returned inf after an overflow RuntimeWarning
+    fn, names, shape, rest = LOSS_INPUTS[loss]
+    matrices = [np.zeros(shape) for _ in names]
+    matrices[names.index(name)][:] = least
+    message = rf"^the e\^-{name} term is too large for a float: its least entry is {least}$"
+    with pytest.raises(ValueError, match=message):
+        fn(*matrices, *rest)
+
+
+def test_the_overflow_rule_changes_no_loss(rng):
+    # the same expressions in the same order, so finite losses keep their bits
+    y, ys, gd, gs = (rng.uniform(-700, 5, (6, 50)) for _ in range(4))
+    bare = np.mean(np.abs(np.exp(-y) - np.exp(-gd))) + np.mean(np.abs(np.exp(-ys) - np.exp(-gs)))
+    assert recon_loss(y, ys, gd, gs) == float(AnalysisConfig.lambda_yin * bare)
+    ya, yb = rng.uniform(-700, 5, (6, 80)), rng.uniform(-700, 5, (6, 80))
+    bare = np.mean(np.abs(np.exp(-crop_scope(ya, 3)) - np.exp(-crop_scope(yb, 0))))
+    assert shift_consistency_metric(ya, yb, 3) == float(AnalysisConfig.lambda_yin * bare)
 
 
 def test_exponential_core_bounded(rng):

@@ -33,6 +33,7 @@ RULE_HOMES = {
     "must be a finite real": "grid",
     "is beyond the float range": "grid",
     "overflows a float": "synth",
+    "term is too large for a float": "losses",
 }
 
 
