@@ -23,7 +23,8 @@ __all__ = [
 
 # Kaiser-windowed sinc resampler: 32 zero crossings per side = 64 taps per
 # polyphase branch. beta=8.6 puts the stopband around -90 dB, which keeps
-# aliasing well below the CMND noise floor.
+# aliasing well below the CMND noise floor. `_kaiser_sinc` builds the filter
+# from its symmetric half and equals scipy.signal.firwin's bit for bit.
 _SINC_HALF_WIDTH = 32
 _KAISER_BETA = 8.6
 # Largest polyphase factor: the filter holds 64 * max(up, down) + 1 taps, so
@@ -223,6 +224,28 @@ def _polyphase_factors(source_sr: int, target_sr: int) -> tuple[int, int]:
     return ratio.numerator, ratio.denominator
 
 
+def _kaiser_sinc(max_rate: int) -> np.ndarray:
+    """The resampler's low-pass filter: the 64 * max_rate + 1 taps of
+    firwin(numtaps, 1 / max_rate, window=("kaiser", _KAISER_BETA)), equal
+    bit for bit. The filter is symmetric, so the sinc and the window are
+    evaluated on taps 0..32 * max_rate only, mirrored, and divided by the
+    sum over the full filter; each step keeps firwin's order of operations.
+    firwin's other passes change no bit, so they are left out: it adds the
+    taps to 0 (no tap is zero) and subtracts 0 * sinc(0 * m) for the zero
+    band edge, and it weighs the taps by cos(0) = 1 before their sum."""
+    import scipy.special  # loaded with scipy.fft already; costs no start-up
+
+    half = _SINC_HALF_WIDTH * max_rate
+    m = np.arange(0, half + 1, dtype=np.float64) - half  # tap offsets -half..0
+    cutoff = 1.0 / max_rate
+    h = cutoff * np.sinc(cutoff * m)
+    window = scipy.special.i0(_KAISER_BETA * np.sqrt(1 - (m / half) ** 2.0))
+    h *= window / scipy.special.i0(_KAISER_BETA)
+    h = np.concatenate((h, h[-2::-1]))
+    h /= np.sum(h)
+    return h
+
+
 def resample(w: Waveform, target_sr: int) -> Waveform:
     """Resample with a polyphase Kaiser-windowed sinc filter.
 
@@ -241,9 +264,7 @@ def resample(w: Waveform, target_sr: int) -> Waveform:
     import scipy.signal  # only resampling needs it, and it dominates start-up
 
     up, down = _polyphase_factors(w.sample_rate, target_sr)
-    max_rate = max(up, down)
-    numtaps = 2 * _SINC_HALF_WIDTH * max_rate + 1
-    fir = scipy.signal.firwin(numtaps, 1.0 / max_rate, window=("kaiser", _KAISER_BETA))
+    fir = _kaiser_sinc(max(up, down))
     y = scipy.signal.resample_poly(w.samples, up, down, window=fir)
 
     n_out = int(np.floor(len(w.samples) * target_sr / w.sample_rate + 0.5))

@@ -64,12 +64,24 @@ def _overflow_rule(**arrays: np.ndarray):
 def decoding_loss(
     target: np.ndarray, prediction: np.ndarray, config: AnalysisConfig | None = None
 ) -> float:
-    """lambda_yin times the mean absolute difference of two cropped matrices."""
+    """lambda_yin times the mean absolute difference of two cropped matrices.
+    A difference, their sum or the weighted mean that would read inf raises
+    ValueError; the raising overflow flag changes no bit of a finite loss."""
     target = np.asarray(target)
     prediction = np.asarray(prediction)
     _require_same_shape(target, prediction)
     _finite_inputs(target=target, prediction=prediction)
-    return float((config or AnalysisConfig).lambda_yin * np.mean(np.abs(target - prediction)))
+    lambda_yin = (config or AnalysisConfig).lambda_yin
+    try:
+        with np.errstate(over="raise"):
+            return float(lambda_yin * np.mean(np.abs(target - prediction)))
+    except FloatingPointError:
+        spans = ", ".join(f"{name} spans [{float(np.min(a))!r}, {float(np.max(a))!r}]"
+                          for name, a in (("target", target), ("prediction", prediction)))
+        raise ValueError(
+            f"the |target - prediction| term is too large for a float at "
+            f"lambda_yin={lambda_yin!r}: {spans}"
+        ) from None
 
 
 def recon_loss(

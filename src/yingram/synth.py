@@ -117,14 +117,16 @@ def pitch_shifted_copy(w: Waveform, semitones: float) -> Waveform:
     Duration scales by 2^(-semitones/12); the shift is exact up to the
     integer rounding of the intermediate rate (well under a cent). A shift
     too small to change the rate (0 semitones, say) shares `w`'s samples.
-    Raises ValueError for a shift that is not finite or whose rate factor
-    overflows a float.
+    Raises ValueError for a shift that is not finite, whose rate factor
+    overflows a float, or whose rate rounds below 1 Hz.
     """
     _require_real(semitones=semitones)
     try:
         target = int(round(w.sample_rate * 2.0 ** (-semitones / 12.0)))
     except OverflowError:
         raise ValueError(f"semitones={semitones} overflows the rate factor") from None
+    if target < 1:
+        raise ValueError(f"semitones={semitones} takes the rate of {w.sample_rate} Hz below 1 Hz")
     return Waveform(resample(w, target).samples, w.sample_rate)
 
 

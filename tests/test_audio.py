@@ -20,6 +20,7 @@ from yingram import (
     pitch_shifted_copy,
     random_tonal_frame,
     resample,
+    shift_to_semitones,
     sine_tone,
     vibrato_tone,
 )
@@ -425,6 +426,9 @@ def test_tones_read_the_duration_rule(tone, duration):
     (-math.inf, "semitones must be a finite real, got -inf"),  # once an OverflowError
     (-1e6, "semitones=-1000000.0 overflows the rate factor"),
     (-12.0 * 1020, "semitones=-12240.0 overflows the rate factor"),  # the factor holds, the rate does not
+    # the rate rounds to 0 Hz: once "target_sr must be at least 1, got 0"
+    (400.0, "semitones=400.0 takes the rate of 22050 Hz below 1 Hz"),
+    (1e300, "semitones=1e+300 takes the rate of 22050 Hz below 1 Hz"),
 ])
 def test_pitch_shifted_copy_reads_the_shift_rule(semitones, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -569,20 +573,35 @@ def test_resample_common_rates_match_unbounded_filter(source, target):
 
 
 def test_resample_coprime_rates_bound_the_filter(monkeypatch):
-    taps = []
-    firwin = scipy.signal.firwin
+    rates = []
+    kaiser_sinc = audio._kaiser_sinc
 
-    def spy(numtaps, *args, **kwargs):
-        taps.append(numtaps)
-        return firwin(numtaps, *args, **kwargs)
+    def spy(max_rate):
+        rates.append(max_rate)
+        return kaiser_sinc(max_rate)
 
-    monkeypatch.setattr(scipy.signal, "firwin", spy)
+    monkeypatch.setattr(audio, "_kaiser_sinc", spy)
     x = sine_tone(440.0, 0.05, sample_rate=44100).samples
     out = resample(Waveform(x, 44100), 22051)  # exact ratio needs 2.8M taps
-    assert taps and max(taps) <= 64 * 2**15 + 1
+    assert rates and max(rates) <= 2**15
     assert len(out.samples) == round(len(x) * 22051 / 44100)
     ideal = 0.6 * np.sin(2.0 * np.pi * 440.0 * np.arange(len(out.samples)) / 22051)
     np.testing.assert_allclose(out.samples[100:-100], ideal[100:-100], atol=1e-3)
+
+
+def _filter_rates() -> list[int]:
+    """max(up, down) of every common rate to 22.05 kHz, of scope shifts
+    +-1, +-12 and +-15 at 22.05, 44.1 and 48 kHz, and the bound."""
+    pairs = [(sr, 22050) for sr in (8000, 11025, 16000, 24000, 32000, 44100, 48000, 88200, 96000)]
+    pairs += [(sr, int(round(sr * 2.0 ** (-shift_to_semitones(s) / 12.0))))
+              for sr in (22050, 44100, 48000) for s in (1, -1, 12, -12, 15, -15)]
+    return sorted({max(audio._polyphase_factors(*pair)) for pair in pairs} | {2**15})
+
+
+@pytest.mark.parametrize("max_rate", _filter_rates())
+def test_kaiser_sinc_equals_firwin_bit_for_bit(max_rate):
+    fir = scipy.signal.firwin(64 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 8.6))
+    assert audio._kaiser_sinc(max_rate).tobytes() == fir.tobytes()
 
 
 def test_resample_rejects_absurd_header_rate():

@@ -11,19 +11,23 @@ from conftest import write_wav
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# after each step, print whether scipy.signal is loaded
+# run each step, an expression that must hold, and print whether scipy.signal is loaded
 SCRIPT = """
 import sys
 import yingram
 print("import", "scipy.signal" in sys.modules)
-from yingram import cli
-for step, argv in {steps!r}:
-    assert cli.main(argv) == 0, step
+from yingram import cli, pitch_shifted_copy, sine_tone
+for step, check in {steps!r}:
+    assert eval(check), step
     print(step, "scipy.signal" in sys.modules)
 """
 
 
-def _loaded_after(steps: list[tuple[str, list[str]]]) -> dict[str, bool]:
+def _cli(step: str, argv: list[str]) -> tuple[str, str]:
+    return step, f"cli.main({argv!r}) == 0"
+
+
+def _loaded_after(steps: list[tuple[str, str]]) -> dict[str, bool]:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
     done = subprocess.run([sys.executable, "-c", SCRIPT.format(steps=steps)], env=env,
@@ -37,15 +41,17 @@ def test_nothing_that_does_not_resample_loads_scipy_signal(tmp_path):
     wav = tmp_path / "tone.wav"
     write_wav(wav, sine_tone(220.0, 0.5, sample_rate=22050))
     loaded = _loaded_after([
-        ("analyze", ["analyze", str(wav), "--out", str(tmp_path / "y.csv")]),
-        ("gradcheck", ["gradcheck", "--frames", "2", "--out", str(tmp_path / "g.json")]),
+        _cli("analyze", ["analyze", str(wav), "--out", str(tmp_path / "y.csv")]),
+        _cli("gradcheck", ["gradcheck", "--frames", "2", "--out", str(tmp_path / "g.json")]),
+        # a shift of 0 semitones keeps the rate, so nothing is resampled
+        ("shift 0", "len(pitch_shifted_copy(sine_tone(220.0, 0.05), 0.0)) == 1102"),
     ])
-    assert loaded == {"import": False, "analyze": False, "gradcheck": False}
+    assert loaded == {"import": False, "analyze": False, "gradcheck": False, "shift 0": False}
 
 
 def test_a_clip_at_another_rate_loads_scipy_signal(tmp_path):
     # the gate above is not vacuous: the same analyze resamples and loads it
     wav = tmp_path / "tone.wav"
     write_wav(wav, sine_tone(220.0, 0.5, sample_rate=44100))
-    loaded = _loaded_after([("analyze", ["analyze", str(wav), "--out", str(tmp_path / "y.csv")])])
+    loaded = _loaded_after([_cli("analyze", ["analyze", str(wav), "--out", str(tmp_path / "y.csv")])])
     assert loaded == {"import": False, "analyze": True}

@@ -1,5 +1,6 @@
 """The three Yingram objectives against brute-force oracles."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -152,8 +153,22 @@ def test_exponential_losses_name_an_overflowing_argument(loss, name, least):
         fn(*matrices, *rest)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("target, prediction", [(1e308, -1e308), (1.7e308, 0.1e308), (1e307, -1e306)],
+                         ids=["difference", "mean", "weight"])
+def test_decoding_loss_names_an_overflowing_difference(target, prediction):
+    # the difference, the mean's sum, or lambda_yin times the mean overflows:
+    # each once returned inf after an overflow RuntimeWarning
+    message = (f"the |target - prediction| term is too large for a float at lambda_yin=45.0: "
+               f"target spans [{target!r}, {target!r}], prediction spans [{prediction!r}, {prediction!r}]")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        decoding_loss(np.full((3, 50), target), np.full((3, 50), prediction))
+
+
 def test_the_overflow_rule_changes_no_loss(rng):
     # the same expressions in the same order, so finite losses keep their bits
+    a, b = rng.uniform(-1e306, 1e306, (6, 50)), rng.uniform(-5, 5, (6, 50))
+    assert decoding_loss(a, b) == float(AnalysisConfig.lambda_yin * np.mean(np.abs(a - b)))
     y, ys, gd, gs = (rng.uniform(-700, 5, (6, 50)) for _ in range(4))
     bare = np.mean(np.abs(np.exp(-y) - np.exp(-gd))) + np.mean(np.abs(np.exp(-ys) - np.exp(-gs)))
     assert recon_loss(y, ys, gd, gs) == float(AnalysisConfig.lambda_yin * bare)

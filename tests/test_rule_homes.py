@@ -34,6 +34,7 @@ RULE_HOMES = {
     "is beyond the float range": "grid",
     "overflows a float": "synth",
     "term is too large for a float": "losses",
+    "below 1 Hz": "synth",
 }
 
 
