@@ -37,13 +37,15 @@ __all__ = [
 # Frames per block of `_analyse`. A block holds its span of clip samples (a
 # view, or a small padded copy at the clip's end) and the spectra and energy
 # cumsums of its segments, so the block size, not the clip length, bounds
-# the working set. Each block also transforms the window // hop - 1 hop
-# segments past its last frame's start again. Best of 5 rounds on a 2-core
-# VM, `_analyse` took 30.3, 25.9 and 25.8 ms at 32, 64 and 128 frames on a
-# 10 s tone, and 175, 159 and 153 ms on a 60 s vibrato, with equal output
-# bytes. Single rounds spread by up to 1.6x, so 32 stays until alternating
-# benchmark pairs settle the choice.
-BLOCK_FRAMES = 32
+# the working set: 2.9 MB traced at 5 s and at 60 s. Each block also
+# transforms the window // hop - 1 hop segments past its last frame's start
+# again. On a 2-core VM, in 7 alternating rounds (best, median), with equal
+# output bytes: a 10 s tone took 53, 60 ms at 32 frames and 40, 44 ms at
+# 128; a 60 s vibrato 206, 257 ms and 184, 225 ms. Blocks run serially:
+# two at once on two threads took the vibrato to 160, 186 ms, but their
+# peaks add up or not by the threads' timing, so the traced working set of
+# a 5 s clip fell more than 1 MB below that of a 60 s clip in 7 of 100 runs.
+BLOCK_FRAMES = 128
 
 
 @dataclass
@@ -188,10 +190,7 @@ def _analyse(w: Waveform, cfg: AnalysisConfig) -> tuple[YingramMatrix, PitchCont
     for start in range(0, n, BLOCK_FRAMES):
         block = slice(start, min(start + BLOCK_FRAMES, n))
         span, padded[block] = _frame_span(x, cfg.frame_length, cfg.hop, block.start, block.stop)
-        # d and csum live until the next block's replace them: freed earlier,
-        # the heap top is trimmed and the next block faults it back in
-        d = _difference_fft(span, cfg.tau_max, cfg.window, cfg.hop)
-        values, csum, _ = _cmnd_terms(d, start)
+        values = _cmnd_terms(_difference_fft(span, cfg.tau_max, cfg.window, cfg.hop), start)[0]
         rows[block] = yingram_rows(values, lags)
         f0[block], aperiodicity[block] = f0_rows(
             values, cfg.sample_rate, cfg.f0_threshold, cfg.f_min, cfg.f_max, cfg.voicing_cutoff

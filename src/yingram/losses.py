@@ -38,6 +38,28 @@ def _require_same_shape(*arrays: np.ndarray) -> None:
         raise ValueError(f"dimension error: empty inputs of shape {arrays[0].shape}")
 
 
+def _as_real(values) -> np.ndarray:
+    """values as an array; integer and bool entries as float64, whose
+    differences and negations cannot wrap round, other dtypes as they are
+    (a float32 matrix keeps its bits)."""
+    values = np.asarray(values)
+    return values.astype(np.float64) if values.dtype.kind in "biu" else values
+
+
+def _weighted(term, config: AnalysisConfig | None) -> float:
+    """lambda_yin times an unweighted loss `term` (a numpy float); a product
+    past the float range raises ValueError naming lambda_yin."""
+    lambda_yin = (config or AnalysisConfig).lambda_yin
+    try:
+        with np.errstate(over="raise"):
+            return float(lambda_yin * term)
+    except FloatingPointError:
+        raise ValueError(
+            f"lambda_yin={lambda_yin!r} weighs the loss past the float range: "
+            f"the unweighted loss is {float(term)!r}"
+        ) from None
+
+
 def _finite_inputs(**arrays: np.ndarray) -> None:
     """`require_finite` of each named input, before any exponential: e^-inf
     is 0, so a check after it would miss a +inf entry."""
@@ -64,11 +86,12 @@ def _overflow_rule(**arrays: np.ndarray):
 def decoding_loss(
     target: np.ndarray, prediction: np.ndarray, config: AnalysisConfig | None = None
 ) -> float:
-    """lambda_yin times the mean absolute difference of two cropped matrices.
+    """lambda_yin times the mean absolute difference of two cropped matrices
+    (integer and bool entries read as float64, so no difference wraps).
     A difference, their sum or the weighted mean that would read inf raises
     ValueError; the raising overflow flag changes no bit of a finite loss."""
-    target = np.asarray(target)
-    prediction = np.asarray(prediction)
+    target = _as_real(target)
+    prediction = _as_real(prediction)
     _require_same_shape(target, prediction)
     _finite_inputs(target=target, prediction=prediction)
     lambda_yin = (config or AnalysisConfig).lambda_yin
@@ -93,8 +116,9 @@ def recon_loss(
 ) -> float:
     """Negative-exponential reconstruction loss over both synthesis branches:
     lambda_yin * (mean|e^-y_crop - e^-synth_default|
-                  + mean|e^-y_crop_shift - e^-synth_shifted|)."""
-    arrays = [np.asarray(a) for a in (y_crop, y_crop_shift, synth_default, synth_shifted)]
+                  + mean|e^-y_crop_shift - e^-synth_shifted|).
+    An e^-Y term or a weight that would read inf raises ValueError."""
+    arrays = [_as_real(a) for a in (y_crop, y_crop_shift, synth_default, synth_shifted)]
     _require_same_shape(*arrays)
     y, ys, gd, gs = arrays
     _finite_inputs(y_crop=y, y_crop_shift=ys, synth_default=gd, synth_shifted=gs)
@@ -102,7 +126,7 @@ def recon_loss(
         default_term = np.mean(np.abs(np.exp(-y) - np.exp(-gd)))
         shifted_term = np.mean(np.abs(np.exp(-ys) - np.exp(-gs)))
         total = default_term + shifted_term
-    return float((config or AnalysisConfig).lambda_yin * total)
+    return _weighted(total, config)
 
 
 def shift_consistency_metric(
@@ -136,4 +160,4 @@ def shift_consistency_metric(
     _require_same_shape(normal, shifted)
     with _overflow_rule(y_normal=normal, y_shifted_audio=shifted):
         term = np.mean(np.abs(np.exp(-normal) - np.exp(-shifted)))
-    return float((config or AnalysisConfig).lambda_yin * term)
+    return _weighted(term, config)

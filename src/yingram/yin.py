@@ -76,29 +76,48 @@ def _difference_fft(x: np.ndarray, tau_max: int, window: int, hop: int | None = 
     segments = x if hop is None else sliding_window_view(x, head + tau_max)[::hop]
     blocks = window // head
     n = scipy.fft.next_fast_len(segments.shape[-1], real=blocks > 1)
-    spec_all = scipy.fft.rfft(segments, n, axis=-1)
-    spec_head = scipy.fft.rfft(segments[..., :head], n, axis=-1)
-    corr = scipy.fft.irfft(np.conj(spec_head) * spec_all, n, axis=-1)[..., : tau_max + 1]
-    squares = np.square(segments[..., : head + tau_max])
-    csum = np.empty(squares.shape[:-1] + (head + tau_max + 1,))
+    # each temporary goes as soon as it has been read, and the squares and
+    # their cumsum share one array, so a block's peak is its two spectra and
+    # one padded input, not every stage's arrays at once
+    spectrum = scipy.fft.rfft(segments[..., :head], n, axis=-1)
+    np.conjugate(spectrum, out=spectrum)
+    spectrum *= scipy.fft.rfft(segments, n, axis=-1)
+    corr = scipy.fft.irfft(spectrum, n, axis=-1)[..., : tau_max + 1]
+    del spectrum
+    if blocks > 1:  # a contiguous copy for the segment sums frees the transform's other lags
+        corr = np.ascontiguousarray(corr)
+    csum = np.empty(segments.shape[:-1] + (head + tau_max + 1,))
     csum[..., 0] = 0.0
-    np.cumsum(squares, axis=-1, out=csum[..., 1:])
+    np.square(segments[..., : head + tau_max], out=csum[..., 1:])
+    np.cumsum(csum[..., 1:], axis=-1, out=csum[..., 1:])
     p_tau = csum[..., head:] - csum[..., : tau_max + 1]
+    del csum
     if blocks > 1:
-        # frame k sums segments k..k+blocks-1 in order; a running sum over the
-        # clip would round differently and flip float32 Yingram values
-        g, e, rows = np.ascontiguousarray(corr), p_tau, len(segments) - blocks + 1
-        corr, p_tau = g[:rows] + g[1 : rows + 1], e[:rows] + e[1 : rows + 1]
-        for b in range(2, blocks):
-            corr += g[b : b + rows]
-            p_tau += e[b : b + rows]
+        corr, p_tau = _frame_sums(corr, p_tau, blocks)
     p0 = p_tau[..., :1]
-    d = p0 + p_tau - 2.0 * corr
+    d = p0 + p_tau
+    d -= 2.0 * corr
+    del corr
     # cancellation noise sits ~1e-13 relative to the summed energies; clamp
     # well above it (and far below real CMND valleys at ~1e-6 relative) so
     # constant or silent frames produce exact zeros like the naive path
-    d[d < 1e-11 * (p0 + p_tau)] = 0.0
+    floor = p0 + p_tau
+    del p0, p_tau
+    floor *= 1e-11
+    d[d < floor] = 0.0
     return d
+
+
+def _frame_sums(g: np.ndarray, e: np.ndarray, blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """The correlation and energy terms of each frame from those of its hop
+    segments: frame k sums segments k..k+blocks-1 in order; a running sum
+    over the clip would round differently and flip float32 Yingram values."""
+    rows = len(g) - blocks + 1
+    corr, p_tau = g[:rows] + g[1 : rows + 1], e[:rows] + e[1 : rows + 1]
+    for b in range(2, blocks):
+        corr += g[b : b + rows]
+        p_tau += e[b : b + rows]
+    return corr, p_tau
 
 
 def difference_function(

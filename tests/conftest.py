@@ -138,3 +138,9 @@ def cfg() -> AnalysisConfig:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(0)
+
+
+def set_usable_cores(monkeypatch, n: int) -> None:
+    """Make `fanout.workers` report n usable cores: 1 turns every fan-out
+    serial, 2 or more hands it to the pool on any machine."""
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(n)), raising=False)

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.signal
+from hypothesis import given, settings, strategies as st
 
 from yingram import (
     Frame,
@@ -37,6 +38,7 @@ from conftest import (
     write_pcm32_int,
     write_truncated,
     write_with_extra_chunk,
+    set_usable_cores,
 )
 from oracles import decode_mean, fft_peak_hz, resample_unbounded
 
@@ -192,6 +194,27 @@ def test_decode_equals_the_mean_of_scaled_channels(tmp_path, name, n_channels):
     expected = decode_mean(data, tag, bits, n_channels)
     assert len(expected) == 3000
     assert load_wav(path).samples.tobytes() == expected.tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    name=st.sampled_from(["s16", "s24"]),
+    n_channels=st.integers(2, 8),
+    frames=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_integer_channels_add_to_the_mean_of_scaled_channels(name, n_channels, frames, seed):
+    # column adds of full-scale extremes, zeros and random samples, bit for bit
+    # against the per-format rule, each frame's channels averaged by `mean`
+    rng = np.random.default_rng(seed)
+    top = 2 ** (FORMATS[name][1] - 1)
+    pool = np.array([-top, top - 1, 0, -1, 1, int(rng.integers(-top, top))])
+    values = rng.choice(pool, frames * n_channels)
+    tag, bits = FORMATS[name]
+    data = _stored(name, values)
+    out = np.empty(frames)
+    audio._decode_samples(bytearray(b"\0" * (bits == 24)) + data, tag, bits, n_channels, out)
+    assert out.tobytes() == decode_mean(data, tag, bits, n_channels).tobytes()
 
 
 @pytest.mark.parametrize("name", FORMATS)
@@ -532,6 +555,87 @@ def test_resample_pads_a_short_filter_output_with_zeros(monkeypatch):
     assert len(out) == 65535 and out.sample_rate == 47999
     assert out.samples[-1] == 0.0
     assert out.samples[:-1].tobytes() == outputs[0].tobytes()
+
+
+def _resample_poly_inputs(monkeypatch) -> list[int]:
+    """Spy on scipy.signal.resample_poly: the input length of each call."""
+    lengths = []
+    real = scipy.signal.resample_poly
+
+    def spy(x, *args, **kwargs):
+        lengths.append(len(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.signal, "resample_poly", spy)
+    return lengths
+
+
+def _one_call(x: np.ndarray, source: int, target: int) -> np.ndarray:
+    """`resample`'s samples from one resample_poly call over the whole input."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(audio, "_SPLIT_SAMPLES", sys.maxsize)
+        return resample(Waveform(x, source), target).samples
+
+
+def test_resample_pads_a_short_filter_output_with_zeros_on_a_long_input(monkeypatch):
+    # the twin of the test above on 2**17 samples, which resample in two
+    # parts: resample_poly of the whole clip returns 131068 samples, and the
+    # length rule asks for round(131072 * 47999 / 48000) = 131069
+    set_usable_cores(monkeypatch, 2)
+    x = np.random.default_rng(0).uniform(-0.5, 0.5, 2**17)
+    whole = scipy.signal.resample_poly(x, 32767, 32768, window=audio._kaiser_sinc(32768))
+    inputs = _resample_poly_inputs(monkeypatch)
+    out = resample(Waveform(x, 48000), 47999)
+    assert len(inputs) == 2 and len(whole) == 131068
+    assert len(out) == 131069 and out.sample_rate == 47999
+    assert out.samples[-1] == 0.0
+    assert out.samples[:-1].tobytes() == whole.tobytes()
+
+
+COMMON_RATES = (8000, 11025, 16000, 22050, 32000, 44100, 48000, 88200, 96000)
+COMMON_PAIRS = sorted({pair for target in (22050, 44100) for sr in COMMON_RATES if sr != target
+                       for pair in ((sr, target), (target, sr))})
+# the capped ratio (32767/32768), and scope-shift copies at 22.05 kHz
+SPLIT_PAIRS = COMMON_PAIRS + [(48000, 47999)] + [
+    (22050, int(round(22050 * 2.0 ** (-shift_to_semitones(s) / 12.0)))) for s in (1, -12, 15)]
+SPLIT_LENGTHS = (2**17 - 1, 2**17, 2**17 + 1, 2**17 + 2**15 + 3)
+
+
+@pytest.mark.parametrize("pair", SPLIT_PAIRS, ids=lambda p: f"{p[0]}-{p[1]}")
+def test_split_resample_equals_one_call_bit_for_bit(monkeypatch, pair):
+    # each pair at one of the lengths about the split threshold, in turn
+    n = SPLIT_LENGTHS[SPLIT_PAIRS.index(pair) % len(SPLIT_LENGTHS)]
+    set_usable_cores(monkeypatch, 2)
+    x = np.random.default_rng(n).standard_normal(n)
+    expected = _one_call(x, *pair)
+    inputs = _resample_poly_inputs(monkeypatch)
+    assert resample(Waveform(x, pair[0]), pair[1]).samples.tobytes() == expected.tobytes()
+    assert len(inputs) == (1 if n < audio._SPLIT_SAMPLES else 2)
+
+
+@settings(deadline=None, max_examples=60)
+@given(pair=st.sampled_from(COMMON_PAIRS), n=st.integers(0, 12000).map(lambda k: 2 * k + 1))
+def test_split_resample_of_short_odd_inputs_equals_one_call(pair, n):
+    # the split forced on every input: inputs too short for two parts and
+    # their margins take one call, the others two
+    x = np.random.default_rng(n).standard_normal(n)
+    expected = _one_call(x, *pair)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(audio, "_SPLIT_SAMPLES", 1)
+        set_usable_cores(patch, 2)
+        inputs = _resample_poly_inputs(patch)
+        assert resample(Waveform(x, pair[0]), pair[1]).samples.tobytes() == expected.tobytes()
+    # every common pair splits from 1280 samples on; shorter inputs may not
+    assert len(inputs) == 2 or (n < 1280 and len(inputs) == 1)
+
+
+@pytest.mark.parametrize("cores, calls", [(1, 1), (2, 2)])
+def test_one_usable_core_resamples_in_one_call(monkeypatch, cores, calls):
+    set_usable_cores(monkeypatch, cores)
+    x = np.random.default_rng(0).standard_normal(2**17)
+    inputs = _resample_poly_inputs(monkeypatch)
+    resample(Waveform(x, 44100), 22050)
+    assert len(inputs) == calls
 
 
 def test_resample_length():

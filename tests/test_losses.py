@@ -165,6 +165,44 @@ def test_decoding_loss_names_an_overflowing_difference(target, prediction):
         decoding_loss(np.full((3, 50), target), np.full((3, 50), prediction))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("target, prediction, loss", [
+    (np.array([[2**62]]), np.array([[-2**62]]), 45.0 * 2.0**63),  # once -4.15e20: int64 wrapped
+    (np.array([[2**63 - 1, 0]]), np.array([[-2**63, 0]]), 45.0 * 2.0**63),
+    (np.array([[2**64 - 1]], np.uint64), np.array([[0]], np.uint64), 45.0 * 2.0**64),
+    (np.array([[True, False]]), np.array([[False, False]]), 22.5),  # once a TypeError
+], ids=["int64", "int64-extremes", "uint64", "bool"])
+def test_decoding_loss_reads_integer_entries_as_floats(target, prediction, loss):
+    assert decoding_loss(target, prediction) == loss
+
+
+def test_decoding_loss_keeps_float32_bits(rng):
+    a, b = rng.uniform(-3, 3, (6, 50)).astype(np.float32), rng.uniform(-3, 3, (6, 50)).astype(np.float32)
+    assert decoding_loss(a, b) == float(AnalysisConfig.lambda_yin * np.mean(np.abs(a - b)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_recon_loss_reads_integer_entries_as_floats():
+    # -(-2**63) wraps round in int64, so e^-y once read e^-(2**63) = 0
+    z = np.zeros((1, 1), dtype=np.int64)
+    with pytest.raises(ValueError, match=r"^the e\^-y_crop term is too large for a float"):
+        recon_loss(np.array([[-2**63]]), z, z, z)
+    assert recon_loss(np.array([[-2]]), z, z, z) == 45.0 * (math.exp(2.0) - 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("loss", ["recon_loss", "shift_consistency_metric"])
+def test_a_weight_that_overflows_names_lambda_yin(loss):
+    # each once returned inf after an overflow RuntimeWarning
+    fn, names, shape, rest = LOSS_INPUTS[loss]
+    matrices = [np.zeros(shape) for _ in names]
+    matrices[0][:] = -5.0
+    unweighted = fn(*matrices, *rest, AnalysisConfig(lambda_yin=1.0))
+    message = f"lambda_yin=1e+308 weighs the loss past the float range: the unweighted loss is {unweighted!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fn(*matrices, *rest, AnalysisConfig(lambda_yin=1e308))
+
+
 def test_the_overflow_rule_changes_no_loss(rng):
     # the same expressions in the same order, so finite losses keep their bits
     a, b = rng.uniform(-1e306, 1e306, (6, 50)), rng.uniform(-5, 5, (6, 50))

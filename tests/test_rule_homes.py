@@ -35,6 +35,7 @@ RULE_HOMES = {
     "overflows a float": "synth",
     "term is too large for a float": "losses",
     "below 1 Hz": "synth",
+    "weighs the loss past the float range": "losses",
 }
 
 
