@@ -1,15 +1,16 @@
 """WAV ingestion, band-limited resampling and analysis framing."""
 from __future__ import annotations
 
+import contextvars
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .fanout import ordered_map, workers
 from .grid import _require_int
 
 __all__ = [
@@ -256,10 +257,18 @@ def _kaiser_sinc(max_rate: int) -> np.ndarray:
     return h
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity, where the platform
+    reports one, else the core count."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _resample_poly(x: np.ndarray, up: int, down: int, fir: np.ndarray) -> np.ndarray:
     """scipy.signal.resample_poly(x, up, down, window=fir), bit for bit; a
     long x (at least _SPLIT_SAMPLES samples, with two usable cores) runs as
-    two overlapping parts on two threads.
+    two overlapping parts on two threads that the call joins before it
+    returns or raises.
 
     The parts meet at input a, a multiple of down, and each reaches `margin`
     samples past it: at least len(fir) / up, the inputs one output reads,
@@ -268,19 +277,23 @@ def _resample_poly(x: np.ndarray, up: int, down: int, fir: np.ndarray) -> np.nda
     its offset from the output's position, so when a part starts at a
     multiple of down its outputs are those of the whole call: the first
     part's first a * up / down, the second part's from margin * up / down on.
+    Each part runs in a copy of the caller's context, so numpy's errstate
+    holds in it, and the first part's error wins, as in a serial loop. The
+    calling thread runs neither part: with the first part on it, the bench's
+    long_clips peak RSS read about 6.5 MiB higher.
     """
     import scipy.signal  # only resampling needs it, and it dominates start-up
 
     margin = -(-len(fir) // up)
     margin = -(-margin // down) * down
     a = len(x) // 2 // down * down
-    if len(x) < _SPLIT_SAMPLES or workers() < 2 or not margin <= a <= len(x) - margin:
+    if len(x) < _SPLIT_SAMPLES or _usable_cores() < 2 or not margin <= a <= len(x) - margin:
         return scipy.signal.resample_poly(x, up, down, window=fir)
-    head, tail = ordered_map(
-        lambda part: scipy.signal.resample_poly(part, up, down, window=fir),
-        (x[: a + margin], x[a - margin :]),
-    )
-    return np.concatenate((head[: a * up // down], tail[margin * up // down :]))
+    with ThreadPoolExecutor(2) as pool:
+        head, tail = (pool.submit(contextvars.copy_context().run, scipy.signal.resample_poly,
+                                  part, up, down, window=fir)
+                      for part in (x[: a + margin], x[a - margin :]))
+    return np.concatenate((head.result()[: a * up // down], tail.result()[margin * up // down :]))
 
 
 def resample(w: Waveform, target_sr: int) -> Waveform:

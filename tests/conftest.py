@@ -141,6 +141,6 @@ def rng() -> np.random.Generator:
 
 
 def set_usable_cores(monkeypatch, n: int) -> None:
-    """Make `fanout.workers` report n usable cores: 1 turns every fan-out
-    serial, 2 or more hands it to the pool on any machine."""
+    """Make `audio._usable_cores` report n usable cores: 1 resamples a long
+    input in one call, 2 or more in two parts on two threads, on any machine."""
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(n)), raising=False)

@@ -2,9 +2,14 @@
 import tracemalloc
 
 import math
+import os
 import re
 import struct
+import subprocess
 import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -629,13 +634,153 @@ def test_split_resample_of_short_odd_inputs_equals_one_call(pair, n):
     assert len(inputs) == 2 or (n < 1280 and len(inputs) == 1)
 
 
-@pytest.mark.parametrize("cores, calls", [(1, 1), (2, 2)])
+def _spy_parts(monkeypatch, x: np.ndarray, act=lambda first: None) -> list[tuple[bool, bool]]:
+    """Spy on scipy.signal.resample_poly while `x` resamples: per call, whether
+    its input starts at x[0] (the first part, or the whole) and whether it
+    runs on the calling thread. `act(first)` runs before the real call."""
+    caller, calls = threading.current_thread(), []
+    real = scipy.signal.resample_poly
+
+    def spy(part, *args, **kwargs):
+        first = part.ctypes.data == x.ctypes.data
+        calls.append((first, threading.current_thread() is caller))
+        act(first)
+        return real(part, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.signal, "resample_poly", spy)
+    return calls
+
+
+LONG = np.random.default_rng(0).standard_normal(2**17)
+
+
+# (starts at x[0], on the calling thread) per resample_poly call: one core
+# takes one call on the calling thread, two run both parts off it
+@pytest.mark.parametrize("cores, calls", [(1, [(True, True)]), (2, [(False, False), (True, False)])])
 def test_one_usable_core_resamples_in_one_call(monkeypatch, cores, calls):
     set_usable_cores(monkeypatch, cores)
-    x = np.random.default_rng(0).standard_normal(2**17)
-    inputs = _resample_poly_inputs(monkeypatch)
-    resample(Waveform(x, 44100), 22050)
-    assert len(inputs) == calls
+    spied = _spy_parts(monkeypatch, LONG)
+    resample(Waveform(LONG, 44100), 22050)
+    assert sorted(spied) == calls
+
+
+def test_a_short_input_resamples_in_one_call_on_the_calling_thread(monkeypatch):
+    # one sample under the split: two usable cores start no thread
+    set_usable_cores(monkeypatch, 2)
+    spied = _spy_parts(monkeypatch, LONG[:-1])
+    resample(Waveform(LONG[:-1], 44100), 22050)
+    assert spied == [(True, True)]
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_the_parts_join_in_input_order_when_the_second_finishes_first(monkeypatch, cores):
+    # the first part starts only once the second has returned; three cores
+    # still cut two parts
+    set_usable_cores(monkeypatch, cores)
+    expected = _one_call(LONG, 44100, 22050)
+    real, finished, second_done = scipy.signal.resample_poly, [], threading.Event()
+
+    def spy(part, *args, **kwargs):
+        first = part.ctypes.data == LONG.ctypes.data
+        if first and cores > 1:
+            assert second_done.wait(5.0)
+        out = real(part, *args, **kwargs)
+        finished.append(first)
+        second_done.set()
+        return out
+
+    monkeypatch.setattr(scipy.signal, "resample_poly", spy)
+    assert resample(Waveform(LONG, 44100), 22050).samples.tobytes() == expected.tobytes()
+    assert finished == ([True] if cores == 1 else [False, True])
+
+
+@pytest.mark.parametrize("affinity, cpu_count, cores", [({0, 2, 5}, 8, 3), (None, 4, 4), (None, None, 1)],
+                         ids=["affinity", "cpu-count", "unknown"])
+def test_usable_cores_read_the_affinity_then_the_core_count(monkeypatch, affinity, cpu_count, cores):
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert audio._usable_cores() == cores
+
+
+def test_the_first_parts_error_wins_when_the_second_fails_first(monkeypatch):
+    # as in a serial loop, whichever part fails first
+    set_usable_cores(monkeypatch, 2)
+    second_failed = threading.Event()
+
+    def act(first):
+        if first:
+            assert second_failed.wait(5.0)
+            raise ValueError("part 1")
+        second_failed.set()
+        raise ValueError("part 2")
+
+    _spy_parts(monkeypatch, LONG, act)
+    with pytest.raises(ValueError, match="^part 1$"):
+        resample(Waveform(LONG, 44100), 22050)
+
+
+def test_no_part_outlives_a_failed_resample(monkeypatch):
+    set_usable_cores(monkeypatch, 2)
+    threads, finished = threading.active_count(), []
+
+    def act(first):
+        if first:
+            raise ValueError("part 1")
+        time.sleep(0.05)
+        finished.append("part 2")
+
+    _spy_parts(monkeypatch, LONG, act)
+    with pytest.raises(ValueError, match="^part 1$"):
+        resample(Waveform(LONG, 44100), 22050)
+    assert finished == ["part 2"]
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("part", [True, False], ids=["first", "second"])
+def test_each_part_runs_under_the_callers_errstate(monkeypatch, part):
+    set_usable_cores(monkeypatch, 2)
+    expected = _one_call(LONG, 44100, 22050)
+    _spy_parts(monkeypatch, LONG, lambda first: first != part or np.float64(1e308) * 10.0)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        resample(Waveform(LONG, 44100), 22050)
+    with np.errstate(over="ignore"):
+        assert resample(Waveform(LONG, 44100), 22050).samples.tobytes() == expected.tobytes()
+
+
+FORK_SCRIPT = """
+import os, sys, time
+import numpy as np
+os.sched_getaffinity = lambda pid: {0, 1}  # two usable cores: the long resample splits
+from yingram import Waveform, resample
+w = Waveform(np.random.default_rng(0).standard_normal(2**18), 44100)
+expected = resample(w, 22050).samples.tobytes()
+pid = os.fork()
+if pid == 0:
+    os._exit(0 if resample(w, 22050).samples.tobytes() == expected else 3)
+deadline = time.monotonic() + 60.0
+while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+    time.sleep(0.01)
+if done[0] == 0:  # the child hangs: end it, so no process outlives the test
+    os.kill(pid, 9)
+    os.waitpid(pid, 0)
+    sys.exit("the forked child did not finish")
+sys.exit(os.waitstatus_to_exitcode(done[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_child_forked_after_a_long_resample_resamples_alike():
+    # a thread the parent kept would not exist in the child: a part handed
+    # to it would wait forever
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", FORK_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_resample_length():

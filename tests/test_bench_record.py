@@ -99,6 +99,28 @@ def test_compare_flags_a_changed_output():
     assert sum(" outputs DIFFER;" in line for line in lines) == len(WORKLOADS)
 
 
+def test_compare_fails_when_a_workload_turns_incorrect():
+    base = tool.aggregate(_runs(), BENCHMARK)
+    wrong = tool.aggregate(_runs(), BENCHMARK)
+    wrong["workloads"][WORKLOADS[1]]["correct"] = False
+    lines, ok = tool.compare(base, wrong, BENCHMARK)
+    assert not ok
+    assert sum("; correct True -> False;" in line for line in lines) == 1
+    assert tool.compare(wrong, base, BENCHMARK)[1]  # turning correct is no fault
+    assert tool.compare(wrong, wrong, BENCHMARK)[1]
+
+
+def test_compare_fails_when_the_failed_op_share_rises():
+    base = tool.aggregate(_runs(), BENCHMARK)
+    failing = copy.deepcopy(base)
+    failing["workloads"][WORKLOADS[-1]]["seeds"]["3"]["failed_op_share"] = 0.01
+    lines, ok = tool.compare(base, failing, BENCHMARK)
+    assert not ok
+    assert any(line.endswith("failed_op_share max 0.0 -> 0.01") for line in lines)
+    assert tool.compare(failing, base, BENCHMARK)[1]
+    assert tool.compare(failing, failing, BENCHMARK)[1]
+
+
 def test_compare_refuses_other_environments_and_inputs():
     base = tool.aggregate(_runs(), BENCHMARK)
     with pytest.raises(ValueError, match="^environments differ: "):

@@ -18,8 +18,9 @@ environment.  Runs whose environments differ are refused.
 `--compare A B` prints, per workload and gated metric, the medians, their
 ratio B/A, both interquartile ranges and whether the gap exceeds the bound
 in BENCHMARK.json.  It refuses files from different environments or with
-different input digests, and exits 1 when a metric is worse than its bound
-or an output digest differs.  Numbers compare only within one machine.
+different input digests, and exits 1 when a metric is worse than its bound,
+an output digest differs, a workload's `correct` turns false, or its largest
+`failed_op_share` rises.  Numbers compare only within one machine.
 """
 from __future__ import annotations
 
@@ -84,7 +85,8 @@ def aggregate(runs: list[dict], benchmark: dict) -> dict:
 
 def compare(a: dict, b: dict, benchmark: dict) -> tuple[list[str], bool]:
     """Report lines comparing BENCH file `b` against base `a`, and whether
-    every metric is within its bound and every output digest equal.
+    every metric is within its bound, every output digest equal, no workload
+    turns incorrect and none fails a larger share of operations.
 
     Raises:
         ValueError: for files from different environments or with different
@@ -115,11 +117,12 @@ def compare(a: dict, b: dict, benchmark: dict) -> tuple[list[str], bool]:
                          f"{spec['bound']:6.2f}  {gap}")
         same = all(wa["seeds"][s]["output_sha256"] == wb["seeds"].get(s, {}).get("output_sha256")
                    for s in wa["seeds"])
-        ok = ok and same
+        failed_a, failed_b = (max(d["failed_op_share"] for d in w["seeds"].values())
+                              for w in (wa, wb))
+        ok = ok and same and (wb["correct"] or not wa["correct"]) and failed_b <= failed_a
         lines.append(f"{name:12s} outputs {'equal' if same else 'DIFFER'}; correct "
                      f"{wa['correct']} -> {wb['correct']}; failed_op_share max "
-                     f"{max(d['failed_op_share'] for d in wa['seeds'].values())} -> "
-                     f"{max(d['failed_op_share'] for d in wb['seeds'].values())}")
+                     f"{failed_a} -> {failed_b}")
     return lines, ok
 
 
