@@ -3,9 +3,9 @@
 Subcommands: analyze (Yingram export), f0 (pitch contour CSV), compare-shift
 (pairwise shift verdict), gradcheck (finite-difference verification) and
 batch (manifest-driven evaluation). Exit codes: 0 success/pass, 1 evaluation
-failure, 2 usage or I/O error. All randomness hangs off --seed, and output
-files are written atomically (temp file + rename), so identical inputs and
-flags reproduce identical bytes.
+failure (for batch, a failing or errored entry), 2 usage or I/O error. All
+randomness hangs off --seed, and output files are written atomically (temp
+file + rename), so identical inputs and flags reproduce identical bytes.
 """
 from __future__ import annotations
 
@@ -24,8 +24,8 @@ from .evaluate import batch_report, evaluate_shift_pair, extract_pitch_contour
 from .feature import (
     PitchContour,
     _atomic_write,
+    _sidecar,
     _write_json,
-    _write_sidecar,
     compute_yingram,
     write_yingram_binary,
     write_yingram_csv,
@@ -73,7 +73,7 @@ def _cmd_analyze(args: argparse.Namespace, cfg: AnalysisConfig) -> int:
     extra = {"config": cfg.to_dict()}
     if args.out:
         write_yingram_csv(matrix, args.out)
-        _write_sidecar(matrix, args.out, extra)
+        _write_json(str(args.out) + ".json", _sidecar(matrix, extra))
     if args.binary:
         write_yingram_binary(matrix, args.binary, extra=extra)
     return 0

@@ -165,7 +165,8 @@ class BatchReport:
 
     @property
     def all_passed(self) -> bool:
-        return all(r.passed for r in self.reports)
+        """Every entry has a passing report: an error entry fails, as its CSV row does."""
+        return all("report" in e and e["report"].passed for e in self.entries)
 
     def aggregates(self) -> dict:
         reports = self.reports

@@ -248,15 +248,22 @@ def yingram_metadata(matrix: YingramMatrix) -> dict:
 
 
 def write_yingram_binary(matrix: YingramMatrix, path, extra: dict | None = None) -> None:
-    """Raw little-endian float32 row-major matrix, plus the `_write_sidecar`
-    JSON sidecar of its shape, timing, grid and `extra` (say, the config)."""
+    """Raw little-endian float32 row-major matrix, plus its `_sidecar` JSON at
+    path + ".json"; a bad `extra` raises before either file is written."""
+    sidecar = _sidecar(matrix, extra)
     _atomic_write(path, np.ascontiguousarray(matrix.values, dtype="<f4"))
-    _write_sidecar(matrix, path, extra)
+    _write_json(str(path) + ".json", sidecar)
 
 
-def _write_sidecar(matrix: YingramMatrix, path, extra: dict | None = None) -> None:
-    """The one writer of an export's JSON sidecar: metadata and `extra` at path + ".json"."""
-    _write_json(str(path) + ".json", {**yingram_metadata(matrix), **(extra or {})})
+def _sidecar(matrix: YingramMatrix, extra: dict | None = None) -> dict:
+    """The one builder of an export's JSON sidecar: metadata and `extra` (say,
+    the config). An `extra` key that is also a metadata key raises ValueError:
+    the sidecar would contradict the file it describes."""
+    metadata = yingram_metadata(matrix)
+    clash = sorted(metadata.keys() & (extra or {}).keys())
+    if clash:
+        raise ValueError(f"sidecar extra keys {clash} would overwrite the matrix metadata")
+    return {**metadata, **(extra or {})}
 
 
 def _record(report) -> dict:

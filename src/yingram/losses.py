@@ -9,11 +9,14 @@ dominate the L1 mean. Means run over all entries, which keeps the default
 weight comparable across clip lengths. Each loss is weighted by its config's
 lambda_yin; without a config it reads the class default
 `AnalysisConfig.lambda_yin`, building no config.
+
+All three are one core, `_weighted_l1`, which computes quietly and checks
+its result once: a loss past the float range names its term, or lambda_yin
+when only the weight took it there.
 """
 from __future__ import annotations
 
 import warnings
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -28,59 +31,63 @@ __all__ = [
 ]
 
 
-def _require_same_shape(*arrays: np.ndarray) -> None:
-    """One shape for all arrays, with at least one entry: the mean of an
-    empty array is NaN, not a loss."""
-    shapes = {a.shape for a in arrays}
+def _require_entries(values: np.ndarray) -> None:
+    """The mean of an empty array is NaN, not a loss."""
+    if values.size == 0:
+        raise ValueError(f"dimension error: empty inputs of shape {values.shape}")
+
+
+def _checked_inputs(**arrays) -> dict[str, np.ndarray]:
+    """The named inputs as arrays, checked in order: integer and bool entries
+    read as float64, whose differences and negations cannot wrap round (other
+    dtypes keep their bits: a float32 matrix stays float32); one shape, with
+    at least one entry; then `require_finite` in argument order, before any
+    exponential: e^-inf is 0, so a check after it would miss a +inf entry."""
+    arrays = {name: np.asarray(v) for name, v in arrays.items()}
+    arrays = {name: v.astype(np.float64) if v.dtype.kind in "biu" else v
+              for name, v in arrays.items()}
+    shapes = {a.shape for a in arrays.values()}
     if len(shapes) > 1:
         raise ValueError(f"dimension error: shapes differ: {sorted(shapes)}")
-    if arrays[0].size == 0:
-        raise ValueError(f"dimension error: empty inputs of shape {arrays[0].shape}")
+    _require_entries(next(iter(arrays.values())))
+    for name, values in arrays.items():
+        require_finite(values, name)
+    return arrays
 
 
-def _as_real(values) -> np.ndarray:
-    """values as an array; integer and bool entries as float64, whose
-    differences and negations cannot wrap round, other dtypes as they are
-    (a float32 matrix keeps its bits)."""
-    values = np.asarray(values)
-    return values.astype(np.float64) if values.dtype.kind in "biu" else values
-
-
-def _weighted(term, config: AnalysisConfig | None) -> float:
-    """lambda_yin times an unweighted loss `term` (a numpy float); a product
-    past the float range raises ValueError naming lambda_yin."""
+def _weighted_l1(arrays: dict[str, np.ndarray], config: AnalysisConfig | None,
+                 exponential: bool = False) -> float:
+    """lambda_yin * Σ_i mean|f(a_i) - f(b_i)|, with a and b the first and
+    second halves of the named `arrays` in order, and f e^-x or the identity.
+    It runs quietly in the bare expression's order, so a finite loss keeps its
+    bits, and checks once: an unweighted sum past the float range raises
+    ValueError naming the term (for e^-x, the argument with the least entry,
+    the first on a tie); a weight taking the loss past it names lambda_yin."""
+    f = (lambda v: np.exp(-v)) if exponential else (lambda v: v)
+    names = list(arrays)
+    pairs = list(zip(names[: len(names) // 2], names[len(names) // 2 :]))
     lambda_yin = (config or AnalysisConfig).lambda_yin
-    try:
-        with np.errstate(over="raise"):
-            return float(lambda_yin * term)
-    except FloatingPointError:
+    with np.errstate(over="ignore", invalid="ignore"):  # two inf e^-Y entries differ by NaN
+        # 0 + t is t, so one pair keeps the bits of its mean
+        term = sum(np.mean(np.abs(f(arrays[a]) - f(arrays[b]))) for a, b in pairs)
+        loss = lambda_yin * term
+    if np.isfinite(loss):
+        return float(loss)
+    if np.isfinite(term):
         raise ValueError(
             f"lambda_yin={lambda_yin!r} weighs the loss past the float range: "
             f"the unweighted loss is {float(term)!r}"
-        ) from None
-
-
-def _finite_inputs(**arrays: np.ndarray) -> None:
-    """`require_finite` of each named input, before any exponential: e^-inf
-    is 0, so a check after it would miss a +inf entry."""
-    for name, values in arrays.items():
-        require_finite(values, name)
-
-
-@contextmanager
-def _overflow_rule(**arrays: np.ndarray):
-    """Run a loss's e^-Y terms with numpy's overflow flag raising: finite
-    entries below about -709.8, or sums of entries near it, would read inf.
-    The ValueError names the argument holding the least entry."""
-    try:
-        with np.errstate(over="raise"):
-            yield
-    except FloatingPointError:
-        name = min(arrays, key=lambda n: np.min(arrays[n]))
+        )
+    if exponential:
+        name = min(names, key=lambda n: np.min(arrays[n]))
         raise ValueError(
             f"the e^-{name} term is too large for a float: its least entry is "
             f"{float(np.min(arrays[name]))!r}"
-        ) from None
+        )
+    terms = " + ".join(f"|{a} - {b}|" for a, b in pairs)
+    spans = ", ".join(f"{n} spans [{float(np.min(a))!r}, {float(np.max(a))!r}]"
+                      for n, a in arrays.items())
+    raise ValueError(f"the {terms} term is too large for a float at lambda_yin={lambda_yin!r}: {spans}")
 
 
 def decoding_loss(
@@ -88,23 +95,9 @@ def decoding_loss(
 ) -> float:
     """lambda_yin times the mean absolute difference of two cropped matrices
     (integer and bool entries read as float64, so no difference wraps).
-    A difference, their sum or the weighted mean that would read inf raises
-    ValueError; the raising overflow flag changes no bit of a finite loss."""
-    target = _as_real(target)
-    prediction = _as_real(prediction)
-    _require_same_shape(target, prediction)
-    _finite_inputs(target=target, prediction=prediction)
-    lambda_yin = (config or AnalysisConfig).lambda_yin
-    try:
-        with np.errstate(over="raise"):
-            return float(lambda_yin * np.mean(np.abs(target - prediction)))
-    except FloatingPointError:
-        spans = ", ".join(f"{name} spans [{float(np.min(a))!r}, {float(np.max(a))!r}]"
-                          for name, a in (("target", target), ("prediction", prediction)))
-        raise ValueError(
-            f"the |target - prediction| term is too large for a float at "
-            f"lambda_yin={lambda_yin!r}: {spans}"
-        ) from None
+    A difference or the mean's sum past the float range raises ValueError
+    naming the term; a weight that takes the loss past it names lambda_yin."""
+    return _weighted_l1(_checked_inputs(target=target, prediction=prediction), config)
 
 
 def recon_loss(
@@ -118,15 +111,9 @@ def recon_loss(
     lambda_yin * (mean|e^-y_crop - e^-synth_default|
                   + mean|e^-y_crop_shift - e^-synth_shifted|).
     An e^-Y term or a weight that would read inf raises ValueError."""
-    arrays = [_as_real(a) for a in (y_crop, y_crop_shift, synth_default, synth_shifted)]
-    _require_same_shape(*arrays)
-    y, ys, gd, gs = arrays
-    _finite_inputs(y_crop=y, y_crop_shift=ys, synth_default=gd, synth_shifted=gs)
-    with _overflow_rule(y_crop=y, y_crop_shift=ys, synth_default=gd, synth_shifted=gs):
-        default_term = np.mean(np.abs(np.exp(-y) - np.exp(-gd)))
-        shifted_term = np.mean(np.abs(np.exp(-ys) - np.exp(-gs)))
-        total = default_term + shifted_term
-    return _weighted(total, config)
+    arrays = _checked_inputs(y_crop=y_crop, y_crop_shift=y_crop_shift,
+                             synth_default=synth_default, synth_shifted=synth_shifted)
+    return _weighted_l1(arrays, config, exponential=True)
 
 
 def shift_consistency_metric(
@@ -146,7 +133,8 @@ def shift_consistency_metric(
             f"dimension error: expected matrices with matching channel axes, "
             f"got {normal.shape} and {shifted.shape}"
         )
-    _finite_inputs(y_normal=normal, y_shifted_audio=shifted)
+    require_finite(normal, "y_normal")
+    require_finite(shifted, "y_shifted_audio")
     if normal.shape[0] != shifted.shape[0]:
         warnings.warn(
             f"frame counts differ ({normal.shape[0]} vs {shifted.shape[0]}); "
@@ -157,7 +145,5 @@ def shift_consistency_metric(
         normal = normal[:frames]
         shifted = shifted[:frames]
     normal, shifted = crop_scope(normal, s), crop_scope(shifted, 0)
-    _require_same_shape(normal, shifted)
-    with _overflow_rule(y_normal=normal, y_shifted_audio=shifted):
-        term = np.mean(np.abs(np.exp(-normal) - np.exp(-shifted)))
-    return _weighted(term, config)
+    _require_entries(normal)
+    return _weighted_l1({"y_normal": normal, "y_shifted_audio": shifted}, config, exponential=True)

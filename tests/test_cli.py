@@ -406,6 +406,20 @@ def test_batch_entries_that_are_not_objects(tmp_path, shifted_pair):
     assert lines[4] == "0,0.000000,,0.000000,,false"
 
 
+def test_batch_with_an_errored_entry_exits_1(tmp_path, shifted_pair):
+    # a manifest whose only failures were error entries once exited 0
+    np_path, sp_path = shifted_pair
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([
+        {"normal": str(np_path), "shifted": str(tmp_path / "missing.wav"), "scope_shift": 4},
+        {"normal": str(np_path), "shifted": str(sp_path), "scope_shift": 4},
+    ]))
+    out_json = tmp_path / "report.json"
+    assert main(["batch", str(manifest), "--out-json", str(out_json)]) == 1
+    entries = _strict_json(out_json.read_text())["entries"]
+    assert entries[0]["error"].startswith("FileNotFoundError") and entries[1]["report"]["pass"] is True
+
+
 @pytest.fixture
 def identity_manifest(tmp_path, tone_wav):
     manifest = tmp_path / "manifest.json"

@@ -326,6 +326,7 @@ def test_batch_records_errors_and_continues(tmp_path, cfg):
     assert len(report.reports) == 1
     assert report.reports[0].passed
     assert "error" in report.entries[0]
+    assert not report.all_passed  # its CSV row says pass=false, so the batch fails
 
 
 def _csv_view(entry: dict) -> str:

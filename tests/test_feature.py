@@ -227,6 +227,14 @@ def test_binary_export_roundtrip(tmp_path, cfg):
     assert sidecar["grid"]["reference_hz"] == 440.0
 
 
+def test_sidecar_extra_may_not_restate_the_metadata(tmp_path, cfg):
+    # the sidecar once said "frames": -1 beside a .f32 of 9 frames
+    matrix = compute_yingram(sine_tone(330.0, 0.1), cfg)
+    with pytest.raises(ValueError, match=r"^sidecar extra keys \['frames', 'hop'\] would overwrite"):
+        write_yingram_binary(matrix, tmp_path / "y.f32", extra={"frames": -1, "hop": 1, "note": "x"})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_csv_and_binary_exports_share_one_sidecar(tmp_path):
     wav = tmp_path / "tone.wav"
     write_wav(wav, sine_tone(330.0, 0.3))

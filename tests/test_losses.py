@@ -155,10 +155,10 @@ def test_exponential_losses_name_an_overflowing_argument(loss, name, least):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("target, prediction", [(1e308, -1e308), (1.7e308, 0.1e308), (1e307, -1e306)],
-                         ids=["difference", "mean", "weight"])
+                         ids=["difference", "mean", "sum"])
 def test_decoding_loss_names_an_overflowing_difference(target, prediction):
-    # the difference, the mean's sum, or lambda_yin times the mean overflows:
-    # each once returned inf after an overflow RuntimeWarning
+    # the difference, or the mean's sum (150 entries of 1.7e308 or 1.1e307),
+    # overflows: each once returned inf after an overflow RuntimeWarning
     message = (f"the |target - prediction| term is too large for a float at lambda_yin=45.0: "
                f"target spans [{target!r}, {target!r}], prediction spans [{prediction!r}, {prediction!r}]")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -191,28 +191,90 @@ def test_recon_loss_reads_integer_entries_as_floats():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("loss", ["recon_loss", "shift_consistency_metric"])
-def test_a_weight_that_overflows_names_lambda_yin(loss):
-    # each once returned inf after an overflow RuntimeWarning
+@pytest.mark.parametrize("loss, first", [
+    ("decoding_loss", 10.0), ("recon_loss", -5.0), ("shift_consistency_metric", -5.0),
+])
+def test_a_weight_that_overflows_names_lambda_yin(loss, first):
+    # each once returned inf after an overflow RuntimeWarning; decoding_loss
+    # then said its term of 10.0 was too large for a float
     fn, names, shape, rest = LOSS_INPUTS[loss]
     matrices = [np.zeros(shape) for _ in names]
-    matrices[0][:] = -5.0
+    matrices[0][:] = first
     unweighted = fn(*matrices, *rest, AnalysisConfig(lambda_yin=1.0))
     message = f"lambda_yin=1e+308 weighs the loss past the float range: the unweighted loss is {unweighted!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         fn(*matrices, *rest, AnalysisConfig(lambda_yin=1e308))
 
 
-def test_the_overflow_rule_changes_no_loss(rng):
-    # the same expressions in the same order, so finite losses keep their bits
-    a, b = rng.uniform(-1e306, 1e306, (6, 50)), rng.uniform(-5, 5, (6, 50))
-    assert decoding_loss(a, b) == float(AnalysisConfig.lambda_yin * np.mean(np.abs(a - b)))
-    y, ys, gd, gs = (rng.uniform(-700, 5, (6, 50)) for _ in range(4))
+def _draw(rng, dtype, shape, low, high):
+    """Uniform entries of dtype in [low, high); bool entries are fair coins."""
+    if dtype == np.bool_:
+        return rng.random(shape) < 0.5
+    if dtype == np.int64:
+        return rng.integers(int(low), int(high), shape)
+    return rng.uniform(low, high, shape).astype(dtype)
+
+
+# dtype -> (the decoding range, the e^-Y range): float32's e^-Y overflows past 88.7
+DTYPE_RANGES = {np.float64: (1e305, -700), np.float32: (1e33, -80), np.int64: (2**62, -700),
+                np.bool_: (1, 0)}
+
+
+@pytest.mark.parametrize("dtype", DTYPE_RANGES, ids=lambda d: np.dtype(d).name)
+def test_the_overflow_rule_changes_no_loss(rng, dtype):
+    # the bare expressions in the same order, so finite losses keep their bits:
+    # integer and bool entries read as float64, float32 stays float32 (NEP 50),
+    # and the shift metric reads every matrix as float64
+    wide, low = DTYPE_RANGES[dtype]
+    real = lambda m: m.astype(np.float64) if m.dtype.kind in "biu" else m
+    lam = AnalysisConfig.lambda_yin
+    a, b = (_draw(rng, dtype, (6, 50), -wide, wide) for _ in range(2))
+    assert decoding_loss(a, b).hex() == float(lam * np.mean(np.abs(real(a) - real(b)))).hex()
+    mats = [_draw(rng, dtype, (6, 50), low, 5) for _ in range(4)]
+    y, ys, gd, gs = map(real, mats)
     bare = np.mean(np.abs(np.exp(-y) - np.exp(-gd))) + np.mean(np.abs(np.exp(-ys) - np.exp(-gs)))
-    assert recon_loss(y, ys, gd, gs) == float(AnalysisConfig.lambda_yin * bare)
-    ya, yb = rng.uniform(-700, 5, (6, 80)), rng.uniform(-700, 5, (6, 80))
-    bare = np.mean(np.abs(np.exp(-crop_scope(ya, 3)) - np.exp(-crop_scope(yb, 0))))
-    assert shift_consistency_metric(ya, yb, 3) == float(AnalysisConfig.lambda_yin * bare)
+    assert recon_loss(*mats).hex() == float(lam * bare).hex()
+    ya, yb = (_draw(rng, dtype, (6, 80), low, 5) for _ in range(2))
+    na, nb = (np.asarray(m, np.float64) for m in (ya, yb))
+    bare = np.mean(np.abs(np.exp(-crop_scope(na, 3)) - np.exp(-crop_scope(nb, 0))))
+    assert shift_consistency_metric(ya, yb, 3).hex() == float(lam * bare).hex()
+
+
+# (loss, stage) -> (the first matrix's entries, the others', lambda_yin, the message)
+OVERFLOW_STAGES = {
+    ("decoding_loss", "term"): (1e308, -1e308, 45.0,
+                                "the |target - prediction| term is too large for a float at lambda_yin=45.0: "
+                                "target spans [1e+308, 1e+308], prediction spans [-1e+308, -1e+308]"),
+    ("decoding_loss", "sum"): (1e307, -1e306, 45.0,
+                               "the |target - prediction| term is too large for a float at lambda_yin=45.0: "
+                               "target spans [1e+307, 1e+307], prediction spans [-1e+306, -1e+306]"),
+    ("decoding_loss", "weight"): (10.0, 0.0, 1e308, "lambda_yin=1e+308 weighs the loss past the float "
+                                  "range: the unweighted loss is 10.0"),
+    # every e^-Y entry is inf, and inf - inf is NaN: the tie names the first argument
+    ("recon_loss", "term"): (-1000.0, -1000.0, 45.0,
+                             "the e^-y_crop term is too large for a float: its least entry is -1000.0"),
+    ("recon_loss", "sum"): (-709.5, 0.0, 45.0,
+                            "the e^-y_crop term is too large for a float: its least entry is -709.5"),
+    ("recon_loss", "weight"): (-5.0, 0.0, 1e308, "lambda_yin=1e+308 weighs the loss past the float "
+                               "range: the unweighted loss is 147.4131591025766"),
+    ("shift_consistency_metric", "term"): (-1000.0, -1000.0, 45.0, "the e^-y_normal term is too "
+                                           "large for a float: its least entry is -1000.0"),
+    ("shift_consistency_metric", "sum"): (-709.5, 0.0, 45.0, "the e^-y_normal term is too large "
+                                          "for a float: its least entry is -709.5"),
+    ("shift_consistency_metric", "weight"): (-5.0, 0.0, 1e308, "lambda_yin=1e+308 weighs the loss "
+                                             "past the float range: the unweighted loss is 147.4131591025766"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("loss, stage", OVERFLOW_STAGES, ids=[f"{l}-{s}" for l, s in OVERFLOW_STAGES])
+def test_each_overflow_stage_raises_its_message(loss, stage):
+    # a term, a sum and a weight past the float range, under one rule for all three losses
+    first, others, lambda_yin, message = OVERFLOW_STAGES[loss, stage]
+    fn, names, shape, rest = LOSS_INPUTS[loss]
+    matrices = [np.full(shape, first)] + [np.full(shape, others) for _ in names[1:]]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fn(*matrices, *rest, AnalysisConfig(lambda_yin=lambda_yin))
 
 
 def test_exponential_core_bounded(rng):
