@@ -61,7 +61,8 @@ class AnalysisConfig:
     values so results stay reproducible.
 
     Construction validates the values (`ValueError` "invalid config: ..."
-    naming the field and its value) and stores them as plain int and float:
+    naming the field and its value) and stores them as plain int and float,
+    so a config built from numpy scalars writes the same reports and sidecars:
     sample_rate, window, hop and bins_per_octave are positive, seed is
     non-negative, every float is finite, reference_hz is positive, the grid
     holds every scope shift, a frame (window + tau_max) is at most

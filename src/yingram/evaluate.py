@@ -81,7 +81,12 @@ def median_semitone_offset(
 def _contour_offsets(
     a: PitchContour, b: PitchContour, time_scale: float | None
 ) -> np.ndarray:
-    """Per-frame semitone offsets over co-voiced (possibly aligned) frames."""
+    """Per-frame semitone offsets over co-voiced (possibly aligned) frames.
+
+    With a time scale, frame i of `a` reads log2 f0 of `b` lerped at
+    j = i * time_scale between floor(j) and ceil(j), and frames whose
+    brackets are unvoiced or past the end are dropped. `np.interp` is not
+    used: it rounds differently where j is an integer."""
     if time_scale is None or time_scale == 1.0:
         n = min(len(a), len(b))
         co = a.voiced[:n] & b.voiced[:n]

@@ -4,6 +4,12 @@ A Yingram frame holds one CMND value per grid channel, obtained by linear
 interpolation between the integer lags bracketing each note's fractional
 period. Low values mark strong periodicity at that note. One pass over a
 clip's frames (`_analyse`) yields its Yingram and its pitch contour.
+
+A purely periodic signal has equally deep CMND valleys at every multiple of
+its period, so the argmin channel of an exact steady sine may sit on an
+octave-subharmonic channel, by how the grid's fractional lags straddle the
+valleys. A little pitch drift (the tests use +-0.1 semitone of vibrato)
+lifts the long-lag valleys and pins the argmin to the fundamental's channel.
 """
 from __future__ import annotations
 
@@ -221,7 +227,11 @@ def write_yingram_csv(matrix: YingramMatrix, path) -> None:
     """CSV export: header frame,c0..c{N-1}, then one row per frame, streamed.
 
     The values are the float32 matrix `write_yingram_binary` writes, each at
-    9 significant digits (%.9g), which read back to the same float32 bits.
+    9 significant digits (%.9g), which read back to the same float32 bits,
+    parsed directly or as float64 and then cast: nine digits always
+    round-trip binary32 (IEEE 754-2008, 5.12.2), as the 9-digit decimal lies
+    within 5e-9, relative, of a normal float32, while half its ulp is more
+    than 2.9e-8, relative. Eight digits do not.
     """
     channels = matrix.num_channels
     header = "frame," + ",".join(f"c{c}" for c in range(channels))

@@ -163,6 +163,7 @@ def finite_diff_check(
     window: int | None = None,
 ) -> GradReport:
     """Compare yingram_vjp against central differences at probed samples.
+    Without a cotangent, a standard-normal one is drawn from `seed`.
 
     For each probed index i the scalar L(x) = <cotangent, Y(x)> is differenced
     as (L(x + eps*e_i) - L(x - eps*e_i)) / (2*eps) and compared to the

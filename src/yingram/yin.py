@@ -70,7 +70,8 @@ def _difference_fft(x: np.ndarray, tau_max: int, window: int, hop: int | None = 
     # (`audio._frame_span`): head = hop when the hop divides the window, else
     # window, segment m starts at m*hop, and frame k sums the window // head
     # segments k, k+1, ... Each segment is transformed once, at
-    # next_fast_len(segment length), real=True for hop heads: the per-frame
+    # next_fast_len(segment length), real=True for hop heads (720 points at
+    # the default config, against 2475 for a frame): the per-frame
     # length rule is the bit-for-bit reference. Either way p0 = p_tau(0).
     head = hop if hop and window % hop == 0 else window
     segments = x if hop is None else sliding_window_view(x, head + tau_max)[::hop]

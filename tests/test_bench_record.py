@@ -3,6 +3,8 @@ records: no bench run happens here."""
 import copy
 import importlib.util
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -140,3 +142,89 @@ def test_the_cli_compares_two_files(tmp_path, capsys):
     paths[1].write_text(json.dumps(tool.aggregate(_runs(cpu_count=4), BENCHMARK)))
     assert tool.main(["--compare", *map(str, paths)]) == 2
     assert capsys.readouterr().err.startswith("error: environments differ: ")
+
+
+def _compare_cli(tmp_path, a, b):
+    """tool.main(["--compare", A, B]) on two bodies written to tmp_path."""
+    paths = [tmp_path / "A.json", tmp_path / "B.json"]
+    for path, body in zip(paths, (a, b)):
+        path.write_text(json.dumps(body))
+    return tool.main(["--compare", *map(str, paths)])
+
+
+def _refused(capsys, message):
+    """The captured stderr is one line, `error: ` and a message matching `message`."""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and re.fullmatch(message, err[len("error: "):].rstrip("\n"))
+
+
+def test_compare_refuses_files_whose_metric_sets_differ(tmp_path, capsys):
+    base = tool.aggregate(_runs(), BENCHMARK)
+    fewer = copy.deepcopy(base)
+    del fewer["workloads"][WORKLOADS[1]]["metrics"][METRICS[2]]
+    message = rf"metrics of workload {WORKLOADS[1]} differ: .*"
+    for a, b in ((base, fewer), (fewer, base)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tool.compare(a, b, BENCHMARK)
+        assert _compare_cli(tmp_path, a, b) == 2
+        _refused(capsys, message)
+
+
+def test_compare_refuses_a_metric_benchmark_json_does_not_bound(tmp_path, capsys):
+    base = tool.aggregate(_runs(), BENCHMARK)
+    extra = copy.deepcopy(base)
+    for body in (base, extra):
+        body["workloads"][WORKLOADS[0]]["metrics"]["wall_s"] = \
+            body["workloads"][WORKLOADS[0]]["metrics"][METRICS[0]]
+    message = rf"metrics \['wall_s'\] of workload {WORKLOADS[0]} are not in BENCHMARK.json"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tool.compare(base, extra, BENCHMARK)
+    assert _compare_cli(tmp_path, base, extra) == 2
+    _refused(capsys, message)
+
+
+def test_compare_names_a_missing_workload(tmp_path, capsys):
+    base = tool.aggregate(_runs(), BENCHMARK)
+    fewer = copy.deepcopy(base)
+    del fewer["workloads"][WORKLOADS[-1]]
+    for a, b in ((base, fewer), (fewer, base)):
+        with pytest.raises(ValueError, match="^workloads differ: ") as raised:
+            tool.compare(a, b, BENCHMARK)
+        assert WORKLOADS[-1] in str(raised.value) and "input digests" not in str(raised.value)
+        assert _compare_cli(tmp_path, a, b) == 2
+        _refused(capsys, r"workloads differ: .*")
+
+
+# a run that exits 0 with the stdout of `code`, or fails with a traceback
+RUN_FAULTS = {
+    "empty stdout": ("pass", "the last stdout line is not a JSON verdict"),
+    "not JSON": ("print('{\"correct\": true}'); print('done')",
+                 "the last stdout line is not a JSON verdict"),
+    "no correct": ("print('{\"ops\": 3}')", "the last stdout line is not a JSON verdict"),
+    "traceback": ("raise ValueError('bad seed')", "exited 1: ValueError: bad seed"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(RUN_FAULTS))
+def test_run_one_names_the_run_it_cannot_read(tmp_path, fault):
+    code, message = RUN_FAULTS[fault]
+    with pytest.raises(RuntimeError, match=re.escape(message)) as raised:
+        tool.run_one(tmp_path, [sys.executable, "-c", code], WORKLOADS[1], 3, 1)
+    assert WORKLOADS[1] in str(raised.value) and "seed 3" in str(raised.value)
+
+
+def test_recording_exits_2_on_an_unreadable_run(tmp_path, capsys):
+    benchmark = {**BENCHMARK, "command": [sys.executable, "-c", "pass"]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    assert tool.main(["--checkout", str(tmp_path)]) == 2
+    _refused(capsys, rf"workload {WORKLOADS[0]} seed 0: the last stdout line is not .*")
+
+
+@pytest.mark.parametrize("text", ["nope", "[]", '{"workloads": {}}'])
+def test_compare_names_a_file_that_is_not_a_bench_file(tmp_path, capsys, text):
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text(text)
+    good.write_text(json.dumps(tool.aggregate(_runs(), BENCHMARK)))
+    assert tool.main(["--compare", str(good), str(bad)]) == 2
+    _refused(capsys, re.escape(str(bad)) + r" is not (JSON|a BENCH file): .*")

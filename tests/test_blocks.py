@@ -349,6 +349,40 @@ def test_rate_mismatch_rejected():
             analyse(Waveform(np.zeros(100), 16000), CFG)
 
 
+def _silent_then_noise_then_tone():
+    # silent frames hit the CMND guard; loud noise frames stress the clamp
+    x = harmonic_tone(180.0, 2.0, SR, seed=3).samples.copy()
+    x[: SR // 2] = 0.0
+    x[SR // 2 : SR] = 2.0 * np.random.default_rng(3).standard_normal(SR // 2)
+    return Waveform(x, SR)
+
+
+INVARIANCE_CLIPS = {
+    "harmonic 2.3 s": lambda: harmonic_tone(147.0, 2.3, SR, seed=1),
+    "vibrato 3.1 s": lambda: vibrato_tone(233.0, 3.1, SR, depth_semitones=1.0),
+    "silent and noise heads": _silent_then_noise_then_tone,
+}
+
+
+@pytest.mark.parametrize("hop", [256, 300, 512])
+@pytest.mark.parametrize("clip", sorted(INVARIANCE_CLIPS))
+def test_block_size_changes_no_byte(monkeypatch, clip, hop):
+    # every segment's transform and cumsum depends only on its own samples,
+    # and frame sums run within a block, so the block size may move no bit
+    # of the clip pass's outputs (a streaming pass rests on this)
+    w, cfg = INVARIANCE_CLIPS[clip](), CFG.replace(hop=hop)
+
+    def outputs():
+        matrix, contour = feature._analyse(w, cfg)
+        return [a.tobytes() for a in (matrix.values, matrix.padded, contour.f0,
+                                      contour.aperiodicity)]
+
+    reference = outputs()
+    for frames in (1, 3, 127, 129, 10000):
+        monkeypatch.setattr(feature, "BLOCK_FRAMES", frames)
+        assert outputs() == reference, f"BLOCK_FRAMES={frames}"
+
+
 # -- lag pick and refinement against the scalar loops
 
 # sr = 100 keeps the lag range [sr/f_max, sr/f_min] inside short rows

@@ -126,8 +126,8 @@ def test_yingram_from_frame_reads_the_frame_rate(rng):
 
 def test_valley_at_reference_note(cfg):
     # 440 Hz maps to note 69 = channel 74. A touch of vibrato keeps the
-    # argmin off the exact-octave subharmonic lags (see notes in the tests
-    # for pure periodic signals).
+    # argmin off the exact-octave subharmonic lags (see the `feature`
+    # module docstring on pure periodic signals).
     w = vibrato_tone(440.0, 1.0, depth_semitones=0.1, rate_hz=5.0)
     matrix = compute_yingram(w, cfg)
     argmins = np.argmin(matrix.unpadded(), axis=1)

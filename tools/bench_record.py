@@ -17,10 +17,13 @@ environment.  Runs whose environments differ are refused.
 
 `--compare A B` prints, per workload and gated metric, the medians, their
 ratio B/A, both interquartile ranges and whether the gap exceeds the bound
-in BENCHMARK.json.  It refuses files from different environments or with
-different input digests, and exits 1 when a metric is worse than its bound,
-an output digest differs, a workload's `correct` turns false, or its largest
-`failed_op_share` rises.  Numbers compare only within one machine.
+in BENCHMARK.json.  It exits 1 when a metric is worse than its bound, an
+output digest differs, a workload's `correct` turns false, or its largest
+`failed_op_share` rises.  It refuses, with exit 2 and one line on stderr,
+a file that is not a BENCH file, and files from different environments,
+with different workloads, metrics or input digests, or with a metric that
+BENCHMARK.json does not bound; a failed run while recording exits 2 the
+same way.  Numbers compare only within one machine.
 """
 from __future__ import annotations
 
@@ -89,17 +92,26 @@ def compare(a: dict, b: dict, benchmark: dict) -> tuple[list[str], bool]:
     turns incorrect and none fails a larger share of operations.
 
     Raises:
-        ValueError: for files from different environments or with different
-            input digests.
+        ValueError: for files from different environments, with different
+            workloads, metrics or input digests, or with a metric that
+            BENCHMARK.json does not bound.
     """
     if a["environment"] != b["environment"]:
         raise ValueError(f"environments differ: {a['environment']} vs {b['environment']}")
+    if a["workloads"].keys() != b["workloads"].keys():
+        raise ValueError(f"workloads differ: {sorted(a['workloads'])} vs {sorted(b['workloads'])}")
+    bounds = {m["name"]: m for m in benchmark["end_to_end"]}
     for name, wa in a["workloads"].items():
-        wb = b["workloads"].get(name)
-        if wb is None or {s: d["input_sha256"] for s, d in wa["seeds"].items()} != \
+        wb = b["workloads"][name]
+        if wa["metrics"].keys() != wb["metrics"].keys():
+            raise ValueError(f"metrics of workload {name} differ: "
+                             f"{sorted(wa['metrics'])} vs {sorted(wb['metrics'])}")
+        unknown = sorted(wa["metrics"].keys() - bounds.keys())
+        if unknown:
+            raise ValueError(f"metrics {unknown} of workload {name} are not in BENCHMARK.json")
+        if {s: d["input_sha256"] for s, d in wa["seeds"].items()} != \
                 {s: d["input_sha256"] for s, d in wb["seeds"].items()}:
             raise ValueError(f"input digests of workload {name} differ")
-    bounds = {m["name"]: m for m in benchmark["end_to_end"]}
     lines = [f"{'workload':12s} {'metric':21s} {'median A':>10s} {'median B':>10s} {'B/A':>7s} "
              f"{'IQR A':>9s} {'IQR B':>9s} {'bound':>6s}  gap"]
     ok = True
@@ -136,14 +148,24 @@ def _git(checkout: Path, *args: str) -> str | None:
 
 
 def run_one(checkout: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
-    """One bench run; its record and the `correct` of its last stdout line."""
+    """One bench run; its record and the `correct` of its last stdout line.
+    Raises RuntimeError, naming the workload and seed, when the run fails or
+    its last stdout line is not a JSON object holding `correct`."""
     argv = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
     if done.returncode != 0:
-        raise RuntimeError(f"{' '.join(argv)} exited {done.returncode}: {done.stderr.strip()}")
-    verdict = json.loads(done.stdout.strip().splitlines()[-1])
+        last_err = (done.stderr.strip().splitlines() or [""])[-1]  # a traceback's message
+        raise RuntimeError(f"{' '.join(argv)} exited {done.returncode}: {last_err}")
+    last = (done.stdout.strip().splitlines() or [""])[-1]
+    try:
+        verdict = json.loads(last)
+    except json.JSONDecodeError:
+        verdict = None
+    if not isinstance(verdict, dict) or "correct" not in verdict:
+        raise RuntimeError(f"workload {workload} seed {seed}: the last stdout line is not "
+                           f"a JSON verdict with `correct`: {last!r}")
     path = checkout / ".bench_results" / f"{workload}-seed{seed}-trace0.json"
     return {"workload": workload, "seed": seed, "correct": verdict["correct"],
             "record": json.loads(path.read_text())}
@@ -175,6 +197,18 @@ def record(checkout: Path) -> Path:
     return path
 
 
+def _read_bench(path: Path) -> dict:
+    """A BENCH file's body. Raises ValueError naming the file when it is not
+    JSON, or not an object holding `environment` and `workloads`."""
+    try:
+        body = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(body, dict) or not {"environment", "workloads"} <= body.keys():
+        raise ValueError(f"{path} is not a BENCH file: it needs `environment` and `workloads`")
+    return body
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--checkout", type=Path, default=REPO,
@@ -185,7 +219,7 @@ def main(argv=None) -> int:
     try:
         if args.compare:
             benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
-            a, b = (json.loads(path.read_text()) for path in args.compare)
+            a, b = map(_read_bench, args.compare)
             lines, ok = compare(a, b, benchmark)
             print("\n".join(lines))
             return 0 if ok else 1
