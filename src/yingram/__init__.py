@@ -2,7 +2,7 @@
 arithmetic, differentiable feature gradients, losses and a pitch-shift
 evaluation harness."""
 
-from .audio import Frame, WavFormatError, Waveform, frame_signal, load_wav, resample
+from .audio import Frame, WavFormatError, Waveform, load_wav, resample
 from .config import AnalysisConfig, load_config_file
 from .evaluate import (
     BatchReport,
@@ -18,7 +18,6 @@ from .feature import (
     compute_yingram,
     write_yingram_binary,
     write_yingram_csv,
-    yingram_frame,
     yingram_from_frame,
 )
 from .gradients import GradReport, finite_diff_check, gradcheck_suite, yingram_vjp
@@ -41,7 +40,7 @@ from .synth import (
     sine_tone,
     vibrato_tone,
 )
-from .yin import cmnd, difference_function, estimate_f0, parabolic_refine
+from .yin import difference_function
 
 __version__ = "0.1.0"
 
@@ -60,16 +59,13 @@ __all__ = [
     "YingramMatrix",
     "batch_report",
     "channel_lags",
-    "cmnd",
     "compute_yingram",
     "crop_scope",
     "decoding_loss",
     "difference_function",
-    "estimate_f0",
     "evaluate_shift_pair",
     "extract_pitch_contour",
     "finite_diff_check",
-    "frame_signal",
     "gradcheck_suite",
     "harmonic_tone",
     "load_config_file",
@@ -77,7 +73,6 @@ __all__ = [
     "median_semitone_offset",
     "note_to_hz",
     "note_to_lag",
-    "parabolic_refine",
     "pitch_shifted_copy",
     "random_tonal_frame",
     "recon_loss",
@@ -89,7 +84,6 @@ __all__ = [
     "vibrato_tone",
     "write_yingram_binary",
     "write_yingram_csv",
-    "yingram_frame",
     "yingram_from_frame",
     "yingram_vjp",
 ]

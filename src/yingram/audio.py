@@ -259,7 +259,14 @@ def _kaiser_sinc(max_rate: int) -> np.ndarray:
 
 def _usable_cores() -> int:
     """Cores this process may run on: its CPU affinity, where the platform
-    reports one, else the core count."""
+    reports one, else the core count.
+
+    `_resample_poly` splits only with two of them. Fresh processes resampled
+    60 s of 48 kHz noise to 22.05 kHz, best of 9, in 5 alternating rounds on
+    a 2-core VM. Pinned to one core, one call took 135-184 ms at a peak RSS
+    of 136.3-136.8 MiB, and a forced split 147-197 ms at 147.7-153.9 MiB;
+    on two cores the split took 78-99 ms at 147.8-148.1 MiB. On one core the
+    split gains nothing and holds 11-17 MiB more."""
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 

@@ -35,7 +35,6 @@ __all__ = [
     "yingram_from_frame",
     "compute_yingram",
     "extract_pitch_contour",
-    "yingram_metadata",
     "write_yingram_csv",
     "write_yingram_binary",
 ]
@@ -244,19 +243,6 @@ def write_yingram_csv(matrix: YingramMatrix, path) -> None:
     _atomic_write(path, itertools.chain([header], rows))
 
 
-def yingram_metadata(matrix: YingramMatrix) -> dict:
-    """Sidecar contents: shape, timing and grid parameters."""
-    return {
-        "frames": int(matrix.num_frames),
-        "channels": int(matrix.num_channels),
-        "hop": int(matrix.hop),
-        "sample_rate": int(matrix.sample_rate),
-        "dtype": "float32_le",
-        "layout": "row_major_frames_x_channels",
-        "grid": asdict(matrix.grid),
-    }
-
-
 def write_yingram_binary(matrix: YingramMatrix, path, extra: dict | None = None) -> None:
     """Raw little-endian float32 row-major matrix, plus its `_sidecar` JSON at
     path + ".json"; a bad `extra` raises before either file is written."""
@@ -266,10 +252,19 @@ def write_yingram_binary(matrix: YingramMatrix, path, extra: dict | None = None)
 
 
 def _sidecar(matrix: YingramMatrix, extra: dict | None = None) -> dict:
-    """The one builder of an export's JSON sidecar: metadata and `extra` (say,
-    the config). An `extra` key that is also a metadata key raises ValueError:
-    the sidecar would contradict the file it describes."""
-    metadata = yingram_metadata(matrix)
+    """The one builder of an export's JSON sidecar: the matrix's shape, timing
+    and grid, then `extra` (say, the config). An `extra` key that is also a
+    metadata key raises ValueError: the sidecar would contradict the file it
+    describes."""
+    metadata = {
+        "frames": int(matrix.num_frames),
+        "channels": int(matrix.num_channels),
+        "hop": int(matrix.hop),
+        "sample_rate": int(matrix.sample_rate),
+        "dtype": "float32_le",
+        "layout": "row_major_frames_x_channels",
+        "grid": asdict(matrix.grid),
+    }
     clash = sorted(metadata.keys() & (extra or {}).keys())
     if clash:
         raise ValueError(f"sidecar extra keys {clash} would overwrite the matrix metadata")

@@ -65,7 +65,7 @@ def _checked_inputs(
     frames; the forward's `difference_function` checks that the window fits
     and that the samples are finite."""
     if not isinstance(frame, Frame):
-        raise TypeError("yingram_vjp needs a Frame (it carries the sample rate)")
+        raise ValueError("yingram_vjp needs a Frame (it carries the sample rate)")
     x = np.asarray(frame.samples, dtype=np.float64)
     tau_max = tau_max_for(grid, frame.sample_rate)
     if window is None:
@@ -89,7 +89,8 @@ def yingram_vjp(
     contribute zero gradient; a fully guarded (silent) frame returns all
     zeros and emits a warning. Non-finite samples or cotangent entries raise
     ValueError, since either would turn the whole gradient into NaN; so do
-    frames too large for the forward's CMND (and only those) and grids `tau_max_for` rejects.
+    a frame that is not a `Frame`, frames too large for the forward's CMND
+    (and only those) and grids `tau_max_for` rejects.
     """
     x, lags, tau_max, window, cot = _checked_inputs(frame, grid, cotangent, window)
     grad, guarded = _vjp(lags, x, tau_max, window, cot)

@@ -95,15 +95,13 @@ def _difference_fft(x: np.ndarray, tau_max: int, window: int, hop: int | None = 
     del csum
     if blocks > 1:
         corr, p_tau = _frame_sums(corr, p_tau, blocks)
-    p0 = p_tau[..., :1]
-    d = p0 + p_tau
-    d -= 2.0 * corr
+    floor = p_tau[..., :1] + p_tau  # p0 + p_tau, the summed energies
+    del p_tau
+    d = floor - 2.0 * corr
     del corr
     # cancellation noise sits ~1e-13 relative to the summed energies; clamp
     # well above it (and far below real CMND valleys at ~1e-6 relative) so
     # constant or silent frames produce exact zeros like the naive path
-    floor = p0 + p_tau
-    del p0, p_tau
     floor *= 1e-11
     d[d < floor] = 0.0
     return d

@@ -20,7 +20,6 @@ from yingram import (
     Frame,
     WavFormatError,
     Waveform,
-    frame_signal,
     harmonic_tone,
     load_wav,
     pitch_shifted_copy,
@@ -31,7 +30,7 @@ from yingram import (
     vibrato_tone,
 )
 from yingram import audio
-from yingram.audio import frame_count
+from yingram.audio import frame_count, frame_signal
 from conftest import (
     _fmt,
     _riff,

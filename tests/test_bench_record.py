@@ -221,7 +221,16 @@ def test_recording_exits_2_on_an_unreadable_run(tmp_path, capsys):
     _refused(capsys, rf"workload {WORKLOADS[0]} seed 0: the last stdout line is not .*")
 
 
-@pytest.mark.parametrize("text", ["nope", "[]", '{"workloads": {}}'])
+@pytest.mark.parametrize("text", [
+    "nope", "[]", '{"workloads": {}}',
+    # a workload without metrics once read as a regression, exit 1 with a traceback
+    '{"environment": {}, "workloads": {"w": {"seeds": {}}}}',
+    # one without seeds once exited 2 with "max() arg is an empty sequence"
+    '{"environment": {}, "workloads": {"w": {"correct": true, "metrics": {}, "seeds": {}}}}',
+    # a metric without its median once ended in a KeyError traceback with exit 1
+    '{"environment": {}, "workloads": {"w": {"correct": true, "metrics": {"m": {}}, "seeds": '
+    '{"0": {"input_sha256": "", "output_sha256": "", "failed_op_share": 0}}}}}',
+])
 def test_compare_names_a_file_that_is_not_a_bench_file(tmp_path, capsys, text):
     bad, good = tmp_path / "bad.json", tmp_path / "good.json"
     bad.write_text(text)

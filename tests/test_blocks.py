@@ -11,22 +11,27 @@ from numpy.lib.stride_tricks import sliding_window_view
 from yingram import (
     AnalysisConfig,
     Waveform,
-    cmnd,
     compute_yingram,
     difference_function,
-    estimate_f0,
     extract_pitch_contour,
     feature,
-    frame_signal,
     harmonic_tone,
     sine_tone,
     vibrato_tone,
     yingram_from_frame,
 )
 from yingram import yin
-from yingram.audio import _frame_span, frame_count
+from yingram.audio import _frame_span, frame_count, frame_signal
 from yingram.feature import BLOCK_FRAMES
-from yingram.yin import _cmnd_terms, _difference_fft, f0_rows, pick_lags, refine_lags
+from yingram.yin import (
+    _cmnd_terms,
+    _difference_fft,
+    cmnd,
+    estimate_f0,
+    f0_rows,
+    pick_lags,
+    refine_lags,
+)
 from oracles import difference_fft_per_frame, parabolic_refine_scalar, pick_lag_loop
 
 SR = 22050

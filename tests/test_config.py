@@ -12,7 +12,6 @@ from yingram import (
     NoteGrid,
     compute_yingram,
     difference_function,
-    estimate_f0,
     harmonic_tone,
     load_config_file,
     random_tonal_frame,
@@ -20,6 +19,7 @@ from yingram import (
     vibrato_tone,
     write_yingram_binary,
 )
+from yingram.yin import estimate_f0
 from conftest import INVALID_CONFIGS, changed_value
 
 

@@ -20,11 +20,10 @@ from yingram import (
     vibrato_tone,
     write_yingram_binary,
     write_yingram_csv,
-    yingram_frame,
     yingram_from_frame,
 )
 from yingram.cli import main
-from yingram.feature import _atomic_write, _write_json, yingram_rows
+from yingram.feature import _atomic_write, _write_json, yingram_frame, yingram_rows
 from conftest import write_wav
 
 SR = 22050

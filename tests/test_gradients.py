@@ -12,7 +12,6 @@ from yingram import (
     AnalysisConfig,
     Frame,
     NoteGrid,
-    cmnd,
     difference_function,
     finite_diff_check,
     gradcheck_suite,
@@ -23,6 +22,7 @@ from yingram import (
 from yingram import gradients
 from yingram.gradients import _difference_adjoint
 from yingram.grid import channel_lags
+from yingram.yin import cmnd
 from oracles import difference_adjoint_loop, yingram_vjp_csum_squared
 
 SR = 22050
@@ -324,10 +324,15 @@ def test_gradients_need_a_mono_frame(rng, call, stack, shape):
         call(Frame(stack(x), 0, SR))
 
 
-def test_vjp_rejects_a_bare_array(rng):
+@pytest.mark.parametrize("call", [
+    lambda x: yingram_vjp(x, GRID, np.ones(80)),
+    lambda x: finite_diff_check(x, GRID),
+], ids=["yingram_vjp", "finite_diff_check"])
+def test_vjp_rejects_a_bare_array(rng, call):
+    # a bare array once raised TypeError, unlike every other input error
     x = random_tonal_frame(rng, FRAME_LEN)
-    with pytest.raises(TypeError, match=r"^yingram_vjp needs a Frame \(it carries the sample rate\)$"):
-        yingram_vjp(x, GRID, np.ones(80))
+    with pytest.raises(ValueError, match=r"^yingram_vjp needs a Frame \(it carries the sample rate\)$"):
+        call(x)
 
 
 @pytest.mark.parametrize("rate", [math.inf, 22050.5])

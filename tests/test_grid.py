@@ -21,12 +21,12 @@ from yingram import (
     note_to_lag,
     shift_to_semitones,
     tau_max_for,
-    yingram_frame,
     yingram_from_frame,
     yingram_vjp,
 )
 from yingram import config as config_module
 from yingram.config import f0_lag_range
+from yingram.feature import yingram_frame
 from yingram.grid import _lag_table
 from yingram.yin import pick_lags
 

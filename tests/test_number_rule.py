@@ -27,16 +27,13 @@ from yingram import (
     channel_lags,
     crop_scope,
     difference_function,
-    estimate_f0,
     evaluate_shift_pair,
     finite_diff_check,
-    frame_signal,
     gradcheck_suite,
     harmonic_tone,
     median_semitone_offset,
     note_to_hz,
     note_to_lag,
-    parabolic_refine,
     pitch_shifted_copy,
     random_tonal_frame,
     resample,
@@ -45,13 +42,13 @@ from yingram import (
     sine_tone,
     tau_max_for,
     vibrato_tone,
-    yingram_frame,
     yingram_from_frame,
     yingram_vjp,
 )
-from yingram.audio import frame_count
+from yingram.audio import frame_count, frame_signal
 from yingram.config import f0_lag_range
-from yingram.yin import f0_rows, pick_lags
+from yingram.feature import yingram_frame
+from yingram.yin import estimate_f0, f0_rows, parabolic_refine, pick_lags
 
 BAD_REALS = {"bool": True, "str": "2", "nan": math.nan, "inf": math.inf,
              "int-past-float": 10**400, "complex": 1j,

@@ -3,7 +3,9 @@ CLI, its exit codes, the config fields and every public name of the package.
 A flag or name added without a line in the README fails here."""
 import argparse
 import dataclasses
+import importlib
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -57,4 +59,24 @@ def test_every_exit_code_is_documented():
 
 @pytest.mark.parametrize("name", yingram.__all__)
 def test_every_public_name_is_documented(name):
+    assert f"`{name}`" in README
+
+
+def test_the_root_exports_exactly_its_public_names():
+    public = {name for name, value in vars(yingram).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(yingram.__all__)
+
+
+@pytest.mark.parametrize("name, module", [
+    ("frame_signal", "audio"),
+    ("cmnd", "yin"),
+    ("estimate_f0", "yin"),
+    ("parabolic_refine", "yin"),
+    ("yingram_frame", "feature"),
+])
+def test_a_per_frame_reference_stays_in_its_module(name, module):
+    # the clip pipeline calls none of these, so the root does not export them
+    assert not hasattr(yingram, name)
+    assert callable(getattr(importlib.import_module(f"yingram.{module}"), name))
     assert f"`{name}`" in README

@@ -7,14 +7,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from yingram import (
-    cmnd,
     difference_function,
-    estimate_f0,
     note_to_hz,
-    parabolic_refine,
     sine_tone,
 )
-from yingram.yin import CMND_EPS, _cmnd_terms, _pick_lag, f0_rows, pick_lags, require_finite
+from yingram.yin import (
+    CMND_EPS,
+    _cmnd_terms,
+    _pick_lag,
+    cmnd,
+    estimate_f0,
+    f0_rows,
+    parabolic_refine,
+    pick_lags,
+    require_finite,
+)
 from oracles import cmnd_brute, difference_brute
 
 SR = 22050

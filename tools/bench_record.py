@@ -37,6 +37,9 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 SEEDS = (0, 1, 2, 3, 4)
 RUN_TIMEOUT_S = 900
+# what a BENCH file keeps per metric and per seed of a workload
+METRIC_KEYS = ("median", "q1", "q3")
+SEED_KEYS = ("input_sha256", "output_sha256", "failed_op_share")
 
 
 def quartiles(samples: list[float]) -> tuple[float, float, float]:
@@ -77,10 +80,7 @@ def aggregate(runs: list[dict], benchmark: dict) -> dict:
             q1, median, q3 = quartiles(samples)
             metrics[m["name"]] = {"unit": m["unit"], "median": median, "q1": q1, "q3": q3,
                                   "samples": samples}
-        seeds = {str(r["seed"]): {"input_sha256": r["record"]["input_sha256"],
-                                  "output_sha256": r["record"]["output_sha256"],
-                                  "failed_op_share": r["record"]["failed_op_share"]}
-                 for r in mine}
+        seeds = {str(r["seed"]): {k: r["record"][k] for k in SEED_KEYS} for r in mine}
         workloads[spec["name"]] = {"correct": all(r["correct"] for r in mine),
                                    "metrics": metrics, "seeds": seeds}
     return {"environment": environment, "workloads": workloads}
@@ -197,15 +197,31 @@ def record(checkout: Path) -> Path:
     return path
 
 
+def _holds(entries, keys: tuple[str, ...]) -> bool:
+    """`entries` is an object whose every value is an object holding `keys`."""
+    return isinstance(entries, dict) and all(isinstance(e, dict) and set(keys) <= e.keys()
+                                             for e in entries.values())
+
+
 def _read_bench(path: Path) -> dict:
     """A BENCH file's body. Raises ValueError naming the file when it is not
-    JSON, or not an object holding `environment` and `workloads`."""
+    JSON, or not an object holding `environment` and a `workloads` object
+    whose every workload holds `correct`, metrics holding METRIC_KEYS and at
+    least one seed, each seed holding SEED_KEYS."""
     try:
         body = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not JSON: {exc}") from None
-    if not isinstance(body, dict) or not {"environment", "workloads"} <= body.keys():
-        raise ValueError(f"{path} is not a BENCH file: it needs `environment` and `workloads`")
+    if not isinstance(body, dict) or not {"environment", "workloads"} <= body.keys() \
+            or not isinstance(body["workloads"], dict):
+        raise ValueError(f"{path} is not a BENCH file: "
+                         "it needs `environment` and a `workloads` object")
+    for name, w in body["workloads"].items():
+        if not (isinstance(w, dict) and "correct" in w and _holds(w.get("metrics"), METRIC_KEYS)
+                and w.get("seeds") and _holds(w["seeds"], SEED_KEYS)):
+            raise ValueError(f"{path} is not a BENCH file: workload {name} needs `correct`, "
+                             f"metrics holding {', '.join(METRIC_KEYS)} and at least one "
+                             f"seed holding {', '.join(SEED_KEYS)}")
     return body
 
 
