@@ -19,7 +19,6 @@ from .grid import _integer, _real, _require_float_int, _require_int
 
 __all__ = [
     "AnalysisConfig",
-    "MAX_FRAME_LENGTH",
     "coerce_field",
     "f0_lag_range",
     "load_config_file",
@@ -195,6 +194,6 @@ def read_config_file(path: str | Path) -> dict:
     return {key: coerce_field(key, value) for key, value in items}
 
 
-def load_config_file(path: str | Path, base: AnalysisConfig | None = None) -> AnalysisConfig:
-    """Read a config file, either JSON or key=value lines, over `base`."""
-    return (base or AnalysisConfig()).replace(**read_config_file(path))
+def load_config_file(path: str | Path) -> AnalysisConfig:
+    """Read a config file, either JSON or key=value lines, over the defaults."""
+    return AnalysisConfig(**read_config_file(path))

@@ -53,41 +53,38 @@ class ShiftReport:
 
 
 def median_semitone_offset(
-    a: PitchContour, b: PitchContour, time_scale: float | None = None
+    a: PitchContour, b: PitchContour, time_scale: float = 1.0
 ) -> tuple[float, float]:
     """Median semitone offset 12*log2(f0_b / f0_a) over co-voiced frames.
 
     Returns (offset, overlap) where overlap is co-voiced frames over
-    min(voiced_a, voiced_b), capped at 1. With time_scale (the duration
-    ratio of b to a, e.g. after resampling) frame i of `a` is compared
-    against the log-f0 of `b` interpolated at i * time_scale, so contours of
-    time-stretched copies align exactly.
+    min(voiced_a, voiced_b), capped at 1. With a time_scale other than 1.0
+    (the duration ratio of b to a, e.g. after resampling) frame i of `a` is
+    compared against the log-f0 of `b` interpolated at i * time_scale, so
+    contours of time-stretched copies align exactly.
 
     Raises:
         ValueError: "no voiced overlap" when no frame pair is co-voiced,
-            and for a time_scale that is neither None nor finite and positive.
+            and for a time_scale that is not finite and positive.
     """
-    if time_scale is not None:
-        _require_positive(time_scale, "time_scale")
+    _require_positive(time_scale, "time_scale")
     if a.hop != b.hop or a.sample_rate != b.sample_rate:
         raise ValueError("contours must share hop and sample rate")
     floor_voiced = min(a.num_voiced, b.num_voiced)
     offsets = _contour_offsets(a, b, time_scale)
-    if floor_voiced == 0 or len(offsets) == 0:
+    if len(offsets) == 0:
         raise ValueError("no voiced overlap between contours")
     return float(np.median(offsets)), min(1.0, float(len(offsets) / floor_voiced))
 
 
-def _contour_offsets(
-    a: PitchContour, b: PitchContour, time_scale: float | None
-) -> np.ndarray:
+def _contour_offsets(a: PitchContour, b: PitchContour, time_scale: float) -> np.ndarray:
     """Per-frame semitone offsets over co-voiced (possibly aligned) frames.
 
-    With a time scale, frame i of `a` reads log2 f0 of `b` lerped at
-    j = i * time_scale between floor(j) and ceil(j), and frames whose
-    brackets are unvoiced or past the end are dropped. `np.interp` is not
+    With a time scale other than 1.0, frame i of `a` reads log2 f0 of `b`
+    lerped at j = i * time_scale between floor(j) and ceil(j), and frames
+    whose brackets are unvoiced or past the end are dropped. `np.interp` is not
     used: it rounds differently where j is an integer."""
-    if time_scale is None or time_scale == 1.0:
+    if time_scale == 1.0:
         n = min(len(a), len(b))
         co = a.voiced[:n] & b.voiced[:n]
         return 12.0 * np.log2(b.f0[:n][co] / a.f0[:n][co])
@@ -219,10 +216,10 @@ _CSV_KEYS = ("expected_semitones", "measured_semitone_offset", "voiced_overlap_f
 def batch_report(manifest: list[dict], config: AnalysisConfig | None = None) -> BatchReport:
     """Evaluate every manifest entry {normal, shifted, scope_shift}.
 
-    Unreadable or malformed entries (including entries that are not
-    objects, and a scope_shift that `Scope` rejects, such as 2.9, true or
-    "2") are recorded as errors and the batch continues; results keep
-    manifest order.
+    An entry that cannot be read or scored is recorded as its error,
+    "<exception class>: <message>" (a KeyError, TypeError, OSError or
+    ValueError, such as for a scope_shift of 2.9, true or "2"), and the
+    batch continues; results keep manifest order.
     """
     cfg = config or AnalysisConfig()
     report = BatchReport(config=cfg)
@@ -238,12 +235,8 @@ def batch_report(manifest: list[dict], config: AnalysisConfig | None = None) -> 
             s = Scope(item["scope_shift"]).shift
             entry.update(normal=str(item["normal"]), shifted=str(item["shifted"]), scope_shift=s)
             normal, shifted = load_wav(normal_path), load_wav(shifted_path)
+            entry["report"] = evaluate_shift_pair(normal, shifted, s, cfg)
         except (KeyError, TypeError, OSError, ValueError) as exc:
             entry["error"] = f"{type(exc).__name__}: {exc}"
-        else:
-            try:
-                entry["report"] = evaluate_shift_pair(normal, shifted, s, cfg)
-            except ValueError as exc:
-                entry["error"] = f"{type(exc).__name__}: {exc}"
         report.entries.append(entry)
     return report

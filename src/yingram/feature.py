@@ -164,9 +164,9 @@ def yingram_from_frame(
 
 
 def _analyse(w: Waveform, cfg: AnalysisConfig) -> tuple[YingramMatrix, PitchContour]:
-    """The Yingram and the pitch contour of one clip, from one pass over the
-    frames `frame_signal` cuts, BLOCK_FRAMES at a time. Each block hands the
-    difference kernel its span of clip samples (`audio._frame_span`: a view,
+    """The Yingram and the pitch contour of one clip, from one pass over its
+    frames under `audio._frame_span`'s framing rule, BLOCK_FRAMES at a time.
+    Each block hands the difference kernel its span of clip samples (a view,
     zero padded only past the clip's end), so no copy of the whole clip is
     made. A frame's CMND is
     cmnd(difference_function(frame, tau_max, window)), with the correlation

@@ -197,14 +197,7 @@ def _cmnd_terms(d: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray, 
 
 
 def require_finite(values: np.ndarray, name: str) -> None:
-    """Raise ValueError("non-finite <name>: ...") if any entry is NaN or inf.
-
-    A finite sum clears every entry without a mask per entry; only a sum that
-    is not finite (a NaN or inf entry, or finite entries whose sum overflows)
-    builds the mask."""
-    with np.errstate(over="ignore", invalid="ignore"):  # inf + -inf sums to NaN
-        if np.isfinite(np.sum(values)):
-            return
+    """Raise ValueError("non-finite <name>: ...") if any entry is NaN or inf."""
     bad = ~np.isfinite(values)
     if bad.any():
         raise ValueError(

@@ -149,12 +149,12 @@ def difference_adjoint_loop(
     return grad
 
 
-def contour_offsets_loop(a, b, time_scale: float | None) -> np.ndarray:
+def contour_offsets_loop(a, b, time_scale: float) -> np.ndarray:
     """Per-frame semitone offsets of contour b over contour a, one voiced
-    frame of a at a time: the frame-indexed log ratio when time_scale is None
-    or 1.0, else log2(f0_b) interpolated linearly at j = i * time_scale,
+    frame of a at a time: the frame-indexed log ratio when time_scale is
+    1.0, else log2(f0_b) interpolated linearly at j = i * time_scale,
     skipping frames whose bracketing lags of b are unvoiced or past its end."""
-    if time_scale is None or time_scale == 1.0:
+    if time_scale == 1.0:
         n = min(len(a), len(b))
         co = a.voiced[:n] & b.voiced[:n]
         return 12.0 * np.log2(b.f0[:n][co] / a.f0[:n][co])

@@ -62,6 +62,15 @@ def test_analyze_hop_override(tmp_path, tone_wav):
     assert sidecar["config"]["hop"] == 512
 
 
+def test_analyze_csv_and_binary_write_byte_identical_sidecars(tmp_path, tone_wav):
+    csv, binary = tmp_path / "y.csv", tmp_path / "y.f32"
+    argv = ["analyze", str(tone_wav), "--out", str(csv), "--binary", str(binary), "--hop", "512"]
+    assert main(argv) == 0
+    sidecar = (tmp_path / "y.csv.json").read_bytes()
+    assert sidecar == (tmp_path / "y.f32.json").read_bytes()
+    assert json.loads(sidecar)["config"]["hop"] == 512
+
+
 def test_calls_in_one_process_keep_their_own_flags(tmp_path, tone_wav, capsys):
     # the parser is built once per process: a flag given to one call must
     # not reach the next one's config or sidecar, and usage errors still exit 2

@@ -109,11 +109,11 @@ def test_offset_requires_overlap(cfg):
         median_semitone_offset(voiced, silent)
 
 
-@pytest.mark.parametrize("scale", [-1.0, 0.0, math.nan, math.inf, "2", True])
+@pytest.mark.parametrize("scale", [-1.0, 0.0, math.nan, math.inf, "2", True, None])
 def test_offset_rejects_a_time_scale_that_is_not_finite_and_positive(cfg, scale):
     # -1.0 once read b from its end and returned an offset; nan and inf
     # raised IndexError after a RuntimeWarning from the integer cast; "2"
-    # raised TypeError, and True was taken for 1.0
+    # raised TypeError, True was taken for 1.0, and None was an alias of 1.0
     a = extract_pitch_contour(sine_tone(440.0, 1.0), cfg)
     with pytest.raises(ValueError, match="time_scale must be finite and positive"):
         median_semitone_offset(a, a, time_scale=scale)
@@ -329,6 +329,23 @@ def test_batch_records_errors_and_continues(tmp_path, cfg):
     assert not report.all_passed  # its CSV row says pass=false, so the batch fails
 
 
+def test_batch_records_an_error_of_scoring_in_the_entry(monkeypatch, tmp_path, cfg):
+    # reading and scoring an entry share one guard: an error of the pair's
+    # analysis is recorded by class as a read error is, and the batch goes on
+    normal = harmonic_tone(220.0, 0.5)
+    write_wav(tmp_path / "n.wav", normal)
+
+    def failing(*args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(evaluate, "evaluate_shift_pair", failing)
+    pair = {"normal": str(tmp_path / "n.wav"), "shifted": str(tmp_path / "n.wav")}
+    report = batch_report([{**pair, "scope_shift": 2}, {**pair, "scope_shift": 0}], cfg)
+    assert [e["error"] for e in report.entries] == ["KeyError: 'lost'"] * 2
+    assert report.entries[0]["scope_shift"] == 2
+    assert not report.reports
+
+
 def _csv_view(entry: dict) -> str:
     """The row a batch CSV must hold for one JSON entry, field by field:
     null or missing is empty, a number `.6f`, and no report fails."""
@@ -375,10 +392,10 @@ def _contour(voiced, seed: int) -> PitchContour:
 
 
 # lengths 0-2 as well as longer ones; scales that land j = i * scale on
-# integers, the ratio branch (None, 1.0), and arbitrary stretches
+# integers, the ratio branch (1.0), and arbitrary stretches
 MASKS = st.one_of(st.lists(st.booleans(), max_size=2), st.lists(st.booleans(), max_size=40))
 SCALES = st.one_of(
-    st.sampled_from([None, 1.0, 0.25, 0.5, 1.5, 2.0, 3.0]),
+    st.sampled_from([1.0, 0.25, 0.5, 1.5, 2.0, 3.0]),
     st.floats(0.05, 4.0),
 )
 
