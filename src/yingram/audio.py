@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import _require_int
+from .grid import _require_int, _require_real_dtype
 
 __all__ = [
     "Waveform",
@@ -50,9 +50,11 @@ class WavFormatError(ValueError):
 
 
 def _require_mono(samples) -> None:
-    """The mono rule of `Waveform` and `Frame`: samples form one 1-D channel."""
+    """The sample rules of `Waveform` and `Frame`: samples form one 1-D
+    channel of real values."""
     if np.ndim(samples) != 1:
         raise ValueError(f"samples must be 1-D (mono), got shape {np.shape(samples)}")
+    _require_real_dtype(samples, "samples")
 
 
 @dataclass(frozen=True)

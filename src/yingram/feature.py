@@ -18,13 +18,14 @@ import json
 import os
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .audio import Frame, Waveform, _frame_span, frame_count
 from .config import AnalysisConfig
-from .grid import DEFAULT_GRID, NoteGrid, channel_lags, tau_max_for
+from .grid import DEFAULT_GRID, NoteGrid, _lag_table, channel_lags, tau_max_for
 from .yin import _cmnd_terms, _difference_fft, cmnd, difference_function, f0_rows, require_finite
 
 __all__ = [
@@ -115,7 +116,12 @@ def yingram_rows(values: np.ndarray, lags: np.ndarray) -> np.ndarray:
     Raises ValueError("lag out of range: ...") unless every lag is at least 0
     and its ceiling at most the curve's last lag, so a NaN lag raises too.
     """
-    floors, ceils, frac = _lag_brackets(lags, values.shape[-1] - 1)
+    return _sample_at(values, _lag_brackets(lags, values.shape[-1] - 1))
+
+
+def _sample_at(values: np.ndarray, brackets: tuple) -> np.ndarray:
+    """values at the fractional lags whose (floors, ceils, frac) are `brackets`."""
+    floors, ceils, frac = brackets
     return values[..., floors] * (1.0 - frac) + values[..., ceils] * frac
 
 
@@ -131,6 +137,17 @@ def _lag_brackets(lags: np.ndarray, tau_max: int) -> tuple[np.ndarray, np.ndarra
         )
     floors = np.floor(lags).astype(int)
     return floors, ceils.astype(int), lags - floors
+
+
+@lru_cache
+def _channel_brackets(grid: NoteGrid, sample_rate: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only `_lag_brackets` of `channel_lags(grid, sample_rate)` on lags
+    0..tau_max_for(grid, sample_rate), built once per (grid, rate) beside
+    `grid._lag_table`, for a rate `channel_lags` has checked."""
+    brackets = _lag_brackets(_lag_table(grid, sample_rate), tau_max_for(grid, sample_rate))
+    for array in brackets:
+        array.flags.writeable = False
+    return brackets
 
 
 def yingram_frame(

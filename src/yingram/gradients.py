@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.fft
 
 from .audio import Frame
 from .config import AnalysisConfig
-from .grid import DEFAULT_GRID, NoteGrid, _require_int, _require_positive, channel_lags, tau_max_for
-from .feature import _lag_brackets, _record, yingram_rows
+from .grid import (
+    DEFAULT_GRID, NoteGrid, _require_int, _require_positive, _require_real_dtype, tau_max_for,
+)
+from .feature import _channel_brackets, _record, _sample_at
 from .synth import random_tonal_frame
 from .yin import _cmnd_terms, _difference_fft, difference_function, require_finite
 
@@ -26,6 +29,11 @@ __all__ = ["GradReport", "yingram_vjp", "finite_diff_check", "gradcheck_suite"]
 DEFAULT_FD_EPS = 1e-5
 DEFAULT_FD_TOLERANCE = 1e-4
 DEFAULT_PROBES = 25
+
+# Perturbed frames per stacked forward of `finite_diff_check`: an even
+# count, so each probe's two steps share a stack, and at the default 25
+# probes, one stack; it bounds the stack at 64 frames whatever `probes` is.
+_PROBE_ROWS = 64
 
 # Central differences at eps=1e-5 in float64 carry ~5e-11 of absolute
 # rounding noise. Gradient components below this fraction of the frame's
@@ -58,25 +66,26 @@ def _check_fd_settings(eps: float, probes: int, tolerance: float) -> None:
 
 def _checked_inputs(
     frame: Frame, grid: NoteGrid, cotangent: np.ndarray, window: int | None
-) -> tuple[np.ndarray, np.ndarray, int, int, np.ndarray]:
-    """(samples, channel lags, tau_max, window, cotangent) of a gradient
-    request: a Frame, a finite cotangent of one entry per channel, and a
-    window of len(frame) - tau_max (at least 1) by default, as the analysis
-    frames; the forward's `difference_function` checks that the window fits
-    and that the samples are finite."""
+) -> tuple[np.ndarray, tuple, int, int, np.ndarray]:
+    """(samples, channel lag brackets, tau_max, window, cotangent) of a
+    gradient request: a Frame, a finite real cotangent of one entry per
+    channel, and a window of len(frame) - tau_max (at least 1) by default, as
+    the analysis frames; the forward's `difference_function` checks that the
+    window fits and that the samples are finite."""
     if not isinstance(frame, Frame):
         raise ValueError("yingram_vjp needs a Frame (it carries the sample rate)")
     x = np.asarray(frame.samples, dtype=np.float64)
     tau_max = tau_max_for(grid, frame.sample_rate)
     if window is None:
         window = max(len(x) - tau_max, 1)
+    _require_real_dtype(cotangent, "cotangent")
     cot = np.asarray(cotangent, dtype=np.float64)
     if cot.shape != (grid.num_channels,):
         raise ValueError(
             f"dimension error: cotangent must have {grid.num_channels} entries"
         )
     require_finite(cot, "cotangent")
-    return x, channel_lags(grid, frame.sample_rate), tau_max, window, cot
+    return x, _channel_brackets(grid, frame.sample_rate), tau_max, window, cot
 
 
 def yingram_vjp(
@@ -89,11 +98,11 @@ def yingram_vjp(
     contribute zero gradient; a fully guarded (silent) frame returns all
     zeros and emits a warning. Non-finite samples or cotangent entries raise
     ValueError, since either would turn the whole gradient into NaN; so do
-    a frame that is not a `Frame`, frames too large for the forward's CMND
-    (and only those) and grids `tau_max_for` rejects.
+    complex ones, a frame that is not a `Frame`, frames too large for the
+    forward's CMND (and only those) and grids `tau_max_for` rejects.
     """
-    x, lags, tau_max, window, cot = _checked_inputs(frame, grid, cotangent, window)
-    grad, guarded = _vjp(lags, x, tau_max, window, cot)
+    x, brackets, tau_max, window, cot = _checked_inputs(frame, grid, cotangent, window)
+    grad, guarded = _vjp(brackets, x, tau_max, window, cot)
     if guarded[-1] and np.any(cot != 0.0):
         warnings.warn(
             "guarded region: CMND denominator below epsilon on checked "
@@ -103,25 +112,26 @@ def yingram_vjp(
     return grad
 
 
-def _vjp(lags: np.ndarray, x: np.ndarray, tau_max: int, window: int,
+def _vjp(brackets: tuple, x: np.ndarray, tau_max: int, window: int,
          cot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(gradient, guarded) for checked inputs. guarded: the CMND guard mask of
-    lags 0 up to the highest lag any channel reads; the CMND sums grow with
-    tau, so when that lag is guarded, all are."""
+    """(gradient, guarded) for checked inputs, the channels read at the lag
+    `brackets` (floors, ceils, frac). guarded: the CMND guard mask of lags 0
+    up to the highest lag any channel reads; the CMND sums grow with tau, so
+    when that lag is guarded, all are."""
     values, csum, guarded = _cmnd_terms(difference_function(x, tau_max, window, method="fft"))
-    floors, ceils, frac = _lag_brackets(lags, tau_max)
-    taus = np.arange(tau_max + 1)
+    floors, ceils, frac = brackets
 
-    # adjoint on d'; a guarded lag holds the constant 1, so none flows through it
-    adj_dp = np.zeros(tau_max + 1)
-    np.add.at(adj_dp, floors, cot * (1.0 - frac))
-    np.add.at(adj_dp, ceils, cot * frac)
+    # adjoint on d'; a guarded lag holds the constant 1, so none flows through
+    # it. One bincount adds each lag's floor terms, then its ceiling terms,
+    # in channel order from 0.0, as np.add.at over floors and then ceils did
+    adj_dp = np.bincount(np.concatenate((floors, ceils)),
+                         np.concatenate((cot * (1.0 - frac), cot * frac)), tau_max + 1)
     adj_dp[guarded] = 0.0
 
     # adjoint on d through d'(t) = d(t) * t / csum(t), csum(t) = sum_{1<=k<=t} d(k):
     #   dd'(t)/dd(k) = (t * [k == t] - d'(t) * [1 <= k <= t]) / csum(t),
     # where d'(t) <= t, so nothing here overflows unless the forward does
-    adj_d = adj_dp * taus / csum
+    adj_d = adj_dp * np.arange(tau_max + 1) / csum
     adj_d[1:] -= np.cumsum((adj_dp * values / csum)[::-1])[::-1][1:]  # sums over t >= k
 
     return _difference_adjoint(x, adj_d, window), guarded[: ceils.max() + 1]
@@ -135,22 +145,38 @@ def _difference_adjoint(x: np.ndarray, adj_d: np.ndarray, window: int) -> np.nda
                 + 2*(x[m]*sum_{k: 0 <= m-k < W} b_k - sum_k b_k*x[m-k]*[0 <= m-k < W]).
     The correlation and the convolution are FFT products of length >= n, which
     is long enough that neither wraps (m+k <= W-1+tau_max < n); the windowed
-    sum of b is two lookups into one cumulative sum.
+    sum of b is two lookups into one cumulative sum. b, x and x[:W] are the
+    three zero-padded rows of one rfft, and the correlation conj(B)·X and the
+    convolution B·Xh the two rows of one irfft: 2 transform calls, where
+    separate ones made 5. pocketfft transforms each row of a stack on its
+    own, and every row of a stack runs the arithmetic of a one-row call, so
+    the bits are those of separate calls.
     """
     n = len(x)
     tau_max = len(adj_d) - 1
-    b = np.array(adj_d, dtype=np.float64)
-    b[0] = 0.0
     size = scipy.fft.next_fast_len(n, real=True)
-    spec_b = scipy.fft.rfft(b, size)
-    corr = scipy.fft.irfft(np.conj(spec_b) * scipy.fft.rfft(x, size), size)[:window]
-    conv = scipy.fft.irfft(spec_b * scipy.fft.rfft(x[:window], size), size)[:n]
-    prefix = np.concatenate(([0.0], np.cumsum(b)))  # prefix[j] = sum_{k<j} b_k
-    m = np.arange(n)
-    in_window = prefix[np.minimum(m, tau_max) + 1] - prefix[np.clip(m - window + 1, 0, tau_max + 1)]
-    grad = 2.0 * (x * in_window - conv)
-    grad[:window] += 2.0 * (x[:window] * prefix[-1] - corr)
+    rows = np.zeros((3, size))
+    rows[0, 1 : tau_max + 1] = adj_d[1:]
+    rows[1, :n] = x
+    rows[2, :window] = x[:window]
+    spec_b, spec_x, spec_head = scipy.fft.rfft(rows, axis=-1)
+    corr, conv = scipy.fft.irfft(np.stack((np.conj(spec_b) * spec_x, spec_b * spec_head)), size)
+    prefix = np.concatenate(([0.0], np.cumsum(rows[0, : tau_max + 1])))  # prefix[j] = sum_{k<j} b_k
+    low, high = _window_bounds(n, window, tau_max)
+    grad = 2.0 * (x * (prefix[high] - prefix[low]) - conv[:n])
+    grad[:window] += 2.0 * (x[:window] * prefix[-1] - corr[:window])
     return grad
+
+
+@lru_cache
+def _window_bounds(n: int, window: int, tau_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (low, high) of `_difference_adjoint`'s windowed sums: sample m
+    of n sums b_k over max(m - window + 1, 0) <= k < min(m, tau_max) + 1."""
+    m = np.arange(n)
+    bounds = np.clip(m - window + 1, 0, tau_max + 1), np.minimum(m, tau_max) + 1
+    for array in bounds:
+        array.flags.writeable = False
+    return bounds
 
 
 def finite_diff_check(
@@ -185,25 +211,44 @@ def finite_diff_check(
     rng = np.random.default_rng(_require_int(seed, "seed", 0))
     if cotangent is None:
         cotangent = rng.standard_normal(grid.num_channels)
-    x, lags, tau_max, win, cot = _checked_inputs(frame, grid, cotangent, window)
-    analytic, guard = _vjp(lags, x, tau_max, win, cot)
+    x, brackets, tau_max, win, cot = _checked_inputs(frame, grid, cotangent, window)
+    analytic, guard = _vjp(brackets, x, tau_max, win, cot)
 
-    def loss(i: int, step: float) -> tuple[float, bool]:
-        # L(x + step*e_i) as yingram_from_frame computes it, and whether the
-        # step moves a lag across the guard: the difference then measures
-        # the guard, where the gradient is defined, not derived
-        samples = x.copy()
-        samples[i] += step
-        values, _, moved = _cmnd_terms(_difference_fft(samples, tau_max, win))
-        return float(np.dot(cot, yingram_rows(values, lags))), (moved[: len(guard)] != guard).any()
+    def losses(probed: np.ndarray) -> list[tuple[float, bool]]:
+        # L(x + step*e_i) as yingram_from_frame computes it, for step = eps
+        # and then -eps at each probed i, and whether the step moves a lag
+        # across the guard: the difference then measures the guard, where the
+        # gradient is defined, not derived. The perturbed frames are the rows
+        # of stacked forwards, _PROBE_ROWS at a time; a row's forward and its
+        # dot product with the cotangent keep the bits of a one-frame forward
+        out = []
+        for start in range(0, 2 * len(probed), _PROBE_ROWS):
+            index = np.repeat(probed, 2)[start : start + _PROBE_ROWS]
+            rows = np.repeat(x[None], len(index), axis=0)
+            rows[np.arange(len(index)), index] += np.resize([eps, -eps], len(index))
+            d = _difference_fft(rows, tau_max, win)
+            try:
+                values, _, moved = _cmnd_terms(d)
+            except ValueError:
+                for row in d:  # raise as a one-frame forward does, naming frame 0
+                    _cmnd_terms(row)
+                raise
+            # the channel gather returns strided rows, and np.dot rounds a
+            # strided row differently from a contiguous one, as a one-frame
+            # forward's row is
+            yingrams = np.ascontiguousarray(_sample_at(values, brackets))
+            out += [(float(np.dot(cot, y)), (m[: len(guard)] != guard).any())
+                    for y, m in zip(yingrams, moved)]
+        return out
 
     guarded = bool(guard[-1])
     worst, n_probe, skipped = 0.0, probes, probes  # a guarded frame compares nothing
     if not guarded:
         peak_floor = LOW_SIGNAL_FRACTION * np.max(np.abs(analytic))
         n_probe, skipped = min(probes, len(x)), 0
-        for i in rng.choice(len(x), size=n_probe, replace=False):
-            (up, up_moved), (down, down_moved) = loss(i, eps), loss(i, -eps)
+        probed = rng.choice(len(x), size=n_probe, replace=False)
+        steps = losses(probed)
+        for i, (up, up_moved), (down, down_moved) in zip(probed, steps[::2], steps[1::2]):
             numeric = (up - down) / (2.0 * eps)
             rounding_floor = np.finfo(float).eps * max(abs(up), abs(down)) / eps
             # np.maximum, unlike max, propagates NaN, so a NaN error is kept

@@ -83,6 +83,14 @@ def _require_real(**values) -> None:
             raise ValueError(f"{name} must be a finite real, got {value!r}")
 
 
+def _require_real_dtype(values, name: str) -> None:
+    """ValueError for complex values: the real-sample rule of samples, CMND
+    curves, cotangents and loss matrices, read before any float64 cast, which
+    would drop the imaginary part with only numpy's ComplexWarning."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{name} must be real, got dtype {np.asarray(values).dtype}")
+
+
 def _require_float_int(value, name: str) -> int:
     """value as int if it is an integer of at least 1 that a float holds, else
     ValueError: the rule of sample rates and hops, which lags, frequencies and

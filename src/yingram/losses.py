@@ -21,7 +21,7 @@ import warnings
 import numpy as np
 
 from .config import AnalysisConfig
-from .grid import _matrix_values, crop_scope
+from .grid import _matrix_values, _require_real_dtype, crop_scope
 from .yin import require_finite
 
 __all__ = [
@@ -44,6 +44,8 @@ def _checked_inputs(**arrays) -> dict[str, np.ndarray]:
     at least one entry; then `require_finite` in argument order, before any
     exponential: e^-inf is 0, so a check after it would miss a +inf entry."""
     arrays = {name: np.asarray(v) for name, v in arrays.items()}
+    for name, values in arrays.items():
+        _require_real_dtype(values, name)
     arrays = {name: v.astype(np.float64) if v.dtype.kind in "biu" else v
               for name, v in arrays.items()}
     shapes = {a.shape for a in arrays.values()}
@@ -126,8 +128,10 @@ def shift_consistency_metric(
     their raw arrays); frame counts are aligned by truncating to the shorter
     input, with a warning, since paired clips often differ by a frame.
     """
-    normal = _matrix_values(y_normal, np.float64)
-    shifted = _matrix_values(y_shifted_audio, np.float64)
+    normal, shifted = _matrix_values(y_normal), _matrix_values(y_shifted_audio)
+    _require_real_dtype(normal, "y_normal")
+    _require_real_dtype(shifted, "y_shifted_audio")
+    normal, shifted = np.asarray(normal, np.float64), np.asarray(shifted, np.float64)
     if normal.ndim != 2 or shifted.ndim != 2 or normal.shape[1] != shifted.shape[1]:
         raise ValueError(
             f"dimension error: expected matrices with matching channel axes, "

@@ -15,8 +15,8 @@ divides the window, clip analysis adds up the correlations and energies of
 hop blocks that overlapping frames share, so its d agrees with the
 per-frame path to the rounding of the energies summed, not to the last
 bit: at the default config within 1e-13 of p0 + p_tau at each lag.
-Otherwise each segment is one frame, and the two paths run the same
-transforms and cumsums bit for bit.
+Otherwise each segment is one frame, and the two paths transform the same
+rows and run the same cumsums, bit for bit.
 
 All arithmetic runs in 64-bit floats; gradient verification elsewhere in the
 package depends on that.
@@ -29,7 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import Frame
 from .config import AnalysisConfig, f0_lag_range
-from .grid import _require_int, _require_real
+from .grid import _require_int, _require_real, _require_real_dtype
 
 __all__ = [
     "CMND_EPS",
@@ -77,12 +77,25 @@ def _difference_fft(x: np.ndarray, tau_max: int, window: int, hop: int | None = 
     segments = x if hop is None else sliding_window_view(x, head + tau_max)[::hop]
     blocks = window // head
     n = scipy.fft.next_fast_len(segments.shape[-1], real=blocks > 1)
-    # each temporary goes as soon as it has been read, and the squares and
-    # their cumsum share one array, so a block's peak is its two spectra and
-    # one padded input, not every stage's arrays at once
-    spectrum = scipy.fft.rfft(segments[..., :head], n, axis=-1)
-    np.conjugate(spectrum, out=spectrum)
-    spectrum *= scipy.fft.rfft(segments, n, axis=-1)
+    if hop is None:
+        # per frame, the zero-padded head and the frame are two rows of one
+        # stack: one rfft and one irfft per call, where separate transforms
+        # of the head and the frame made three. pocketfft transforms each row
+        # of a stack on its own, and every row of a stack runs the arithmetic
+        # of a one-row call, so the bits are those of separate calls
+        pair = np.zeros(x.shape[:-1] + (2, n))
+        pair[..., 0, :window] = x[..., :window]
+        pair[..., 1, : x.shape[-1]] = x
+        spectra = scipy.fft.rfft(pair, axis=-1)
+        spectrum = np.conjugate(spectra[..., 0, :]) * spectra[..., 1, :]
+        del pair, spectra
+    else:
+        # each temporary goes as soon as it has been read, and the squares and
+        # their cumsum share one array, so a block's peak is its two spectra and
+        # one padded input, not every stage's arrays at once
+        spectrum = scipy.fft.rfft(segments[..., :head], n, axis=-1)
+        np.conjugate(spectrum, out=spectrum)
+        spectrum *= scipy.fft.rfft(segments, n, axis=-1)
     corr = scipy.fft.irfft(spectrum, n, axis=-1)[..., : tau_max + 1]
     del spectrum
     if blocks > 1:  # a contiguous copy for the segment sums frees the transform's other lags
@@ -138,10 +151,12 @@ def difference_function(
     Raises:
         ValueError: for a window below 1 or a tau_max below 0 (or either not
             an integer), "insufficient frame length" for a frame shorter than
-            window + tau_max, "non-finite samples" for a NaN or inf sample, and
-            for an unknown method.
+            window + tau_max, "non-finite samples" for a NaN or inf sample,
+            "samples must be real" for complex ones, and for an unknown method.
     """
-    x = np.asarray(frame.samples if isinstance(frame, Frame) else frame, dtype=np.float64)
+    x = frame.samples if isinstance(frame, Frame) else frame
+    _require_real_dtype(x, "samples")
+    x = np.asarray(x, dtype=np.float64)
     need = _require_int(window, "window", 1) + _require_int(tau_max, "tau_max", 0)
     length = x.shape[-1] if x.ndim else 0  # a 0-D frame holds no samples
     if length < need:
@@ -164,8 +179,10 @@ def cmnd(d: np.ndarray) -> np.ndarray:
 
     Raises:
         ValueError: "non-finite difference values" when d holds NaN or inf
-            or its CMND sums overflow float64, and for d with no lag axis or an empty one.
+            or its CMND sums overflow float64, "difference values must be real"
+            for a complex d, and for d with no lag axis or an empty one.
     """
+    _require_real_dtype(d, "difference values")
     d = np.asarray(d, dtype=np.float64)
     if d.ndim == 0 or d.shape[-1] == 0:
         raise ValueError(f"cmnd needs at least one lag, got shape {d.shape}")

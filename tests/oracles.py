@@ -225,6 +225,57 @@ def difference_fft_per_frame(x: np.ndarray, tau_max: int, window: int) -> np.nda
     return d
 
 
+def difference_adjoint_separate(x: np.ndarray, adj_d: np.ndarray, window: int) -> np.ndarray:
+    """The FFT adjoint of the difference function in its one-call-per-array
+    layout, kept verbatim: b, x and x[:window] each transformed on its own,
+    and the correlation conj(B)·X and the convolution B·Xh each inverted on
+    its own, 5 transform calls. `gradients._difference_adjoint`, which stacks
+    them into 2, must equal it bit for bit."""
+    n = len(x)
+    tau_max = len(adj_d) - 1
+    b = np.array(adj_d, dtype=np.float64)
+    b[0] = 0.0
+    size = scipy.fft.next_fast_len(n, real=True)
+    spec_b = scipy.fft.rfft(b, size)
+    corr = scipy.fft.irfft(np.conj(spec_b) * scipy.fft.rfft(x, size), size)[:window]
+    conv = scipy.fft.irfft(spec_b * scipy.fft.rfft(x[:window], size), size)[:n]
+    prefix = np.concatenate(([0.0], np.cumsum(b)))  # prefix[j] = sum_{k<j} b_k
+    m = np.arange(n)
+    in_window = prefix[np.minimum(m, tau_max) + 1] - prefix[np.clip(m - window + 1, 0, tau_max + 1)]
+    grad = 2.0 * (x * in_window - conv)
+    grad[:window] += 2.0 * (x[:window] * prefix[-1] - corr)
+    return grad
+
+
+def yingram_vjp_separate(
+    x: np.ndarray, lags: np.ndarray, cot: np.ndarray, window: int, tau_max: int,
+    eps: float = 1e-8,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Yingram VJP in its one-call-per-array layout, kept verbatim: the
+    forward of `difference_fft_per_frame`, the CMND terms, the channel
+    cotangents scattered onto the lags by two np.add.at calls (floors, then
+    ceilings), the CMND adjoint and `difference_adjoint_separate`: 8
+    transform calls. Returns (gradient, guard mask of lags 0 up to the
+    highest lag a channel reads); `gradients._vjp` must equal both bit for bit."""
+    x = np.asarray(x, dtype=np.float64)
+    d = difference_fft_per_frame(x, tau_max, window)
+    csum = np.zeros_like(d)
+    np.cumsum(d[1:], out=csum[1:])
+    guarded = csum < eps
+    csum[guarded] = 1.0
+    values = np.where(guarded, 1.0, d * np.arange(len(d)) / csum)
+    ceils = np.ceil(lags).astype(int)
+    floors = np.floor(lags).astype(int)
+    frac = lags - floors
+    adj_dp = np.zeros(tau_max + 1)
+    np.add.at(adj_dp, floors, cot * (1.0 - frac))
+    np.add.at(adj_dp, ceils, cot * frac)
+    adj_dp[guarded] = 0.0
+    adj_d = adj_dp * np.arange(tau_max + 1) / csum
+    adj_d[1:] -= np.cumsum((adj_dp * values / csum)[::-1])[::-1][1:]
+    return difference_adjoint_separate(x, adj_d, window), guarded[: ceils.max() + 1]
+
+
 def f0_csv_lines_loop(contour) -> list[str]:
     """The contour CSV as the f0 command formatted it frame by frame, from
     numpy scalars: an f0 that `np.isnan` flags is an empty field."""

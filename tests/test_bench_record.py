@@ -237,3 +237,115 @@ def test_compare_names_a_file_that_is_not_a_bench_file(tmp_path, capsys, text):
     good.write_text(json.dumps(tool.aggregate(_runs(), BENCHMARK)))
     assert tool.main(["--compare", str(good), str(bad)]) == 2
     _refused(capsys, re.escape(str(bad)) + r" is not (JSON|a BENCH file): .*")
+
+
+# ---------------------------------------------------------------- per layer
+
+LAYERS = {  # a traced run's per_layer metrics: a live layer, a dead one, the faulty ratios
+    "gradients.yingram_vjp.calls": 96.0, "gradients.yingram_vjp.self_ms": 30.0,
+    "yin.pick_lag.calls": 0.0, "yin.pick_lag.self_ms": 0.0,
+    "grid.channel_lags_per_frame": 4.0, "feature.discarded_row_share": 0.0,
+    "trace.overhead_share": -0.02, "trace.wall_ms": 70.0,
+}
+
+
+def _traced(workload, scale=1.0, **env):
+    """A `--trace 1` run as `run_one` returns it; self times and shares times `scale`."""
+    run = _run(workload, tool.TRACE_SEED, **env)
+    del run["record"]["end_to_end"]
+    run["record"]["per_layer"] = {k: scale * v if k.endswith("self_ms") else v
+                                  for k, v in LAYERS.items()}
+    run["record"]["self_share_by_op_kind"] = {"grad": {"gradients.yingram_vjp": 0.4 * scale,
+                                                       "bench.op": 0.05}}
+    return run
+
+
+def _with_layers(scale=1.0, **kwargs):
+    return tool.aggregate(_runs(**kwargs), BENCHMARK, [_traced(w, scale) for w in WORKLOADS])
+
+
+def test_aggregate_keeps_the_traced_run_beside_the_gated_metrics():
+    body = _with_layers()
+    blocks = [body["workloads"][w].pop("per_layer") for w in WORKLOADS]
+    assert body == tool.aggregate(_runs(), BENCHMARK)  # the gated part is unchanged
+    assert blocks == [{"gated": False, "seed": 0, "correct": True, "metrics": LAYERS,
+                       "shares": {"grad": {"gradients.yingram_vjp": 0.4, "bench.op": 0.05}}}
+                      ] * len(WORKLOADS)
+    with pytest.raises(ValueError, match="^environments differ: "):
+        tool.aggregate(_runs(), BENCHMARK, [_traced(WORKLOADS[1], numpy="1.26.4")])
+
+
+def test_layer_ratios_are_printed_and_never_gate(tmp_path, capsys):
+    base, slower = _with_layers(), _with_layers(scale=3.0)
+    assert tool.compare(base, slower, BENCHMARK)[1]  # the gated metrics are equal
+    assert _compare_cli(tmp_path, base, slower) == 0
+    out = capsys.readouterr().out
+    rows = {tuple(line.split()[:2]): line.split()[2:] for line in out.splitlines()}
+    for w in WORKLOADS:
+        assert rows[w, "gradients.yingram_vjp.self_ms"][:3] == ["30", "90", "3.000"]
+        assert rows[w, "gradients.yingram_vjp.calls"][:3] == ["96", "96", "1.000"]
+    shares = [line for line in out.splitlines() if "share of grad ops: gradients.yingram_vjp" in line]
+    assert len(shares) == len(WORKLOADS) and all(line.split()[-3:] == ["0.4", "1.2", "3.000"]
+                                                 for line in shares)
+
+
+def test_known_bench_faults_are_flagged_not_dropped():
+    lines = tool.compare_layers(_with_layers(), _with_layers())
+    first = {line.split()[1]: line for line in lines if line.startswith(WORKLOADS[0] + " ")}
+    assert set(LAYERS) <= first.keys()  # every metric is printed, a dead one included
+    for name in ("yin.pick_lag.calls", "yin.pick_lag.self_ms", "grid.channel_lags_per_frame",
+                 "feature.discarded_row_share", "trace.overhead_share"):
+        assert "bench FOUND: " in first[name], name
+    for name in ("gradients.yingram_vjp.self_ms", "trace.wall_ms"):
+        assert "FOUND" not in first[name], name
+    assert "reads 0, a layer analysis no longer calls" in first["yin.pick_lag.calls"]
+    assert "negative" in first["trace.overhead_share"]
+
+
+def test_files_without_the_layer_block_still_compare(tmp_path, capsys):
+    assert _compare_cli(tmp_path, tool.aggregate(_runs(), BENCHMARK), _with_layers()) == 0
+    out = capsys.readouterr().out
+    assert all(f"{w:12s} per-layer block not recorded in A\n" in out for w in WORKLOADS)
+    old = [ROOT / "BENCH_15.json", ROOT / "BENCH_16.json"]  # recorded before the block existed
+    assert tool.main(["--compare", *map(str, old)]) == 0
+    assert "per-layer block not recorded in A and B" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("block", [[], {"metrics": {}}, {"metrics": [], "shares": {}}])
+def test_compare_refuses_a_malformed_layer_block(tmp_path, capsys, block):
+    bad = _with_layers()
+    bad["workloads"][WORKLOADS[2]]["per_layer"] = block
+    assert _compare_cli(tmp_path, _with_layers(), bad) == 2
+    _refused(capsys, rf".* is not a BENCH file: the per_layer block of workload {WORKLOADS[2]} .*")
+
+
+FAKE_BENCH = """
+import json, sys
+from pathlib import Path
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+w, seed, trace = args["--workload"], int(args["--seed"]), int(args["--trace"])
+record = {"environment": {"seed": seed}, "input_sha256": w, "output_sha256": {}, "failed_op_share": 0.0}
+if trace:
+    record.update(per_layer={"x.self_ms": 1.0 + seed}, self_share_by_op_kind={"op": {"x": 0.5}})
+else:
+    record["end_to_end"] = {m: {"value": 1.0 + seed} for m in METRICS}
+Path(".bench_results").mkdir(exist_ok=True)
+Path(f".bench_results/{w}-seed{seed}-trace{trace}.json").write_text(json.dumps(record))
+print(json.dumps({"correct": True}))
+"""
+
+
+def test_recording_adds_one_traced_run_per_workload(tmp_path, monkeypatch):
+    # a stand-in for bench/run.py that writes each run's record as it would
+    (tmp_path / "fake_bench.py").write_text(f"METRICS = {METRICS!r}\n{FAKE_BENCH}")
+    benchmark = {**BENCHMARK, "command": [sys.executable, "fake_bench.py"], "run_seconds": 1}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    monkeypatch.setattr(tool, "SEEDS", (0, 1))
+    monkeypatch.setattr(tool, "REPO", tmp_path)
+    assert tool.main(["--checkout", str(tmp_path)]) == 0
+    body = json.loads((tmp_path / "BENCH_1.json").read_text())
+    for w in WORKLOADS:
+        assert body["workloads"][w]["per_layer"] == {
+            "gated": False, "seed": tool.TRACE_SEED, "correct": True,
+            "metrics": {"x.self_ms": 1.0}, "shares": {"op": {"x": 0.5}}}
+        assert body["workloads"][w]["metrics"][METRICS[0]]["samples"] == [1.0, 2.0]

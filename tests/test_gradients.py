@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from yingram import (
@@ -20,10 +21,17 @@ from yingram import (
     yingram_vjp,
 )
 from yingram import gradients
+from yingram.feature import _channel_brackets
 from yingram.gradients import _difference_adjoint
 from yingram.grid import channel_lags
 from yingram.yin import cmnd
-from oracles import difference_adjoint_loop, yingram_vjp_csum_squared
+from oracles import (
+    difference_adjoint_loop,
+    difference_adjoint_separate,
+    difference_fft_per_frame,
+    yingram_vjp_csum_squared,
+    yingram_vjp_separate,
+)
 
 SR = 22050
 GRID = NoteGrid()
@@ -456,3 +464,122 @@ def test_vjp_scales_up_to_the_forward_bound(scale):
     unit = yingram_vjp(_frame(x), GRID, cot)
     scaled = scale * yingram_vjp(_frame(scale * x), GRID, cot)
     np.testing.assert_allclose(scaled, unit, rtol=0, atol=1e-12 * np.max(np.abs(unit)))
+
+
+# ------------------------------------------------ the stacked transform layout
+# The per-frame forward and the VJP stack their transforms; the oracles keep
+# the one-call-per-array layout, and every result must keep its bits.
+
+TAU_MAX = 426
+
+
+def _layout_frame(kind, window, rng):
+    n = window + TAU_MAX + (37 if kind == "noise" else 0)  # a frame longer than its window, too
+    if kind == "tonal":
+        return random_tonal_frame(rng, n)
+    if kind == "noise":
+        return rng.standard_normal(n)
+    x = np.zeros(n)
+    if kind == "tail":  # silent but its last samples: guarded on every lag a channel reads
+        x[-3:] = 1.0
+    return x
+
+
+@pytest.mark.parametrize("channels", [slice(0, 80), slice(15, 65)], ids=["full", "scope"])
+@pytest.mark.parametrize("window", [64, 517, 2048])
+@pytest.mark.parametrize("kind", ["tonal", "noise", "silent", "tail"])
+def test_vjp_keeps_the_bits_of_separate_transforms(kind, window, channels):
+    rng = np.random.default_rng(window)
+    x = _layout_frame(kind, window, rng)
+    cot = np.zeros(80)
+    cot[channels] = rng.standard_normal(80)[channels]
+    want, want_guard = yingram_vjp_separate(x, channel_lags(GRID, SR), cot, window, TAU_MAX)
+    samples, brackets, tau_max, window, cot = gradients._checked_inputs(_frame(x), GRID, cot, window)
+    got, guard = gradients._vjp(brackets, samples, tau_max, window, cot)
+    assert np.array_equal(got, want) and np.array_equal(guard, want_guard)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the silent frames warn of the guard
+        assert np.array_equal(yingram_vjp(_frame(x), GRID, cot, window), want)
+    assert np.array_equal(difference_function(x, TAU_MAX, window),
+                          difference_fft_per_frame(x, TAU_MAX, window))
+
+
+@pytest.mark.parametrize("window", [64, 517, 2048])
+def test_stacked_forward_keeps_the_bits_of_one_frame_calls(window):
+    rng = np.random.default_rng(window)
+    kinds = ["tonal", "noise", "silent", "tail"]
+    n = window + TAU_MAX
+    stack = np.stack([_layout_frame(k, window, rng)[:n] for k in kinds * 2])
+    stack[4:] *= 1e-3
+    want = np.stack([difference_fft_per_frame(row, TAU_MAX, window) for row in stack])
+    assert np.array_equal(difference_function(stack, TAU_MAX, window), want)
+    assert np.array_equal(difference_function(stack.reshape(2, 4, n), TAU_MAX, window),
+                          want.reshape(2, 4, -1))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 64, 517, 2048]),
+       st.integers(0, TAU_MAX), st.integers(0, 40), st.sampled_from([1e-3, 1.0, 1e6]))
+def test_difference_adjoint_keeps_the_bits_of_separate_transforms(seed, window, tau_max, extra,
+                                                                  scale):
+    rng = np.random.default_rng(seed)
+    x = scale * rng.standard_normal(window + tau_max + extra)
+    adj_d = rng.standard_normal(tau_max + 1)
+    adj_d[rng.random(tau_max + 1) < 0.3] = 0.0  # guarded lags carry no cotangent
+    assert np.array_equal(_difference_adjoint(x, adj_d, window),
+                          difference_adjoint_separate(x, adj_d, window))
+
+
+def _count_transforms(monkeypatch) -> dict:
+    counts = {"rfft": 0, "irfft": 0}
+    for name, transform in [(name, getattr(scipy.fft, name)) for name in counts]:
+        def counted(*args, _name=name, _transform=transform, **kwargs):
+            counts[_name] += 1
+            return _transform(*args, **kwargs)
+        monkeypatch.setattr(scipy.fft, name, counted)
+    return counts
+
+
+def test_a_frame_takes_one_transform_pair_forward_and_two_back(monkeypatch):
+    # one rfft and one irfft forward; the VJP repeats the forward and adds
+    # one stacked rfft and one stacked irfft for its adjoint
+    x = random_tonal_frame(np.random.default_rng(1), FRAME_LEN)
+    counts = _count_transforms(monkeypatch)
+    yingram_from_frame(x, GRID, SR, 2048)
+    assert counts == {"rfft": 1, "irfft": 1}
+    counts.update(rfft=0, irfft=0)
+    yingram_vjp(_frame(x), GRID, np.ones(80), 2048)
+    assert counts == {"rfft": 2, "irfft": 2}
+
+
+@pytest.mark.parametrize("probes, window, forwards", [(25, None, 1), (40, 517, 2), (3, 64, 1)])
+def test_finite_diff_check_stacks_its_probe_forwards(monkeypatch, probes, window, forwards):
+    # 2 x probes perturbed frames, 64 to a stack; a stack of one probe's two
+    # frames gives the same report, bit for bit
+    frame = _frame(random_tonal_frame(np.random.default_rng(probes), (window or 2048) + TAU_MAX))
+    calls = []
+    kernel = gradients._difference_fft
+    monkeypatch.setattr(gradients, "_difference_fft", lambda x, *a: calls.append(x.shape) or kernel(x, *a))
+    stacked = finite_diff_check(frame, GRID, probes=probes, seed=3, window=window)
+    assert len(calls) == forwards and sum(shape[0] for shape in calls) == 2 * probes
+    monkeypatch.setattr(gradients, "_PROBE_ROWS", 2)
+    assert finite_diff_check(frame, GRID, probes=probes, seed=3, window=window) == stacked
+    assert stacked.probes_checked + stacked.probes_skipped == probes
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_probe_raises_as_a_one_frame_forward():
+    # the frame fits, the frame plus a step of 1e200 does not
+    x = random_tonal_frame(np.random.default_rng(2), FRAME_LEN)
+    with pytest.raises(ValueError, match=r"^non-finite difference values: the samples of "
+                                         r"frames 0\.\.0 are too large for their CMND"):
+        finite_diff_check(_frame(x), GRID, eps=1e200, probes=30)
+
+
+def test_the_vjp_caches_are_read_only_and_built_once():
+    brackets = _channel_brackets(GRID, SR)
+    bounds = gradients._window_bounds(FRAME_LEN, 2048, TAU_MAX)
+    assert _channel_brackets(GRID, SR) is brackets
+    assert gradients._window_bounds(FRAME_LEN, 2048, TAU_MAX) is bounds
+    for array in (*brackets, *bounds):
+        assert not array.flags.writeable

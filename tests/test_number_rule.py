@@ -48,7 +48,8 @@ from yingram import (
 from yingram.audio import frame_count, frame_signal
 from yingram.config import f0_lag_range
 from yingram.feature import yingram_frame
-from yingram.yin import estimate_f0, f0_rows, parabolic_refine, pick_lags
+from yingram.losses import decoding_loss, recon_loss
+from yingram.yin import cmnd, estimate_f0, f0_rows, parabolic_refine, pick_lags
 
 BAD_REALS = {"bool": True, "str": "2", "nan": math.nan, "inf": math.inf,
              "int-past-float": 10**400, "complex": 1j,
@@ -217,3 +218,37 @@ def test_an_integer_rate_past_the_float_range_is_named(parameter):
     # once an OverflowError from the rate's int-to-float conversion
     with pytest.raises(ValueError, match=f"^sample_rate={10**400} is beyond the float range$"):
         INTEGER_PARAMETERS[parameter](10**400)
+
+
+COMPLEX = SAMPLES.astype(complex)  # real values held in a complex dtype
+SCOPE = np.zeros((2, 50))
+
+# entry point -> (a call that passes a complex array there, the name the message gives)
+COMPLEX_ENTRY_POINTS = {
+    "Waveform": (lambda: Waveform(COMPLEX, SR), "samples"),
+    "Frame": (lambda: Frame(COMPLEX, 0, SR), "samples"),
+    "Frame of a list": (lambda: Frame(list(COMPLEX), 0, SR), "samples"),
+    "difference_function": (lambda: difference_function(COMPLEX, TAU_MAX), "samples"),
+    "difference_function of a stack": (lambda: difference_function(COMPLEX[None], TAU_MAX),
+                                       "samples"),
+    "cmnd": (lambda: cmnd(CURVE.astype(np.complex64)), "difference values"),
+    "yingram_from_frame": (lambda: yingram_from_frame(COMPLEX, DEFAULT_GRID, SR, 2048), "samples"),
+    "yingram_vjp.cotangent": (lambda: yingram_vjp(FRAME, DEFAULT_GRID, COTANGENT + 0j),
+                              "cotangent"),
+    "finite_diff_check.cotangent": (lambda: finite_diff_check(FRAME, cotangent=COTANGENT + 0j),
+                                    "cotangent"),
+    "decoding_loss": (lambda: decoding_loss(SCOPE, SCOPE + 0j), "prediction"),
+    "recon_loss": (lambda: recon_loss(SCOPE, SCOPE, SCOPE + 0j, SCOPE), "synth_default"),
+    "shift_consistency_metric": (lambda: shift_consistency_metric(MATRIX + 0j, MATRIX, 0),
+                                 "y_normal"),
+}
+
+
+@pytest.mark.filterwarnings("error")  # numpy's ComplexWarning would raise first
+@pytest.mark.parametrize("entry", sorted(COMPLEX_ENTRY_POINTS))
+def test_complex_values_raise_at_the_boundary(entry):
+    # a float64 cast once dropped the imaginary part with only a ComplexWarning,
+    # and resample returned a complex Waveform
+    call, name = COMPLEX_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=rf"^{name} must be real, got dtype complex(64|128)$"):
+        call()

@@ -23,6 +23,7 @@ RULE_HOMES = {
     "resample first": "feature",
     "non-finite difference values": "yin",
     "samples must be 1-D": "audio",
+    "must be real, got dtype": "grid",
     "parabolic_refine needs a 1-D curve holding lag": "yin",
     "cmnd needs at least one lag": "yin",
     "empty output path": "feature",

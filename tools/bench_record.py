@@ -8,22 +8,29 @@ Recording runs BENCHMARK.json's command (`python3 bench/run.py --workload W
 --seed N --seconds 20 --trace 0`) in the checkout DIR (default: this one),
 one subprocess per workload and seed over SEEDS.  Each run's
 `.bench_results/<W>-seed<N>-trace0.json` is read as soon as the run ends,
-because the next run of that workload and seed overwrites it.  The file is
-written at the root of this repository, as BENCH_<n>.json with n the next
-free number.  Per workload it holds each gated metric's median, quartiles
-and samples, the input and output digests of each seed, and `correct`; for
-the whole file, the commit with a dirty flag, the command and the
-environment.  Runs whose environments differ are refused.
+because the next run of that workload and seed overwrites it.  Then one
+`--trace 1` run per workload at TRACE_SEED records where the time went.  The
+file is written at the root of this repository, as BENCH_<n>.json with n
+the next free number.  Per workload it holds each gated metric's median,
+quartiles and samples, the input and output digests of each seed, and
+`correct`, and, marked `"gated": false`, the traced run's `per_layer`
+metrics and its self-time shares by op kind; for the whole file, the commit
+with a dirty flag, the command and the environment.  Runs whose
+environments differ are refused.
 
 `--compare A B` prints, per workload and gated metric, the medians, their
 ratio B/A, both interquartile ranges and whether the gap exceeds the bound
 in BENCHMARK.json.  It exits 1 when a metric is worse than its bound, an
 output digest differs, a workload's `correct` turns false, or its largest
-`failed_op_share` rises.  It refuses, with exit 2 and one line on stderr,
-a file that is not a BENCH file, and files from different environments,
-with different workloads, metrics or input digests, or with a metric that
-BENCHMARK.json does not bound; a failed run while recording exits 2 the
-same way.  Numbers compare only within one machine.
+`failed_op_share` rises.  Then, for workloads whose per-layer blocks both
+files hold, it prints each per-layer metric and each layer's self-time
+share with their ratios B/A, and flags the metrics the bench is known to
+misreport (KNOWN_FAULTS, DEAD_LAYERS); these never change the exit code.
+It refuses, with exit 2 and one line on stderr, a file that is not a BENCH
+file, and files from different environments, with different workloads,
+metrics or input digests, or with a metric that BENCHMARK.json does not
+bound; a failed run while recording exits 2 the same way.  Numbers compare
+only within one machine.
 """
 from __future__ import annotations
 
@@ -40,6 +47,24 @@ RUN_TIMEOUT_S = 900
 # what a BENCH file keeps per metric and per seed of a workload
 METRIC_KEYS = ("median", "q1", "q3")
 SEED_KEYS = ("input_sha256", "output_sha256", "failed_op_share")
+# the seed of each workload's one traced run, and what its block keeps
+TRACE_SEED = 0
+LAYER_KEYS = ("metrics", "shares")
+# Per-layer metrics the bench misreports, each with the test of the value
+# that shows the fault and what it is; mending them needs a change under
+# bench/, so they are flagged here, never dropped.
+KNOWN_FAULTS = {
+    "feature.discarded_row_share": (lambda v: v == 0, "reads 0: counts only compute_yingram "
+                                    "rows inside evaluate_shift_pair"),
+    "grid.channel_lags_per_frame": (lambda v: True, "counts lag-table cache lookups, not builds"),
+    "trace.overhead_share": (lambda v: v < 0, "negative: the overhead estimate overshoots"),
+    "yin.cmnd_per_frame": (lambda v: v == 0, "reads 0: counts frames of audio.frame_signal, "
+                           "which analysis does not call"),
+}
+# layers the tracer still wraps, although analysis runs on blocks and no
+# longer calls them: their metrics read 0 outside the per-frame path
+DEAD_LAYERS = ("audio.frame_signal", "yin.cmnd", "yin.pick_lag", "yin.estimate_f0",
+               "yin.parabolic_refine", "feature.yingram_frame")
 
 
 def quartiles(samples: list[float]) -> tuple[float, float, float]:
@@ -55,9 +80,11 @@ def _run_environment(record: dict) -> dict:
     return {k: v for k, v in record["environment"].items() if k != "seed"}
 
 
-def aggregate(runs: list[dict], benchmark: dict) -> dict:
+def aggregate(runs: list[dict], benchmark: dict, traced: list[dict] = ()) -> dict:
     """The BENCH_<n>.json body of `runs`, each {"workload", "seed", "correct",
-    "record"} with `record` as bench/run.py writes it.
+    "record"} with `record` as bench/run.py writes it; a workload's run in
+    `traced`, of the same form from a `--trace 1` run, gives its ungated
+    per-layer block.
 
     Raises:
         ValueError: when the runs' environments differ, or a workload has no run.
@@ -65,7 +92,7 @@ def aggregate(runs: list[dict], benchmark: dict) -> dict:
     if not runs:
         raise ValueError("no runs to aggregate")
     environment = _run_environment(runs[0]["record"])
-    for run in runs:
+    for run in [*runs, *traced]:
         if _run_environment(run["record"]) != environment:
             raise ValueError(f"environments differ: {run['workload']} seed {run['seed']} "
                              f"ran in {_run_environment(run['record'])}, not {environment}")
@@ -83,7 +110,53 @@ def aggregate(runs: list[dict], benchmark: dict) -> dict:
         seeds = {str(r["seed"]): {k: r["record"][k] for k in SEED_KEYS} for r in mine}
         workloads[spec["name"]] = {"correct": all(r["correct"] for r in mine),
                                    "metrics": metrics, "seeds": seeds}
+        for run in traced:
+            if run["workload"] == spec["name"]:
+                workloads[spec["name"]]["per_layer"] = {
+                    "gated": False, "seed": run["seed"], "correct": run["correct"],
+                    "metrics": run["record"]["per_layer"],
+                    "shares": run["record"]["self_share_by_op_kind"]}
     return {"environment": environment, "workloads": workloads}
+
+
+def _fault(name: str, value: float) -> str:
+    """The known bench fault `value` of per-layer metric `name` shows, or ''."""
+    test, note = KNOWN_FAULTS.get(name, (None, ""))
+    if test is not None and test(value):
+        return f"bench FOUND: {note}"
+    if value == 0 and any(name.startswith(layer + ".") for layer in DEAD_LAYERS):
+        return "bench FOUND: reads 0, a layer analysis no longer calls"
+    return ""
+
+
+def _ratio(a: float, b: float) -> str:
+    return f"{b / a:7.3f}" if a else f"{'-':>7s}"
+
+
+def compare_layers(a: dict, b: dict) -> list[str]:
+    """Report lines comparing the ungated per-layer blocks of BENCH file `b`
+    against base `a`: each metric and each op kind's self-time share of each
+    span, with B/A and the fault a value shows; a workload whose block either
+    file lacks gets one line saying so."""
+    lines = [f"per layer, ungated: one --trace 1 run per workload at seed {TRACE_SEED}",
+             f"{'workload':12s} {'metric':44s} {'A':>10s} {'B':>10s} {'B/A':>7s}  known fault"]
+    for name, wa in a["workloads"].items():
+        la, lb = wa.get("per_layer"), b["workloads"][name].get("per_layer")
+        if la is None or lb is None:
+            missing = " and ".join(f for f, block in (("A", la), ("B", lb)) if block is None)
+            lines.append(f"{name:12s} per-layer block not recorded in {missing}")
+            continue
+        for metric in sorted(la["metrics"].keys() | lb["metrics"].keys()):
+            va, vb = la["metrics"].get(metric, 0.0), lb["metrics"].get(metric, 0.0)
+            flag = " / ".join(sorted({_fault(metric, v) for v in (va, vb)} - {""}))
+            lines.append(f"{name:12s} {metric:44s} {va:10.4g} {vb:10.4g} {_ratio(va, vb)}  {flag}")
+        for kind in sorted(la["shares"].keys() | lb["shares"].keys()):
+            sa, sb = la["shares"].get(kind, {}), lb["shares"].get(kind, {})
+            for span in sorted(sa.keys() | sb.keys()):
+                va, vb = sa.get(span, 0.0), sb.get(span, 0.0)
+                lines.append(f"{name:12s} {'share of ' + kind + ' ops: ' + span:44s} "
+                             f"{va:10.4g} {vb:10.4g} {_ratio(va, vb)}")
+    return lines
 
 
 def compare(a: dict, b: dict, benchmark: dict) -> tuple[list[str], bool]:
@@ -147,12 +220,14 @@ def _git(checkout: Path, *args: str) -> str | None:
     return done.stdout.strip()
 
 
-def run_one(checkout: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
-    """One bench run; its record and the `correct` of its last stdout line.
-    Raises RuntimeError, naming the workload and seed, when the run fails or
-    its last stdout line is not a JSON object holding `correct`."""
+def run_one(checkout: Path, command: list[str], workload: str, seed: int, seconds: float,
+            trace: int = 0) -> dict:
+    """One bench run, traced when `trace` is 1; its record and the `correct`
+    of its last stdout line. Raises RuntimeError, naming the workload and
+    seed, when the run fails or its last stdout line is not a JSON object
+    holding `correct`."""
     argv = [*command, "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
     if done.returncode != 0:
@@ -166,7 +241,7 @@ def run_one(checkout: Path, command: list[str], workload: str, seed: int, second
     if not isinstance(verdict, dict) or "correct" not in verdict:
         raise RuntimeError(f"workload {workload} seed {seed}: the last stdout line is not "
                            f"a JSON verdict with `correct`: {last!r}")
-    path = checkout / ".bench_results" / f"{workload}-seed{seed}-trace0.json"
+    path = checkout / ".bench_results" / f"{workload}-seed{seed}-trace{trace}.json"
     return {"workload": workload, "seed": seed, "correct": verdict["correct"],
             "record": json.loads(path.read_text())}
 
@@ -182,7 +257,9 @@ def record(checkout: Path) -> Path:
             e2e = runs[-1]["record"]["end_to_end"]
             print(f"{spec['name']} seed {seed}: " + ", ".join(
                 f"{k} {v['value']:.4g}" for k, v in e2e.items()), file=sys.stderr, flush=True)
-    body = aggregate(runs, benchmark)
+    traced = [run_one(checkout, command, spec["name"], TRACE_SEED, seconds, trace=1)
+              for spec in benchmark["workloads"]]
+    body = aggregate(runs, benchmark, traced)
     status = _git(checkout, "status", "--porcelain")
     out = {"commit": _git(checkout, "rev-parse", "HEAD"),
            "dirty": None if status is None else bool(status),
@@ -222,6 +299,10 @@ def _read_bench(path: Path) -> dict:
             raise ValueError(f"{path} is not a BENCH file: workload {name} needs `correct`, "
                              f"metrics holding {', '.join(METRIC_KEYS)} and at least one "
                              f"seed holding {', '.join(SEED_KEYS)}")
+        layers = w.get("per_layer", {key: {} for key in LAYER_KEYS})
+        if not (isinstance(layers, dict) and all(isinstance(layers.get(k), dict) for k in LAYER_KEYS)):
+            raise ValueError(f"{path} is not a BENCH file: the per_layer block of workload "
+                             f"{name} needs {', '.join(LAYER_KEYS)}")
     return body
 
 
@@ -237,7 +318,7 @@ def main(argv=None) -> int:
             benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
             a, b = map(_read_bench, args.compare)
             lines, ok = compare(a, b, benchmark)
-            print("\n".join(lines))
+            print("\n".join(lines + compare_layers(a, b)))
             return 0 if ok else 1
         print(record(args.checkout.resolve()))
         return 0
