@@ -2,8 +2,13 @@
 from __future__ import annotations
 
 import contextvars
+import importlib
+import importlib.machinery
+import importlib.util
 import os
 import struct
+import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,9 +40,12 @@ _KAISER_BETA = 8.6
 # (`pitch_shifted_copy` by -s/2 semitones, |s| <= 15; s = 12 needs
 # 31183/22050). Other pairs resample at the nearest ratio within the cap.
 _MAX_POLYPHASE = 1 << 15
-# Inputs of at least this many samples resample in two parts on two threads
-# (`_resample_poly`); shorter ones, in one call, gain less than a thread costs.
+# Inputs of at least this many samples resample in parts of at most this many
+# (plus margins), at least two, on two threads (`_resample_poly`); shorter
+# ones, in one call, gain less than a thread costs.
 _SPLIT_SAMPLES = 1 << 17
+# scipy's compiled polyphase loop, the one part of scipy.signal resampling runs
+_UPFIRDN = "scipy.signal._upfirdn_apply"
 # (format tag, bits) -> (the type a sample is viewed as, full scale)
 _STORED_TYPES = {(1, 16): ("<i2", 2.0**15), (1, 24): ("<i4", 2.0**23), (3, 32): ("<f4", 1.0)}
 # Stored samples `load_wav` reads and decodes at a time (rounded down to
@@ -265,47 +273,121 @@ def _usable_cores() -> int:
 
     `_resample_poly` splits only with two of them. Fresh processes resampled
     60 s of 48 kHz noise to 22.05 kHz, best of 9, in 5 alternating rounds on
-    a 2-core VM. Pinned to one core, one call took 135-184 ms at a peak RSS
-    of 136.3-136.8 MiB, and a forced split 147-197 ms at 147.7-153.9 MiB;
-    on two cores the split took 78-99 ms at 147.8-148.1 MiB. On one core the
-    split gains nothing and holds 11-17 MiB more."""
+    a 2-core VM. Pinned to one core, one call took 108-141 ms at a peak RSS
+    of 88.7-89.0 MiB, and a forced split 113-126 ms at 92.5-94.0 MiB; on two
+    cores the split took 58-66 ms at 91.2-91.7 MiB. On one core the split
+    gains nothing and holds 3-5 MiB more."""
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _resample_poly(x: np.ndarray, up: int, down: int, fir: np.ndarray) -> np.ndarray:
-    """scipy.signal.resample_poly(x, up, down, window=fir), bit for bit; a
-    long x (at least _SPLIT_SAMPLES samples, with two usable cores) runs as
-    two overlapping parts on two threads that the call joins before it
-    returns or raises.
+def _upfirdn_kernel():
+    """The module `_UPFIRDN`. `import scipy.signal` loads about 450 modules,
+    scipy.stats among them: in a fresh interpreter it took about 0.5 s and
+    48 MiB, where this extension alone takes 0.5 ms and no measurable RSS.
+    So, unless something has loaded it, it is loaded from its file in
+    scipy's signal/ folder under its own name and registered in sys.modules,
+    where a later `import scipy.signal` finds it and reuses it. Only where no
+    such file exists is it imported the usual way, package and all."""
+    if _UPFIRDN in sys.modules:
+        return sys.modules[_UPFIRDN]
+    import scipy
 
-    The parts meet at input a, a multiple of down, and each reaches `margin`
-    samples past it: at least len(fir) / up, the inputs one output reads,
-    rounded up to a multiple of down. Each upfirdn output sums its taps times
-    its inputs in input order, and the taps an input meets depend only on
-    its offset from the output's position, so when a part starts at a
-    multiple of down its outputs are those of the whole call: the first
-    part's first a * up / down, the second part's from margin * up / down on.
+    folder = os.path.join(os.path.dirname(scipy.__file__), "signal")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_upfirdn_apply" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(_UPFIRDN, path)
+            kernel = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(kernel)
+            sys.modules[_UPFIRDN] = kernel
+            return kernel
+    return importlib.import_module(_UPFIRDN)
+
+
+def _polyphase_filter(kernel, fir: np.ndarray, up: int, down: int, n_in: int) -> tuple:
+    """(kernel, taps, skip, h) for `_resample_part`: what
+    scipy.signal.resample_poly(x, up, down, window=fir) builds around the
+    kernel for len(x) == n_in. fir * up, zero padded in front so the outputs
+    sit at the filter's centre (and behind, as long as the kernel's output
+    would fall short), holds `taps` taps; `skip` outputs lead the kept ones;
+    h is upfirdn's `_pad_h` of the taps, each phase's taps flipped, one
+    phase after another."""
+    half_len = (len(fir) - 1) // 2
+    pre_pad, post_pad = down - half_len % down, 0
+    skip = (half_len + pre_pad) // down
+    n_out = -(-n_in * up // down)
+    while kernel._output_len(len(fir) + pre_pad + post_pad, n_in, up, down) < n_out + skip:
+        post_pad += 1
+    taps = pre_pad + len(fir) + post_pad
+    h = np.zeros(taps + -taps % up)
+    h[pre_pad : pre_pad + len(fir)] = fir * up
+    return kernel, taps, skip, np.ascontiguousarray(h.reshape(-1, up).T[:, ::-1].ravel())
+
+
+def _resample_part(x: np.ndarray, up: int, down: int, poly: tuple) -> np.ndarray:
+    """scipy.signal.resample_poly(x, up, down, window=fir), bit for bit, for
+    poly = `_polyphase_filter(kernel, fir, up, down, n)`: the kernel's
+    constant-mode loop over x as float64, the dtype resample_poly computes in
+    with a float64 fir, less the outputs resample_poly drops. The parts of a
+    split share the whole input's poly: `_kaiser_sinc` filters need no
+    padding behind at any length."""
+    kernel, taps, skip, h = poly
+    out = np.zeros(kernel._output_len(taps, len(x), up, down))
+    kernel._apply(np.asarray(x, np.float64), h, out, up, down, 0, kernel.mode_enum("constant"), 0.0)
+    return out[skip : skip + -(-len(x) * up // down)]
+
+
+def _resample_poly(x: np.ndarray, up: int, down: int, fir: np.ndarray) -> np.ndarray:
+    """scipy.signal.resample_poly(x, up, down, window=fir), bit for bit,
+    through scipy's compiled kernel (`_upfirdn_kernel`), never importing
+    scipy.signal. A long x (at least _SPLIT_SAMPLES samples, with two usable
+    cores) runs as overlapping parts on two threads that the call joins
+    before it returns or raises.
+
+    The parts meet at multiples of down, `step` input samples apart, at most
+    _SPLIT_SAMPLES where down allows, and each reaches `margin` samples past
+    its ends: at least len(fir) / up, the inputs one output reads, rounded up
+    to a multiple of down. Each upfirdn output sums its taps times its inputs
+    in input order, and the taps an input meets depend only on its offset
+    from the output's position, so when a part starts at a multiple of down
+    its outputs are those of the whole call: part [a, a + step) gives outputs
+    a * up / down up to (a + step) * up / down. At most three parts are in
+    flight; each is copied into the one output in input order and dropped.
     Each part runs in a copy of the caller's context, so numpy's errstate
     holds in it, and the first part's error wins, as in a serial loop. The
-    calling thread runs neither part: with the first part on it, the bench's
-    long_clips peak RSS read about 6.5 MiB higher. The split stays although
-    one call peaks lower: in 8 alternating long_clips bench pairs on a 2-core
-    VM, one call lost every pair, op_p50_probes 7.24 -> 8.47 (x1.17), for a
-    peak RSS of 141.8 instead of 153.3 MiB.
+    calling thread runs no part and resolves the kernel before any part
+    starts. Resampling 60 s of 48 kHz noise to 22.05 kHz in a fresh process
+    raised the peak RSS over the input's by 12.3-12.9 MiB split and 11.1 MiB
+    in one call, of which the output holds 10.1 MiB; through scipy.signal's
+    resample_poly, by 69.5 and 58.6 MiB (2-core VM).
     """
-    import scipy.signal  # only resampling needs it, and it dominates start-up
-
+    poly = _polyphase_filter(_upfirdn_kernel(), fir, up, down, len(x))
     margin = -(-len(fir) // up)
     margin = -(-margin // down) * down
-    a = len(x) // 2 // down * down
-    if len(x) < _SPLIT_SAMPLES or _usable_cores() < 2 or not margin <= a <= len(x) - margin:
-        return scipy.signal.resample_poly(x, up, down, window=fir)
+    n = len(x)
+    parts = max(2, -(-n // max(down, _SPLIT_SAMPLES // down * down)))
+    step = -(-n // (parts * down)) * down
+    if n < _SPLIT_SAMPLES or _usable_cores() < 2 or not margin <= step < n:
+        return _resample_part(x, up, down, poly)
+    y = np.empty(-(-n * up // down))
+
+    def copy(a: int, future) -> None:
+        first = max(a - margin, 0) * up // down  # the output the part starts at
+        stop = min((a + step) * up // down, len(y))
+        y[a * up // down : stop] = future.result()[a * up // down - first : stop - first]
+
     with ThreadPoolExecutor(2) as pool:
-        head, tail = (pool.submit(contextvars.copy_context().run, scipy.signal.resample_poly,
-                                  part, up, down, window=fir)
-                      for part in (x[: a + margin], x[a - margin :]))
-    return np.concatenate((head.result()[: a * up // down], tail.result()[margin * up // down :]))
+        running = deque()
+        for a in range(0, n, step):
+            part = x[max(a - margin, 0) : a + step + margin]
+            running.append((a, pool.submit(contextvars.copy_context().run, _resample_part,
+                                           part, up, down, poly)))
+            if len(running) > 2:
+                copy(*running.popleft())
+        while running:
+            copy(*running.popleft())
+    return y
 
 
 def resample(w: Waveform, target_sr: int) -> Waveform:

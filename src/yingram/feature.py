@@ -127,16 +127,23 @@ def _sample_at(values: np.ndarray, brackets: tuple) -> np.ndarray:
 
 def _lag_brackets(lags: np.ndarray, tau_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(floors, ceils, frac) of fractional lags: the one bracket rule of
-    `yingram_rows`, `yingram_frame` and the VJP; raises as `yingram_rows`."""
+    `yingram_rows` and, through `_channel_brackets`, of `yingram_frame`,
+    `_analyse` and the VJP; raises as `yingram_rows`."""
     ceils = np.ceil(lags)
-    low = np.min(lags)
-    if not (low >= 0 and ceils.max() <= tau_max):  # before the cast; NaN fails both
-        raise ValueError(
-            f"lag out of range: the curve covers lags 0..{tau_max:.6g}, "
-            f"the lags span {low:.6g}..{np.max(lags):.6g}"
-        )
+    _require_on_curve(lags, tau_max, np.min(lags), ceils.max())  # before the cast
     floors = np.floor(lags).astype(int)
     return floors, ceils.astype(int), lags - floors
+
+
+def _require_on_curve(lags: np.ndarray, tau_max: int, low, top) -> None:
+    """ValueError("lag out of range: ...") unless the least of `lags`, low, is
+    at least 0 and the greatest of their ceilings, top, at most tau_max, a
+    curve's last lag; NaN fails both."""
+    if not (low >= 0 and top <= tau_max):
+        raise ValueError(
+            f"lag out of range: the curve covers lags 0..{tau_max:.6g}, "
+            f"the lags span {np.min(lags):.6g}..{np.max(lags):.6g}"
+        )
 
 
 @lru_cache
@@ -157,7 +164,11 @@ def yingram_frame(
     channel's fractional lag (the one-curve case of `yingram_rows`, with the
     lags of note start_note + ch). Raises ValueError for a rate `channel_lags`
     rejects and for a curve that stops short of the lags ("lag out of range")."""
-    return yingram_rows(values, channel_lags(grid, sample_rate))
+    lags = channel_lags(grid, sample_rate)  # the rate rule, before the cache
+    brackets = _channel_brackets(grid, sample_rate)
+    # channel 0 holds the lowest note: the greatest lag, and the greatest ceiling
+    _require_on_curve(lags, values.shape[-1] - 1, lags[-1], brackets[1][0])
+    return _sample_at(values, brackets)
 
 
 def yingram_from_frame(
@@ -205,15 +216,15 @@ def _analyse(w: Waveform, cfg: AnalysisConfig) -> tuple[YingramMatrix, PitchCont
     x = np.asarray(w.samples, dtype=np.float64)
     require_finite(x, "samples")
     n = frame_count(len(x), cfg.frame_length, cfg.hop)
-    lags = channel_lags(cfg.grid, cfg.sample_rate)
+    brackets = _channel_brackets(cfg.grid, cfg.sample_rate)
     padded = np.empty(n, dtype=bool)
-    rows = np.empty((n, len(lags)), dtype=np.float32)
+    rows = np.empty((n, cfg.grid.num_channels), dtype=np.float32)
     f0, aperiodicity = np.empty(n), np.empty(n)
     for start in range(0, n, BLOCK_FRAMES):
         block = slice(start, min(start + BLOCK_FRAMES, n))
         span, padded[block] = _frame_span(x, cfg.frame_length, cfg.hop, block.start, block.stop)
         values = _cmnd_terms(_difference_fft(span, cfg.tau_max, cfg.window, cfg.hop), start)[0]
-        rows[block] = yingram_rows(values, lags)
+        rows[block] = _sample_at(values, brackets)
         f0[block], aperiodicity[block] = f0_rows(
             values, cfg.sample_rate, cfg.f0_threshold, cfg.f_min, cfg.f_max, cfg.voicing_cutoff
         )

@@ -86,9 +86,14 @@ def _require_real(**values) -> None:
 def _require_real_dtype(values, name: str) -> None:
     """ValueError for complex values: the real-sample rule of samples, CMND
     curves, cotangents and loss matrices, read before any float64 cast, which
-    would drop the imaginary part with only numpy's ComplexWarning."""
-    if np.iscomplexobj(values):
-        raise ValueError(f"{name} must be real, got dtype {np.asarray(values).dtype}")
+    would drop the imaginary part with only numpy's ComplexWarning. An
+    object array is read value by value: a complex value in it would
+    otherwise escape as a TypeError from the cast or from np.isfinite."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values) or values.dtype == object and any(
+        isinstance(v, numbers.Complex) and not isinstance(v, numbers.Real) for v in values.flat
+    ):
+        raise ValueError(f"{name} must be real, got dtype {values.dtype}")
 
 
 def _require_float_int(value, name: str) -> int:

@@ -5,6 +5,7 @@ arithmetic so the tests stay decoupled from the implementation's reductions.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -116,19 +117,34 @@ def decode_mean(data: bytes, audio_format: int, bits: int, n_channels: int) -> n
     return samples if n_channels == 1 else samples.reshape(-1, n_channels).mean(axis=1)
 
 
+@functools.lru_cache
+def _firwin(max_rate: int) -> np.ndarray:
+    fir = scipy.signal.firwin(64 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 8.6))
+    fir.flags.writeable = False
+    return fir
+
+
+def resample_poly_firwin(samples: np.ndarray, up: int, down: int) -> np.ndarray:
+    """scipy.signal.resample_poly by up / down with the resampler's filter:
+    64 * max(up, down) + 1 Kaiser-sinc taps from firwin."""
+    return scipy.signal.resample_poly(samples, up, down, window=_firwin(max(up, down)))
+
+
+def resample_firwin(samples: np.ndarray, source_sr: int, target_sr: int, up: int, down: int) -> np.ndarray:
+    """`resample_poly_firwin` by up / down, zero padded or cut to an output
+    length of round(len * target_sr / source_sr)."""
+    y = resample_poly_firwin(samples, up, down)
+    n_out = int(np.floor(len(samples) * target_sr / source_sr + 0.5))
+    return np.pad(y, (0, max(0, n_out - len(y))))[:n_out]
+
+
 def resample_unbounded(samples: np.ndarray, source_sr: int, target_sr: int) -> np.ndarray:
-    """The resampler with an unbounded filter: the exact ratio in lowest
-    terms, 64 * max(up, down) + 1 Kaiser-sinc taps, and an output length of
-    round(len * target_sr / source_sr). Equal rates pass through."""
+    """The resampler with an unbounded filter: `resample_firwin` at the exact
+    ratio in lowest terms. Equal rates pass through."""
     if source_sr == target_sr:
         return np.array(samples, dtype=np.float64)
     g = math.gcd(target_sr, source_sr)
-    up, down = target_sr // g, source_sr // g
-    max_rate = max(up, down)
-    fir = scipy.signal.firwin(64 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 8.6))
-    y = scipy.signal.resample_poly(samples, up, down, window=fir)
-    n_out = int(np.floor(len(samples) * target_sr / source_sr + 0.5))
-    return np.pad(y, (0, max(0, n_out - len(y))))[:n_out]
+    return resample_firwin(samples, source_sr, target_sr, target_sr // g, source_sr // g)
 
 
 def difference_adjoint_loop(

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.signal
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from yingram import (
     Frame,
@@ -44,7 +44,7 @@ from conftest import (
     write_with_extra_chunk,
     set_usable_cores,
 )
-from oracles import decode_mean, fft_peak_hz, resample_unbounded
+from oracles import decode_mean, fft_peak_hz, resample_firwin, resample_poly_firwin, resample_unbounded
 
 
 def test_pcm16_scaling(tmp_path):
@@ -541,44 +541,62 @@ def test_numpy_parameters_give_the_same_tone():
     assert v.samples.tobytes() == w.samples.tobytes()
 
 
+def _spy_calls(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Spy on `audio._resample_part`, the one kernel call of each part (or of
+    the whole input): (its input, its output) per call, as they return."""
+    calls = []
+    real = audio._resample_part
+
+    def spy(part, *args):
+        calls.append((part, real(part, *args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(audio, "_resample_part", spy)
+    return calls
+
+
+def _oracle(x: np.ndarray, source: int, target: int) -> np.ndarray:
+    """`resample`'s samples from one scipy.signal.resample_poly call over the
+    whole input, with firwin's filter, at `resample`'s ratio and length."""
+    return resample_firwin(x, source, target, *audio._polyphase_factors(source, target))
+
+
+def _margin(up: int, down: int) -> int:
+    """The inputs one output reads, len(fir) / up, rounded up to a multiple of down."""
+    return -(-(-(-(64 * max(up, down) + 1) // up)) // down) * down
+
+
+def _check_parts(calls, x: np.ndarray, source: int, target: int, split: int) -> None:
+    """The part rule: below `split` samples, one call on the whole of x;
+    from it on, at least two parts whose own samples follow each other in
+    input order and start at multiples of down, at most `split` (or down)
+    of them to a part, each part reading a margin past its own samples on
+    each side, clipped to x."""
+    up, down = audio._polyphase_factors(source, target)
+    spans = sorted(((part.ctypes.data - x.ctypes.data) // x.itemsize, len(part)) for part, _ in calls)
+    if len(x) < split:
+        assert spans == [(0, len(x))]
+        return
+    margin = _margin(up, down)
+    own = [0] + [start + margin for start, _ in spans[1:]] + [len(x)]
+    assert len(spans) >= 2
+    for (start, length), first, stop in zip(spans, own, own[1:]):
+        assert first % down == 0 and 0 < stop - first <= max(split, down)
+        assert (start, start + length) == (max(first - margin, 0), min(stop + margin, len(x)))
+
+
 def test_resample_pads_a_short_filter_output_with_zeros(monkeypatch):
     # 48000 -> 47999 Hz: the bounded filter resamples by 32767/32768, so
     # resample_poly returns 65534 samples of a 65536-sample clip, and the
     # length rule asks for round(65536 * 47999 / 48000) = 65535
-    outputs = []
-
-    def spy(*args, **kwargs):
-        outputs.append(real(*args, **kwargs))
-        return outputs[-1]
-
-    real = scipy.signal.resample_poly
-    monkeypatch.setattr(scipy.signal, "resample_poly", spy)
+    calls = _spy_calls(monkeypatch)
     w = Waveform(np.random.default_rng(0).uniform(-0.5, 0.5, 65536), 48000)
     out = resample(w, 47999)
-    assert len(outputs) == 1 and len(outputs[0]) == 65534
+    assert len(calls) == 1 and len(calls[0][1]) == 65534
+    assert calls[0][1].tobytes() == resample_poly_firwin(w.samples, 32767, 32768).tobytes()
     assert len(out) == 65535 and out.sample_rate == 47999
     assert out.samples[-1] == 0.0
-    assert out.samples[:-1].tobytes() == outputs[0].tobytes()
-
-
-def _resample_poly_inputs(monkeypatch) -> list[int]:
-    """Spy on scipy.signal.resample_poly: the input length of each call."""
-    lengths = []
-    real = scipy.signal.resample_poly
-
-    def spy(x, *args, **kwargs):
-        lengths.append(len(x))
-        return real(x, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.signal, "resample_poly", spy)
-    return lengths
-
-
-def _one_call(x: np.ndarray, source: int, target: int) -> np.ndarray:
-    """`resample`'s samples from one resample_poly call over the whole input."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(audio, "_SPLIT_SAMPLES", sys.maxsize)
-        return resample(Waveform(x, source), target).samples
+    assert out.samples[:-1].tobytes() == calls[0][1].tobytes()
 
 
 def test_resample_pads_a_short_filter_output_with_zeros_on_a_long_input(monkeypatch):
@@ -587,10 +605,10 @@ def test_resample_pads_a_short_filter_output_with_zeros_on_a_long_input(monkeypa
     # length rule asks for round(131072 * 47999 / 48000) = 131069
     set_usable_cores(monkeypatch, 2)
     x = np.random.default_rng(0).uniform(-0.5, 0.5, 2**17)
-    whole = scipy.signal.resample_poly(x, 32767, 32768, window=audio._kaiser_sinc(32768))
-    inputs = _resample_poly_inputs(monkeypatch)
+    whole = resample_poly_firwin(x, 32767, 32768)
+    calls = _spy_calls(monkeypatch)
     out = resample(Waveform(x, 48000), 47999)
-    assert len(inputs) == 2 and len(whole) == 131068
+    assert len(calls) == 2 and len(whole) == 131068
     assert len(out) == 131069 and out.sample_rate == 47999
     assert out.samples[-1] == 0.0
     assert out.samples[:-1].tobytes() == whole.tobytes()
@@ -605,56 +623,98 @@ SPLIT_PAIRS = COMMON_PAIRS + [(48000, 47999)] + [
 SPLIT_LENGTHS = (2**17 - 1, 2**17, 2**17 + 1, 2**17 + 2**15 + 3)
 
 
+# split sizes: the real one (one or two parts about it), and ones that cut
+# the same inputs into about 4 and about 9 parts
+@pytest.mark.parametrize("split", [audio._SPLIT_SAMPLES, 2**15 + 1, 2**14])
 @pytest.mark.parametrize("pair", SPLIT_PAIRS, ids=lambda p: f"{p[0]}-{p[1]}")
-def test_split_resample_equals_one_call_bit_for_bit(monkeypatch, pair):
+def test_split_resample_equals_one_call_bit_for_bit(monkeypatch, pair, split):
     # each pair at one of the lengths about the split threshold, in turn
     n = SPLIT_LENGTHS[SPLIT_PAIRS.index(pair) % len(SPLIT_LENGTHS)]
-    set_usable_cores(monkeypatch, 2)
     x = np.random.default_rng(n).standard_normal(n)
-    expected = _one_call(x, *pair)
-    inputs = _resample_poly_inputs(monkeypatch)
+    expected = _oracle(x, *pair)
+    set_usable_cores(monkeypatch, 2)
+    monkeypatch.setattr(audio, "_SPLIT_SAMPLES", split)
+    calls = _spy_calls(monkeypatch)
     assert resample(Waveform(x, pair[0]), pair[1]).samples.tobytes() == expected.tobytes()
-    assert len(inputs) == (1 if n < audio._SPLIT_SAMPLES else 2)
+    _check_parts(calls, x, *pair, split)
 
 
 @settings(deadline=None, max_examples=60)
-@given(pair=st.sampled_from(COMMON_PAIRS), n=st.integers(0, 12000).map(lambda k: 2 * k + 1))
-def test_split_resample_of_short_odd_inputs_equals_one_call(pair, n):
-    # the split forced on every input: inputs too short for two parts and
-    # their margins take one call, the others two
+@given(pair=st.sampled_from(COMMON_PAIRS), n=st.integers(0, 12000).map(lambda k: 2 * k + 1),
+       parts=st.integers(2, 8))
+def test_split_resample_of_short_odd_inputs_equals_one_call(pair, n, parts):
+    # the split forced on short inputs, at about `parts` parts: inputs too
+    # short for parts and their margins take one call, the others two or more
     x = np.random.default_rng(n).standard_normal(n)
-    expected = _one_call(x, *pair)
+    expected = _oracle(x, *pair)
+    split = max(1, n // parts)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(audio, "_SPLIT_SAMPLES", 1)
+        patch.setattr(audio, "_SPLIT_SAMPLES", split)
         set_usable_cores(patch, 2)
-        inputs = _resample_poly_inputs(patch)
+        calls = _spy_calls(patch)
         assert resample(Waveform(x, pair[0]), pair[1]).samples.tobytes() == expected.tobytes()
-    # every common pair splits from 1280 samples on; shorter inputs may not
-    assert len(inputs) == 2 or (n < 1280 and len(inputs) == 1)
+    if len(calls) > 1:
+        _check_parts(calls, x, *pair, split)
+    else:
+        assert calls[0][0].ctypes.data == x.ctypes.data and len(calls[0][0]) == n
+    # every common pair splits once a part holds 1280 samples (the largest
+    # margin of a common pair is 640); shorter ones may not
+    assert len(calls) >= 2 or split < 1280
+
+
+@pytest.mark.parametrize("n", [2**15 + 1, 2**17 + 3])
+@pytest.mark.parametrize("dtype", [np.int16, np.float32])
+@pytest.mark.parametrize("pair", [(44100, 22050), (48000, 22050), (16000, 22050)],
+                         ids=lambda p: f"{p[0]}-{p[1]}")
+def test_integer_and_float32_samples_resample_as_resample_poly(monkeypatch, pair, dtype, n):
+    # resample_poly computes in float64 with a float64 filter, whatever the samples
+    set_usable_cores(monkeypatch, 2)
+    x = np.clip(np.random.default_rng(n).standard_normal(n) * 8000, -32768, 32767).astype(dtype)
+    calls = _spy_calls(monkeypatch)
+    out = resample(Waveform(x, pair[0]), pair[1]).samples
+    assert out.dtype == np.float64
+    assert out.tobytes() == _oracle(x, *pair).tobytes()
+    assert len(calls) == (1 if n < audio._SPLIT_SAMPLES else 2)
+
+
+@settings(deadline=None, max_examples=100)
+@given(up=st.integers(1, 60), down=st.integers(1, 60), n=st.integers(0, 6000),
+       split=st.integers(64, 8000), cores=st.sampled_from([1, 2]))
+def test_resample_poly_equals_scipy_over_random_ratios(up, down, n, split, cores):
+    # in lowest terms, as `resample` asks: never 1/1, which resample_poly copies
+    g = math.gcd(up, down)
+    up, down = up // g, down // g
+    assume(up != down)
+    x = np.random.default_rng(n).standard_normal(n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(audio, "_SPLIT_SAMPLES", split)
+        set_usable_cores(patch, cores)
+        y = audio._resample_poly(x, up, down, audio._kaiser_sinc(max(up, down)))
+    assert y.tobytes() == resample_poly_firwin(x, up, down).tobytes()
 
 
 def _spy_parts(monkeypatch, x: np.ndarray, act=lambda first: None) -> list[tuple[bool, bool]]:
-    """Spy on scipy.signal.resample_poly while `x` resamples: per call, whether
+    """Spy on `audio._resample_part` while `x` resamples: per call, whether
     its input starts at x[0] (the first part, or the whole) and whether it
     runs on the calling thread. `act(first)` runs before the real call."""
     caller, calls = threading.current_thread(), []
-    real = scipy.signal.resample_poly
+    real = audio._resample_part
 
-    def spy(part, *args, **kwargs):
+    def spy(part, *args):
         first = part.ctypes.data == x.ctypes.data
         calls.append((first, threading.current_thread() is caller))
         act(first)
-        return real(part, *args, **kwargs)
+        return real(part, *args)
 
-    monkeypatch.setattr(scipy.signal, "resample_poly", spy)
+    monkeypatch.setattr(audio, "_resample_part", spy)
     return calls
 
 
 LONG = np.random.default_rng(0).standard_normal(2**17)
 
 
-# (starts at x[0], on the calling thread) per resample_poly call: one core
-# takes one call on the calling thread, two run both parts off it
+# (starts at x[0], on the calling thread) per kernel call: one core takes
+# one call on the calling thread, two run both parts off it
 @pytest.mark.parametrize("cores, calls", [(1, [(True, True)]), (2, [(False, False), (True, False)])])
 def test_one_usable_core_resamples_in_one_call(monkeypatch, cores, calls):
     set_usable_cores(monkeypatch, cores)
@@ -671,26 +731,60 @@ def test_a_short_input_resamples_in_one_call_on_the_calling_thread(monkeypatch):
     assert spied == [(True, True)]
 
 
+def test_the_kernel_resolves_once_on_the_calling_thread_before_any_part(monkeypatch):
+    set_usable_cores(monkeypatch, 2)
+    caller, resolved, real = threading.current_thread(), [], audio._upfirdn_kernel
+
+    def spy():
+        resolved.append(threading.current_thread() is caller)
+        return real()
+
+    monkeypatch.setattr(audio, "_upfirdn_kernel", spy)
+    spied = _spy_parts(monkeypatch, LONG, lambda first: resolved.append("part"))
+    resample(Waveform(LONG, 44100), 22050)
+    assert resolved == [True, "part", "part"] and len(spied) == 2
+
+
 @pytest.mark.parametrize("cores", [1, 2, 3])
 def test_the_parts_join_in_input_order_when_the_second_finishes_first(monkeypatch, cores):
     # the first part starts only once the second has returned; three cores
-    # still cut two parts
+    # still run the parts on two threads
     set_usable_cores(monkeypatch, cores)
-    expected = _one_call(LONG, 44100, 22050)
-    real, finished, second_done = scipy.signal.resample_poly, [], threading.Event()
+    expected = _oracle(LONG, 44100, 22050)
+    real, finished, second_done = audio._resample_part, [], threading.Event()
 
-    def spy(part, *args, **kwargs):
+    def spy(part, *args):
         first = part.ctypes.data == LONG.ctypes.data
         if first and cores > 1:
             assert second_done.wait(5.0)
-        out = real(part, *args, **kwargs)
+        out = real(part, *args)
         finished.append(first)
         second_done.set()
         return out
 
-    monkeypatch.setattr(scipy.signal, "resample_poly", spy)
+    monkeypatch.setattr(audio, "_resample_part", spy)
     assert resample(Waveform(LONG, 44100), 22050).samples.tobytes() == expected.tobytes()
     assert finished == ([True] if cores == 1 else [False, True])
+
+
+def test_many_parts_join_in_input_order_whatever_order_they_finish(monkeypatch):
+    # eight parts of at most 2**14 samples, each after a pause of 0-45 ms set
+    # by where it starts, so that they finish out of order
+    set_usable_cores(monkeypatch, 2)
+    monkeypatch.setattr(audio, "_SPLIT_SAMPLES", 2**14)
+    x = LONG[: 2**17 - 5]
+    real, finished = audio._resample_part, []
+
+    def spy(part, *args):
+        start = (part.ctypes.data - x.ctypes.data) // x.itemsize
+        time.sleep(start * 7919 % 10 / 200)
+        out = real(part, *args)
+        finished.append(start)
+        return out
+
+    monkeypatch.setattr(audio, "_resample_part", spy)
+    assert resample(Waveform(x, 44100), 22050).samples.tobytes() == _oracle(x, 44100, 22050).tobytes()
+    assert len(finished) == 8 and finished != sorted(finished)
 
 
 @pytest.mark.parametrize("affinity, cpu_count, cores", [({0, 2, 5}, 8, 3), (None, 4, 4), (None, None, 1)],
@@ -741,7 +835,7 @@ def test_no_part_outlives_a_failed_resample(monkeypatch):
 @pytest.mark.parametrize("part", [True, False], ids=["first", "second"])
 def test_each_part_runs_under_the_callers_errstate(monkeypatch, part):
     set_usable_cores(monkeypatch, 2)
-    expected = _one_call(LONG, 44100, 22050)
+    expected = _oracle(LONG, 44100, 22050)
     _spy_parts(monkeypatch, LONG, lambda first: first != part or np.float64(1e308) * 10.0)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         resample(Waveform(LONG, 44100), 22050)

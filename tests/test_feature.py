@@ -22,6 +22,7 @@ from yingram import (
     write_yingram_csv,
     yingram_from_frame,
 )
+from yingram import feature
 from yingram.cli import main
 from yingram.feature import _atomic_write, _write_json, yingram_frame, yingram_rows
 from conftest import write_wav
@@ -55,6 +56,29 @@ def test_lag_out_of_range(rng):
     values = rng.uniform(0.0, 2.0, size=100)
     with pytest.raises(ValueError, match="lag out of range"):
         yingram_frame(values, SR, NoteGrid())
+
+
+def test_lag_out_of_range_names_the_curve_and_the_lags(rng):
+    # the cached brackets keep yingram_rows' message
+    with pytest.raises(ValueError) as err:
+        yingram_frame(rng.uniform(0.0, 2.0, size=100), SR, NoteGrid())
+    lags = channel_lags(NoteGrid(), SR)
+    assert str(err.value) == (f"lag out of range: the curve covers lags 0..99, "
+                              f"the lags span {lags.min():.6g}..{lags.max():.6g}")
+
+
+def test_the_channel_brackets_are_built_once_per_grid_and_rate(monkeypatch, cfg):
+    # yingram_frame once rebuilt them on every call, and the clip pass on every block
+    calls, real = [], feature._lag_brackets
+    monkeypatch.setattr(feature, "_lag_brackets", lambda *args: calls.append(args) or real(*args))
+    feature._channel_brackets.cache_clear()
+    values = np.linspace(1.0, 0.0, 427)
+    rows = [yingram_frame(values, SR) for _ in range(3)]
+    compute_yingram(sine_tone(220.0, 2.0), cfg)  # 173 frames: two blocks
+    yingram_from_frame(np.sin(np.arange(2048 + 426) * 0.1), DEFAULT_GRID, SR, 2048)
+    assert len(calls) == 1
+    assert all(row.tobytes() == yingram_rows(values, channel_lags(DEFAULT_GRID, SR)).tobytes()
+               for row in rows)
 
 
 @pytest.mark.parametrize("lags", [
