@@ -8,8 +8,7 @@ import importlib.util
 import os
 import struct
 import sys
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,7 +40,7 @@ _KAISER_BETA = 8.6
 # 31183/22050). Other pairs resample at the nearest ratio within the cap.
 _MAX_POLYPHASE = 1 << 15
 # Inputs of at least this many samples resample in parts of at most this many
-# (plus margins), at least two, on two threads (`_resample_poly`); shorter
+# (plus margins), at least two, on two threads (`_Resampling`); shorter
 # ones, in one call, gain less than a thread costs.
 _SPLIT_SAMPLES = 1 << 17
 # scipy's compiled polyphase loop, the one part of scipy.signal resampling runs
@@ -271,12 +270,12 @@ def _usable_cores() -> int:
     """Cores this process may run on: its CPU affinity, where the platform
     reports one, else the core count.
 
-    `_resample_poly` splits only with two of them. Fresh processes resampled
-    60 s of 48 kHz noise to 22.05 kHz, best of 9, in 5 alternating rounds on
-    a 2-core VM. Pinned to one core, one call took 108-141 ms at a peak RSS
-    of 88.7-89.0 MiB, and a forced split 113-126 ms at 92.5-94.0 MiB; on two
-    cores the split took 58-66 ms at 91.2-91.7 MiB. On one core the split
-    gains nothing and holds 3-5 MiB more."""
+    `_Resampling` splits only with two of them. Fresh processes analysed
+    60 s of 48 kHz vibrato through `feature._analyse` (resampling it as they
+    went), best of 7, in 3 alternating rounds on a 2-core VM. Pinned to one
+    core, one part took 240-280 ms and a forced split 240-259 ms; on two
+    cores the split took 133-144 ms. On one core the split gains nothing
+    and holds two part outputs more."""
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
@@ -306,7 +305,7 @@ def _upfirdn_kernel():
 
 
 def _polyphase_filter(kernel, fir: np.ndarray, up: int, down: int, n_in: int) -> tuple:
-    """(kernel, taps, skip, h) for `_resample_part`: what
+    """(kernel, skip, h) for `_resample_part`: what
     scipy.signal.resample_poly(x, up, down, window=fir) builds around the
     kernel for len(x) == n_in. fir * up, zero padded in front so the outputs
     sit at the filter's centre (and behind, as long as the kernel's output
@@ -322,76 +321,164 @@ def _polyphase_filter(kernel, fir: np.ndarray, up: int, down: int, n_in: int) ->
     taps = pre_pad + len(fir) + post_pad
     h = np.zeros(taps + -taps % up)
     h[pre_pad : pre_pad + len(fir)] = fir * up
-    return kernel, taps, skip, np.ascontiguousarray(h.reshape(-1, up).T[:, ::-1].ravel())
+    return kernel, skip, np.ascontiguousarray(h.reshape(-1, up).T[:, ::-1].ravel())
 
 
-def _resample_part(x: np.ndarray, up: int, down: int, poly: tuple) -> np.ndarray:
+def _resample_part(x: np.ndarray, up: int, down: int, poly: tuple, out: np.ndarray) -> np.ndarray:
     """scipy.signal.resample_poly(x, up, down, window=fir), bit for bit, for
-    poly = `_polyphase_filter(kernel, fir, up, down, n)`: the kernel's
-    constant-mode loop over x as float64, the dtype resample_poly computes in
-    with a float64 fir, less the outputs resample_poly drops. The parts of a
-    split share the whole input's poly: `_kaiser_sinc` filters need no
-    padding behind at any length."""
-    kernel, taps, skip, h = poly
-    out = np.zeros(kernel._output_len(taps, len(x), up, down))
+    poly = `_polyphase_filter(kernel, fir, up, down, n)`, written into the
+    zeros of `out`: `out` less the `skip` leading outputs resample_poly
+    drops. The kernel's constant-mode loop runs over x as float64, the dtype
+    resample_poly computes in with a float64 fir, and stops at the end of
+    `out` or at its last output, whichever comes first; past that, `out`
+    stays zero. The parts of one input share its poly: `_kaiser_sinc`
+    filters need no padding behind at any length."""
+    kernel, skip, h = poly
     kernel._apply(np.asarray(x, np.float64), h, out, up, down, 0, kernel.mode_enum("constant"), 0.0)
-    return out[skip : skip + -(-len(x) * up // down)]
+    return out[skip:]
 
 
-def _resample_poly(x: np.ndarray, up: int, down: int, fir: np.ndarray) -> np.ndarray:
-    """scipy.signal.resample_poly(x, up, down, window=fir), bit for bit,
-    through scipy's compiled kernel (`_upfirdn_kernel`), never importing
-    scipy.signal. A long x (at least _SPLIT_SAMPLES samples, with two usable
-    cores) runs as overlapping parts on two threads that the call joins
-    before it returns or raises.
+class _Resampling:
+    """`resample(w, target_sr)` in progress: scipy.signal.resample_poly(x,
+    up, down, window=fir), bit for bit, through scipy's compiled kernel
+    (`_upfirdn_kernel`), never importing scipy.signal. Its parts write into
+    `samples`, one buffer at `resample`'s length with its zero tail. Inside
+    the context, `read(stop)` returns it once its first `stop` samples are
+    final, so a reader may start on them while later parts run. Entering
+    starts the worker thread, leaving joins it.
 
-    The parts meet at multiples of down, `step` input samples apart, at most
-    _SPLIT_SAMPLES where down allows, and each reaches `margin` samples past
-    its ends: at least len(fir) / up, the inputs one output reads, rounded up
-    to a multiple of down. Each upfirdn output sums its taps times its inputs
-    in input order, and the taps an input meets depend only on its offset
-    from the output's position, so when a part starts at a multiple of down
-    its outputs are those of the whole call: part [a, a + step) gives outputs
-    a * up / down up to (a + step) * up / down. At most three parts are in
-    flight; each is copied into the one output in input order and dropped.
-    Each part runs in a copy of the caller's context, so numpy's errstate
-    holds in it, and the first part's error wins, as in a serial loop. The
-    calling thread runs no part and resolves the kernel before any part
-    starts. Resampling 60 s of 48 kHz noise to 22.05 kHz in a fresh process
-    raised the peak RSS over the input's by 12.3-12.9 MiB split and 11.1 MiB
-    in one call, of which the output holds 10.1 MiB; through scipy.signal's
-    resample_poly, by 69.5 and 58.6 MiB (2-core VM).
+    With two usable cores, an input of at least _SPLIT_SAMPLES samples runs
+    as parts of at most that many own samples (or down), at least two;
+    otherwise it is one part, run on the calling thread, and no thread
+    starts. The worker thread, and the calling thread whenever `read` would
+    otherwise wait, claim the parts in input order. A part starts at a
+    multiple of down and reads `margin` more samples on each side:
+    len(fir) / up, the inputs one output reads, rounded up to a multiple of
+    down. An upfirdn output sums its taps times its inputs in input order,
+    and the taps an input meets depend only on its offset from the output,
+    so such a part gives the whole call's outputs for its own samples. The
+    first part runs straight into the buffer, its `skip` dropped outputs
+    before `samples`; each other part into an output of its own, copied in.
+    The thread runs in a copy of the caller's context, so numpy's errstate
+    holds in it. `read` raises the first failed part's error once every part
+    before it is done, as a serial loop would, and no part is claimed after
+    a failure. The kernel is resolved on the calling thread first.
+
+    Fresh processes on a 2-core VM: resampling 60 s of 48 kHz noise to
+    22.05 kHz raised the peak RSS over the input's by 10.0-10.1 MiB in one
+    part and 10.6 MiB split, of which the output holds 10.1 MiB (58.6 MiB
+    through scipy.signal's resample_poly); resampling and analysing 60 s of
+    48 kHz vibrato (`feature._analyse`) took 133-144 ms at once against
+    196-265 ms one after the other (best of 7, 3 alternating rounds).
     """
-    poly = _polyphase_filter(_upfirdn_kernel(), fir, up, down, len(x))
-    margin = -(-len(fir) // up)
-    margin = -(-margin // down) * down
-    n = len(x)
-    parts = max(2, -(-n // max(down, _SPLIT_SAMPLES // down * down)))
-    step = -(-n // (parts * down)) * down
-    if n < _SPLIT_SAMPLES or _usable_cores() < 2 or not margin <= step < n:
-        return _resample_part(x, up, down, poly)
-    y = np.empty(-(-n * up // down))
 
-    def copy(a: int, future) -> None:
-        first = max(a - margin, 0) * up // down  # the output the part starts at
-        stop = min((a + step) * up // down, len(y))
-        y[a * up // down : stop] = future.result()[a * up // down - first : stop - first]
+    def __init__(self, w: Waveform, target_sr: int):
+        x = np.asarray(w.samples)
+        n, n_out = len(x), _resampled_length(w, target_sr)
+        self._x, self._cond, self._thread = x, threading.Condition(), None
+        # parts claimed, the leading parts done, the others done, and failed ones' errors
+        self._claimed, self._done, self._finished, self._failed = 0, 0, set(), {}
+        self._closed = False
+        if target_sr == w.sample_rate:
+            self.samples, self._bounds = np.asarray(x, np.float64), [n_out]
+            return
+        self._up, self._down = up, down = _polyphase_factors(w.sample_rate, target_sr)
+        fir = _kaiser_sinc(max(up, down))
+        self._poly = _polyphase_filter(_upfirdn_kernel(), fir, up, down, n)
+        margin = -(-len(fir) // up)
+        self._margin = margin = -(-margin // down) * down
+        step = min(max(down, _SPLIT_SAMPLES // down * down), -(-n // (2 * down)) * down)
+        split = n >= _SPLIT_SAMPLES and _usable_cores() >= 2 and margin <= step < n
+        # part i owns inputs edges[i]..edges[i+1]-1 and outputs bounds[i]..bounds[i+1]-1,
+        # up to resample_poly's last output, `kept`: the tail past it stays zero
+        self._kept = kept = min(-(-n * up // down), n_out)
+        starts = range(0, n, step) if split else [0]
+        self._edges = [*starts, n]
+        self._bounds = [min(a * up // down, kept) for a in starts] + [n_out]
+        # the first part's `skip` leading outputs, which resample_poly drops, go before `samples`
+        self._buffer = np.zeros(self._poly[1] + n_out)
+        self.samples = self._buffer[self._poly[1] :]
 
-    with ThreadPoolExecutor(2) as pool:
-        running = deque()
-        for a in range(0, n, step):
-            part = x[max(a - margin, 0) : a + step + margin]
-            running.append((a, pool.submit(contextvars.copy_context().run, _resample_part,
-                                           part, up, down, poly)))
-            if len(running) > 2:
-                copy(*running.popleft())
-        while running:
-            copy(*running.popleft())
-    return y
+    def __enter__(self) -> "_Resampling":
+        if len(self._bounds) > 2:
+            self._thread = threading.Thread(target=contextvars.copy_context().run,
+                                            args=(self._work,), name="yingram-resample")
+            self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        with self._cond:
+            self._closed = True
+        if self._thread is not None:
+            self._thread.join()
+
+    def read(self, stop: int) -> np.ndarray:
+        """`samples`, once its first `stop` are final. Until then the calling
+        thread runs the next unclaimed part, or waits for the thread's.
+        Raises the first failed part's error once the parts before it are done."""
+        while True:
+            with self._cond:
+                if self._bounds[self._done] >= stop:
+                    return self.samples
+                if self._done in self._failed:
+                    raise self._failed[self._done]
+                part = self._claim()
+                if part is None:
+                    self._cond.wait()
+                    continue
+            self._run(part)
+
+    def _claim(self) -> int | None:
+        """The next part to run, with the lock held; None once every part is
+        claimed, one has failed or the context is left."""
+        if self._failed or self._closed or self._claimed == len(self._bounds) - 1:
+            return None
+        self._claimed += 1
+        return self._claimed - 1
+
+    def _work(self) -> None:
+        while True:
+            with self._cond:
+                part = self._claim()
+            if part is None:
+                return
+            self._run(part)
+
+    def _run(self, part: int) -> None:
+        """Resample one part into `samples` and publish it, or keep its error
+        for `read`."""
+        up, down, margin = self._up, self._down, self._margin
+        first = max(self._edges[part] - margin, 0)
+        lo, hi = self._bounds[part], min(self._bounds[part + 1], self._kept)
+        start = first * up // down  # the output a part's first kept output is
+        try:  # the first part runs straight into `samples`, the others into one of their own
+            out = self._buffer[: self._poly[1] + hi] if part == 0 else np.zeros(self._poly[1] + hi - start)
+            y = _resample_part(self._x[first : self._edges[part + 1] + margin], up, down, self._poly, out)
+            if part:
+                self.samples[lo:hi] = y[lo - start :]
+        except BaseException as exc:  # re-raised on the calling thread by `read`
+            with self._cond:
+                self._failed[part] = exc
+                self._cond.notify_all()
+            return
+        with self._cond:
+            self._finished.add(part)
+            while self._done in self._finished:
+                self._done += 1
+            self._cond.notify_all()
+
+
+def _resampled_length(w: Waveform, target_sr: int) -> int:
+    """len(resample(w, target_sr)), the one length rule: round(len *
+    target_sr / source_sr). Raises ValueError as `resample` does for rates
+    more than a factor _MAX_POLYPHASE apart."""
+    if target_sr != w.sample_rate:
+        _polyphase_factors(w.sample_rate, target_sr)
+    return int(np.floor(len(w.samples) * target_sr / w.sample_rate + 0.5))
 
 
 def resample(w: Waveform, target_sr: int) -> Waveform:
-    """Resample with a polyphase Kaiser-windowed sinc filter.
+    """Resample with a polyphase Kaiser-windowed sinc filter (`_Resampling`).
 
     Output length is round(len * target_sr / source_sr). When the rates
     already match, `w` itself is returned: its samples are not copied. The
@@ -405,13 +492,8 @@ def resample(w: Waveform, target_sr: int) -> Waveform:
     target_sr = _require_int(target_sr, "target_sr", 1)
     if target_sr == w.sample_rate:
         return w
-    up, down = _polyphase_factors(w.sample_rate, target_sr)
-    y = _resample_poly(np.asarray(w.samples), up, down, _kaiser_sinc(max(up, down)))
-
-    n_out = int(np.floor(len(w.samples) * target_sr / w.sample_rate + 0.5))
-    if len(y) < n_out:
-        y = np.pad(y, (0, n_out - len(y)))
-    return Waveform(y[:n_out], target_sr)
+    with _Resampling(w, target_sr) as resampling:
+        return Waveform(resampling.read(len(resampling.samples)), target_sr)
 
 
 def frame_count(num_samples: int, frame_len: int, hop: int) -> int:

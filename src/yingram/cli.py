@@ -18,15 +18,15 @@ import sys
 from collections.abc import Iterator
 from pathlib import Path
 
-from .audio import load_wav, resample
+from .audio import load_wav
 from .config import AnalysisConfig, coerce_field, read_config_file
-from .evaluate import batch_report, evaluate_shift_pair, extract_pitch_contour
+from .evaluate import batch_report, evaluate_shift_pair
 from .feature import (
     PitchContour,
+    _analyse,
     _atomic_write,
     _sidecar,
     _write_json,
-    compute_yingram,
     write_yingram_binary,
     write_yingram_csv,
 )
@@ -61,15 +61,11 @@ def _resolve_config(args: argparse.Namespace) -> AnalysisConfig:
     return AnalysisConfig(**overrides)
 
 
-def _load_analysis_input(path: str, cfg: AnalysisConfig):
-    return resample(load_wav(path), cfg.sample_rate)
-
-
 def _cmd_analyze(args: argparse.Namespace, cfg: AnalysisConfig) -> int:
     if not args.out and not args.binary:
         print("error: analyze needs --out and/or --binary", file=sys.stderr)
         return 2
-    matrix = compute_yingram(_load_analysis_input(args.input, cfg), cfg)
+    matrix = _analyse(load_wav(args.input), cfg)[0]
     extra = {"config": cfg.to_dict()}
     if args.out:
         write_yingram_csv(matrix, args.out)
@@ -80,8 +76,7 @@ def _cmd_analyze(args: argparse.Namespace, cfg: AnalysisConfig) -> int:
 
 
 def _cmd_f0(args: argparse.Namespace, cfg: AnalysisConfig) -> int:
-    wave = _load_analysis_input(args.input, cfg)
-    contour = extract_pitch_contour(wave, cfg)
+    contour = _analyse(load_wav(args.input), cfg)[1]
     _atomic_write(args.out, _f0_csv_lines(contour))
     _write_json(args.out + ".json", {"frames": len(contour), "config": cfg.to_dict()})
     return 0

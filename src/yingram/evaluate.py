@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import Waveform, load_wav, resample
+from .audio import Waveform, _resampled_length, load_wav
 from .config import AnalysisConfig
 # re-exported: `feature._analyse` builds a clip's Yingram and contour in one pass
 from .feature import PitchContour, _analyse, _record, extract_pitch_contour
@@ -105,18 +105,18 @@ def evaluate_shift_pair(
 ) -> ShiftReport:
     """Score a (normal, shifted) pair against scope shift s.
 
-    Both clips are first resampled to the config's rate (a no-op at that
-    rate). Computes the exponential Yingram consistency metric at s, the
-    contour offset (time-aligned by the pair's duration ratio), and a
-    verdict: offset within shift_tolerance of -s/2 and voiced overlap at
+    Both clips are analysed at the config's rate, resampled as they are
+    analysed (a no-op at that rate). Computes the exponential Yingram
+    consistency metric at s, the contour offset (time-aligned by the pair's
+    duration ratio), and a verdict: offset within shift_tolerance of -s/2 and voiced overlap at
     least min_overlap. A pair without unpadded frames has no metric; a pair
     without co-voiced frames keeps its metric and fails on that. A shift
     that `Scope` rejects raises ValueError before any analysis.
     """
     cfg = config or AnalysisConfig()
     s = Scope(s).shift
-    normal = resample(normal, cfg.sample_rate)
-    shifted = resample(shifted, cfg.sample_rate)
+    # the resampled lengths, whose rule raises first for a ratio `resample` refuses
+    n_normal, n_shifted = (_resampled_length(w, cfg.sample_rate) for w in (normal, shifted))
     matrix_a, contour_a = _analyse(normal, cfg)
     matrix_b, contour_b = _analyse(shifted, cfg)
     y_normal, y_shifted = matrix_a.unpadded(), matrix_b.unpadded()
@@ -126,12 +126,11 @@ def evaluate_shift_pair(
     if frames == 0:
         reason = (
             f"no unpadded frames: each clip needs at least {cfg.frame_length} "
-            f"samples (window + tau_max), got {len(normal.samples)} (normal) "
-            f"and {len(shifted.samples)} (shifted)"
+            f"samples (window + tau_max), got {n_normal} (normal) and {n_shifted} (shifted)"
         )
     else:
         metric = shift_consistency_metric(y_normal[:frames], y_shifted[:frames], s, cfg)
-        scale = len(shifted.samples) / len(normal.samples)
+        scale = n_shifted / n_normal
         try:
             measured, overlap = median_semitone_offset(contour_a, contour_b, time_scale=scale)
         except ValueError as exc:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import Frame, Waveform, _frame_span, frame_count
+from .audio import Frame, Waveform, _frame_span, _Resampling, frame_count
 from .config import AnalysisConfig
 from .grid import DEFAULT_GRID, NoteGrid, _lag_table, channel_lags, tau_max_for
 from .yin import _cmnd_terms, _difference_fft, cmnd, difference_function, f0_rows, require_finite
@@ -47,10 +47,13 @@ __all__ = [
 # transforms the window // hop - 1 hop segments past its last frame's start
 # again. On a 2-core VM, in 7 alternating rounds (best, median), with equal
 # output bytes: a 10 s tone took 53, 60 ms at 32 frames and 40, 44 ms at
-# 128; a 60 s vibrato 206, 257 ms and 184, 225 ms. Blocks run serially:
-# two at once on two threads took the vibrato to 160, 186 ms, but their
-# peaks add up or not by the threads' timing, so the traced working set of
-# a 5 s clip fell more than 1 MB below that of a 60 s clip in 7 of 100 runs.
+# 128; a 60 s vibrato 206, 257 ms and 184, 225 ms. A 60 s 48 kHz vibrato,
+# resampled as it was analysed, took 159-168 ms at 32 frames, 133-144 at
+# 128 and 147-157 at 512 (best of 7, 3 alternating fresh-process rounds).
+# Blocks run serially on the calling thread: two at once on two threads took
+# the vibrato to 160, 186 ms, but their peaks add up or not by the threads'
+# timing, so the traced working set of a 5 s clip fell more than 1 MB below
+# that of a 60 s clip in 7 of 100 runs.
 BLOCK_FRAMES = 128
 
 
@@ -192,11 +195,13 @@ def yingram_from_frame(
 
 
 def _analyse(w: Waveform, cfg: AnalysisConfig) -> tuple[YingramMatrix, PitchContour]:
-    """The Yingram and the pitch contour of one clip, from one pass over its
-    frames under `audio._frame_span`'s framing rule, BLOCK_FRAMES at a time.
-    Each block hands the difference kernel its span of clip samples (a view,
-    zero padded only past the clip's end), so no copy of the whole clip is
-    made. A frame's CMND is
+    """The Yingram and the pitch contour of one clip at any rate, resampled
+    to the config's rate (`audio._Resampling`) as it is analysed: each
+    block starts once the resampled samples it reads are final. One pass
+    over the frames under `audio._frame_span`'s framing rule, BLOCK_FRAMES
+    at a time. Each block hands the difference kernel its span of clip
+    samples (a view, zero padded only past the clip's end), so no copy of
+    the whole clip is made. A frame's CMND is
     cmnd(difference_function(frame, tau_max, window)), with the correlation
     and the energies summed from hop blocks when the hop divides the window
     (d to about 1e-13 of p0 + p_tau, a stored value to 1 float32 ulp;
@@ -204,34 +209,46 @@ def _analyse(w: Waveform, cfg: AnalysisConfig) -> tuple[YingramMatrix, PitchCont
     padded frames are flagged and stay unvoiced (f0 NaN, aperiodicity 1),
     the others get the f0 of `f0_rows`.
 
-    Raises ValueError for a clip not at the config's rate or with non-finite
-    samples (before any block), and for a block whose difference values
+    Raises, in the order of resampling the whole clip and then analysing
+    it: a resampling error (as `resample`), ValueError for non-finite
+    samples of the resampled clip, and for a block whose difference values
     overflow their CMND (naming the clip's frames).
     """
+    with _Resampling(w, cfg.sample_rate) as clip:
+        x = clip.samples
+        n = frame_count(len(x), cfg.frame_length, cfg.hop)
+        brackets = _channel_brackets(cfg.grid, cfg.sample_rate)
+        padded = np.empty(n, dtype=bool)
+        rows = np.empty((n, cfg.grid.num_channels), dtype=np.float32)
+        f0, aperiodicity = np.empty(n), np.empty(n)
+        for start in range(0, n, BLOCK_FRAMES):
+            block = slice(start, min(start + BLOCK_FRAMES, n))
+            clip.read(min((block.stop - 1) * cfg.hop + cfg.frame_length, len(x)))
+            span, padded[block] = _frame_span(x, cfg.frame_length, cfg.hop, block.start, block.stop)
+            try:
+                values = _cmnd_terms(_difference_fft(span, cfg.tau_max, cfg.window, cfg.hop), start)[0]
+            except ValueError:  # a resampling error, then non-finite samples, come first
+                require_finite(clip.read(len(x)), "samples")
+                raise
+            rows[block] = _sample_at(values, brackets)
+            f0[block], aperiodicity[block] = f0_rows(
+                values, cfg.sample_rate, cfg.f0_threshold, cfg.f_min, cfg.f_max, cfg.voicing_cutoff
+            )
+        require_finite(clip.read(len(x)), "samples")
+    f0[padded], aperiodicity[padded] = np.nan, 1.0
+    times = np.arange(n) * (cfg.hop / cfg.sample_rate)
+    matrix = YingramMatrix(rows, cfg.grid, cfg.hop, cfg.sample_rate, padded)
+    return matrix, PitchContour(times, f0, aperiodicity, cfg.hop, cfg.sample_rate)
+
+
+def _require_config_rate(w: Waveform, cfg: AnalysisConfig) -> AnalysisConfig:
+    """cfg, for a clip at its rate; ValueError otherwise."""
     if w.sample_rate != cfg.sample_rate:
         raise ValueError(
             f"waveform at {w.sample_rate} Hz, config expects {cfg.sample_rate}; "
             "resample first"
         )
-    x = np.asarray(w.samples, dtype=np.float64)
-    require_finite(x, "samples")
-    n = frame_count(len(x), cfg.frame_length, cfg.hop)
-    brackets = _channel_brackets(cfg.grid, cfg.sample_rate)
-    padded = np.empty(n, dtype=bool)
-    rows = np.empty((n, cfg.grid.num_channels), dtype=np.float32)
-    f0, aperiodicity = np.empty(n), np.empty(n)
-    for start in range(0, n, BLOCK_FRAMES):
-        block = slice(start, min(start + BLOCK_FRAMES, n))
-        span, padded[block] = _frame_span(x, cfg.frame_length, cfg.hop, block.start, block.stop)
-        values = _cmnd_terms(_difference_fft(span, cfg.tau_max, cfg.window, cfg.hop), start)[0]
-        rows[block] = _sample_at(values, brackets)
-        f0[block], aperiodicity[block] = f0_rows(
-            values, cfg.sample_rate, cfg.f0_threshold, cfg.f_min, cfg.f_max, cfg.voicing_cutoff
-        )
-    f0[padded], aperiodicity[padded] = np.nan, 1.0
-    times = np.arange(n) * (cfg.hop / cfg.sample_rate)
-    matrix = YingramMatrix(rows, cfg.grid, cfg.hop, cfg.sample_rate, padded)
-    return matrix, PitchContour(times, f0, aperiodicity, cfg.hop, cfg.sample_rate)
+    return cfg
 
 
 def compute_yingram(w: Waveform, config: AnalysisConfig | None = None) -> YingramMatrix:
@@ -239,15 +256,17 @@ def compute_yingram(w: Waveform, config: AnalysisConfig | None = None) -> Yingra
 
     The waveform is framed at window + tau_max samples every hop; each frame
     contributes one row. Values are stored as float32 (internal math is float64).
+    Raises ValueError for a waveform not at the config's rate ("resample first").
     """
-    return _analyse(w, config or AnalysisConfig())[0]
+    return _analyse(w, _require_config_rate(w, config or AnalysisConfig()))[0]
 
 
 def extract_pitch_contour(w: Waveform, config: AnalysisConfig | None = None) -> PitchContour:
     """Frame-wise f0 over a waveform (`_analyse`): padded tail frames are
     unvoiced, the others follow the CMND threshold rule with parabolic
-    refinement (`f0_rows`); aperiodicity is the CMND at the chosen integer lag."""
-    return _analyse(w, config or AnalysisConfig())[1]
+    refinement (`f0_rows`); aperiodicity is the CMND at the chosen integer lag.
+    Raises ValueError for a waveform not at the config's rate ("resample first")."""
+    return _analyse(w, _require_config_rate(w, config or AnalysisConfig()))[1]
 
 
 def write_yingram_csv(matrix: YingramMatrix, path) -> None:

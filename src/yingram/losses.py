@@ -39,14 +39,16 @@ def _require_entries(values: np.ndarray) -> None:
 
 def _checked_inputs(**arrays) -> dict[str, np.ndarray]:
     """The named inputs as arrays, checked in order: integer and bool entries
-    read as float64, whose differences and negations cannot wrap round (other
-    dtypes keep their bits: a float32 matrix stays float32); one shape, with
-    at least one entry; then `require_finite` in argument order, before any
-    exponential: e^-inf is 0, so a check after it would miss a +inf entry."""
+    read as float64, whose differences and negations cannot wrap round, and
+    so do an object array's values once `_require_real_dtype` has read them
+    (other dtypes keep their bits: a float32 matrix stays float32); one
+    shape, with at least one entry; then `require_finite` in argument order,
+    before any exponential: e^-inf is 0, so a check after it would miss a
+    +inf entry."""
     arrays = {name: np.asarray(v) for name, v in arrays.items()}
     for name, values in arrays.items():
         _require_real_dtype(values, name)
-    arrays = {name: v.astype(np.float64) if v.dtype.kind in "biu" else v
+    arrays = {name: v.astype(np.float64) if v.dtype.kind in "biuO" else v
               for name, v in arrays.items()}
     shapes = {a.shape for a in arrays.values()}
     if len(shapes) > 1:

@@ -215,8 +215,9 @@ def _cmnd_terms(d: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray, 
 
 def require_finite(values: np.ndarray, name: str) -> None:
     """Raise ValueError("non-finite <name>: ...") if any entry is NaN or inf."""
-    bad = ~np.isfinite(values)
-    if bad.any():
+    finite = np.isfinite(values)
+    if not finite.all():  # one mask of the values' size, until one entry fails
+        bad = ~finite
         raise ValueError(
             f"non-finite {name}: {int(bad.sum())} of {bad.size} entries are NaN "
             f"or inf, the first at index {int(np.argmax(bad))}"

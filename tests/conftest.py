@@ -142,5 +142,5 @@ def rng() -> np.random.Generator:
 
 def set_usable_cores(monkeypatch, n: int) -> None:
     """Make `audio._usable_cores` report n usable cores: 1 resamples a long
-    input in one call, 2 or more in two parts on two threads, on any machine."""
+    input in one call, 2 or more in parts on two threads, on any machine."""
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(n)), raising=False)

@@ -597,6 +597,8 @@ def test_resample_pads_a_short_filter_output_with_zeros(monkeypatch):
     assert len(out) == 65535 and out.sample_rate == 47999
     assert out.samples[-1] == 0.0
     assert out.samples[:-1].tobytes() == calls[0][1].tobytes()
+    # the one part runs straight into the output
+    assert np.shares_memory(out.samples, calls[0][1])
 
 
 def test_resample_pads_a_short_filter_output_with_zeros_on_a_long_input(monkeypatch):
@@ -612,6 +614,41 @@ def test_resample_pads_a_short_filter_output_with_zeros_on_a_long_input(monkeypa
     assert len(out) == 131069 and out.sample_rate == 47999
     assert out.samples[-1] == 0.0
     assert out.samples[:-1].tobytes() == whole.tobytes()
+
+
+def test_the_zero_tail_costs_no_second_output(monkeypatch):
+    # the padded output is the one buffer allocated before the parts, at
+    # its final length: the first part runs straight into it, and from then
+    # on only the other parts' outputs are allocated, two at a time at most,
+    # where a padded copy would add a whole output. 2**19 samples at the
+    # capped ratio run as 4 parts of 2**17 own samples
+    set_usable_cores(monkeypatch, 2)
+    w = Waveform(np.random.default_rng(1).uniform(-0.5, 0.5, 2**19), 48000)
+    buffers, extra, parts = [], [], []
+    enter, part = audio._Resampling.__enter__, audio._resample_part
+
+    def traced_enter(self):
+        buffers.append(self.samples)
+        tracemalloc.reset_peak()
+        extra.append(-tracemalloc.get_traced_memory()[0])
+        return enter(self)
+
+    def sized_part(*args):
+        out = args[-1]
+        parts.append(0 if np.shares_memory(out, buffers[0]) else out.nbytes)
+        return part(*args)
+
+    monkeypatch.setattr(audio._Resampling, "__enter__", traced_enter)
+    monkeypatch.setattr(audio, "_resample_part", sized_part)
+    tracemalloc.start()
+    try:
+        out = resample(w, 47999)
+        extra[0] += tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.samples is buffers[0] and len(out) == round(2**19 * 47999 / 48000)
+    assert out.samples[-1] == 0.0 and len(parts) == 4 and parts.count(0) == 1
+    assert extra[0] <= 2 * max(parts) + 2**16 < out.samples.nbytes
 
 
 COMMON_RATES = (8000, 11025, 16000, 22050, 32000, 44100, 48000, 88200, 96000)
@@ -655,8 +692,10 @@ def test_split_resample_of_short_odd_inputs_equals_one_call(pair, n, parts):
         assert resample(Waveform(x, pair[0]), pair[1]).samples.tobytes() == expected.tobytes()
     if len(calls) > 1:
         _check_parts(calls, x, *pair, split)
-    else:
+    elif calls:
         assert calls[0][0].ctypes.data == x.ctypes.data and len(calls[0][0]) == n
+    else:  # no output sample to compute: 1 sample at 48 kHz rounds to none at 22.05 kHz
+        assert len(expected) == 0
     # every common pair splits once a part holds 1280 samples (the largest
     # margin of a common pair is 640); shorter ones may not
     assert len(calls) >= 2 or split < 1280
@@ -681,7 +720,8 @@ def test_integer_and_float32_samples_resample_as_resample_poly(monkeypatch, pair
 @given(up=st.integers(1, 60), down=st.integers(1, 60), n=st.integers(0, 6000),
        split=st.integers(64, 8000), cores=st.sampled_from([1, 2]))
 def test_resample_poly_equals_scipy_over_random_ratios(up, down, n, split, cores):
-    # in lowest terms, as `resample` asks: never 1/1, which resample_poly copies
+    # in lowest terms, as `resample` asks: never 1/1, which resample_poly
+    # copies; from `down` Hz to `up` Hz, whose factors they are
     g = math.gcd(up, down)
     up, down = up // g, down // g
     assume(up != down)
@@ -689,8 +729,9 @@ def test_resample_poly_equals_scipy_over_random_ratios(up, down, n, split, cores
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(audio, "_SPLIT_SAMPLES", split)
         set_usable_cores(patch, cores)
-        y = audio._resample_poly(x, up, down, audio._kaiser_sinc(max(up, down)))
-    assert y.tobytes() == resample_poly_firwin(x, up, down).tobytes()
+        y = resample(Waveform(x, down), up).samples
+    n_out = math.floor(n * up / down + 0.5)  # resample's length rule, never above resample_poly's
+    assert y.tobytes() == resample_poly_firwin(x, up, down)[:n_out].tobytes()
 
 
 def _spy_parts(monkeypatch, x: np.ndarray, act=lambda first: None) -> list[tuple[bool, bool]]:
@@ -713,14 +754,16 @@ def _spy_parts(monkeypatch, x: np.ndarray, act=lambda first: None) -> list[tuple
 LONG = np.random.default_rng(0).standard_normal(2**17)
 
 
-# (starts at x[0], on the calling thread) per kernel call: one core takes
-# one call on the calling thread, two run both parts off it
-@pytest.mark.parametrize("cores, calls", [(1, [(True, True)]), (2, [(False, False), (True, False)])])
-def test_one_usable_core_resamples_in_one_call(monkeypatch, cores, calls):
+# one core takes one call on the calling thread; two run two parts, on the
+# calling thread and on one worker thread, whichever claims each first
+@pytest.mark.parametrize("cores", [1, 2])
+def test_one_usable_core_resamples_in_one_call(monkeypatch, cores):
     set_usable_cores(monkeypatch, cores)
-    spied = _spy_parts(monkeypatch, LONG)
+    caller, threads = threading.current_thread(), set()
+    spied = _spy_parts(monkeypatch, LONG, lambda first: threads.add(threading.current_thread()))
     resample(Waveform(LONG, 44100), 22050)
-    assert sorted(spied) == calls
+    assert sorted(first for first, _ in spied) == ([True] if cores == 1 else [False, True])
+    assert len(threads - {caller}) <= cores - 1
 
 
 def test_a_short_input_resamples_in_one_call_on_the_calling_thread(monkeypatch):
@@ -816,27 +859,84 @@ def test_the_first_parts_error_wins_when_the_second_fails_first(monkeypatch):
 
 
 def test_no_part_outlives_a_failed_resample(monkeypatch):
+    # the calling thread claims the first part, and it fails once the
+    # worker thread's part, the second, has started: the call raises only
+    # after the worker's part has finished, and leaves no thread behind
     set_usable_cores(monkeypatch, 2)
-    threads, finished = threading.active_count(), []
+    caller, threads = threading.current_thread(), threading.active_count()
+    finished, caller_claimed, worker_started = [], threading.Event(), threading.Event()
+    claim, work, part = audio._Resampling._claim, audio._Resampling._work, audio._resample_part
 
-    def act(first):
-        if first:
-            raise ValueError("part 1")
+    def claim_spy(self):
+        claimed = claim(self)
+        if threading.current_thread() is caller:
+            caller_claimed.set()
+        return claimed
+
+    def late_work(self):
+        assert caller_claimed.wait(5.0)
+        work(self)
+
+    def spy(*args):
+        if threading.current_thread() is caller:
+            assert worker_started.wait(5.0)
+            raise ValueError("the caller's part")
+        worker_started.set()
         time.sleep(0.05)
-        finished.append("part 2")
+        finished.append("the worker's part")
+        return part(*args)
 
-    _spy_parts(monkeypatch, LONG, act)
-    with pytest.raises(ValueError, match="^part 1$"):
+    monkeypatch.setattr(audio._Resampling, "_claim", claim_spy)
+    monkeypatch.setattr(audio._Resampling, "_work", late_work)
+    monkeypatch.setattr(audio, "_resample_part", spy)
+    with pytest.raises(ValueError, match="^the caller's part$"):
         resample(Waveform(LONG, 44100), 22050)
-    assert finished == ["part 2"]
+    assert finished == ["the worker's part"]
     assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("part", [True, False], ids=["first", "second"])
-def test_each_part_runs_under_the_callers_errstate(monkeypatch, part):
+def test_no_part_starts_after_one_has_failed(monkeypatch):
+    # eight parts: the second fails at once while the first takes 50 ms,
+    # so, as in a serial loop, no third part starts
+    set_usable_cores(monkeypatch, 2)
+    monkeypatch.setattr(audio, "_SPLIT_SAMPLES", 2**14)
+    x, started, part = LONG[: 2**17 - 5], [], audio._resample_part
+
+    def spy(y, *args):
+        start = (y.ctypes.data - x.ctypes.data) // x.itemsize
+        started.append(start)
+        if start == 0:
+            time.sleep(0.05)
+        elif start == 2**14 - _margin(1, 2):
+            raise ValueError("the second part")
+        return part(y, *args)
+
+    monkeypatch.setattr(audio, "_resample_part", spy)
+    with pytest.raises(ValueError, match="^the second part$"):
+        resample(Waveform(x, 44100), 22050)
+    assert sorted(started) == [0, 2**14 - _margin(1, 2)]
+
+
+@pytest.mark.parametrize("where", ["calling thread", "worker thread"])
+def test_each_part_runs_under_the_callers_errstate(monkeypatch, where):
+    # a part overflows on the thread named; on the calling thread, a part
+    # waits until the worker thread has run one
     set_usable_cores(monkeypatch, 2)
     expected = _oracle(LONG, 44100, 22050)
-    _spy_parts(monkeypatch, LONG, lambda first: first != part or np.float64(1e308) * 10.0)
+    caller, worker_ran = threading.current_thread(), threading.Event()
+    part = audio._resample_part
+
+    def spy(*args):
+        on_caller = threading.current_thread() is caller
+        if not on_caller:
+            worker_ran.set()
+        elif where == "worker thread":
+            assert worker_ran.wait(5.0)
+        if on_caller == (where == "calling thread"):
+            np.float64(1e308) * 10.0
+        return part(*args)
+
+    monkeypatch.setattr(audio, "_resample_part", spy)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         resample(Waveform(LONG, 44100), 22050)
     with np.errstate(over="ignore"):

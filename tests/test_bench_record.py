@@ -349,3 +349,95 @@ def test_recording_adds_one_traced_run_per_workload(tmp_path, monkeypatch):
             "gated": False, "seed": tool.TRACE_SEED, "correct": True,
             "metrics": {"x.self_ms": 1.0}, "shares": {"op": {"x": 0.5}}}
         assert body["workloads"][w]["metrics"][METRICS[0]]["samples"] == [1.0, 2.0]
+
+
+# ---------------------------------------------------------------- pairs
+
+# a stand-in bench whose metrics read SCALE x (1 + seed / 1000) and whose
+# outputs, correctness and environment follow the checkout's pair.json; each
+# run appends "<checkout> <seed>" to the shared order.log
+PAIR_BENCH = """
+import json, sys
+from pathlib import Path
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+w, seed = args["--workload"], int(args["--seed"])
+side = json.loads(Path("pair.json").read_text())
+with open(side["log"], "a") as log:
+    log.write(f"{side['name']} {seed}\\n")
+value = side["scale"] * (1.0 + seed / 1000.0)
+record = {"environment": {"seed": seed, "numpy": side.get("numpy", "2")},
+          "input_sha256": side.get("inputs", "in"), "output_sha256": {"op": side.get("output", "out")},
+          "failed_op_share": side.get("failed", 0.0),
+          "end_to_end": {m: {"value": value} for m in METRICS}}
+Path(".bench_results").mkdir(exist_ok=True)
+Path(f".bench_results/{w}-seed{seed}-trace0.json").write_text(json.dumps(record))
+print(json.dumps({"correct": side.get("correct", True)}))
+"""
+
+
+def _pair_checkouts(tmp_path, parent: dict, change: dict) -> tuple[Path, Path, Path]:
+    """(parent, change, order log): two checkouts of the stand-in bench."""
+    log = tmp_path / "order.log"
+    dirs = []
+    for name, side in (("parent", parent), ("change", change)):
+        d = tmp_path / name
+        d.mkdir()
+        (d / "fake_bench.py").write_text(f"METRICS = {METRICS!r}\n{PAIR_BENCH}")
+        benchmark = {**BENCHMARK, "command": [sys.executable, "fake_bench.py"], "run_seconds": 1}
+        (d / "BENCHMARK.json").write_text(json.dumps(benchmark))
+        (d / "pair.json").write_text(json.dumps({"name": name, "log": str(log), "scale": 1.0, **side}))
+        dirs.append(d)
+    return dirs[0], dirs[1], log
+
+
+def _pairs_cli(parent, change, n, *extra):
+    return tool.main(["--pairs", str(n), "--parent", str(parent), "--checkout", str(change),
+                      "--workload", WORKLOADS[0], *extra])
+
+
+def test_pairs_alternate_the_order_on_seeds_outside_the_recorded_ones(tmp_path, capsys):
+    parent, change, log = _pair_checkouts(tmp_path, {}, {"scale": 0.5})
+    out = tmp_path / "pairs.json"
+    assert _pairs_cli(parent, change, 4, "--out", str(out)) == 0
+    seeds = [tool.PAIR_SEED0 + k for k in range(4)]
+    assert not set(seeds) & set(tool.SEEDS)
+    runs = [line.split() for line in log.read_text().splitlines()]
+    assert runs == [[name, str(seed)] for seed, order in zip(seeds, [0, 1, 0, 1])
+                    for name in (("parent", "change") if order == 0 else ("change", "parent"))]
+    body = json.loads(out.read_text())
+    assert [p["first"] for p in body["pairs"]] == ["A", "B", "A", "B"]
+    metric = body["metrics"][METRICS[0]]
+    assert metric["wins"] == 4 and metric["ratio"] == 0.5
+    assert metric["A"]["samples"] == [1.0 + s / 1000.0 for s in seeds]
+    assert body["ok"] and body["outputs_differ_on"] == []
+    text = capsys.readouterr().out
+    row = next(line for line in text.splitlines() if line.startswith(METRICS[0] + " "))
+    assert " 0.500 " in row and "   4/4 " in row
+
+
+def test_pairs_count_ties_for_neither_side(tmp_path):
+    parent, change, _ = _pair_checkouts(tmp_path, {}, {})
+    pairs = tool.run_pairs(parent, change, WORKLOADS[0], 2)
+    summary, lines, ok = tool.summarize_pairs(pairs, BENCHMARK)
+    assert ok and all(m["wins"] == 0 and m["ratio"] == 1.0 for m in summary["metrics"].values())
+    # the second run of each pair reads the same value as the first
+    assert all(m["second_over_first"] == 1.0 for m in summary["metrics"].values())
+
+
+@pytest.mark.parametrize("change, code", [
+    ({"output": "other"}, 1),
+    ({"correct": False}, 1),
+    ({"failed": 0.01}, 1),
+    ({"numpy": "1"}, 2),
+    ({"inputs": "else"}, 2),
+])
+def test_pairs_exit_on_outputs_correctness_failures_environments_and_inputs(
+        tmp_path, capsys, change, code):
+    parent, change_dir, _ = _pair_checkouts(tmp_path, {}, change)
+    assert _pairs_cli(parent, change_dir, 2) == code
+    captured = capsys.readouterr()
+    if code == 2:  # refused at the first pair, before its progress line
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert ("environments differ" in captured.err) == ("numpy" in change)
+    else:
+        assert ("DIFFER" in captured.out) == ("output" in change)

@@ -1,8 +1,8 @@
 """`scipy.signal` is the largest cost of a fresh interpreter's start-up, and
 no library call imports it: `audio.resample` between differing rates loads
 only its compiled polyphase kernel, `scipy.signal._upfirdn_apply`. No
-library call leaves a thread running: a long resample joins the threads it
-starts. Each check runs in a fresh interpreter, because this suite's own
+library call leaves a thread running: a long resample joins the worker
+thread it starts. Each check runs in a fresh interpreter, because this suite's own
 process has long loaded the one and may have started the other."""
 import os
 import subprocess
@@ -79,7 +79,7 @@ def test_a_clip_at_another_rate_loads_the_kernel_but_not_scipy_signal(tmp_path):
 
 def test_short_clips_and_gradients_start_no_thread(tmp_path):
     # a long resample runs its parts on two threads where two cores are
-    # usable (tests/test_audio.py), and joins them before it returns
+    # usable (tests/test_audio.py), and joins its worker before it returns
     wav = tmp_path / "tone.wav"
     write_wav(wav, sine_tone(220.0, 1.0, sample_rate=22050))  # 87 frames: one block
     threads = {step: count for step, (_, _, count) in _run_steps([

@@ -190,6 +190,28 @@ def test_recon_loss_reads_integer_entries_as_floats():
     assert recon_loss(np.array([[-2]]), z, z, z) == 45.0 * (math.exp(2.0) - 1.0)
 
 
+# each loss of object matrices, and of the same values as float64
+OBJECT_LOSSES = {
+    "decoding_loss": lambda m: decoding_loss(m, np.zeros((3, 80))),
+    "recon_loss": lambda m: recon_loss(m, np.zeros((3, 80)), np.ones((3, 80)), m),
+    "shift_consistency_metric": lambda m: shift_consistency_metric(m, np.zeros((3, 80)), 2),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(OBJECT_LOSSES))
+def test_object_matrices_of_reals_read_as_float64(rng, name):
+    # numpy's isfinite once raised TypeError on an object matrix of reals
+    values = rng.uniform(0.0, 1.0, (3, 80))
+    mixed = values.astype(object)
+    mixed[0, :3] = [1, True, np.float32(0.5)]  # an int, a bool and a numpy scalar
+    expected = OBJECT_LOSSES[name](mixed.astype(np.float64))
+    assert OBJECT_LOSSES[name](mixed) == expected  # bit for bit
+    mixed[1, 7] = 1 + 2j
+    with pytest.raises(ValueError, match="must be real, got dtype object"):
+        OBJECT_LOSSES[name](mixed)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("loss, first", [
     ("decoding_loss", 10.0), ("recon_loss", -5.0), ("shift_consistency_metric", -5.0),

@@ -3,6 +3,7 @@
 
     python3 tools/bench_record.py [--checkout DIR]
     python3 tools/bench_record.py --compare BENCH_1.json BENCH_2.json
+    python3 tools/bench_record.py --pairs N --parent DIR --workload W [--out FILE]
 
 Recording runs BENCHMARK.json's command (`python3 bench/run.py --workload W
 --seed N --seconds 20 --trace 0`) in the checkout DIR (default: this one),
@@ -31,6 +32,19 @@ file, and files from different environments, with different workloads,
 metrics or input digests, or with a metric that BENCHMARK.json does not
 bound; a failed run while recording exits 2 the same way.  Numbers compare
 only within one machine.
+
+`--pairs N --parent DIR --workload W` runs the workload N times in each of
+two checkouts, the parent DIR (A) and the change (B, --checkout), one pair
+per seed from PAIR_SEED0 on, outside SEEDS; A runs first in even pairs and
+B in odd ones, so neither side always runs second.  Each run's record is
+read before the next run.  It prints, per gated metric, both sides' medians
+and quartiles, B/A of the medians, how many pairs B won (ties count for
+neither side) and the median ratio of each pair's second run to its first,
+the order effect.  With --out FILE it writes every pair's samples and the
+summary as JSON.  It exits 1 when an output digest differs, `correct`
+turns false or the largest `failed_op_share` rises, and 2, with one line
+on stderr, for runs whose environments or input digests differ.  The wins
+never change the exit code.
 """
 from __future__ import annotations
 
@@ -43,6 +57,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 SEEDS = (0, 1, 2, 3, 4)
+# the seed of a `--pairs` run's first pair; pair k runs seed PAIR_SEED0 + k
+PAIR_SEED0 = 1000
 RUN_TIMEOUT_S = 900
 # what a BENCH file keeps per metric and per seed of a workload
 METRIC_KEYS = ("median", "q1", "q3")
@@ -62,9 +78,12 @@ KNOWN_FAULTS = {
                            "which analysis does not call"),
 }
 # layers the tracer still wraps, although analysis runs on blocks and no
-# longer calls them: their metrics read 0 outside the per-frame path
+# longer calls them: their metrics read 0 outside the per-frame path; and
+# the three the CLI and `evaluate_shift_pair` bypass since they hand
+# `feature._analyse` a clip at any rate
 DEAD_LAYERS = ("audio.frame_signal", "yin.cmnd", "yin.pick_lag", "yin.estimate_f0",
-               "yin.parabolic_refine", "feature.yingram_frame")
+               "yin.parabolic_refine", "feature.yingram_frame", "audio.resample",
+               "feature.compute_yingram", "evaluate.extract_pitch_contour")
 
 
 def quartiles(samples: list[float]) -> tuple[float, float, float]:
@@ -220,6 +239,12 @@ def _git(checkout: Path, *args: str) -> str | None:
     return done.stdout.strip()
 
 
+def _dirty(checkout: Path) -> bool | None:
+    """Whether the checkout has uncommitted changes; None outside git."""
+    status = _git(checkout, "status", "--porcelain")
+    return None if status is None else bool(status)
+
+
 def run_one(checkout: Path, command: list[str], workload: str, seed: int, seconds: float,
             trace: int = 0) -> dict:
     """One bench run, traced when `trace` is 1; its record and the `correct`
@@ -260,9 +285,7 @@ def record(checkout: Path) -> Path:
     traced = [run_one(checkout, command, spec["name"], TRACE_SEED, seconds, trace=1)
               for spec in benchmark["workloads"]]
     body = aggregate(runs, benchmark, traced)
-    status = _git(checkout, "status", "--porcelain")
-    out = {"commit": _git(checkout, "rev-parse", "HEAD"),
-           "dirty": None if status is None else bool(status),
+    out = {"commit": _git(checkout, "rev-parse", "HEAD"), "dirty": _dirty(checkout),
            "command": [*command, "--workload", "W", "--seed", "N", "--seconds", str(seconds),
                        "--trace", "0"],
            "seeds": list(SEEDS), **body}
@@ -272,6 +295,104 @@ def record(checkout: Path) -> Path:
     path = REPO / f"BENCH_{n}.json"
     path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     return path
+
+
+def run_pairs(parent: Path, checkout: Path, workload: str, n: int) -> list[dict]:
+    """N alternating pairs of one workload: per pair its seed, which side
+    ran first ("A" the parent, "B" the change) and each side's run as
+    `run_one` returns it.  Runs use the change's BENCHMARK.json command.
+
+    Raises:
+        ValueError: as soon as a run's environment differs from the first
+            run's, or a pair's input digests differ.
+    """
+    benchmark = json.loads((checkout / "BENCHMARK.json").read_text())
+    command, seconds = benchmark["command"], benchmark["run_seconds"]
+    pairs, environment = [], None
+    for k in range(n):
+        seed = PAIR_SEED0 + k
+        order = ("A", "B") if k % 2 == 0 else ("B", "A")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run_one(parent if side == "A" else checkout, command, workload, seed, seconds)
+            environment = environment or _run_environment(pair[side]["record"])
+            if _run_environment(pair[side]["record"]) != environment:
+                raise ValueError(f"environments differ: {side} seed {seed} ran in "
+                                 f"{_run_environment(pair[side]['record'])}, not {environment}")
+        if pair["A"]["record"]["input_sha256"] != pair["B"]["record"]["input_sha256"]:
+            raise ValueError(f"input digests of seed {seed} differ")
+        print(f"{workload} seed {seed}, {order[0]} first: " + ", ".join(
+            f"{m} {pair['A']['record']['end_to_end'][m]['value']:.4g} -> "
+            f"{pair['B']['record']['end_to_end'][m]['value']:.4g}"
+            for m in pair["A"]["record"]["end_to_end"]), file=sys.stderr, flush=True)
+        pairs.append(pair)
+    return pairs
+
+
+def summarize_pairs(pairs: list[dict], benchmark: dict) -> tuple[dict, list[str], bool]:
+    """(summary, report lines, ok) of `run_pairs`' pairs: per gated metric
+    each side's median and quartiles, B/A of the medians, B's wins and the
+    median second-run/first-run ratio; ok unless an output digest differs,
+    B turns incorrect or B's largest failed_op_share exceeds A's."""
+    lines = [f"{len(pairs)} pairs, seeds {pairs[0]['seed']}..{pairs[-1]['seed']}, A = parent, "
+             f"B = change",
+             f"{'metric':21s} {'median A':>10s} {'q1..q3 A':>19s} {'median B':>10s} "
+             f"{'q1..q3 B':>19s} {'B/A':>7s} {'B wins':>7s} {'2nd/1st':>8s}"]
+    summary = {}
+    for spec in benchmark["end_to_end"]:
+        name = spec["name"]
+        values = {side: [p[side]["record"]["end_to_end"][name]["value"] for p in pairs]
+                  for side in "AB"}
+        sign = 1 if spec["better"] == "lower" else -1
+        wins = sum(sign * (b - a) < 0 for a, b in zip(values["A"], values["B"]))
+        order = [p["B" if p["first"] == "A" else "A"]["record"]["end_to_end"][name]["value"]
+                 / p[p["first"]]["record"]["end_to_end"][name]["value"] for p in pairs
+                 if p[p["first"]]["record"]["end_to_end"][name]["value"]]
+        entry = {side: dict(zip(("q1", "median", "q3"), quartiles(values[side])), samples=values[side])
+                 for side in "AB"}
+        a, b = entry["A"]["median"], entry["B"]["median"]
+        entry.update(ratio=b / a if a else None, wins=wins,
+                     second_over_first=statistics.median(order) if order else None)
+        summary[name] = entry
+        lines.append(f"{name:21s} {a:10.4g} {entry['A']['q1']:9.4g}..{entry['A']['q3']:<8.4g} "
+                     f"{b:10.4g} {entry['B']['q1']:9.4g}..{entry['B']['q3']:<8.4g} "
+                     f"{_ratio(a, b)} {wins:4d}/{len(pairs):<2d} "
+                     f"{entry['second_over_first'] or float('nan'):8.3f}")
+    differ = [p["seed"] for p in pairs
+              if p["A"]["record"]["output_sha256"] != p["B"]["record"]["output_sha256"]]
+    correct = {side: all(p[side]["correct"] for p in pairs) for side in "AB"}
+    failed = {side: max(p[side]["record"]["failed_op_share"] for p in pairs) for side in "AB"}
+    ok = not differ and (correct["B"] or not correct["A"]) and failed["B"] <= failed["A"]
+    lines.append(f"outputs {'DIFFER on seeds ' + str(differ) if differ else 'equal'}; correct "
+                 f"{correct['A']} -> {correct['B']}; failed_op_share max {failed['A']} -> {failed['B']}")
+    summary = {"environment": _run_environment(pairs[0]["A"]["record"]), "metrics": summary, "outputs_differ_on": differ,
+               "correct": correct, "failed_op_share_max": failed, "ok": ok}
+    return summary, lines, ok
+
+
+def _pair_record(pair: dict) -> dict:
+    """What --out keeps of one pair: per side its end-to-end values, digests and verdict."""
+    return {"seed": pair["seed"], "first": pair["first"], **{
+        side: {"correct": pair[side]["correct"],
+               "end_to_end": {k: v["value"] for k, v in pair[side]["record"]["end_to_end"].items()},
+               **{k: pair[side]["record"][k] for k in SEED_KEYS}} for side in "AB"}}
+
+
+def pairs_main(parent: Path, checkout: Path, workload: str, n: int, out: Path | None) -> int:
+    """--pairs: run, report and, with `out`, record N pairs; the exit code."""
+    benchmark = json.loads((checkout / "BENCHMARK.json").read_text())
+    pairs = run_pairs(parent, checkout, workload, n)
+    summary, lines, ok = summarize_pairs(pairs, benchmark)
+    print("\n".join([f"workload {workload}", *lines]))
+    if out is not None:
+        sides = {side: {"commit": _git(path, "rev-parse", "HEAD"), "dirty": _dirty(path)}
+                 for side, path in (("A", parent), ("B", checkout))}
+        out.write_text(json.dumps({"workload": workload, "sides": sides,
+                                   "command": benchmark["command"],
+                                   "run_seconds": benchmark["run_seconds"], **summary,
+                                   "pairs": [_pair_record(p) for p in pairs]},
+                                  indent=1, sort_keys=True) + "\n")
+    return 0 if ok else 1
 
 
 def _holds(entries, keys: tuple[str, ...]) -> bool:
@@ -312,8 +433,18 @@ def main(argv=None) -> int:
                    help="the checkout whose bench/run.py and src/ are run (default: this one)")
     p.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
                    help="compare BENCH file B against base A instead of recording")
+    p.add_argument("--pairs", type=int, metavar="N",
+                   help="run N alternating pairs of --parent against --checkout instead")
+    p.add_argument("--parent", type=Path, help="the base checkout of --pairs")
+    p.add_argument("--workload", help="the workload --pairs runs")
+    p.add_argument("--out", type=Path, help="where --pairs writes its samples and summary")
     args = p.parse_args(argv)
+    if args.pairs is not None and (args.pairs < 1 or not args.parent or not args.workload):
+        p.error("--pairs needs N >= 1, --parent and --workload")
     try:
+        if args.pairs is not None:
+            return pairs_main(args.parent.resolve(), args.checkout.resolve(), args.workload,
+                              args.pairs, args.out)
         if args.compare:
             benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
             a, b = map(_read_bench, args.compare)
