@@ -5,6 +5,7 @@ import contextvars
 import importlib
 import importlib.machinery
 import importlib.util
+import itertools
 import os
 import struct
 import sys
@@ -40,15 +41,18 @@ _KAISER_BETA = 8.6
 # 31183/22050). Other pairs resample at the nearest ratio within the cap.
 _MAX_POLYPHASE = 1 << 15
 # Inputs of at least this many samples resample in parts of at most this many
-# (plus margins), at least two, on two threads (`_Resampling`); shorter
-# ones, in one call, gain less than a thread costs.
+# (plus margins), at least two (`_Resampling`), so that a streamed pass holds
+# a few parts; shorter ones, in one call, gain less than a thread costs.
 _SPLIT_SAMPLES = 1 << 17
+# Parts `_Resampling` claims past the first one whose outputs it still holds,
+# unless a read waits for them: the window of outputs a clip pass holds
+_WINDOW_PARTS = 3
 # scipy's compiled polyphase loop, the one part of scipy.signal resampling runs
 _UPFIRDN = "scipy.signal._upfirdn_apply"
 # (format tag, bits) -> (the type a sample is viewed as, full scale)
 _STORED_TYPES = {(1, 16): ("<i2", 2.0**15), (1, 24): ("<i4", 2.0**23), (3, 32): ("<f4", 1.0)}
-# Stored samples `load_wav` reads and decodes at a time (rounded down to
-# whole frames, at least one frame): the one block it holds besides the clip
+# Stored samples `_WavFile.read` reads and decodes at a time (rounded down to
+# whole frames, at least one frame): the one block it holds besides its result
 _BLOCK_SAMPLES = 1 << 14
 
 
@@ -157,30 +161,103 @@ def _decode_samples(
     out /= full_scale * n_channels
 
 
-def _read_samples(fh, size: int, audio_format: int, bits: int, n_channels: int) -> np.ndarray:
-    """Mono float64 samples of the data chunk of `size` bytes at fh's
-    position, read _BLOCK_SAMPLES samples at a time into one reused buffer
-    and decoded straight into the clip. A trailing partial frame is dropped;
-    a short read raises the chunk walk's "truncated" message."""
-    if (audio_format, bits) not in _STORED_TYPES:
-        raise WavFormatError(f"unsupported format: audio format tag {audio_format} at {bits} bits")
-    frame_bytes, lead = n_channels * (bits // 8), int(bits == 24)
-    block = max(1, _BLOCK_SAMPLES // n_channels)  # frames
-    buf = bytearray(lead + block * frame_bytes)
-    samples = np.empty(size // frame_bytes)
-    for start in range(0, len(samples), block):
-        out = samples[start : start + block]
-        view = memoryview(buf)[lead : lead + len(out) * frame_bytes]
-        if fh.readinto(view) < len(view):  # the file shrank after the chunk walk
-            raise WavFormatError("corrupt file: truncated b'data' chunk")
-        _decode_samples(buf, audio_format, bits, n_channels, out)
-        if not np.isfinite(out).all():
-            raise WavFormatError("corrupt file: non-finite samples")
-    return samples
+def _pread(fd: int, view: memoryview, offset: int) -> int:
+    """Read into `view` from byte `offset` of the file `fd`, without moving
+    (or reading) any file position; the count read, short only at the end
+    of the file."""
+    got = 0
+    while got < len(view):
+        n = os.preadv(fd, [view[got:]], offset + got)
+        if n == 0:
+            break
+        got += n
+    return got
+
+
+class _WavFile:
+    """An open RIFF/WAVE file whose chunks have been walked: its
+    `sample_rate`, its whole frames (`len`), and `read`, which decodes any
+    frame range of the data chunk. Reads go by offset (`_pread`), so threads
+    may share the file. Leaving the context closes it.
+
+    Raises WavFormatError as `load_wav` does, for the header on opening and
+    for the samples on reading.
+    """
+
+    def __init__(self, path: str | os.PathLike):
+        self._fh = fh = open(path, "rb")
+        try:
+            file_size = os.fstat(fh.fileno()).st_size
+            head = fh.read(12)
+            if len(head) < 12:
+                raise WavFormatError("corrupt file: shorter than a RIFF header")
+            if head[:4] != b"RIFF" or head[8:12] != b"WAVE":
+                raise WavFormatError("unsupported format: not a RIFF/WAVE file")
+
+            fmt = None
+            data = None  # (offset, size) of the data chunk's body
+            pos = 12
+            while pos + 8 <= file_size:
+                fh.seek(pos)
+                cid, size = struct.unpack("<4sI", fh.read(8))
+                if pos + 8 + size > file_size:
+                    raise WavFormatError(f"corrupt file: truncated {cid!r} chunk")
+                if cid == b"fmt ":
+                    fmt = _decode_fmt(fh.read(size))
+                elif cid == b"data":
+                    data = pos + 8, size
+                pos += 8 + size + (size & 1)  # chunks are word aligned
+
+            if fmt is None or data is None:
+                raise WavFormatError("corrupt file: missing fmt or data chunk")
+            audio_format, n_channels, self.sample_rate, bits = fmt
+            if n_channels < 1:
+                raise WavFormatError("corrupt file: zero channels")
+            if (audio_format, bits) not in _STORED_TYPES:
+                raise WavFormatError(f"unsupported format: audio format tag {audio_format} at {bits} bits")
+        except BaseException:
+            fh.close()
+            raise
+        self._format = audio_format, bits, n_channels
+        self._offset, self._frame_bytes = data[0], n_channels * (bits // 8)
+        self._frames = data[1] // self._frame_bytes  # a trailing partial frame is dropped
+
+    def __enter__(self) -> "_WavFile":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+    def __len__(self) -> int:
+        return self._frames
+
+    def read(self, first: int, stop: int) -> np.ndarray:
+        """Mono float64 samples of frames first..stop-1, read _BLOCK_SAMPLES
+        stored samples at a time into one reused buffer and decoded straight
+        into the result (`_decode_samples`). A bad frame raises, the first
+        in file order: "non-finite samples", or, for frames the file no
+        longer holds (it shrank after the chunk walk), the chunk walk's
+        "truncated" message."""
+        audio_format, bits, n_channels = self._format
+        frame_bytes, lead = self._frame_bytes, int(bits == 24)
+        block = max(1, _BLOCK_SAMPLES // n_channels)  # frames
+        samples = np.empty(stop - first)
+        buf = bytearray(lead + min(block, len(samples)) * frame_bytes)
+        for start in range(0, len(samples), block):
+            out = samples[start : start + block]
+            view = memoryview(buf)[lead : lead + len(out) * frame_bytes]
+            whole = _pread(self._fh.fileno(), view, self._offset + (first + start) * frame_bytes) // frame_bytes
+            _decode_samples(buf, audio_format, bits, n_channels, out[:whole])
+            if not np.isfinite(out[:whole]).all():
+                raise WavFormatError("corrupt file: non-finite samples")
+            if whole < len(out):
+                raise WavFormatError("corrupt file: truncated b'data' chunk")
+        return samples
 
 
 def load_wav(path: str | os.PathLike) -> Waveform:
-    """Load a RIFF/WAVE file as a mono Waveform.
+    """Load a RIFF/WAVE file as a mono Waveform: `_WavFile`'s read of the
+    whole data chunk.
 
     Supports PCM 16-bit, PCM 24-bit and IEEE float 32-bit, any channel
     count. Multi-channel audio is averaged to mono; integer PCM is scaled
@@ -191,36 +268,8 @@ def load_wav(path: str | os.PathLike) -> Waveform:
         WavFormatError: "unsupported format" for codecs outside the list
             above, "corrupt file" for truncated or malformed chunks.
     """
-    with open(path, "rb") as fh:
-        file_size = os.fstat(fh.fileno()).st_size
-        head = fh.read(12)
-        if len(head) < 12:
-            raise WavFormatError("corrupt file: shorter than a RIFF header")
-        if head[:4] != b"RIFF" or head[8:12] != b"WAVE":
-            raise WavFormatError("unsupported format: not a RIFF/WAVE file")
-
-        fmt = None
-        data = None  # (offset, size) of the data chunk's body
-        pos = 12
-        while pos + 8 <= file_size:
-            fh.seek(pos)
-            cid, size = struct.unpack("<4sI", fh.read(8))
-            if pos + 8 + size > file_size:
-                raise WavFormatError(f"corrupt file: truncated {cid!r} chunk")
-            if cid == b"fmt ":
-                fmt = _decode_fmt(fh.read(size))
-            elif cid == b"data":
-                data = pos + 8, size
-            pos += 8 + size + (size & 1)  # chunks are word aligned
-
-        if fmt is None or data is None:
-            raise WavFormatError("corrupt file: missing fmt or data chunk")
-
-        audio_format, n_channels, sample_rate, bits = fmt
-        if n_channels < 1:
-            raise WavFormatError("corrupt file: zero channels")
-        fh.seek(data[0])
-        return Waveform(_read_samples(fh, data[1], audio_format, bits, n_channels), sample_rate)
+    with _WavFile(path) as wav:
+        return Waveform(wav.read(0, len(wav)), wav.sample_rate)
 
 
 def _polyphase_factors(source_sr: int, target_sr: int) -> tuple[int, int]:
@@ -270,12 +319,13 @@ def _usable_cores() -> int:
     """Cores this process may run on: its CPU affinity, where the platform
     reports one, else the core count.
 
-    `_Resampling` splits only with two of them. Fresh processes analysed
-    60 s of 48 kHz vibrato through `feature._analyse` (resampling it as they
-    went), best of 7, in 3 alternating rounds on a 2-core VM. Pinned to one
-    core, one part took 240-280 ms and a forced split 240-259 ms; on two
-    cores the split took 133-144 ms. On one core the split gains nothing
-    and holds two part outputs more."""
+    `_Resampling` starts its thread only with two of them. Fresh processes
+    analysed 60 s of 48 kHz vibrato through `feature._analyse` (resampling
+    it as they went), best of 7, in 3 alternating rounds on a 2-core VM.
+    Pinned to one core, one part took 240-280 ms and parts on two threads
+    240-259 ms; on two cores the parts took 133-144 ms. So one core splits
+    the clip into parts too, which bounds its memory, but runs them all on
+    the calling thread."""
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
@@ -339,68 +389,92 @@ def _resample_part(x: np.ndarray, up: int, down: int, poly: tuple, out: np.ndarr
 
 
 class _Resampling:
-    """`resample(w, target_sr)` in progress: scipy.signal.resample_poly(x,
-    up, down, window=fir), bit for bit, through scipy's compiled kernel
-    (`_upfirdn_kernel`), never importing scipy.signal. Its parts write into
-    `samples`, one buffer at `resample`'s length with its zero tail. Inside
-    the context, `read(stop)` returns it once its first `stop` samples are
-    final, so a reader may start on them while later parts run. Entering
-    starts the worker thread, leaving joins it.
+    """`resample(source, target_sr)` in progress, for a Waveform or an open
+    `_WavFile`, in parts that each decode their own inputs, margins
+    included, and write their own outputs: scipy.signal.resample_poly(x, up,
+    down, window=fir), bit for bit, through scipy's compiled kernel
+    (`_upfirdn_kernel`), never importing scipy.signal. Inside the context,
+    `clip[a:b]` returns outputs a..b-1 (`len(clip)` in all, `resample`'s
+    length with its zero tail) once they are final: a view of one part's
+    outputs, or a copy joining two. `release(stop)` drops the outputs of the
+    done parts that end by `stop`, and `finish()` runs the parts left,
+    dropping each, so a reader that releases as it goes holds a window of a
+    few parts, whatever the clip's length. At the target rate, a Waveform is
+    one part, a view of its samples, and a file has no parts: each read
+    decodes its samples straight from it, after any that no read asked for.
+    Entering starts the worker thread, leaving joins it.
 
-    With two usable cores, an input of at least _SPLIT_SAMPLES samples runs
-    as parts of at most that many own samples (or down), at least two;
-    otherwise it is one part, run on the calling thread, and no thread
-    starts. The worker thread, and the calling thread whenever `read` would
-    otherwise wait, claim the parts in input order. A part starts at a
-    multiple of down and reads `margin` more samples on each side:
-    len(fir) / up, the inputs one output reads, rounded up to a multiple of
-    down. An upfirdn output sums its taps times its inputs in input order,
-    and the taps an input meets depend only on its offset from the output,
-    so such a part gives the whole call's outputs for its own samples. The
-    first part runs straight into the buffer, its `skip` dropped outputs
-    before `samples`; each other part into an output of its own, copied in.
-    The thread runs in a copy of the caller's context, so numpy's errstate
-    holds in it. `read` raises the first failed part's error once every part
-    before it is done, as a serial loop would, and no part is claimed after
-    a failure. The kernel is resolved on the calling thread first.
+    An input of at least _SPLIT_SAMPLES samples resamples in parts of at
+    most that many own samples (or down), at least two; a shorter one in
+    one. With two usable cores and two parts or more a worker thread starts:
+    it, and the calling thread whenever a read would otherwise wait, claim
+    the parts in input order, at most _WINDOW_PARTS past the first part not
+    yet released unless a read waits for it. A part starts at a multiple of
+    down and reads `margin` more samples on each side: len(fir) / up, the
+    inputs one output reads, rounded up to a multiple of down. An upfirdn
+    output sums its taps times its inputs in input order, and the taps an
+    input meets depend only on its offset from the output, so such a part
+    gives the whole call's outputs for its own samples. The thread runs in a
+    copy of the caller's context, so numpy's errstate holds in it. A read
+    raises the first failed part's error once every part before it is done,
+    as a serial loop would, and no part is claimed after a failure. Errors
+    come as if the whole file was decoded first: a decoding error, in file
+    order, before the rate errors and before any other part's error, which
+    is raised only once the file from that part on has decoded. The kernel
+    is resolved on the calling thread first.
 
     Fresh processes on a 2-core VM: resampling 60 s of 48 kHz noise to
     22.05 kHz raised the peak RSS over the input's by 10.0-10.1 MiB in one
-    part and 10.6 MiB split, of which the output holds 10.1 MiB (58.6 MiB
-    through scipy.signal's resample_poly); resampling and analysing 60 s of
-    48 kHz vibrato (`feature._analyse`) took 133-144 ms at once against
-    196-265 ms one after the other (best of 7, 3 alternating rounds).
+    part, of which the output holds 10.1 MiB (58.6 MiB through
+    scipy.signal's resample_poly). An `analyze` of 60 s of 48 kHz stereo
+    24-bit audio, streamed from the file, peaked 9.9-11.1 MiB over `import
+    yingram.cli`, against 39.7 MiB when the decoded and the resampled clip
+    were held whole; in 10 alternating pairs of the long_clips benchmark,
+    its op costs read 1.03-1.04 times the whole-clip path's.
     """
 
-    def __init__(self, w: Waveform, target_sr: int):
-        x = np.asarray(w.samples)
-        n, n_out = len(x), _resampled_length(w, target_sr)
-        self._x, self._cond, self._thread = x, threading.Condition(), None
-        # parts claimed, the leading parts done, the others done, and failed ones' errors
-        self._claimed, self._done, self._finished, self._failed = 0, 0, set(), {}
-        self._closed = False
-        if target_sr == w.sample_rate:
-            self.samples, self._bounds = np.asarray(x, np.float64), [n_out]
-            return
-        self._up, self._down = up, down = _polyphase_factors(w.sample_rate, target_sr)
-        fir = _kaiser_sinc(max(up, down))
-        self._poly = _polyphase_filter(_upfirdn_kernel(), fir, up, down, n)
-        margin = -(-len(fir) // up)
-        self._margin = margin = -(-margin // down) * down
+    def __init__(self, source: Waveform | _WavFile, target_sr: int):
+        if isinstance(source, _WavFile):
+            self._decode = source.read
+        else:
+            x = np.asarray(source.samples)
+            self._decode = lambda first, stop: np.asarray(x[first:stop], np.float64)
+        self._n = n = len(source)
+        self._cond, self._thread = threading.Condition(), None
+        # parts claimed, the leading parts done, the leading parts released, the
+        # others done, the outputs held, their non-finite counts, failed ones' errors
+        self._claimed = self._done = self._released = 0
+        self._finished, self._outputs, self._bad, self._failed = set(), {}, {}, {}
+        self._wanted, self._closed = 0, False  # the output a read waits for
+        self._checked = 0  # at the target rate, a file's samples decoded so far
+        try:  # the rules `load_wav`'s Waveform and `resample` read, once the file has decoded
+            _require_int(source.sample_rate, "sample_rate", 1)
+            n_out = _resampled_length(source, target_sr)
+        except ValueError:
+            self._check(0, n)
+            raise
+        self._poly, self._margin, down = None, 0, 1
+        if target_sr != source.sample_rate:
+            self._up, self._down = up, down = _polyphase_factors(source.sample_rate, target_sr)
+            fir = _kaiser_sinc(max(up, down))
+            self._poly = _polyphase_filter(_upfirdn_kernel(), fir, up, down, n)
+            margin = -(-len(fir) // up)
+            self._margin = -(-margin // down) * down
         step = min(max(down, _SPLIT_SAMPLES // down * down), -(-n // (2 * down)) * down)
-        split = n >= _SPLIT_SAMPLES and _usable_cores() >= 2 and margin <= step < n
+        split = self._poly is not None and n >= _SPLIT_SAMPLES and self._margin <= step < n
+        # at the target rate, reads cut a Waveform's samples, or decode a file's straight
+        self._direct = self._poly is None and isinstance(source, _WavFile)
+        starts = range(0, n, step) if split else [0]
         # part i owns inputs edges[i]..edges[i+1]-1 and outputs bounds[i]..bounds[i+1]-1,
         # up to resample_poly's last output, `kept`: the tail past it stays zero
-        self._kept = kept = min(-(-n * up // down), n_out)
-        starts = range(0, n, step) if split else [0]
-        self._edges = [*starts, n]
-        self._bounds = [min(a * up // down, kept) for a in starts] + [n_out]
-        # the first part's `skip` leading outputs, which resample_poly drops, go before `samples`
-        self._buffer = np.zeros(self._poly[1] + n_out)
-        self.samples = self._buffer[self._poly[1] :]
+        self._edges = self._bounds = [*starts, n]
+        self._kept = n
+        if self._poly is not None:
+            self._kept = kept = min(-(-n * up // down), n_out)
+            self._bounds = [min(a * up // down, kept) for a in starts] + [n_out]
 
     def __enter__(self) -> "_Resampling":
-        if len(self._bounds) > 2:
+        if len(self._bounds) > 2 and _usable_cores() >= 2:
             self._thread = threading.Thread(target=contextvars.copy_context().run,
                                             args=(self._work,), name="yingram-resample")
             self._thread.start()
@@ -409,72 +483,144 @@ class _Resampling:
     def __exit__(self, *exc) -> None:
         with self._cond:
             self._closed = True
+            self._cond.notify_all()
         if self._thread is not None:
             self._thread.join()
 
-    def read(self, stop: int) -> np.ndarray:
-        """`samples`, once its first `stop` are final. Until then the calling
-        thread runs the next unclaimed part, or waits for the thread's.
-        Raises the first failed part's error once the parts before it are done."""
+    def __len__(self) -> int:
+        return self._bounds[-1]
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        """Outputs key.start..key.stop-1, cut at the end, once final, none
+        released; raises as `_wait`."""
+        first, stop = key.start, min(key.stop, len(self))
+        if self._direct:  # in file order, the samples before `first` too
+            self._check(self._checked, first)
+            self._checked = max(self._checked, stop)
+            return self._decode(first, stop)
+        self._wait(stop)
+        pieces = []
+        with self._cond:
+            for part in range(self._released, len(self._bounds) - 1):
+                lo, hi = self._bounds[part], self._bounds[part + 1]
+                if lo >= stop:
+                    break
+                if hi > first:
+                    pieces.append(self._outputs[part][max(first - lo, 0) : stop - lo])
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces or [np.zeros(0)])
+
+    def release(self, stop: int) -> None:
+        """Drop the outputs of the done parts that end at or before output `stop`."""
+        with self._cond:
+            while self._released < self._done and self._bounds[self._released + 1] <= stop:
+                del self._outputs[self._released]
+                self._released += 1
+            self._cond.notify_all()
+
+    def finish(self) -> tuple[int, int]:
+        """Run the parts left, dropping each output once done; raises as
+        `_wait`. Returns how many outputs of the whole clip are not finite,
+        and the index of the first."""
+        if self._direct:  # decoded samples are finite
+            self._check(self._checked, self._n)
+            return 0, 0
+        for stop in self._bounds[self._released + 1 :]:
+            self._wait(stop)
+            self.release(stop)
+        counts = self._bad.values()
+        return sum(count for count, _ in counts), min((first for _, first in counts), default=0)
+
+    def _wait(self, stop: int) -> None:
+        """Return once the first `stop` outputs are final. Until then the
+        calling thread runs the next part it may claim, or waits for the
+        thread's. Raises the first failed part's error once the parts before
+        it are done; one that is not a decoding error only once the inputs
+        from that part on have decoded, so a decoding error there comes first."""
         while True:
             with self._cond:
                 if self._bounds[self._done] >= stop:
-                    return self.samples
+                    return
                 if self._done in self._failed:
-                    raise self._failed[self._done]
+                    failed = self._done
+                    break
+                self._wanted = stop
                 part = self._claim()
                 if part is None:
                     self._cond.wait()
                     continue
             self._run(part)
+        if not isinstance(self._failed[failed], WavFormatError):
+            self._check(max(self._edges[failed] - self._margin, 0), self._n)
+        raise self._failed[failed]
+
+    def _check(self, first: int, stop: int) -> None:
+        """Decode inputs first..stop-1, part by part, for their errors alone."""
+        for start in range(first, stop, _SPLIT_SAMPLES):
+            self._decode(start, min(start + _SPLIT_SAMPLES, stop))
+
+    def _stopped(self) -> bool:
+        """Whether no part is left to claim: each is, one has failed or the context is left."""
+        return bool(self._failed) or self._closed or self._claimed == len(self._bounds) - 1
 
     def _claim(self) -> int | None:
-        """The next part to run, with the lock held; None once every part is
-        claimed, one has failed or the context is left."""
-        if self._failed or self._closed or self._claimed == len(self._bounds) - 1:
+        """The next part to run, with the lock held; None once `_stopped`, and
+        while the part lies _WINDOW_PARTS past the first one held and no read
+        waits for it."""
+        part = self._claimed
+        if self._stopped() or (part >= self._released + _WINDOW_PARTS
+                               and self._bounds[part] >= self._wanted):
             return None
         self._claimed += 1
-        return self._claimed - 1
+        return part
 
     def _work(self) -> None:
+        """The worker thread: claim and run parts until `_stopped`."""
         while True:
             with self._cond:
-                part = self._claim()
+                while (part := self._claim()) is None and not self._stopped():
+                    self._cond.wait()
             if part is None:
                 return
             self._run(part)
 
     def _run(self, part: int) -> None:
-        """Resample one part into `samples` and publish it, or keep its error
-        for `read`."""
-        up, down, margin = self._up, self._down, self._margin
-        first = max(self._edges[part] - margin, 0)
-        lo, hi = self._bounds[part], min(self._bounds[part + 1], self._kept)
-        start = first * up // down  # the output a part's first kept output is
-        try:  # the first part runs straight into `samples`, the others into one of their own
-            out = self._buffer[: self._poly[1] + hi] if part == 0 else np.zeros(self._poly[1] + hi - start)
-            y = _resample_part(self._x[first : self._edges[part + 1] + margin], up, down, self._poly, out)
-            if part:
-                self.samples[lo:hi] = y[lo - start :]
-        except BaseException as exc:  # re-raised on the calling thread by `read`
+        """Decode and resample one part and publish its outputs, or keep its
+        error for the reads."""
+        first = max(self._edges[part] - self._margin, 0)
+        stop = min(self._edges[part + 1] + self._margin, self._n)
+        lo, hi = self._bounds[part], self._bounds[part + 1]
+        try:
+            y = self._decode(first, stop)
+            if self._poly is not None:  # the outputs from `start` on, `skip` dropped ones before
+                up, down, skip = self._up, self._down, self._poly[1]
+                start = first * up // down
+                out = np.zeros(skip + hi - start)
+                _resample_part(y, up, down, self._poly, out[: skip + min(hi, self._kept) - start])
+                y = out[skip + lo - start :]
+            finite = np.isfinite(y)
+            bad = None if finite.all() else (int(y.size - finite.sum()), lo + int(np.argmin(finite)))
+        except BaseException as exc:  # re-raised on the calling thread by `_wait`
             with self._cond:
                 self._failed[part] = exc
                 self._cond.notify_all()
             return
         with self._cond:
+            self._outputs[part] = y
+            if bad:
+                self._bad[part] = bad
             self._finished.add(part)
             while self._done in self._finished:
                 self._done += 1
             self._cond.notify_all()
 
 
-def _resampled_length(w: Waveform, target_sr: int) -> int:
+def _resampled_length(w: Waveform | _WavFile, target_sr: int) -> int:
     """len(resample(w, target_sr)), the one length rule: round(len *
     target_sr / source_sr). Raises ValueError as `resample` does for rates
     more than a factor _MAX_POLYPHASE apart."""
     if target_sr != w.sample_rate:
         _polyphase_factors(w.sample_rate, target_sr)
-    return int(np.floor(len(w.samples) * target_sr / w.sample_rate + 0.5))
+    return int(np.floor(len(w) * target_sr / w.sample_rate + 0.5))
 
 
 def resample(w: Waveform, target_sr: int) -> Waveform:
@@ -492,8 +638,14 @@ def resample(w: Waveform, target_sr: int) -> Waveform:
     target_sr = _require_int(target_sr, "target_sr", 1)
     if target_sr == w.sample_rate:
         return w
-    with _Resampling(w, target_sr) as resampling:
-        return Waveform(resampling.read(len(resampling.samples)), target_sr)
+    with _Resampling(w, target_sr) as clip:
+        if len(clip._bounds) == 2:  # one part: its outputs, with no copy
+            return Waveform(clip[0 : len(clip)], target_sr)
+        samples = np.empty(len(clip))
+        for lo, hi in itertools.pairwise(clip._bounds):
+            samples[lo:hi] = clip[lo:hi]
+            clip.release(hi)
+        return Waveform(samples, target_sr)
 
 
 def frame_count(num_samples: int, frame_len: int, hop: int) -> int:
@@ -512,14 +664,15 @@ def _frame_span(x: np.ndarray, frame_len: int, hop: int, first: int, stop: int) 
     """(span, padded) of frames first..stop-1 of x, first < stop: the samples
     they read, x[first*hop : (stop-1)*hop + frame_len], and their padded
     flags. The one framing rule: frame k starts at k*hop and is padded when
-    it runs past the end of x, and x has `frame_count` frames. The span is a
-    view of x, or, when it runs past the end, a copy with a zero-padded tail."""
+    it runs past the end of x, and x has `frame_count` frames. x is an array
+    or a `_Resampling`; the span is what slicing x gives, or, when it runs
+    past the end, a copy with a zero-padded tail."""
     span = x[first * hop : (stop - 1) * hop + frame_len]
     tail = (stop - 1 - first) * hop + frame_len - len(span)
     # frame k runs past the end from k = ceil((len(x) - frame_len + 1) / hop) on,
     # found in Python ints: k * hop may not fit in int64
     padded = np.arange(first, stop) >= -(-(len(x) - frame_len + 1) // hop)
-    return (np.concatenate((span, np.zeros(tail, x.dtype))) if tail > 0 else span), padded
+    return (np.concatenate((span, np.zeros(tail, span.dtype))) if tail > 0 else span), padded
 
 
 def frame_signal(w: Waveform, frame_len: int, hop: int) -> list[Frame]:

@@ -18,7 +18,7 @@ import sys
 from collections.abc import Iterator
 from pathlib import Path
 
-from .audio import load_wav
+from .audio import _WavFile, load_wav
 from .config import AnalysisConfig, coerce_field, read_config_file
 from .evaluate import batch_report, evaluate_shift_pair
 from .feature import (
@@ -65,7 +65,8 @@ def _cmd_analyze(args: argparse.Namespace, cfg: AnalysisConfig) -> int:
     if not args.out and not args.binary:
         print("error: analyze needs --out and/or --binary", file=sys.stderr)
         return 2
-    matrix = _analyse(load_wav(args.input), cfg)[0]
+    with _WavFile(args.input) as wav:
+        matrix = _analyse(wav, cfg)[0]
     extra = {"config": cfg.to_dict()}
     if args.out:
         write_yingram_csv(matrix, args.out)
@@ -76,7 +77,8 @@ def _cmd_analyze(args: argparse.Namespace, cfg: AnalysisConfig) -> int:
 
 
 def _cmd_f0(args: argparse.Namespace, cfg: AnalysisConfig) -> int:
-    contour = _analyse(load_wav(args.input), cfg)[1]
+    with _WavFile(args.input) as wav:
+        contour = _analyse(wav, cfg)[1]
     _atomic_write(args.out, _f0_csv_lines(contour))
     _write_json(args.out + ".json", {"frames": len(contour), "config": cfg.to_dict()})
     return 0
@@ -201,6 +203,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, _resolve_config(args))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # say, a clip whose header claims a rate that blows it up
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -176,9 +176,10 @@ def read_config_file(path: str | Path) -> dict:
     """The field values of a config file, either JSON or key=value lines,
     parsed by `coerce_field` (a float field may hold an int) but not yet validated.
 
-    Unknown keys are rejected so typos fail loudly.
+    Unknown keys are rejected so typos fail loudly. The file is read as
+    UTF-8, whatever the locale, after a byte-order mark if it has one.
     """
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8-sig")
     if text.lstrip().startswith("{"):
         items = json.loads(text).items()
     else:

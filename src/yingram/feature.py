@@ -23,10 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import Frame, Waveform, _frame_span, _Resampling, frame_count
+from .audio import Frame, Waveform, _frame_span, _Resampling, _WavFile, frame_count
 from .config import AnalysisConfig
 from .grid import DEFAULT_GRID, NoteGrid, _lag_table, channel_lags, tau_max_for
-from .yin import _cmnd_terms, _difference_fft, cmnd, difference_function, f0_rows, require_finite
+from .yin import _cmnd_terms, _difference_fft, _non_finite, cmnd, difference_function, f0_rows
 
 __all__ = [
     "YingramMatrix",
@@ -41,9 +41,10 @@ __all__ = [
 ]
 
 # Frames per block of `_analyse`. A block holds its span of clip samples (a
-# view, or a small padded copy at the clip's end) and the spectra and energy
-# cumsums of its segments, so the block size, not the clip length, bounds
-# the working set: 2.9 MB traced at 5 s and at 60 s. Each block also
+# view, or a copy: decoded from the file, joined from two resampled parts or
+# padded at the clip's end) and the spectra and energy cumsums of its
+# segments, so the block size, not the clip length, bounds the working set:
+# 2.9 MB traced at 5 s and at 60 s. Each block also
 # transforms the window // hop - 1 hop segments past its last frame's start
 # again. On a 2-core VM, in 7 alternating rounds (best, median), with equal
 # output bytes: a 10 s tone took 53, 60 ms at 32 frames and 40, 44 ms at
@@ -55,6 +56,15 @@ __all__ = [
 # timing, so the traced working set of a 5 s clip fell more than 1 MB below
 # that of a 60 s clip in 7 of 100 runs.
 BLOCK_FRAMES = 128
+# glibc's malloc maps each block's temporaries (0.4-0.8 MB apiece at the
+# default config) from the system and returns them once freed, unless the
+# free of a larger mapping has raised its dynamic mmap threshold (and, with
+# it, the heap's trim threshold). Whole-clip arrays raised it in passing;
+# streamed, a 48 kHz `analyze` of long_clips faulted 2-5 thousand pages back
+# in per op, 3-8% of its time, against none. `_raise_mmap_threshold` maps and
+# frees one untouched array of this many bytes, once per process, so no page
+# of it is ever resident.
+_MMAP_THRESHOLD_BYTES = 1 << 23
 
 
 @dataclass
@@ -194,51 +204,70 @@ def yingram_from_frame(
     return yingram_frame(cmnd(d), sample_rate, grid)
 
 
-def _analyse(w: Waveform, cfg: AnalysisConfig) -> tuple[YingramMatrix, PitchContour]:
-    """The Yingram and the pitch contour of one clip at any rate, resampled
-    to the config's rate (`audio._Resampling`) as it is analysed: each
-    block starts once the resampled samples it reads are final. One pass
-    over the frames under `audio._frame_span`'s framing rule, BLOCK_FRAMES
-    at a time. Each block hands the difference kernel its span of clip
-    samples (a view, zero padded only past the clip's end), so no copy of
-    the whole clip is made. A frame's CMND is
-    cmnd(difference_function(frame, tau_max, window)), with the correlation
-    and the energies summed from hop blocks when the hop divides the window
-    (d to about 1e-13 of p0 + p_tau, a stored value to 1 float32 ulp;
-    exact otherwise). Every frame gets a Yingram row;
-    padded frames are flagged and stay unvoiced (f0 NaN, aperiodicity 1),
-    the others get the f0 of `f0_rows`.
+def _analyse(source: Waveform | _WavFile, cfg: AnalysisConfig) -> tuple[YingramMatrix, PitchContour]:
+    """The Yingram and the pitch contour of one clip, a Waveform or an open
+    WAV file at any rate, decoded and resampled to the config's rate in
+    parts (`audio._Resampling`) as it is analysed: each block starts once
+    the samples it reads are final, and then releases those before the next
+    block's, so beyond the outputs only a few parts and one block's span are
+    held, whatever the clip's length. One pass over the frames under
+    `audio._frame_span`'s framing rule, BLOCK_FRAMES at a time. Each block
+    hands the difference kernel its span of clip samples (a view, or a copy
+    decoded from the file or joining two parts, zero padded only past the
+    clip's end). A frame's CMND is cmnd(difference_function(frame, tau_max,
+    window)), with the correlation and the energies summed from hop blocks
+    when the hop divides the window (d to about 1e-13 of p0 + p_tau, a
+    stored value to 1 float32 ulp; exact otherwise). Every frame gets a
+    Yingram row; padded frames are flagged and stay unvoiced (f0 NaN,
+    aperiodicity 1), the others get the f0 of `f0_rows`.
 
-    Raises, in the order of resampling the whole clip and then analysing
-    it: a resampling error (as `resample`), ValueError for non-finite
-    samples of the resampled clip, and for a block whose difference values
-    overflow their CMND (naming the clip's frames).
+    Raises, in the order of decoding and resampling the whole clip and then
+    analysing it: a decoding error (in file order), a resampling error (as
+    `resample`), ValueError for non-finite samples of the resampled clip,
+    and for a block whose difference values overflow their CMND (naming
+    the clip's frames).
     """
-    with _Resampling(w, cfg.sample_rate) as clip:
-        x = clip.samples
-        n = frame_count(len(x), cfg.frame_length, cfg.hop)
+    _raise_mmap_threshold()
+    with _Resampling(source, cfg.sample_rate) as clip:
+        n = frame_count(len(clip), cfg.frame_length, cfg.hop)
         brackets = _channel_brackets(cfg.grid, cfg.sample_rate)
         padded = np.empty(n, dtype=bool)
         rows = np.empty((n, cfg.grid.num_channels), dtype=np.float32)
         f0, aperiodicity = np.empty(n), np.empty(n)
         for start in range(0, n, BLOCK_FRAMES):
             block = slice(start, min(start + BLOCK_FRAMES, n))
-            clip.read(min((block.stop - 1) * cfg.hop + cfg.frame_length, len(x)))
-            span, padded[block] = _frame_span(x, cfg.frame_length, cfg.hop, block.start, block.stop)
+            span, padded[block] = _frame_span(clip, cfg.frame_length, cfg.hop, block.start, block.stop)
+            clip.release(block.stop * cfg.hop)  # where the next block's span starts
             try:
                 values = _cmnd_terms(_difference_fft(span, cfg.tau_max, cfg.window, cfg.hop), start)[0]
-            except ValueError:  # a resampling error, then non-finite samples, come first
-                require_finite(clip.read(len(x)), "samples")
+            except ValueError:  # the clip's errors, then its non-finite samples, come first
+                _require_finite_clip(clip)
                 raise
             rows[block] = _sample_at(values, brackets)
             f0[block], aperiodicity[block] = f0_rows(
                 values, cfg.sample_rate, cfg.f0_threshold, cfg.f_min, cfg.f_max, cfg.voicing_cutoff
             )
-        require_finite(clip.read(len(x)), "samples")
+        _require_finite_clip(clip)
     f0[padded], aperiodicity[padded] = np.nan, 1.0
     times = np.arange(n) * (cfg.hop / cfg.sample_rate)
     matrix = YingramMatrix(rows, cfg.grid, cfg.hop, cfg.sample_rate, padded)
     return matrix, PitchContour(times, f0, aperiodicity, cfg.hop, cfg.sample_rate)
+
+
+@lru_cache(maxsize=None)
+def _raise_mmap_threshold() -> None:
+    """See _MMAP_THRESHOLD_BYTES; elsewhere than glibc, an untouched array
+    allocated and freed."""
+    np.empty(_MMAP_THRESHOLD_BYTES, np.uint8)
+
+
+def _require_finite_clip(clip: _Resampling) -> None:
+    """Run the clip's parts left (`_Resampling.finish`, raising its errors),
+    then `require_finite`'s error for the non-finite samples of the whole
+    clip, a frame's or not."""
+    count, first = clip.finish()
+    if count:
+        raise _non_finite("samples", count, len(clip), first)
 
 
 def _require_config_rate(w: Waveform, cfg: AnalysisConfig) -> AnalysisConfig:
@@ -338,9 +367,10 @@ def _write_json(path, payload: dict) -> None:
 def _atomic_write(path, data: bytes | np.ndarray | Iterable[str]) -> None:
     """Stream a bytes-like buffer, or text lines each ended by a newline, to a
     temp file beside `path`, then rename it into place, so a reader never
-    sees a partial file; the temp file is removed when the write fails. A
-    str raises TypeError: it would iterate as one-character lines. An empty
-    path raises ValueError."""
+    sees a partial file; the temp file is removed when the write fails, and
+    an OSError that names it alone names `path` instead. A str raises
+    TypeError: it would iterate as one-character lines. An empty path raises
+    ValueError."""
     if isinstance(data, str):
         raise TypeError("_atomic_write takes a buffer or an iterable of lines, not a str")
     if not os.fspath(path):
@@ -355,6 +385,8 @@ def _atomic_write(path, data: bytes | np.ndarray | Iterable[str]) -> None:
             else:
                 fh.writelines(f"{line}\n" for line in data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp) and exc.filename2 is None:
+            exc.filename = str(path)
         raise

@@ -218,10 +218,15 @@ def require_finite(values: np.ndarray, name: str) -> None:
     finite = np.isfinite(values)
     if not finite.all():  # one mask of the values' size, until one entry fails
         bad = ~finite
-        raise ValueError(
-            f"non-finite {name}: {int(bad.sum())} of {bad.size} entries are NaN "
-            f"or inf, the first at index {int(np.argmax(bad))}"
-        )
+        raise _non_finite(name, int(bad.sum()), bad.size, int(np.argmax(bad)))
+
+
+def _non_finite(name: str, count: int, size: int, first: int) -> ValueError:
+    """`require_finite`'s error: `count` of `size` entries are not finite,
+    the first at index `first`."""
+    return ValueError(
+        f"non-finite {name}: {count} of {size} entries are NaN or inf, the first at index {first}"
+    )
 
 
 def refine_lags(values: np.ndarray, taus: np.ndarray) -> np.ndarray:

@@ -45,6 +45,25 @@ def write_float32(path, samples: np.ndarray, sr: int = 22050) -> None:
     path.write_bytes(_riff(_fmt(3, 1, sr, 32), data))
 
 
+# stored format name -> (format tag, bits)
+FORMATS = {"s16": (1, 16), "s24": (1, 24), "f32": (3, 32)}
+
+
+def stored(name: str, values: np.ndarray) -> bytes:
+    """The data chunk bytes of sample values in format `name`."""
+    if name == "s24":  # the low three bytes of each little-endian int32
+        return np.asarray(values, "<i4").reshape(-1).view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+    return np.asarray(values, {"s16": "<i2", "f32": "<f4"}[name]).tobytes()
+
+
+def write_stored(path, values: np.ndarray, sr: int, name: str) -> None:
+    """A WAV of `values`, one row per frame and one column per channel (1-D
+    for mono), stored as `name` (`stored`)."""
+    tag, bits = FORMATS[name]
+    channels = 1 if np.ndim(values) == 1 else np.shape(values)[1]
+    path.write_bytes(_riff(_fmt(tag, channels, sr, bits), stored(name, values)))
+
+
 def write_wav(path, w: Waveform) -> None:
     """Float32 WAV of a Waveform; lossless enough for analysis tests."""
     write_float32(path, w.samples, w.sample_rate)

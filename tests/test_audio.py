@@ -32,8 +32,10 @@ from yingram import (
 from yingram import audio
 from yingram.audio import frame_count, frame_signal
 from conftest import (
+    FORMATS,
     _fmt,
     _riff,
+    stored,
     write_extensible_pcm16,
     write_float32,
     write_mulaw,
@@ -151,16 +153,6 @@ def test_a_trailing_partial_sample_frame_is_dropped(tmp_path):
     np.testing.assert_array_equal(load_wav(path).samples, [0.25])
 
 
-FORMATS = {"s16": (1, 16), "s24": (1, 24), "f32": (3, 32)}
-
-
-def _stored(name: str, values: np.ndarray) -> bytes:
-    """The data chunk bytes of sample values in format `name`."""
-    if name == "s24":
-        return np.asarray(values, "<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
-    return np.asarray(values, {"s16": "<i2", "f32": "<f4"}[name]).tobytes()
-
-
 def _edge_values(name: str) -> np.ndarray:
     if name == "f32":
         tiny = np.finfo(np.float32).smallest_subnormal
@@ -192,7 +184,7 @@ def test_decode_equals_the_mean_of_scaled_channels(tmp_path, name, n_channels):
     spots = rng.integers(0, len(values), 200)
     values[spots] = rng.choice(edges, len(spots))
     tag, bits = FORMATS[name]
-    data = _stored(name, values) + b"\x7f" * int(rng.integers(1, n_channels * bits // 8))
+    data = stored(name, values) + b"\x7f" * int(rng.integers(1, n_channels * bits // 8))
     path = tmp_path / "x.wav"
     path.write_bytes(_riff(_fmt(tag, n_channels, 8000, bits), data))
     expected = decode_mean(data, tag, bits, n_channels)
@@ -215,7 +207,7 @@ def test_integer_channels_add_to_the_mean_of_scaled_channels(name, n_channels, f
     pool = np.array([-top, top - 1, 0, -1, 1, int(rng.integers(-top, top))])
     values = rng.choice(pool, frames * n_channels)
     tag, bits = FORMATS[name]
-    data = _stored(name, values)
+    data = stored(name, values)
     out = np.empty(frames)
     audio._decode_samples(bytearray(b"\0" * (bits == 24)) + data, tag, bits, n_channels, out)
     assert out.tobytes() == decode_mean(data, tag, bits, n_channels).tobytes()
@@ -231,7 +223,7 @@ def test_stereo_decode_holds_no_per_channel_float_copy(tmp_path, name):
     tag, bits = FORMATS[name]
     values = _random_values(name, np.random.default_rng(bits), 2 * frames)
     path = tmp_path / "st.wav"
-    path.write_bytes(_riff(_fmt(tag, 2, 44100, bits), _stored(name, values)))
+    path.write_bytes(_riff(_fmt(tag, 2, 44100, bits), stored(name, values)))
     stage = 8 * frames if bits == 24 else 0
     tracemalloc.start()
     try:
@@ -289,7 +281,7 @@ def test_block_reads_equal_the_mean_of_scaled_channels(
     listing = _chunk(b"LIST", b"INFOx")
     for frames in (block - 1, block, block + 1, 5 * block + 2):
         values = _random_values(name, rng, frames * n_channels)
-        data = _stored(name, values) + b"\x7f" * (n_channels * bits // 8 - 1)
+        data = stored(name, values) + b"\x7f" * (n_channels * bits // 8 - 1)
         chunks = {
             "fmt-data": (fmt, _chunk(b"data", data)),
             "fmt-data-list": (fmt, _chunk(b"data", data), listing),
@@ -334,34 +326,22 @@ def test_a_truncated_chunk_is_named(tmp_path, blob, message):
         load_wav(path)
 
 
-class _ShrinkingFile:
-    """A file whose second `readinto` fills only 100 bytes, as when the file
-    shrinks after `load_wav` has walked its chunks."""
-
-    def __init__(self, fh):
-        self._fh, self._reads = fh, 0
-
-    def __getattr__(self, name):
-        return getattr(self._fh, name)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._fh.close()
-
-    def readinto(self, view):
-        self._reads += 1
-        return self._fh.readinto(view[:100] if self._reads == 2 else view)
-
-
 def test_a_short_read_of_the_data_chunk_is_named(tmp_path, monkeypatch):
-    # once the block kept the previous block's bytes, and 40000 wrong samples came back
+    # once the block kept the previous block's bytes, and 40000 wrong samples
+    # came back: the second read fills only 100 bytes, as when the file
+    # shrinks after `load_wav` has walked its chunks
     path = tmp_path / "shrinks.wav"
     write_pcm16(path, np.arange(40000) % 2000 - 1000)
-    monkeypatch.setattr(audio, "open", lambda *a: _ShrinkingFile(open(*a)), raising=False)
+    reads, pread = [], audio._pread
+
+    def shrinking(fd, view, offset):
+        reads.append(offset)
+        return pread(fd, view[:100] if len(reads) == 2 else view, offset)
+
+    monkeypatch.setattr(audio, "_pread", shrinking)
     with pytest.raises(WavFormatError, match=r"^corrupt file: truncated b'data' chunk$"):
         load_wav(path)
+    assert len(reads) == 2
 
 
 @pytest.mark.parametrize("name", FORMATS)
@@ -374,7 +354,7 @@ def test_load_wav_holds_the_clip_and_one_block(tmp_path, name):
     def excess(frames: int) -> int:
         values = _random_values(name, np.random.default_rng(bits), 2 * frames)
         path = tmp_path / f"{frames}.wav"
-        path.write_bytes(_riff(_fmt(tag, 2, 44100, bits), _stored(name, values)))
+        path.write_bytes(_riff(_fmt(tag, 2, 44100, bits), stored(name, values)))
         tracemalloc.start()
         try:
             w = load_wav(path)
@@ -617,25 +597,23 @@ def test_resample_pads_a_short_filter_output_with_zeros_on_a_long_input(monkeypa
 
 
 def test_the_zero_tail_costs_no_second_output(monkeypatch):
-    # the padded output is the one buffer allocated before the parts, at
-    # its final length: the first part runs straight into it, and from then
-    # on only the other parts' outputs are allocated, two at a time at most,
-    # where a padded copy would add a whole output. 2**19 samples at the
-    # capped ratio run as 4 parts of 2**17 own samples
+    # the padded output is allocated once, at its final length: each part's
+    # outputs are copied in and dropped, a window of parts at a time, where
+    # a padded copy would add a whole output. 2**19 samples at the capped
+    # ratio run as 16 parts of 2**15 own samples
     set_usable_cores(monkeypatch, 2)
+    monkeypatch.setattr(audio, "_SPLIT_SAMPLES", 2**15)
     w = Waveform(np.random.default_rng(1).uniform(-0.5, 0.5, 2**19), 48000)
-    buffers, extra, parts = [], [], []
+    extra, parts = [], []
     enter, part = audio._Resampling.__enter__, audio._resample_part
 
-    def traced_enter(self):
-        buffers.append(self.samples)
+    def traced_enter(self):  # the filter is built: from here on, the output and the parts
         tracemalloc.reset_peak()
         extra.append(-tracemalloc.get_traced_memory()[0])
         return enter(self)
 
     def sized_part(*args):
-        out = args[-1]
-        parts.append(0 if np.shares_memory(out, buffers[0]) else out.nbytes)
+        parts.append(args[-1].base.nbytes)  # the part's outputs, its dropped ones included
         return part(*args)
 
     monkeypatch.setattr(audio._Resampling, "__enter__", traced_enter)
@@ -646,9 +624,9 @@ def test_the_zero_tail_costs_no_second_output(monkeypatch):
         extra[0] += tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.samples is buffers[0] and len(out) == round(2**19 * 47999 / 48000)
-    assert out.samples[-1] == 0.0 and len(parts) == 4 and parts.count(0) == 1
-    assert extra[0] <= 2 * max(parts) + 2**16 < out.samples.nbytes
+    assert len(out) == round(2**19 * 47999 / 48000) and out.samples[-1] == 0.0 and len(parts) == 16
+    window = (audio._WINDOW_PARTS + 2) * max(parts) + 2**16
+    assert extra[0] - out.samples.nbytes <= window < out.samples.nbytes
 
 
 COMMON_RATES = (8000, 11025, 16000, 22050, 32000, 44100, 48000, 88200, 96000)
@@ -754,15 +732,15 @@ def _spy_parts(monkeypatch, x: np.ndarray, act=lambda first: None) -> list[tuple
 LONG = np.random.default_rng(0).standard_normal(2**17)
 
 
-# one core takes one call on the calling thread; two run two parts, on the
+# one core runs the two parts on the calling thread; two run them on the
 # calling thread and on one worker thread, whichever claims each first
 @pytest.mark.parametrize("cores", [1, 2])
-def test_one_usable_core_resamples_in_one_call(monkeypatch, cores):
+def test_one_usable_core_starts_no_thread(monkeypatch, cores):
     set_usable_cores(monkeypatch, cores)
     caller, threads = threading.current_thread(), set()
     spied = _spy_parts(monkeypatch, LONG, lambda first: threads.add(threading.current_thread()))
     resample(Waveform(LONG, 44100), 22050)
-    assert sorted(first for first, _ in spied) == ([True] if cores == 1 else [False, True])
+    assert sorted(first for first, _ in spied) == [False, True]
     assert len(threads - {caller}) <= cores - 1
 
 
@@ -791,7 +769,7 @@ def test_the_kernel_resolves_once_on_the_calling_thread_before_any_part(monkeypa
 @pytest.mark.parametrize("cores", [1, 2, 3])
 def test_the_parts_join_in_input_order_when_the_second_finishes_first(monkeypatch, cores):
     # the first part starts only once the second has returned; three cores
-    # still run the parts on two threads
+    # still run the parts on two threads, and one runs them in order
     set_usable_cores(monkeypatch, cores)
     expected = _oracle(LONG, 44100, 22050)
     real, finished, second_done = audio._resample_part, [], threading.Event()
@@ -807,7 +785,7 @@ def test_the_parts_join_in_input_order_when_the_second_finishes_first(monkeypatc
 
     monkeypatch.setattr(audio, "_resample_part", spy)
     assert resample(Waveform(LONG, 44100), 22050).samples.tobytes() == expected.tobytes()
-    assert finished == ([True] if cores == 1 else [False, True])
+    assert finished == ([True, False] if cores == 1 else [False, True])
 
 
 def test_many_parts_join_in_input_order_whatever_order_they_finish(monkeypatch):

@@ -441,3 +441,24 @@ def test_pairs_exit_on_outputs_correctness_failures_environments_and_inputs(
         assert ("environments differ" in captured.err) == ("numpy" in change)
     else:
         assert ("DIFFER" in captured.out) == ("output" in change)
+
+
+@pytest.mark.parametrize("fault", ["unknown workload", "existing out", "missing directory"])
+def test_pairs_refuse_a_bad_workload_or_out_before_the_first_run(tmp_path, capsys, fault):
+    # a run takes minutes: a refusal after the last one would lose them all,
+    # and an existing record (a checked-in PAIRS_<n>.json) must not be overwritten
+    parent, change, log = _pair_checkouts(tmp_path, {}, {})
+    out = {"existing out": tmp_path / "pairs.json",
+           "missing directory": tmp_path / "nodir" / "pairs.json"}.get(fault, tmp_path / "new.json")
+    if fault == "existing out":
+        out.write_text("kept\n")
+    workload = "no_such_workload" if fault == "unknown workload" else WORKLOADS[0]
+    argv = ["--pairs", "2", "--parent", str(parent), "--checkout", str(change),
+            "--workload", workload, "--out", str(out)]
+    assert tool.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert {"unknown workload": "not in BENCHMARK.json", "existing out": "already exists",
+            "missing directory": "no directory"}[fault] in err
+    assert not log.exists()
+    assert fault != "existing out" or out.read_text() == "kept\n"

@@ -483,16 +483,40 @@ def test_batch_malformed_manifest(tmp_path, capsys):
     # the config is resolved before any command runs, so it is reported first
     (["analyze", "{wav}", "--hop", "0"], {},
      "error: invalid config: hop=0 must be positive"),
+    # the path given, not the temp file beside it (once 'nodir/x.csv.tmp<pid>')
+    (["f0", "{wav}", "--out", "{dir}/nodir/x.csv"], {},
+     "error: [Errno 2] No such file or directory: '{dir}/nodir/x.csv'"),
 ], ids=["analyze-without-output", "manifest-not-an-array", "config-line-without-equals",
-        "bad-config-before-missing-output"])
+        "bad-config-before-missing-output", "output-in-a-missing-directory"])
 def test_input_errors_exit_2_with_one_line(tmp_path, tone_wav, capsys, argv, files, message):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     before = set(tmp_path.iterdir())
     assert main([a.format(wav=tone_wav, dir=tmp_path) for a in argv]) == 2
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", message + "\n")
+    assert (captured.out, captured.err) == ("", message.format(dir=tmp_path) + "\n")
     assert set(tmp_path.iterdir()) == before
+
+
+ARRAY_MEMORY = "Unable to allocate 82.1 GiB for an array with shape (11025000000,) and data type float64"
+
+
+@pytest.mark.parametrize("command", ["analyze", "f0"])
+@pytest.mark.parametrize("error, line", [
+    (MemoryError(ARRAY_MEMORY), f"error: out of memory: {ARRAY_MEMORY}"),
+    (MemoryError(), "error: out of memory"),
+], ids=["numpy", "bare"])
+def test_running_out_of_memory_exits_2_with_one_line(tmp_path, tone_wav, capsys, monkeypatch,
+                                                     command, error, line):
+    # a 1 MB WAV whose header claims 1 Hz asks for 82.1 GiB at 22.05 kHz, and
+    # once ended in a traceback; a stand-in raises here, so nothing allocates
+    def out_of_memory(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "_analyse", out_of_memory)
+    assert main([command, str(tone_wav), "--out", str(tmp_path / "y.csv")]) == 2
+    assert tuple(capsys.readouterr()) == ("", line + "\n")
+    assert not (tmp_path / "y.csv").exists()
 
 
 def test_config_file_and_flag_precedence(tmp_path, tone_wav):

@@ -75,6 +75,17 @@ def test_keyvalue_config_file(tmp_path):
     assert cfg.lambda_yin == 30.0
 
 
+@pytest.mark.parametrize("text", ["# Tonhöhe\nhop=128\nlambda_yin = 30\n",
+                                  '{"hop": 128, "lambda_yin": 30}'], ids=["key-value", "json"])
+def test_a_config_file_with_a_byte_order_mark_reads_as_without(tmp_path, text):
+    # saved as UTF-8 with a BOM, as some editors do: once "unknown config
+    # key: \ufeffhop" and, for JSON, "bad config line 1"
+    path = tmp_path / "cfg"
+    path.write_bytes("\ufeff".encode() + text.encode())
+    cfg = load_config_file(path)
+    assert (cfg.hop, cfg.lambda_yin) == (128, 30.0)
+
+
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"hopp": 128}))

@@ -2,17 +2,21 @@
 no library call imports it: `audio.resample` between differing rates loads
 only its compiled polyphase kernel, `scipy.signal._upfirdn_apply`. No
 library call leaves a thread running: a long resample joins the worker
-thread it starts. Each check runs in a fresh interpreter, because this suite's own
-process has long loaded the one and may have started the other."""
+thread it starts. An analyze of a long WAV file holds no whole clip. Each
+check runs in a fresh interpreter, because this suite's own process has
+long loaded the one and may have started the other, and its peak RSS
+counts only what the check itself needs."""
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from yingram import sine_tone
-from conftest import write_wav
+from conftest import write_stored, write_wav
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -138,11 +142,68 @@ RSS_BOUND_MIB = 24.0
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
-@pytest.mark.parametrize("cores", [1, 2], ids=["one call", "split"])
+@pytest.mark.parametrize("cores", [1, 2], ids=["one core", "two cores"])
 def test_a_long_resample_raises_the_peak_by_little_more_than_its_output(cores):
-    # measured on a 2-core VM: 11.1 MiB in one call, 12.3-12.9 MiB split;
-    # through scipy.signal's resample_poly, 58.6 and 69.5 MiB
+    # measured on a 2-core VM, in parts: 11.2-11.7 MiB on one core, 12.0-12.2
+    # on two; through scipy.signal's resample_poly, 58.6 and 69.5 MiB
     assert float(_fresh(RSS_SCRIPT.format(cores=cores))) <= RSS_BOUND_MIB
+
+
+# peak RSS over `import yingram.cli`'s of an analyze of a WAV file
+ANALYZE_RSS_SCRIPT = """
+import resource
+from yingram import cli
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert cli.main(["analyze", {wav!r}, "--out", {csv!r}, "--binary", {f32!r}]) == 0
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+"""
+ANALYZE_RSS_BOUND_MIB = 16.0
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_analyze_of_a_long_wav_holds_no_whole_clip(tmp_path):
+    # 60 s of 48 kHz stereo 24-bit: the decoded clip alone is 22 MiB of
+    # float64, and resampled 10.1 MiB. Measured on a 2-core VM: +9.9-11.1
+    # MiB streamed from the file, +39.7 MiB when both clips were held
+    t = np.arange(60 * 48000) / 48000
+    mono = np.round(0.5 * np.sin(2 * np.pi * 220.0 * t) * (2**23 - 1))
+    wav = tmp_path / "long.wav"
+    write_stored(wav, np.stack([mono, np.round(0.8 * mono)], axis=1), 48000, "s24")
+    del t, mono
+    peak = float(_fresh(ANALYZE_RSS_SCRIPT.format(wav=str(wav), csv=str(tmp_path / "y.csv"),
+                                                  f32=str(tmp_path / "y.f32"))))
+    assert peak <= ANALYZE_RSS_BOUND_MIB
+
+
+# minor page faults of a warm pass over a WAV file, per pass
+FAULTS_SCRIPT = """
+import resource
+from yingram import AnalysisConfig, audio, feature
+if {unprimed}:
+    feature._raise_mmap_threshold = lambda: None
+def run():
+    with audio._WavFile({wav!r}) as wav:
+        feature._analyse(wav, AnalysisConfig())
+run(), run()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    run()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+@pytest.mark.parametrize("rate", [22050, 48000])
+def test_a_warm_pass_faults_no_pages_back_in(tmp_path, rate):
+    # a block's temporaries stay in the heap once `_raise_mmap_threshold` has
+    # run: measured on a 2-core VM over 30 fresh runs, 0-86 faults a pass of
+    # 10 s (the worker thread's arena varies), and, without it, 1556-2894,
+    # as each block mapped its temporaries afresh
+    wav = tmp_path / "tone.wav"
+    write_wav(wav, sine_tone(220.0, 10.0, sample_rate=rate))
+    faults = {unprimed: float(_fresh(FAULTS_SCRIPT.format(wav=str(wav), unprimed=unprimed)))
+              for unprimed in (False, True)}
+    assert faults[False] <= 400 < faults[True], faults
 
 
 # no file of the kernel found: the usual import, scipy.signal and all

@@ -1,6 +1,7 @@
 """The pipeline: `feature._analyse` of a clip at any rate resamples it as it
 analyses it, and must equal resampling first and analysing after, byte for
-byte, error for error, with no thread left and a bounded working set."""
+byte, error for error, with no thread left and a working set that does not
+hold the resampled clip."""
 import threading
 import time
 import tracemalloc
@@ -239,8 +240,8 @@ def test_each_part_of_the_pipeline_runs_under_the_callers_errstate(monkeypatch, 
         assert _bytes(feature._analyse(w, CFG)) == _serial(w)
 
 
-# -- the working set: the pipeline holds at most two parts' outputs and one
-# block besides its output (the resampled clip, the matrix and the contour)
+# -- the working set: the pipeline holds a window of parts and one block
+# besides its outputs (the matrix and the contour), not the resampled clip
 
 def _working_set(run) -> int:
     """Traced peak of run(), an `_analyse`, less the arrays it returns."""
@@ -255,19 +256,21 @@ def _working_set(run) -> int:
 
 
 @pytest.mark.parametrize("seconds", [10.0, 60.0])
-def test_the_pipeline_holds_two_parts_and_one_block(monkeypatch, seconds):
+def test_the_pipeline_holds_a_window_of_parts_and_one_block(monkeypatch, seconds):
     set_usable_cores(monkeypatch, 2)
     w = Waveform(vibrato_tone(220.0, seconds, 48000).samples, 48000)
     resampled = resample(w, SR)
     block = _working_set(lambda: feature._analyse(resampled, CFG))  # the clip pass alone
+    clip_bytes = resampled.samples.nbytes
+    del resampled
     parts, part = [], audio._resample_part
 
     def sized(*args):
-        out = args[-1]
-        parts.append(0 if out.base is not None else out.nbytes)  # the first writes in place
+        parts.append(args[-1].base.nbytes)  # the part's outputs, its dropped ones included
         return part(*args)
 
     monkeypatch.setattr(audio, "_resample_part", sized)
-    pipeline = _working_set(lambda: feature._analyse(w, CFG)) - resampled.samples.nbytes
-    assert pipeline <= 2 * max(parts) + block, (pipeline, max(parts), block)
-    assert parts.count(0) == 1 and len(parts) > 2
+    pipeline = _working_set(lambda: feature._analyse(w, CFG))
+    window = (audio._WINDOW_PARTS + 2) * max(parts)
+    assert pipeline <= window + block, (pipeline, max(parts), block)
+    assert len(parts) > 2 and (seconds < 60 or window + block < clip_bytes)

@@ -43,8 +43,10 @@ neither side) and the median ratio of each pair's second run to its first,
 the order effect.  With --out FILE it writes every pair's samples and the
 summary as JSON.  It exits 1 when an output digest differs, `correct`
 turns false or the largest `failed_op_share` rises, and 2, with one line
-on stderr, for runs whose environments or input digests differ.  The wins
-never change the exit code.
+on stderr, for runs whose environments or input digests differ, and,
+before the first run, for a workload BENCHMARK.json does not list or an
+--out FILE that exists or whose directory does not.  The wins never
+change the exit code.
 """
 from __future__ import annotations
 
@@ -381,6 +383,12 @@ def _pair_record(pair: dict) -> dict:
 def pairs_main(parent: Path, checkout: Path, workload: str, n: int, out: Path | None) -> int:
     """--pairs: run, report and, with `out`, record N pairs; the exit code."""
     benchmark = json.loads((checkout / "BENCHMARK.json").read_text())
+    names = [spec["name"] for spec in benchmark["workloads"]]
+    if workload not in names:
+        raise ValueError(f"workload {workload!r} is not in BENCHMARK.json: {', '.join(names)}")
+    if out is not None and (out.exists() or not out.parent.is_dir()):
+        raise ValueError(f"--out {out} already exists" if out.exists()
+                         else f"--out {out}: no directory {out.parent}")
     pairs = run_pairs(parent, checkout, workload, n)
     summary, lines, ok = summarize_pairs(pairs, benchmark)
     print("\n".join([f"workload {workload}", *lines]))
