@@ -25,7 +25,7 @@ import numpy as np
 
 from .audio import Frame, Waveform, _frame_span, _Resampling, _WavFile, frame_count
 from .config import AnalysisConfig
-from .grid import DEFAULT_GRID, NoteGrid, _lag_table, channel_lags, tau_max_for
+from .grid import DEFAULT_GRID, NoteGrid, _lag_table, _require_real_dtype, channel_lags, tau_max_for
 from .yin import _cmnd_terms, _difference_fft, _non_finite, cmnd, difference_function, f0_rows
 
 __all__ = [
@@ -299,7 +299,8 @@ def extract_pitch_contour(w: Waveform, config: AnalysisConfig | None = None) -> 
 
 
 def write_yingram_csv(matrix: YingramMatrix, path) -> None:
-    """CSV export: header frame,c0..c{N-1}, then one row per frame, streamed.
+    """CSV export: header frame,c0..c{N-1}, then one row per frame, each line
+    ended by "\n" on every platform, streamed in chunks of rows.
 
     The values are the float32 matrix `write_yingram_binary` writes, each at
     9 significant digits (%.9g), which read back to the same float32 bits,
@@ -307,24 +308,120 @@ def write_yingram_csv(matrix: YingramMatrix, path) -> None:
     round-trip binary32 (IEEE 754-2008, 5.12.2), as the 9-digit decimal lies
     within 5e-9, relative, of a normal float32, while half its ulp is more
     than 2.9e-8, relative. Eight digits do not.
+
+    The bytes are Python's `'%.9g' % float(v)` for every value, but a value v
+    with 1e-4 <= v < 999.9, in decade X (10^X <= v < 10^(X+1)), gets its
+    digits from numpy arithmetic (`_csv_rows`): q = v * 10^(8-X) is exact in
+    float64, since v's 24-bit significand times 5^(8-X) <= 5^12 needs at most
+    52 bits, so rounding q to an integer D, the 9 digits, is exact as well,
+    and D * 10^(X+4) is the value in 12-decimal fixed point, below 2^53.
+    Every other value, and any q whose fraction lies within _CSV_TIE_BAND of
+    1/2 (Python rounds an exact tie to even), is formatted by Python: +-0,
+    negatives, NaN, +-inf, subnormals and values below 1e-4 or from 999.9 up.
+    Raises ValueError as `_export_values`, before the file is written.
     """
-    channels = matrix.num_channels
-    header = "frame," + ",".join(f"c{c}" for c in range(channels))
-    template = "%d," + ",".join(["%.9g"] * channels)
-    # one row at a time: a whole-matrix tolist() holds 32 bytes per value
-    rows = (
-        template % (t, *row.tolist())
-        for t, row in enumerate(np.asarray(matrix.values, dtype=np.float32))
-    )
-    _atomic_write(path, itertools.chain([header], rows))
+    values = _export_values(matrix)
+    frames, channels = values.shape
+    step = max(1, _CSV_CHUNK_VALUES // max(channels, 1))
+    header = "frame" + "".join(f",c{c}" for c in range(channels))
+    chunks = (_csv_rows(values[t:t + step], t) for t in range(0, frames, step))
+    _atomic_write(path, itertools.chain([header], chunks))
+
+
+# per decade X = -4..2 of a value on `_csv_rows`' fast path, 10^(8-X) and
+# 10^(X+4), and the decade edges; and the most values a chunk of rows holds
+# (51 rows of 80 channels trace 0.5 MiB)
+_CSV_SCALE = np.array([1e12, 1e11, 1e10, 1e9, 1e8, 1e7, 1e6])
+_CSV_SHIFT = 10 ** np.arange(7, dtype=np.int64)
+_CSV_EDGES = np.array([1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0])
+_CSV_TIE_BAND = 2.0 ** -20
+_CSV_CHUNK_VALUES = 1 << 12
+
+
+def _ascii_digits(n: np.ndarray, width: int) -> np.ndarray:
+    """The last `width` digits of each integer of n as ASCII, one row each,
+    leading zeros NUL but the units digit."""
+    p = 10 ** np.arange(width - 1, -1, -1)
+    return np.where((n[:, None] >= p) | (p == 1), n[:, None] // p % 10 + 48, 0).astype(np.uint8)
+
+
+@lru_cache(maxsize=None)
+def _csv_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII of each 4-digit fraction word, then of each without its
+    trailing zeros, and of each integer part 0..999, then of each with its
+    point, NUL padded to 4 bytes read as one uint32; read-only, built on the
+    first export, as it takes 2 ms."""
+    word, p = np.arange(10000)[:, None], 10 ** np.arange(3, -1, -1)
+    digits = word // p % 10 + 48
+    words = np.concatenate([digits, np.where(word % (10 * p), digits, 0)]).astype(np.uint8)
+    heads = np.pad(_ascii_digits(np.arange(1000), 3), ((0, 0), (0, 1)))
+    heads = np.concatenate([heads, heads | [0, 0, 0, ord(".")]]).astype(np.uint8)
+    tables = words.view(np.uint32).ravel(), heads.view(np.uint32).ravel()
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _csv_rows(values: np.ndarray, first: int) -> bytes:
+    """The CSV lines of float32 rows `values`, the first numbered `first`;
+    see `write_yingram_csv` for the digits. Each field gets 16 bytes, and its
+    separator 4: a value's integer part and point, then three fraction
+    words. Every byte %.9g omits (a trailing zero, a bare point, padding) is
+    NUL, and one translate drops them all."""
+    rows, channels = values.shape
+    flat = values.ravel()
+    with np.errstate(invalid="ignore"):  # casting a signalling NaN warns
+        v = flat.astype(np.float64)
+    slow = ~((v >= 1e-4) & (v < 999.9))
+    v[slow] = 1.0
+    x = np.searchsorted(_CSV_EDGES, v, side="right")  # X + 4
+    q = v * _CSV_SCALE[x]
+    d = np.floor(q)
+    q -= d
+    slow |= np.abs(q - 0.5) < _CSV_TIE_BAND
+    d += q > 0.5
+    fixed = d.astype(np.int64) * _CSV_SHIFT[x]  # the value times 10^12
+    words, heads = _csv_tables()
+    cells = np.empty((rows, channels + 1, 5), dtype=np.uint32)
+    value_cells = cells[:, 1:, :4]
+    zeros = np.ones(flat.size, dtype=bool)  # the words after this one are all 0
+    for k in (3, 2, 1):
+        rest = fixed // 10**4
+        word = fixed - rest * 10**4
+        value_cells[..., k] = words.take(word + 10000 * zeros).reshape(rows, channels)
+        zeros &= word == 0
+        fixed = rest
+    value_cells[..., 0] = heads.take(fixed + 1000 * ~zeros).reshape(rows, channels)
+    if slow.any():
+        text = np.array(["%.9g" % u for u in flat[slow].tolist()], dtype="S16")
+        value_cells[slow.reshape(rows, channels)] = text.view(np.uint32).reshape(-1, 4)
+    width = len(str(first + rows - 1))
+    index = cells[:, 0, :4].view(np.uint8)
+    index[:, :width], index[:, width:] = _ascii_digits(np.arange(first, first + rows), width), 0
+    cells[..., 4] = ord(",")
+    cells[:, -1, 4] = ord("\n")
+    return cells.tobytes().translate(None, b"\0")
 
 
 def write_yingram_binary(matrix: YingramMatrix, path, extra: dict | None = None) -> None:
     """Raw little-endian float32 row-major matrix, plus its `_sidecar` JSON at
-    path + ".json"; a bad `extra` raises before either file is written."""
+    path + ".json"; a bad matrix (`_export_values`) or `extra` raises before
+    either file is written."""
+    values = _export_values(matrix)
     sidecar = _sidecar(matrix, extra)
-    _atomic_write(path, np.ascontiguousarray(matrix.values, dtype="<f4"))
+    _atomic_write(path, np.ascontiguousarray(values, dtype="<f4"))
     _write_json(str(path) + ".json", sidecar)
+
+
+def _export_values(matrix: YingramMatrix) -> np.ndarray:
+    """The matrix's values as the float32 array both writers export, or
+    ValueError for complex values (`_require_real_dtype`) or values that are
+    not frames x channels."""
+    _require_real_dtype(matrix.values, "Yingram values")
+    values = np.asarray(matrix.values)
+    if values.ndim != 2:
+        raise ValueError(f"Yingram values must be frames x channels, got shape {values.shape}")
+    return values.astype(np.float32, copy=False)
 
 
 def _sidecar(matrix: YingramMatrix, extra: dict | None = None) -> dict:
@@ -364,9 +461,10 @@ def _write_json(path, payload: dict) -> None:
         _atomic_write(path, [text])
 
 
-def _atomic_write(path, data: bytes | np.ndarray | Iterable[str]) -> None:
-    """Stream a bytes-like buffer, or text lines each ended by a newline, to a
-    temp file beside `path`, then rename it into place, so a reader never
+def _atomic_write(path, data: bytes | np.ndarray | Iterable[str | bytes]) -> None:
+    """Stream a bytes-like buffer, or an iterable of text lines, each encoded
+    as UTF-8 and ended by "\n", and of bytes chunks, each written as it is,
+    to a temp file beside `path`, then rename it into place, so a reader never
     sees a partial file; the temp file is removed when the write fails, and
     an OSError that names it alone names `path` instead. A str raises
     TypeError: it would iterate as one-character lines. An empty path raises
@@ -375,15 +473,19 @@ def _atomic_write(path, data: bytes | np.ndarray | Iterable[str]) -> None:
         raise TypeError("_atomic_write takes a buffer or an iterable of lines, not a str")
     if not os.fspath(path):
         raise ValueError("empty output path")
-    binary = isinstance(data, (bytes, bytearray, memoryview, np.ndarray))
     path = Path(path)
     tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
     try:
-        with open(tmp, "wb" if binary else "w") as fh:
-            if binary:
-                fh.write(data)
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            if isinstance(data, (bytes, bytearray, memoryview, np.ndarray)):
+                fh.buffer.write(data)
             else:
-                fh.writelines(f"{line}\n" for line in data)
+                for item in data:
+                    if isinstance(item, bytes):  # after the text before it
+                        fh.flush()
+                        fh.buffer.write(item)
+                    else:
+                        fh.write(f"{item}\n")
         os.replace(tmp, path)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)

@@ -353,9 +353,10 @@ def test_recording_adds_one_traced_run_per_workload(tmp_path, monkeypatch):
 
 # ---------------------------------------------------------------- pairs
 
-# a stand-in bench whose metrics read SCALE x (1 + seed / 1000) and whose
-# outputs, correctness and environment follow the checkout's pair.json; each
-# run appends "<checkout> <seed>" to the shared order.log
+# a stand-in bench whose metrics read SCALE x (1 + seed / 1000), whose op
+# samples are pair.json's "ops" times that, and whose outputs, correctness
+# and environment follow the checkout's pair.json; each run appends
+# "<checkout> <seed>" to the shared order.log
 PAIR_BENCH = """
 import json, sys
 from pathlib import Path
@@ -368,7 +369,8 @@ value = side["scale"] * (1.0 + seed / 1000.0)
 record = {"environment": {"seed": seed, "numpy": side.get("numpy", "2")},
           "input_sha256": side.get("inputs", "in"), "output_sha256": {"op": side.get("output", "out")},
           "failed_op_share": side.get("failed", 0.0),
-          "end_to_end": {m: {"value": value} for m in METRICS}}
+          "end_to_end": {m: {"value": value} for m in METRICS},
+          "op_probes": {k: [value * u for u in v] for k, v in side.get("ops", {}).items()}}
 Path(".bench_results").mkdir(exist_ok=True)
 Path(f".bench_results/{w}-seed{seed}-trace0.json").write_text(json.dumps(record))
 print(json.dumps({"correct": side.get("correct", True)}))
@@ -413,6 +415,28 @@ def test_pairs_alternate_the_order_on_seeds_outside_the_recorded_ones(tmp_path, 
     text = capsys.readouterr().out
     row = next(line for line in text.splitlines() if line.startswith(METRICS[0] + " "))
     assert " 0.500 " in row and "   4/4 " in row
+
+
+def test_pairs_report_the_median_cost_of_each_op(tmp_path, capsys):
+    # an op both sides ran that the change halves, one it leaves alone, one
+    # each side alone ran and one whose every execution failed (no sample)
+    parent, change, _ = _pair_checkouts(
+        tmp_path, {"ops": {"analyze0": [1, 2, 9], "f00": [2, 2], "gone": [1]}},
+        {"ops": {"analyze0": [0.5, 1, 9], "f00": [2, 2], "new": [1], "failed": []}})
+    out = tmp_path / "pairs.json"
+    assert _pairs_cli(parent, change, 3, "--out", str(out)) == 0
+    body = json.loads(out.read_text())
+    middle = 1.0 + (tool.PAIR_SEED0 + 1) / 1000.0  # the middle seed's scale
+    assert body["ops"] == {
+        "analyze0": {"A": 2 * middle, "B": middle, "ratio": 0.5, "pairs": 3, "wins": 3},
+        "f00": {"A": 2 * middle, "B": 2 * middle, "ratio": 1.0, "pairs": 3, "wins": 0}}
+    assert body["pairs"][1]["B"]["op_probes_median"] == {"analyze0": middle, "f00": 2 * middle,
+                                                         "new": middle}
+    rows = {line.split()[1]: line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("op ")}
+    assert rows.keys() == {"analyze0", "f00"}
+    assert " 0.500 " in rows["analyze0"] and "   3/3 " in rows["analyze0"]
+    assert " 1.000 " in rows["f00"] and "   0/3 " in rows["f00"]
 
 
 def test_pairs_count_ties_for_neither_side(tmp_path):

@@ -189,11 +189,21 @@ def test_csv_export_exact_text(tmp_path, cfg):
     assert out.read_text() == "frame,c0,c1,c2,c3\n0,9.99999972e-10,-0,1,3.39999995e+38\n"
 
 
+def _reference_csv(values: np.ndarray) -> bytes:
+    """The CSV bytes of float32 `values` by Python's %.9g alone, "\n" ended."""
+    rows = np.asarray(values, dtype=np.float32).reshape(len(values), -1)
+    lines = ["frame" + "".join(f",c{c}" for c in range(rows.shape[1]))]
+    lines += [",".join([str(t), *("%.9g" % v for v in row.tolist())]) for t, row in enumerate(rows)]
+    return "".join(line + "\n" for line in lines).encode()
+
+
 def _assert_csv_is_the_f32(matrix: YingramMatrix, tmp_path) -> None:
-    """The matrix's CSV, read back and cast to float32, is its .f32 (NaN by isnan)."""
+    """The matrix's CSV is %.9g's bytes, and, read back and cast to float32,
+    its .f32 (NaN by isnan)."""
     csv, binary = tmp_path / "y.csv", tmp_path / "y.f32"
     write_yingram_csv(matrix, csv)
     write_yingram_binary(matrix, binary)
+    assert csv.read_bytes() == _reference_csv(matrix.values)
     rows = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
     np.testing.assert_array_equal(rows[:, 0], np.arange(len(rows)))
     parsed, stored = rows[:, 1:].astype("<f4").ravel(), np.fromfile(binary, dtype="<f4")
@@ -205,10 +215,13 @@ def _assert_csv_is_the_f32(matrix: YingramMatrix, tmp_path) -> None:
 
 def test_csv_of_a_float64_matrix_is_its_f32(tmp_path, cfg):
     # 1/3 is not a float32: the CSV writes the float32 the .f32 stores, not
-    # the float64's 17 digits (which parse and cast to the same float32 too)
-    values = np.array([[0.1, 1 / 3, 2.0]])
+    # the float64's 17 digits (which parse and cast to the same float32 too).
+    # No float32 below a power of ten rounds up to it at 9 digits; the last
+    # four values do as they are cast, and are written in their new decade.
+    values = np.array([[0.1, 1 / 3, 2.0, 0.0999999999, 0.999999999, 99.9999999, 0.000999999999]])
     _assert_csv_is_the_f32(YingramMatrix(values, cfg.grid, cfg.hop, cfg.sample_rate), tmp_path)
-    assert (tmp_path / "y.csv").read_text().splitlines()[1] == "0,0.100000001,0.333333343,2"
+    assert (tmp_path / "y.csv").read_text().splitlines()[1] == \
+        "0,0.100000001,0.333333343,2,0.100000001,1,100,0.00100000005"
 
 
 # bit patterns of subnormals, +-0, +-max finite, +-inf and NaN
@@ -223,14 +236,54 @@ def test_csv_parses_back_to_the_f32_edges(tmp_path):
     _assert_csv_is_the_f32(YingramMatrix(values, DEFAULT_GRID, 256, SR), tmp_path)
 
 
+def _exact_ties() -> np.ndarray:
+    """float32 values n * 2^(X-9), n odd, in each decade X of the CSV's fast
+    digits, 1e-4 <= v < 999.9: v * 10^(8-X) ends in exactly .5, a tie at the
+    ninth digit, which %.9g rounds to even."""
+    ties = []
+    for x in range(-4, 3):
+        low, high = 10.0**x, min(10.0 ** (x + 1), 999.9)
+        v = np.arange(1, high * 2.0 ** (9 - x), 2) * 2.0 ** (x - 9)
+        v = v[v >= low]
+        ties += [v[:40], v[-40:]]
+    return np.concatenate(ties).astype(np.float32)
+
+
+_TIES = _exact_ties()
+# the bits of the least and the greatest float32 in [1e-4, 999.9): float32(1e-4)
+# lies below 1e-4, float32(999.9) above 999.9
+_FAST_BITS = (int(np.float32(1e-4).view(np.uint32)) + 1, int(np.float32(999.9).view(np.uint32)) - 1)
+
+
+def test_csv_of_exact_ties_at_the_ninth_digit(tmp_path):
+    q = _TIES.astype(np.float64) * 10.0 ** (8 - np.floor(np.log10(_TIES.astype(np.float64))))
+    assert np.all(q % 1 == 0.5)
+    assert 0 < np.mean(np.floor(q) % 2) < 1  # ties that round up to even, and down
+    _assert_csv_is_the_f32(YingramMatrix(_TIES.reshape(1, -1), DEFAULT_GRID, 256, SR), tmp_path)
+
+
+def test_csv_near_every_decade_edge(tmp_path):
+    # +-256 ulps around 1e-4 .. 1e3, where the fast digits start, change
+    # decade and stop, and around 999.9, where they stop
+    bits = np.array([1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3, 999.9], dtype=np.float32).view(np.int32)
+    values = (bits[:, None] + np.arange(-256, 257)).astype(np.int32).view(np.float32)
+    _assert_csv_is_the_f32(YingramMatrix(values, DEFAULT_GRID, 256, SR), tmp_path)
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 16), st.integers(1, 16))
 def test_csv_parses_back_to_the_f32_bits(tmp_path_factory, seed, frames, channels):
-    # uniform bit patterns reach every exponent; %.8g fails on about 1.5% of them
+    # uniform bit patterns reach every exponent; %.8g fails on about 1.5% of
+    # them; a quarter are drawn from the fast digits' domain, and the edges
+    # and exact ties mixed in
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2**32, size=(frames, channels), dtype=np.uint32)
+    fast = rng.random(bits.shape) < 0.25
+    bits[fast] = rng.integers(*_FAST_BITS, size=int(fast.sum()), endpoint=True)
     edges = rng.random(bits.shape) < 0.25
     bits[edges] = rng.choice(_F32_EDGES, size=int(edges.sum()))
+    ties = rng.random(bits.shape) < 0.1
+    bits[ties] = rng.choice(_TIES.view(np.uint32), size=int(ties.sum()))
     matrix = YingramMatrix(bits.view(np.float32), DEFAULT_GRID, 256, SR)
     _assert_csv_is_the_f32(matrix, tmp_path_factory.mktemp("bits"))
 
@@ -281,8 +334,35 @@ def test_failed_export_leaves_no_files(tmp_path, cfg):
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
+@pytest.mark.parametrize("values, message", [
+    (np.zeros(3, np.float32), r"^Yingram values must be frames x channels, got shape \(3,\)$"),
+    (np.zeros((2, 3, 4), np.float32), r"^Yingram values must be frames x channels, got shape \(2, 3, 4\)$"),
+    (np.zeros((2, 3), complex), r"^Yingram values must be real, got dtype complex128$"),
+    (np.array([[1.0, 1j]], dtype=object), r"^Yingram values must be real, got dtype object$"),
+])
+def test_exports_refuse_a_matrix_that_is_not_real_frames_x_channels(tmp_path, values, message):
+    # these once raised IndexError or TypeError, wrote 24 floats under a
+    # 2 x 3 sidecar, or dropped the imaginary part after a ComplexWarning
+    matrix = YingramMatrix(values, DEFAULT_GRID, 256, SR)
+    for write in (write_yingram_csv, write_yingram_binary):
+        with pytest.raises(ValueError, match=message):
+            write(matrix, tmp_path / "y.out")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_exports_of_zero_channels_and_zero_frames(tmp_path):
+    matrix = YingramMatrix(np.zeros((3, 0), np.float32), DEFAULT_GRID, 256, SR)
+    write_yingram_csv(matrix, tmp_path / "y.csv")
+    assert (tmp_path / "y.csv").read_bytes() == b"frame\n0\n1\n2\n"
+    write_yingram_binary(matrix, tmp_path / "y.f32")
+    assert (tmp_path / "y.f32").read_bytes() == b""
+    assert json.loads((tmp_path / "y.f32.json").read_text())["channels"] == 0
+    write_yingram_csv(YingramMatrix(np.zeros((0, 2), np.float32), DEFAULT_GRID, 256, SR), tmp_path / "e.csv")
+    assert (tmp_path / "e.csv").read_bytes() == b"frame,c0,c1\n"
+
+
 def test_csv_export_streams_rows(tmp_path, cfg):
-    # 5200 x 80 values make a 4.8 MiB file; the rows go out one at a time
+    # 5200 x 80 values make a 4.8 MiB file; the rows go out a chunk at a time
     values = np.random.default_rng(0).random((5200, 80)).astype(np.float32)
     matrix = YingramMatrix(values, cfg.grid, cfg.hop, cfg.sample_rate)
     out = tmp_path / "y.csv"
@@ -318,6 +398,8 @@ def test_atomic_write_of_failing_lines_leaves_no_file(tmp_path):
 def test_atomic_write_lines_and_buffers(tmp_path):
     _atomic_write(tmp_path / "a.txt", iter(["a", "", "b"]))
     assert (tmp_path / "a.txt").read_bytes() == b"a\n\nb\n"
+    _atomic_write(tmp_path / "mixed.txt", iter(["a", b"b,", b"c\n", "d"]))  # bytes go as they are
+    assert (tmp_path / "mixed.txt").read_bytes() == b"a\nb,c\nd\n"
     _atomic_write(tmp_path / "empty.txt", [])
     assert (tmp_path / "empty.txt").read_bytes() == b""
     values = np.arange(6, dtype="<f4").reshape(2, 3)

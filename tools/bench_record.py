@@ -40,7 +40,9 @@ B in odd ones, so neither side always runs second.  Each run's record is
 read before the next run.  It prints, per gated metric, both sides' medians
 and quartiles, B/A of the medians, how many pairs B won (ties count for
 neither side) and the median ratio of each pair's second run to its first,
-the order effect.  With --out FILE it writes every pair's samples and the
+the order effect.  Then, per op key, both sides' median over the pairs of
+each run's median `op_probes` cost, with B/A and B's wins, so a claim shows
+which ops moved.  With --out FILE it writes every pair's samples and the
 summary as JSON.  It exits 1 when an output digest differs, `correct`
 turns false or the largest `failed_op_share` rises, and 2, with one line
 on stderr, for runs whose environments or input digests differ, and,
@@ -360,6 +362,8 @@ def summarize_pairs(pairs: list[dict], benchmark: dict) -> tuple[dict, list[str]
                      f"{b:10.4g} {entry['B']['q1']:9.4g}..{entry['B']['q3']:<8.4g} "
                      f"{_ratio(a, b)} {wins:4d}/{len(pairs):<2d} "
                      f"{entry['second_over_first'] or float('nan'):8.3f}")
+    ops, op_lines = summarize_ops(pairs)
+    lines += op_lines
     differ = [p["seed"] for p in pairs
               if p["A"]["record"]["output_sha256"] != p["B"]["record"]["output_sha256"]]
     correct = {side: all(p[side]["correct"] for p in pairs) for side in "AB"}
@@ -368,15 +372,41 @@ def summarize_pairs(pairs: list[dict], benchmark: dict) -> tuple[dict, list[str]
     lines.append(f"outputs {'DIFFER on seeds ' + str(differ) if differ else 'equal'}; correct "
                  f"{correct['A']} -> {correct['B']}; failed_op_share max {failed['A']} -> {failed['B']}")
     summary = {"environment": _run_environment(pairs[0]["A"]["record"]), "metrics": summary, "outputs_differ_on": differ,
-               "correct": correct, "failed_op_share_max": failed, "ok": ok}
+               "correct": correct, "failed_op_share_max": failed, "ok": ok, "ops": ops}
     return summary, lines, ok
 
 
+def _op_medians(run: dict) -> dict[str, float]:
+    """Per op key, the median of a run's `op_probes` samples; keys without one are left out."""
+    return {key: statistics.median(v) for key, v in run["record"].get("op_probes", {}).items() if v}
+
+
+def summarize_ops(pairs: list[dict]) -> tuple[dict, list[str]]:
+    """(per op key summary, report lines) of `run_pairs`' pairs: each side's
+    median over the pairs of its runs' median `op_probes` cost, B/A and B's
+    wins among the pairs where both sides ran the op, so a claim shows which
+    ops it moved."""
+    medians = [{side: _op_medians(p[side]) for side in "AB"} for p in pairs]
+    ops, lines = {}, []
+    for key in sorted(set().union(*(m["A"].keys() & m["B"].keys() for m in medians))):
+        both = [(m["A"][key], m["B"][key]) for m in medians if key in m["A"] and key in m["B"]]
+        a, b = (statistics.median(side) for side in zip(*both))
+        ops[key] = {"A": a, "B": b, "ratio": b / a if a else None, "pairs": len(both),
+                    "wins": sum(vb < va for va, vb in both)}
+        lines.append(f"{'op ' + key:21s} {a:10.4g} {'':19s} {b:10.4g} {'':19s} {_ratio(a, b)} "
+                     f"{ops[key]['wins']:4d}/{len(both):<2d}")
+    if lines:
+        lines.insert(0, "per op key: the median over pairs of each run's median op_probes")
+    return ops, lines
+
+
 def _pair_record(pair: dict) -> dict:
-    """What --out keeps of one pair: per side its end-to-end values, digests and verdict."""
+    """What --out keeps of one pair: per side its end-to-end values, median
+    op costs, digests and verdict."""
     return {"seed": pair["seed"], "first": pair["first"], **{
         side: {"correct": pair[side]["correct"],
                "end_to_end": {k: v["value"] for k, v in pair[side]["record"]["end_to_end"].items()},
+               "op_probes_median": _op_medians(pair[side]),
                **{k: pair[side]["record"][k] for k in SEED_KEYS}} for side in "AB"}}
 
 
