@@ -254,6 +254,11 @@ class _WavFile:
                 raise WavFormatError("corrupt file: truncated b'data' chunk")
         return samples
 
+    def check(self, first: int, stop: int) -> None:
+        """Decode frames first..stop-1, _SPLIT_SAMPLES at a time, for their errors alone."""
+        for start in range(first, stop, _SPLIT_SAMPLES):
+            self.read(start, min(start + _SPLIT_SAMPLES, stop))
+
 
 def load_wav(path: str | os.PathLike) -> Waveform:
     """Load a RIFF/WAVE file as a mono Waveform: `_WavFile`'s read of the
@@ -435,10 +440,11 @@ class _Resampling:
 
     def __init__(self, source: Waveform | _WavFile, target_sr: int):
         if isinstance(source, _WavFile):
-            self._decode = source.read
-        else:
+            self._decode, self._check = source.read, source.check
+        else:  # cutting a Waveform's samples raises nothing to check for
             x = np.asarray(source.samples)
             self._decode = lambda first, stop: np.asarray(x[first:stop], np.float64)
+            self._check = lambda first, stop: None
         self._n = n = len(source)
         self._cond, self._thread = threading.Condition(), None
         # parts claimed, the leading parts done, the leading parts released, the
@@ -447,8 +453,7 @@ class _Resampling:
         self._finished, self._outputs, self._bad, self._failed = set(), {}, {}, {}
         self._wanted, self._closed = 0, False  # the output a read waits for
         self._checked = 0  # at the target rate, a file's samples decoded so far
-        try:  # the rules `load_wav`'s Waveform and `resample` read, once the file has decoded
-            _require_int(source.sample_rate, "sample_rate", 1)
+        try:  # the rate rules, once the file has decoded
             n_out = _resampled_length(source, target_sr)
         except ValueError:
             self._check(0, n)
@@ -553,11 +558,6 @@ class _Resampling:
             self._check(max(self._edges[failed] - self._margin, 0), self._n)
         raise self._failed[failed]
 
-    def _check(self, first: int, stop: int) -> None:
-        """Decode inputs first..stop-1, part by part, for their errors alone."""
-        for start in range(first, stop, _SPLIT_SAMPLES):
-            self._decode(start, min(start + _SPLIT_SAMPLES, stop))
-
     def _stopped(self) -> bool:
         """Whether no part is left to claim: each is, one has failed or the context is left."""
         return bool(self._failed) or self._closed or self._claimed == len(self._bounds) - 1
@@ -616,8 +616,9 @@ class _Resampling:
 
 def _resampled_length(w: Waveform | _WavFile, target_sr: int) -> int:
     """len(resample(w, target_sr)), the one length rule: round(len *
-    target_sr / source_sr). Raises ValueError as `resample` does for rates
-    more than a factor _MAX_POLYPHASE apart."""
+    target_sr / source_sr). Raises ValueError as `load_wav` does for a
+    source rate of 0, then as `resample` for rates a factor over _MAX_POLYPHASE apart."""
+    _require_int(w.sample_rate, "sample_rate", 1)
     if target_sr != w.sample_rate:
         _polyphase_factors(w.sample_rate, target_sr)
     return int(np.floor(len(w) * target_sr / w.sample_rate + 0.5))

@@ -18,9 +18,9 @@ import sys
 from collections.abc import Iterator
 from pathlib import Path
 
-from .audio import _WavFile, load_wav
+from .audio import _WavFile
 from .config import AnalysisConfig, coerce_field, read_config_file
-from .evaluate import batch_report, evaluate_shift_pair
+from .evaluate import _score_files, batch_report
 from .feature import (
     PitchContour,
     _analyse,
@@ -95,12 +95,9 @@ def _f0_csv_lines(contour: PitchContour) -> Iterator[str]:
 
 
 def _cmd_compare_shift(args: argparse.Namespace, cfg: AnalysisConfig) -> int:
-    normal, shifted = load_wav(args.normal), load_wav(args.shifted)
-    report = evaluate_shift_pair(normal, shifted, args.scope_shift, cfg)
+    report = _score_files(args.normal, args.shifted, args.scope_shift, cfg)
     _write_json(args.out, {**report.to_dict(), "config": cfg.to_dict()})
-    if args.no_verdict_exit:
-        return 0
-    return 0 if report.passed else 1
+    return 0 if report.passed or args.no_verdict_exit else 1
 
 
 def _cmd_gradcheck(args: argparse.Namespace, cfg: AnalysisConfig) -> int:
@@ -162,18 +159,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=_cmd_f0)
 
-    p = sub.add_parser(
-        "compare-shift", parents=[parent], help="score a normal/shifted pair"
-    )
+    p = sub.add_parser("compare-shift", parents=[parent], help="score a normal/shifted pair")
     p.add_argument("normal", help="reference WAV file")
     p.add_argument("shifted", help="pitch-shifted WAV file")
     p.add_argument("--scope-shift", type=int, required=True, help="scope shift s")
     p.add_argument("--out", help="JSON report path (default: stdout)")
-    p.add_argument(
-        "--no-verdict-exit",
-        action="store_true",
-        help="always exit 0 instead of 1 on a failing verdict",
-    )
+    p.add_argument("--no-verdict-exit", action="store_true",
+                   help="always exit 0 instead of 1 on a failing verdict")
     p.set_defaults(func=_cmd_compare_shift)
 
     p = sub.add_parser(

@@ -8,12 +8,13 @@ time-proportional alignment alongside the plain frame-indexed mode.
 """
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .audio import Waveform, _resampled_length, load_wav
+from .audio import Waveform, _resampled_length, _WavFile
 from .config import AnalysisConfig
 # re-exported: `feature._analyse` builds a clip's Yingram and contour in one pass
 from .feature import PitchContour, _analyse, _record, extract_pitch_contour
@@ -101,17 +102,18 @@ def _contour_offsets(a: PitchContour, b: PitchContour, time_scale: float) -> np.
 
 
 def evaluate_shift_pair(
-    normal: Waveform, shifted: Waveform, s: int, config: AnalysisConfig | None = None
+    normal: Waveform | _WavFile, shifted: Waveform | _WavFile, s: int, config: AnalysisConfig | None = None
 ) -> ShiftReport:
     """Score a (normal, shifted) pair against scope shift s.
 
-    Both clips are analysed at the config's rate, resampled as they are
-    analysed (a no-op at that rate). Computes the exponential Yingram
-    consistency metric at s, the contour offset (time-aligned by the pair's
-    duration ratio), and a verdict: offset within shift_tolerance of -s/2 and voiced overlap at
-    least min_overlap. A pair without unpadded frames has no metric; a pair
-    without co-voiced frames keeps its metric and fails on that. A shift
-    that `Scope` rejects raises ValueError before any analysis.
+    Each clip, a Waveform or an open WAV file (`audio._WavFile`), is
+    analysed at the config's rate as it is streamed and resampled. Computes
+    the exponential Yingram consistency metric at s, the contour offset
+    (time-aligned by the pair's duration ratio), and a verdict: offset
+    within shift_tolerance of -s/2 and voiced overlap at least min_overlap.
+    A pair without unpadded frames has no metric; a pair without co-voiced
+    frames keeps its metric and fails on that. A shift that `Scope` rejects
+    raises ValueError before any analysis.
     """
     cfg = config or AnalysisConfig()
     s = Scope(s).shift
@@ -147,6 +149,23 @@ def evaluate_shift_pair(
         scope_shift=s, expected_semitones=expected, measured_semitone_offset=measured,
         voiced_overlap_fraction=overlap, l_yin_shift=metric, passed=reason is None, reason=reason,
     )
+
+
+def _score_files(normal: str | Path, shifted: str | Path, s: int, cfg: AnalysisConfig) -> ShiftReport:
+    """`evaluate_shift_pair` of two open WAV files, raising the error that
+    `load_wav` of each, then scoring, would raise first: on a failure, each
+    file opened is decoded for its errors and its rate checked, in order."""
+    with contextlib.ExitStack() as stack:
+        files = []
+        try:
+            for path in (normal, shifted):
+                files.append(stack.enter_context(_WavFile(path)))
+            return evaluate_shift_pair(*files, s, cfg)
+        except (OSError, ValueError):
+            for wav in files:
+                wav.check(0, len(wav))
+                _resampled_length(wav, wav.sample_rate)  # the rate rule alone
+            raise
 
 
 @dataclass
@@ -215,10 +234,10 @@ _CSV_KEYS = ("expected_semitones", "measured_semitone_offset", "voiced_overlap_f
 def batch_report(manifest: list[dict], config: AnalysisConfig | None = None) -> BatchReport:
     """Evaluate every manifest entry {normal, shifted, scope_shift}.
 
-    An entry that cannot be read or scored is recorded as its error,
-    "<exception class>: <message>" (a KeyError, TypeError, OSError or
-    ValueError, such as for a scope_shift of 2.9, true or "2"), and the
-    batch continues; results keep manifest order.
+    Each pair is read and scored as `compare-shift` does (`_score_files`).
+    An entry that cannot be is recorded as its error, "<exception class>:
+    <message>" (a KeyError, TypeError, OSError or ValueError, such as for a
+    scope_shift of 2.9, true or "2"), and the batch continues.
     """
     cfg = config or AnalysisConfig()
     report = BatchReport(config=cfg)
@@ -226,15 +245,11 @@ def batch_report(manifest: list[dict], config: AnalysisConfig | None = None) -> 
         entry: dict = {"index": index}
         try:
             if not isinstance(item, dict):
-                raise TypeError(
-                    f"manifest entry must be an object, got {type(item).__name__}"
-                )
-            normal_path = Path(item["normal"])
-            shifted_path = Path(item["shifted"])
+                raise TypeError(f"manifest entry must be an object, got {type(item).__name__}")
+            paths = Path(item["normal"]), Path(item["shifted"])
             s = Scope(item["scope_shift"]).shift
             entry.update(normal=str(item["normal"]), shifted=str(item["shifted"]), scope_shift=s)
-            normal, shifted = load_wav(normal_path), load_wav(shifted_path)
-            entry["report"] = evaluate_shift_pair(normal, shifted, s, cfg)
+            entry["report"] = _score_files(*paths, s, cfg)
         except (KeyError, TypeError, OSError, ValueError) as exc:
             entry["error"] = f"{type(exc).__name__}: {exc}"
         report.entries.append(entry)

@@ -72,7 +72,7 @@ class YingramMatrix:
     """frames x channels feature matrix on a note grid.
 
     values[t][c] is the interpolated CMND of frame t at the lag of note
-    start_note + c. `padded` flags frames that ran past end-of-signal.
+    start_note + c. `padded`, one bool per row, flags frames past end-of-signal.
     """
 
     values: np.ndarray
@@ -82,8 +82,10 @@ class YingramMatrix:
     padded: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.padded is None:
-            self.padded = np.zeros(len(self.values), dtype=bool)
+        rows = len(self.values)
+        self.padded = np.zeros(rows, bool) if self.padded is None else np.asarray(self.padded, bool)
+        if self.padded.shape != (rows,):
+            raise ValueError(f"padded must hold one flag per row: {rows} rows, got shape {self.padded.shape}")
 
     @property
     def num_frames(self) -> int:

@@ -439,6 +439,15 @@ def test_pairs_report_the_median_cost_of_each_op(tmp_path, capsys):
     assert " 1.000 " in rows["f00"] and "   0/3 " in rows["f00"]
 
 
+@pytest.mark.parametrize("n", [1, 9, 10])
+def test_pairs_say_that_fewer_than_ten_cannot_back_a_claim(tmp_path, capsys, n):
+    parent, change, _ = _pair_checkouts(tmp_path, {}, {"scale": 0.5})
+    assert _pairs_cli(parent, change, n) == 0
+    lines = capsys.readouterr().out.splitlines()
+    expected = [f"{n} pairs: fewer than 10 pairs cannot back a claim"] if n < 10 else []
+    assert [line for line in lines if "cannot back a claim" in line] == expected
+
+
 def test_pairs_count_ties_for_neither_side(tmp_path):
     parent, change, _ = _pair_checkouts(tmp_path, {}, {})
     pairs = tool.run_pairs(parent, change, WORKLOADS[0], 2)

@@ -23,7 +23,7 @@ from yingram import (
     shift_to_semitones,
     sine_tone,
 )
-from yingram import evaluate, feature
+from yingram import audio, evaluate, feature
 from yingram.evaluate import _contour_offsets
 from yingram.feature import BLOCK_FRAMES
 from conftest import write_wav
@@ -462,9 +462,19 @@ def test_overflowing_samples_raise():
 
 @pytest.mark.filterwarnings("error")
 def test_batch_records_overflowing_clip(monkeypatch, tmp_path, cfg):
-    normal = harmonic_tone(220.0, 0.5)
-    loaded = {"n.wav": normal, "big.wav": OVERFLOWING}
-    monkeypatch.setattr(evaluate, "load_wav", lambda path: loaded[path.name])
+    # no WAV file holds a sample past float32's range, so big.wav's reads
+    # are scaled to OVERFLOWING's on their way to the analysis
+    write_wav(tmp_path / "n.wav", harmonic_tone(220.0, 0.5))
+    write_wav(tmp_path / "big.wav", sine_tone(220.0, 0.5))
+
+    def opened(path):
+        wav = audio._WavFile(path)
+        if path.name == "big.wav":
+            read = wav.read
+            wav.read = lambda first, stop: 1e160 * read(first, stop)
+        return wav
+
+    monkeypatch.setattr(evaluate, "_WavFile", opened)
     manifest = [
         {"normal": str(tmp_path / "n.wav"), "shifted": str(tmp_path / "big.wav"), "scope_shift": 0},
         {"normal": str(tmp_path / "n.wav"), "shifted": str(tmp_path / "n.wav"), "scope_shift": 0},

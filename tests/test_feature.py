@@ -350,6 +350,20 @@ def test_exports_refuse_a_matrix_that_is_not_real_frames_x_channels(tmp_path, va
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("padded", [np.zeros(3, bool), [False, True]], ids=["array", "list"])
+def test_a_matrix_refuses_padded_flags_that_are_not_one_per_row(padded):
+    # these once raised IndexError or TypeError from `unpadded`, not at construction
+    with pytest.raises(ValueError, match=r"^padded must hold one flag per row: 5 rows, got shape \(\d,\)$"):
+        YingramMatrix(np.zeros((5, 80), np.float32), DEFAULT_GRID, 256, SR, padded)
+
+
+def test_a_matrix_reads_a_list_of_padded_flags_as_bools():
+    values = np.arange(6, dtype=np.float32).reshape(3, 2)
+    matrix = YingramMatrix(values, DEFAULT_GRID, 256, SR, [0, 1, 0])
+    assert matrix.padded.dtype == bool and matrix.padded.tolist() == [False, True, False]
+    assert matrix.unpadded().tolist() == [[0, 1], [4, 5]]
+
+
 def test_exports_of_zero_channels_and_zero_frames(tmp_path):
     matrix = YingramMatrix(np.zeros((3, 0), np.float32), DEFAULT_GRID, 256, SR)
     write_yingram_csv(matrix, tmp_path / "y.csv")

@@ -2,10 +2,11 @@
 no library call imports it: `audio.resample` between differing rates loads
 only its compiled polyphase kernel, `scipy.signal._upfirdn_apply`. No
 library call leaves a thread running: a long resample joins the worker
-thread it starts. An analyze of a long WAV file holds no whole clip. Each
+thread it starts. No command on a long WAV file holds a whole clip. Each
 check runs in a fresh interpreter, because this suite's own process has
 long loaded the one and may have started the other, and its peak RSS
 counts only what the check itself needs."""
+import json
 import os
 import platform
 import subprocess
@@ -126,53 +127,72 @@ def test_the_kernel_and_scipy_signal_load_in_either_order_to_the_same_bits(n, si
     assert _fresh(ORDER_SCRIPT.format(n=n, signal_first=signal_first)).split() == ["True"]
 
 
+# the peak RSS of a fresh interpreter in MiB: VmHWM, the high-water mark of
+# its own address space. Not ru_maxrss: a child that subprocess starts with
+# vfork keeps its parent's peak through exec, and this suite's process peaks
+# above a child's, so a rise of 100 MiB in a child once read 0
+PEAK = """
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
+"""
 # peak RSS over the loaded input's of one resample of 60 s from 48 kHz to
 # 22.05 kHz; the output alone holds 10.1 MiB
-RSS_SCRIPT = """
-import os, resource
+RSS_SCRIPT = PEAK + """
+import os
 os.sched_getaffinity = lambda pid: set(range({cores}))
 import numpy as np
 from yingram import Waveform, resample
 w = Waveform(np.random.default_rng(0).standard_normal(60 * 48000), 48000)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak()
 y = resample(w, 22050)
-print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+print(peak() - before)
 """
 RSS_BOUND_MIB = 24.0
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc/self/status")
 @pytest.mark.parametrize("cores", [1, 2], ids=["one core", "two cores"])
 def test_a_long_resample_raises_the_peak_by_little_more_than_its_output(cores):
-    # measured on a 2-core VM, in parts: 11.2-11.7 MiB on one core, 12.0-12.2
+    # measured on a 2-core VM, in parts: 11.2-11.7 MiB on one core, 11.6-12.8
     # on two; through scipy.signal's resample_poly, 58.6 and 69.5 MiB
     assert float(_fresh(RSS_SCRIPT.format(cores=cores))) <= RSS_BOUND_MIB
 
 
-# peak RSS over `import yingram.cli`'s of an analyze of a WAV file
-ANALYZE_RSS_SCRIPT = """
-import resource
+# peak RSS over `import yingram.cli`'s of a command on a WAV file
+CLI_RSS_SCRIPT = PEAK + """
 from yingram import cli
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-assert cli.main(["analyze", {wav!r}, "--out", {csv!r}, "--binary", {f32!r}]) == 0
-print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+before = peak()
+assert cli.main({argv!r}) == 0
+print(peak() - before)
 """
-ANALYZE_RSS_BOUND_MIB = 16.0
+# per command, MiB. Measured on a 2-core VM, 100 fresh runs each: analyze
+# +10.5-12.0; compare-shift of the clip against itself +23.9-25.6 and a
+# one-entry batch of it +23.8-25.9, against 67.4-68.7 with both clips
+# decoded whole. Over analyze's, a pair holds scoring arrays that grow with
+# the clip, such as `shift_consistency_metric`'s float64 copies of the two
+# matrices
+CLI_RSS_BOUNDS_MIB = {"analyze": 16.0, "compare-shift": 32.0, "batch": 32.0}
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
-def test_analyze_of_a_long_wav_holds_no_whole_clip(tmp_path):
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc/self/status")
+@pytest.mark.parametrize("command", CLI_RSS_BOUNDS_MIB)
+def test_analyze_of_a_long_wav_holds_no_whole_clip(tmp_path, command):
     # 60 s of 48 kHz stereo 24-bit: the decoded clip alone is 22 MiB of
-    # float64, and resampled 10.1 MiB. Measured on a 2-core VM: +9.9-11.1
-    # MiB streamed from the file, +39.7 MiB when both clips were held
+    # float64, and resampled 10.1 MiB. `compare-shift` and `batch` score the
+    # clip against itself, streamed from the file as `analyze` reads it
     t = np.arange(60 * 48000) / 48000
     mono = np.round(0.5 * np.sin(2 * np.pi * 220.0 * t) * (2**23 - 1))
-    wav = tmp_path / "long.wav"
-    write_stored(wav, np.stack([mono, np.round(0.8 * mono)], axis=1), 48000, "s24")
+    write_stored(tmp_path / "long.wav", np.stack([mono, np.round(0.8 * mono)], axis=1), 48000, "s24")
     del t, mono
-    peak = float(_fresh(ANALYZE_RSS_SCRIPT.format(wav=str(wav), csv=str(tmp_path / "y.csv"),
-                                                  f32=str(tmp_path / "y.f32"))))
-    assert peak <= ANALYZE_RSS_BOUND_MIB
+    wav = str(tmp_path / "long.wav")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"normal": wav, "shifted": wav, "scope_shift": 0}]))
+    out = str(tmp_path / "out")
+    argv = {"analyze": ["analyze", wav, "--out", out + ".csv", "--binary", out + ".f32"],
+            "compare-shift": ["compare-shift", wav, wav, "--scope-shift", "0", "--out", out + ".json"],
+            "batch": ["batch", str(manifest), "--out-json", out + ".json"]}[command]
+    assert float(_fresh(CLI_RSS_SCRIPT.format(argv=argv))) <= CLI_RSS_BOUNDS_MIB[command]
 
 
 # minor page faults of a warm pass over a WAV file, per pass

@@ -1,8 +1,9 @@
-"""The stream: `analyze` and `f0` hand `feature._analyse` the open WAV file
-(`audio._WavFile`). Resampled, each part decodes its own samples; at the
-config rate, each block decodes its span. Either way the outputs are the
-bytes of `_analyse(load_wav(path))`, the errors come in its order, no
-thread is left, and the working set does not grow with the clip."""
+"""The stream: every command hands `feature._analyse` the open WAV file
+(`audio._WavFile`); `compare-shift` and `batch` hand it both files of a pair
+through `evaluate.evaluate_shift_pair`. Resampled, each part decodes its own
+samples; at the config rate, each block decodes its span. Either way the
+outputs are the bytes of `_analyse(load_wav(path))`, the errors come in its
+order, no thread is left, and the working set does not grow with the clip."""
 import json
 import os
 import sys
@@ -13,10 +14,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from yingram import AnalysisConfig, WavFormatError, load_wav
+from yingram import AnalysisConfig, Scope, WavFormatError, evaluate_shift_pair, load_wav
 from yingram import audio, feature
 from yingram.cli import main
-from conftest import set_usable_cores, write_stored
+from conftest import set_usable_cores, write_stored, write_truncated
 
 CFG = AnalysisConfig()
 SR = CFG.sample_rate
@@ -218,6 +219,67 @@ def test_a_non_finite_sample_no_frame_reads_is_named(tmp_path, monkeypatch, wher
     write_stored(path, values, SR, "f32")
     cfg = CFG.replace(hop=5000)
     assert _raised(lambda: _stream(path, cfg), WavFormatError) == "corrupt file: non-finite samples"
+
+
+# -- a pair's errors come in the order of `load_wav` of the normal file, then
+# of the shifted one, then scoring: each fault in either file, or in both
+
+def _pair_file(path, fault: str):
+    """A 0.3 s tone at path, clean or with `fault`; "missing" writes nothing."""
+    values = _values(0.3, SR, "f32")
+    if fault == "bad header":
+        path.write_bytes(b"RIFX" + bytes(40))
+    elif fault == "truncated":  # a data chunk that claims more than it carries
+        write_truncated(path)
+    elif fault != "missing":
+        if fault == "non-finite":
+            values[len(values) // 2] = np.nan
+        # 800 MHz is more than 32768 times 22.05 kHz
+        rate = {"rate 0": 0, "rate too far": 800_000_000}.get(fault, SR)
+        write_stored(path, values, rate, "f32")
+    return path
+
+
+def _whole_clip(normal, shifted, s: int):
+    """The whole-clip path: the report of, or the error raised by,
+    `evaluate_shift_pair(load_wav(normal), load_wav(shifted), s)`."""
+    try:
+        return evaluate_shift_pair(load_wav(normal), load_wav(shifted), s, CFG).to_dict()
+    except (OSError, ValueError) as exc:
+        return exc
+
+
+PAIR_FAULTS = ["clean", "missing", "bad header", "non-finite", "truncated", "rate 0", "rate too far"]
+
+
+@pytest.mark.parametrize("s", [0, 16], ids=["s=0", "s=16 out of range"])
+@pytest.mark.parametrize("shifted_fault", PAIR_FAULTS)
+@pytest.mark.parametrize("normal_fault", PAIR_FAULTS)
+def test_a_pairs_errors_come_as_from_the_whole_clips(tmp_path, capsys, normal_fault, shifted_fault, s):
+    normal = _pair_file(tmp_path / "normal.wav", normal_fault)
+    shifted = _pair_file(tmp_path / "shifted.wav", shifted_fault)
+    expected = _whole_clip(normal, shifted, s)
+    out = tmp_path / "report.json"
+    code = main(["compare-shift", str(normal), str(shifted), "--scope-shift", str(s), "--out", str(out)])
+    err = capsys.readouterr().err
+    if isinstance(expected, Exception):
+        assert (code, err, out.exists()) == (2, f"error: {expected}\n", False)
+    else:
+        assert (code, err) == (0 if expected["pass"] else 1, "")
+        assert json.loads(out.read_text()) == {**expected, "config": CFG.to_dict()}
+    # a batch entry reads its shift before its files, and records what it raises
+    try:
+        Scope(s)
+    except ValueError as exc:
+        expected = exc
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"normal": str(normal), "shifted": str(shifted), "scope_shift": s}]))
+    code = main(["batch", str(manifest), "--out-json", str(tmp_path / "batch.json")])
+    entry = json.loads((tmp_path / "batch.json").read_text())["entries"][0]
+    if isinstance(expected, Exception):
+        assert (code, entry["error"]) == (1, f"{type(expected).__name__}: {expected}")
+    else:
+        assert (code, entry["report"]) == (0 if expected["pass"] else 1, expected)
 
 
 @pytest.mark.parametrize("rate", [22050, 48000])

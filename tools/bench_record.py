@@ -42,8 +42,9 @@ and quartiles, B/A of the medians, how many pairs B won (ties count for
 neither side) and the median ratio of each pair's second run to its first,
 the order effect.  Then, per op key, both sides' median over the pairs of
 each run's median `op_probes` cost, with B/A and B's wins, so a claim shows
-which ops moved.  With --out FILE it writes every pair's samples and the
-summary as JSON.  It exits 1 when an output digest differs, `correct`
+which ops moved.  With N below CLAIM_PAIRS it says, in one line, that so
+few pairs cannot back a claim.  With --out FILE it writes every pair's
+samples and the summary as JSON.  It exits 1 when an output digest differs, `correct`
 turns false or the largest `failed_op_share` rises, and 2, with one line
 on stderr, for runs whose environments or input digests differ, and,
 before the first run, for a workload BENCHMARK.json does not list or an
@@ -63,6 +64,9 @@ REPO = Path(__file__).resolve().parents[1]
 SEEDS = (0, 1, 2, 3, 4)
 # the seed of a `--pairs` run's first pair; pair k runs seed PAIR_SEED0 + k
 PAIR_SEED0 = 1000
+# the fewest pairs that can back a claimed gain, which must win nine in ten;
+# five grad_frames pairs on unchanged code once read 5/5 losses at 2%
+CLAIM_PAIRS = 10
 RUN_TIMEOUT_S = 900
 # what a BENCH file keeps per metric and per seed of a workload
 METRIC_KEYS = ("median", "q1", "q3")
@@ -82,12 +86,13 @@ KNOWN_FAULTS = {
                            "which analysis does not call"),
 }
 # layers the tracer still wraps, although analysis runs on blocks and no
-# longer calls them: their metrics read 0 outside the per-frame path; and
-# the three the CLI and `evaluate_shift_pair` bypass since they hand
-# `feature._analyse` a clip at any rate
+# longer calls them: their metrics read 0 outside the per-frame path; the
+# three the CLI and `evaluate_shift_pair` bypass since they hand
+# `feature._analyse` a clip at any rate; and `audio.load_wav`, since every
+# command streams its WAV files
 DEAD_LAYERS = ("audio.frame_signal", "yin.cmnd", "yin.pick_lag", "yin.estimate_f0",
                "yin.parabolic_refine", "feature.yingram_frame", "audio.resample",
-               "feature.compute_yingram", "evaluate.extract_pitch_contour")
+               "feature.compute_yingram", "evaluate.extract_pitch_contour", "audio.load_wav")
 
 
 def quartiles(samples: list[float]) -> tuple[float, float, float]:
@@ -421,6 +426,8 @@ def pairs_main(parent: Path, checkout: Path, workload: str, n: int, out: Path | 
                          else f"--out {out}: no directory {out.parent}")
     pairs = run_pairs(parent, checkout, workload, n)
     summary, lines, ok = summarize_pairs(pairs, benchmark)
+    if n < CLAIM_PAIRS:
+        lines.append(f"{n} pairs: fewer than {CLAIM_PAIRS} pairs cannot back a claim")
     print("\n".join([f"workload {workload}", *lines]))
     if out is not None:
         sides = {side: {"commit": _git(path, "rev-parse", "HEAD"), "dirty": _dirty(path)}
