@@ -451,7 +451,7 @@ class _Resampling:
         # others done, the outputs held, their non-finite counts, failed ones' errors
         self._claimed = self._done = self._released = 0
         self._finished, self._outputs, self._bad, self._failed = set(), {}, {}, {}
-        self._wanted, self._closed = 0, False  # the output a read waits for
+        self._wanted, self._closed = 0, False  # the parts a read waits for
         self._checked = 0  # at the target rate, a file's samples decoded so far
         try:  # the rate rules, once the file has decoded
             n_out = _resampled_length(source, target_sr)
@@ -536,19 +536,21 @@ class _Resampling:
         return sum(count for count, _ in counts), min((first for _, first in counts), default=0)
 
     def _wait(self, stop: int) -> None:
-        """Return once the first `stop` outputs are final. Until then the
+        """Return once the first `stop` outputs are final, at the clip's end once
+        every part has run (a last one may own no outputs). Until then the
         calling thread runs the next part it may claim, or waits for the
         thread's. Raises the first failed part's error once the parts before
         it are done; one that is not a decoding error only once the inputs
         from that part on have decoded, so a decoding error there comes first."""
+        need = len(self._bounds) - 1 if stop >= len(self) else int(np.searchsorted(self._bounds, stop))
         while True:
             with self._cond:
-                if self._bounds[self._done] >= stop:
+                if self._done >= need:
                     return
                 if self._done in self._failed:
                     failed = self._done
                     break
-                self._wanted = stop
+                self._wanted = need
                 part = self._claim()
                 if part is None:
                     self._cond.wait()
@@ -567,8 +569,7 @@ class _Resampling:
         while the part lies _WINDOW_PARTS past the first one held and no read
         waits for it."""
         part = self._claimed
-        if self._stopped() or (part >= self._released + _WINDOW_PARTS
-                               and self._bounds[part] >= self._wanted):
+        if self._stopped() or part >= max(self._released + _WINDOW_PARTS, self._wanted):
             return None
         self._claimed += 1
         return part

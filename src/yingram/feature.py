@@ -26,7 +26,7 @@ import numpy as np
 from .audio import Frame, Waveform, _frame_span, _Resampling, _WavFile, frame_count
 from .config import AnalysisConfig
 from .grid import DEFAULT_GRID, NoteGrid, _lag_table, _require_real_dtype, channel_lags, tau_max_for
-from .yin import _cmnd_terms, _difference_fft, _non_finite, cmnd, difference_function, f0_rows
+from .yin import _checked_samples, _cmnd_terms, _difference_fft, _non_finite, difference_function, f0_rows
 
 __all__ = [
     "YingramMatrix",
@@ -195,15 +195,41 @@ def yingram_from_frame(
 ) -> np.ndarray:
     """One frame end to end: difference function, CMND, grid sampling.
 
-    Runs in float64; compute_yingram stores float32. Raises ValueError for a
-    Frame not at sample_rate, non-finite samples (`difference_function`) and
-    difference values that overflow (`cmnd`).
+    Runs in float64; compute_yingram stores float32; the "fft" forward keeps a 1-D frame's
+    CMND terms for a VJP (`_frame_terms`). Raises ValueError for a Frame not at sample_rate,
+    non-finite samples (`difference_function`) and difference values that overflow (`cmnd`).
     """
     tau_max = tau_max_for(grid, sample_rate)
     if isinstance(frame, Frame) and frame.sample_rate != sample_rate:
         raise ValueError(f"frame at {frame.sample_rate} Hz, sample_rate is {sample_rate}")
-    d = difference_function(frame, tau_max, window, method=method)
-    return yingram_frame(cmnd(d), sample_rate, grid)
+    terms = (_frame_terms(frame, tau_max, window) if method == "fft"
+             else _cmnd_terms(difference_function(frame, tau_max, window, method=method)))
+    return yingram_frame(terms[0], sample_rate, grid)
+
+
+_last_frame = None  # `_frame_terms`'s memo: (samples, tau_max, window, terms), or None
+
+
+def _frame_terms(frame: Frame | np.ndarray, tau_max: int, window: int) -> tuple:
+    """Read-only (values, csum, guarded) of `_cmnd_terms` of the "fft" `difference_function`
+    of a frame or a stack, raising as they do: the forward of `yingram_from_frame` and
+    `yingram_vjp`. It helps where a VJP follows a forward of the same samples, as in a
+    gradient step: the last 1-D frame that returned is kept whole in one tuple (27 KB at the
+    default config), and a frame of the same float64 bits (-0.0 is not 0.0), tau_max and
+    window gets its terms, the same bits, after every check. A miss calls the traced
+    `difference_function`, which checks the samples again (about 5 us)."""
+    global _last_frame
+    x = _checked_samples(frame, tau_max, window)
+    entry = _last_frame
+    if (x.ndim == 1 and entry is not None and entry[1:3] == (tau_max, window)
+            and np.array_equal(entry[0].view(np.uint64), x.view(np.uint64))):
+        return entry[3]
+    terms = _cmnd_terms(difference_function(x, tau_max, window))
+    for array in terms:
+        array.flags.writeable = False
+    if x.ndim == 1:
+        _last_frame = (x.copy(), tau_max, window, terms)
+    return terms
 
 
 def _analyse(source: Waveform | _WavFile, cfg: AnalysisConfig) -> tuple[YingramMatrix, PitchContour]:

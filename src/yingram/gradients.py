@@ -18,11 +18,13 @@ import scipy.fft
 from .audio import Frame
 from .config import AnalysisConfig
 from .grid import (
-    DEFAULT_GRID, NoteGrid, _require_int, _require_positive, _require_real_dtype, tau_max_for,
+    DEFAULT_GRID, NoteGrid, _require_grid, _require_int, _require_positive, _require_real_dtype,
+    tau_max_for,
 )
-from .feature import _channel_brackets, _record, _sample_at
+from .feature import _channel_brackets, _frame_terms, _record, _sample_at
 from .synth import random_tonal_frame
-from .yin import _cmnd_terms, _difference_fft, difference_function, require_finite
+# difference_function: unused here, kept for bench/spans.py's tracer, as in evaluate
+from .yin import _cmnd_terms, _difference_fft, difference_function, require_finite  # noqa: F401
 
 __all__ = ["GradReport", "yingram_vjp", "finite_diff_check", "gradcheck_suite"]
 
@@ -70,8 +72,8 @@ def _checked_inputs(
     """(samples, channel lag brackets, tau_max, window, cotangent) of a
     gradient request: a Frame, a finite real cotangent of one entry per
     channel, and a window of len(frame) - tau_max (at least 1) by default, as
-    the analysis frames; the forward's `difference_function` checks that the
-    window fits and that the samples are finite."""
+    the analysis frames; the forward's `_frame_terms` checks that the window
+    fits and that the samples are finite."""
     if not isinstance(frame, Frame):
         raise ValueError("yingram_vjp needs a Frame (it carries the sample rate)")
     x = np.asarray(frame.samples, dtype=np.float64)
@@ -97,9 +99,10 @@ def yingram_vjp(
     analysis framing. Channels whose lags sit in the CMND guard region
     contribute zero gradient; a fully guarded (silent) frame returns all
     zeros and emits a warning. Non-finite samples or cotangent entries raise
-    ValueError, since either would turn the whole gradient into NaN; so do
-    complex ones, a frame that is not a `Frame`, frames too large for the
-    forward's CMND (and only those) and grids `tau_max_for` rejects.
+    ValueError, since either would turn the whole gradient into NaN; so do complex ones, a
+    frame that is not a `Frame`, frames too large for the forward's CMND (and only those) and
+    grids `tau_max_for` rejects. Right after `yingram_from_frame` of the same samples, it
+    reuses that forward's CMND terms (`_frame_terms`: one frame's, 27 KB), with the same bits.
     """
     x, brackets, tau_max, window, cot = _checked_inputs(frame, grid, cotangent, window)
     grad, guarded = _vjp(brackets, x, tau_max, window, cot)
@@ -118,7 +121,7 @@ def _vjp(brackets: tuple, x: np.ndarray, tau_max: int, window: int,
     `brackets` (floors, ceils, frac). guarded: the CMND guard mask of lags 0
     up to the highest lag any channel reads; the CMND sums grow with tau, so
     when that lag is guarded, all are."""
-    values, csum, guarded = _cmnd_terms(difference_function(x, tau_max, window, method="fft"))
+    values, csum, guarded = _frame_terms(x, tau_max, window)
     floors, ceils, frac = brackets
 
     # adjoint on d'; a guarded lag holds the constant 1, so none flows through
@@ -210,7 +213,7 @@ def finite_diff_check(
     _check_fd_settings(eps, probes, tolerance)
     rng = np.random.default_rng(_require_int(seed, "seed", 0))
     if cotangent is None:
-        cotangent = rng.standard_normal(grid.num_channels)
+        cotangent = rng.standard_normal(_require_grid(grid).num_channels)
     x, brackets, tau_max, win, cot = _checked_inputs(frame, grid, cotangent, window)
     analytic, guard = _vjp(brackets, x, tau_max, win, cot)
 

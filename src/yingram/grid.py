@@ -187,12 +187,19 @@ def note_to_lag(note: int | float, sample_rate: int, grid: NoteGrid = DEFAULT_GR
     return _require_float_int(sample_rate, "sample_rate") / note_to_hz(note, grid)
 
 
+def _require_grid(grid) -> NoteGrid:
+    """grid if it is a NoteGrid, else ValueError: the rule of every grid argument."""
+    if not isinstance(grid, NoteGrid):
+        raise ValueError(f"grid must be a NoteGrid, got {type(grid).__name__}")
+    return grid
+
+
 def channel_lags(grid: NoteGrid, sample_rate: int) -> np.ndarray:
     """Read-only table of the `note_to_lag` of each grid note, channel c holding
-    note start_note + c, cached per (grid, rate). Raises ValueError, on every
-    call, for a rate `_require_float_int` rejects, and "does not hold" for a grid
-    with a note at or above Nyquist or a lowest lag above MAX_FRAME_LENGTH."""
-    return _lag_table(grid, _require_float_int(sample_rate, "sample_rate"))
+    note start_note + c, cached per (grid, rate). Raises ValueError, on every call, for a grid
+    that is not a NoteGrid, a rate `_require_float_int` rejects, and "does not hold" for a
+    grid with a note at or above Nyquist or a lowest lag above MAX_FRAME_LENGTH."""
+    return _lag_table(_require_grid(grid), _require_float_int(sample_rate, "sample_rate"))
 
 
 @lru_cache

@@ -67,13 +67,12 @@ def _weighted_l1(arrays: dict[str, np.ndarray], config: AnalysisConfig | None,
     bits, and checks once: an unweighted sum past the float range raises
     ValueError naming the term (for e^-x, the argument with the least entry,
     the first on a tie); a weight taking the loss past it names lambda_yin."""
-    f = (lambda v: np.exp(-v)) if exponential else (lambda v: v)
     names = list(arrays)
     pairs = list(zip(names[: len(names) // 2], names[len(names) // 2 :]))
     lambda_yin = (config or AnalysisConfig).lambda_yin
     with np.errstate(over="ignore", invalid="ignore"):  # two inf e^-Y entries differ by NaN
         # 0 + t is t, so one pair keeps the bits of its mean
-        term = sum(np.mean(np.abs(f(arrays[a]) - f(arrays[b]))) for a, b in pairs)
+        term = sum(np.mean(_abs_difference(arrays[a], arrays[b], exponential)) for a, b in pairs)
         loss = lambda_yin * term
     if np.isfinite(loss):
         return float(loss)
@@ -92,6 +91,15 @@ def _weighted_l1(arrays: dict[str, np.ndarray], config: AnalysisConfig | None,
     spans = ", ".join(f"{n} spans [{float(np.min(a))!r}, {float(np.max(a))!r}]"
                       for n, a in arrays.items())
     raise ValueError(f"the {terms} term is too large for a float at lambda_yin={lambda_yin!r}: {spans}")
+
+
+def _abs_difference(a: np.ndarray, b: np.ndarray, exponential: bool) -> np.ndarray:
+    """|f(a) - f(b)|, f e^-x or the identity, by the bare expression's ufuncs,
+    each after the first writing over a temporary it made, where the dtype allows."""
+    if exponential:
+        a, b = (np.exp(v, out=v) for v in (np.negative(a), np.negative(b)))
+    diff = np.subtract(a, b, out=a if exponential and a.dtype == np.result_type(a, b) else None)
+    return np.abs(diff, out=diff)
 
 
 def decoding_loss(
@@ -133,7 +141,9 @@ def shift_consistency_metric(
     normal, shifted = _matrix_values(y_normal), _matrix_values(y_shifted_audio)
     _require_real_dtype(normal, "y_normal")
     _require_real_dtype(shifted, "y_shifted_audio")
-    normal, shifted = np.asarray(normal, np.float64), np.asarray(shifted, np.float64)
+    # floats up to 64 bits are cast once cropped, other dtypes first, as their values may change
+    normal, shifted = (v if v.dtype.kind == "f" and v.itemsize <= 8 else np.asarray(v, np.float64)
+                       for v in (normal, shifted))
     if normal.ndim != 2 or shifted.ndim != 2 or normal.shape[1] != shifted.shape[1]:
         raise ValueError(
             f"dimension error: expected matrices with matching channel axes, "
@@ -150,6 +160,7 @@ def shift_consistency_metric(
         frames = min(normal.shape[0], shifted.shape[0])
         normal = normal[:frames]
         shifted = shifted[:frames]
-    normal, shifted = crop_scope(normal, s), crop_scope(shifted, 0)
+    normal, shifted = (np.asarray(crop_scope(v, shift), np.float64)
+                       for v, shift in ((normal, s), (shifted, 0)))
     _require_entries(normal)
     return _weighted_l1({"y_normal": normal, "y_shifted_audio": shifted}, config, exponential=True)

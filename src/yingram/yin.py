@@ -154,6 +154,16 @@ def difference_function(
             window + tau_max, "non-finite samples" for a NaN or inf sample,
             "samples must be real" for complex ones, and for an unknown method.
     """
+    x = _checked_samples(frame, tau_max, window)
+    if method == "naive":
+        return _difference_naive(x, tau_max, window)
+    if method == "fft":
+        return _difference_fft(x, tau_max, window)
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _checked_samples(frame: Frame | np.ndarray, tau_max: int, window: int) -> np.ndarray:
+    """The float64 samples of `difference_function`'s frame; raises its errors but the method's."""
     x = frame.samples if isinstance(frame, Frame) else frame
     _require_real_dtype(x, "samples")
     x = np.asarray(x, dtype=np.float64)
@@ -162,11 +172,7 @@ def difference_function(
     if length < need:
         raise ValueError(f"insufficient frame length: need {need}, got {length}")
     require_finite(x, "samples")
-    if method == "naive":
-        return _difference_naive(x, tau_max, window)
-    if method == "fft":
-        return _difference_fft(x, tau_max, window)
-    raise ValueError(f"unknown method {method!r}")
+    return x
 
 
 def cmnd(d: np.ndarray) -> np.ndarray:

@@ -2,6 +2,9 @@
 import json
 import math
 import re
+import sys
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +23,7 @@ from yingram import (
     yingram_from_frame,
     yingram_vjp,
 )
-from yingram import gradients
+from yingram import feature, gradients
 from yingram.feature import _channel_brackets
 from yingram.gradients import _difference_adjoint
 from yingram.grid import channel_lags
@@ -189,9 +192,7 @@ def test_finite_diff_check_runs_forward_once(monkeypatch, k):
         return wrapper
 
     monkeypatch.setattr(gradients, "_checked_inputs", counted("checked", gradients._checked_inputs))
-    monkeypatch.setattr(
-        gradients, "difference_function", counted("forward", gradients.difference_function)
-    )
+    monkeypatch.setattr(gradients, "_frame_terms", counted("forward", gradients._frame_terms))
     finite_diff_check(_frame(x), GRID, probes=4)
     # the probes run their own forwards on the FFT kernel, without the checks
     assert calls == {"checked": 1, "forward": 1}
@@ -541,14 +542,18 @@ def _count_transforms(monkeypatch) -> dict:
 
 
 def test_a_frame_takes_one_transform_pair_forward_and_two_back(monkeypatch):
-    # one rfft and one irfft forward; the VJP repeats the forward and adds
-    # one stacked rfft and one stacked irfft for its adjoint
+    # one rfft and one irfft forward; the VJP of the frame just forwarded
+    # reuses its CMND terms and adds one stacked rfft and one stacked irfft
+    # for its adjoint; the VJP of another frame runs its own forward
     x = random_tonal_frame(np.random.default_rng(1), FRAME_LEN)
     counts = _count_transforms(monkeypatch)
     yingram_from_frame(x, GRID, SR, 2048)
     assert counts == {"rfft": 1, "irfft": 1}
     counts.update(rfft=0, irfft=0)
     yingram_vjp(_frame(x), GRID, np.ones(80), 2048)
+    assert counts == {"rfft": 1, "irfft": 1}
+    counts.update(rfft=0, irfft=0)
+    yingram_vjp(_frame(x[::-1]), GRID, np.ones(80), 2048)
     assert counts == {"rfft": 2, "irfft": 2}
 
 
@@ -583,3 +588,121 @@ def test_the_vjp_caches_are_read_only_and_built_once():
     assert gradients._window_bounds(FRAME_LEN, 2048, TAU_MAX) is bounds
     for array in (*brackets, *bounds):
         assert not array.flags.writeable
+
+
+# A VJP right after the forward of the same frame reuses that forward's CMND
+# terms (`feature._frame_terms`); its gradient keeps the cold bits.
+
+
+def _forwards(patch) -> list:
+    """The frames `_frame_terms` (and a naive forward) run a forward for."""
+    calls = []
+    real = feature.difference_function
+    patch.setattr(feature, "difference_function", lambda x, *a, **k: calls.append(x) or real(x, *a, **k))
+    return calls
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 2**32 - 1), st.lists(st.tuples(st.integers(0, FRAME_LEN - 1), st.booleans()),
+                                           max_size=40))
+def test_a_vjp_after_its_forward_keeps_the_cold_bits(seed, zeros):
+    rng = np.random.default_rng(seed)
+    x = random_tonal_frame(rng, FRAME_LEN)
+    for i, negative in zeros:
+        x[i] = -0.0 if negative else 0.0
+    cot = rng.standard_normal(80)
+    want, _ = yingram_vjp_separate(x, channel_lags(GRID, SR), cot, 2048, TAU_MAX)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(feature, "_last_frame", None)
+        cold = yingram_vjp(_frame(x), GRID, cot, 2048)
+        patch.setattr(feature, "_last_frame", None)
+        yingram_from_frame(x, GRID, SR, 2048)
+        calls = _forwards(patch)
+        warm = yingram_vjp(_frame(x.copy()), GRID, cot, 2048)
+    assert calls == []  # a hit
+    assert warm.tobytes() == cold.tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["changed-in-place", "float32", "window", "naive", "raised",
+                                  "signed-zero"])
+def test_a_vjp_runs_its_own_forward_where_the_memo_holds_another(monkeypatch, case):
+    x = random_tonal_frame(np.random.default_rng(5), FRAME_LEN)
+    cot = np.random.default_rng(6).standard_normal(80)
+    samples, window = x, 2048
+    monkeypatch.setattr(feature, "_last_frame", None)
+    if case == "raised":  # the forward's CMND overflows, after its transforms
+        samples = x * 1e200
+        with pytest.raises(ValueError, match="too large for their CMND"):
+            yingram_from_frame(samples, GRID, SR, window)
+        assert feature._last_frame is None
+    else:
+        yingram_from_frame(x, GRID, SR, window, method="naive" if case == "naive" else "fft")
+    if case == "changed-in-place":
+        x[7] += 1e-3
+    elif case == "float32":
+        samples = x.astype(np.float32)
+    elif case == "window":
+        window = 2047
+    elif case == "signed-zero":
+        x[3] = 0.0
+        yingram_from_frame(x, GRID, SR, window)
+        samples = x.copy()
+        samples[3] = -0.0
+    calls = _forwards(monkeypatch)
+    frame = Frame(samples, 0, SR)
+    if case == "raised":
+        with pytest.raises(ValueError, match="too large for their CMND"):
+            yingram_vjp(frame, GRID, cot, window)
+        assert len(calls) == 1
+        return
+    got = yingram_vjp(frame, GRID, cot, window)
+    assert len(calls) == 1
+    monkeypatch.setattr(feature, "_last_frame", None)
+    assert got.tobytes() == yingram_vjp(frame, GRID, cot, window).tobytes()
+
+
+def test_the_memo_holds_one_frame(monkeypatch):
+    x = random_tonal_frame(np.random.default_rng(7), FRAME_LEN)
+    yingram_from_frame(x, GRID, SR, 2048)  # the lag caches, built once
+    monkeypatch.setattr(feature, "_last_frame", None)
+    tracemalloc.start()
+    try:
+        for i in range(1000):
+            x[0] = i * 1e-3  # distinct frames
+            yingram_from_frame(x, GRID, SR, 2048)
+        # blocks of 1 KB or more: the frames and lag arrays held, not numpy's
+        # small-object caches, which grow by a few KB over the loop
+        held = sum(t.size for t in tracemalloc.take_snapshot().traces if t.size >= 1024)
+    finally:
+        tracemalloc.stop()
+    # one frame's samples and its two float64 lag arrays: about 27 KB here
+    assert x.nbytes < held < 2 * x.nbytes
+    assert np.array_equal(feature._last_frame[0], x)
+
+
+def test_threads_alternating_forward_and_vjp_get_the_cold_bits():
+    rng = np.random.default_rng(8)
+    frames = [random_tonal_frame(rng, FRAME_LEN) for _ in range(4)]
+    cot = rng.standard_normal(80)
+    cold = [gradients._vjp(_channel_brackets(GRID, SR), x, TAU_MAX, 2048, cot)[0] for x in frames]
+    got = {k: [] for k in range(len(frames))}
+
+    def work(k):
+        for _ in range(100):
+            yingram_from_frame(frames[k], GRID, SR, 2048)
+            got[k].append(yingram_vjp(_frame(frames[k]), GRID, cot, 2048))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:  # four threads switching often, so one replaces the entry another just read
+        threads = [threading.Thread(target=work, args=(k,)) for k in got]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k, grads in got.items():
+        assert len(grads) == 100 and all(g.tobytes() == cold[k].tobytes() for g in grads)

@@ -242,6 +242,14 @@ def test_lag_readers_read_the_span_rule(read, grid):
         read(grid)
 
 
+@pytest.mark.parametrize("grid, name", [(None, "NoneType"), ("grid", "str"), ({}, "dict")])
+@pytest.mark.parametrize("read", LAG_READERS.values(), ids=LAG_READERS.keys())
+def test_lag_readers_reject_a_grid_that_is_not_a_note_grid(read, grid, name):
+    # once an AttributeError, or from the lag cache, "unhashable type"
+    with pytest.raises(ValueError, match=rf"^grid must be a NoteGrid, got {name}$"):
+        read(grid)
+
+
 @pytest.mark.parametrize("read", [LAG_READERS["yingram_frame"], LAG_READERS["yingram_vjp"]],
                          ids=["yingram_frame", "yingram_vjp"])
 def test_a_huge_finite_lag_raises_without_a_cast_warning(read):

@@ -167,12 +167,12 @@ assert cli.main({argv!r}) == 0
 print(peak() - before)
 """
 # per command, MiB. Measured on a 2-core VM, 100 fresh runs each: analyze
-# +10.5-12.0; compare-shift of the clip against itself +23.9-25.6 and a
-# one-entry batch of it +23.8-25.9, against 67.4-68.7 with both clips
-# decoded whole. Over analyze's, a pair holds scoring arrays that grow with
-# the clip, such as `shift_consistency_metric`'s float64 copies of the two
-# matrices
-CLI_RSS_BOUNDS_MIB = {"analyze": 16.0, "compare-shift": 32.0, "batch": 32.0}
+# +10.5-12.0; compare-shift of a 60 s 48 kHz stereo clip against itself
+# +19.6-21.2 and a one-entry batch of it +19.6-21.3 (+23.8-25.9 while
+# `shift_consistency_metric` cast both whole matrices to float64, and
+# 67.4-68.7 with both clips decoded whole). Over analyze's, a pair holds
+# scoring arrays that grow with the clip, such as the metric's float64 crops
+CLI_RSS_BOUNDS_MIB = {"analyze": 16.0, "compare-shift": 28.0, "batch": 28.0}
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc/self/status")

@@ -80,3 +80,8 @@ def test_a_per_frame_reference_stays_in_its_module(name, module):
     assert not hasattr(yingram, name)
     assert callable(getattr(importlib.import_module(f"yingram.{module}"), name))
     assert f"`{name}`" in README
+
+
+def test_the_readme_stays_within_20000_bytes():
+    # a measurement belongs in CHANGES.md, a numeric rationale beside its code
+    assert (Path(__file__).resolve().parents[1] / "README.md").stat().st_size <= 20000

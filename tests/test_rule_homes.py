@@ -37,6 +37,7 @@ RULE_HOMES = {
     "term is too large for a float": "losses",
     "below 1 Hz": "synth",
     "weighs the loss past the float range": "losses",
+    "grid must be a NoteGrid": "grid",
 }
 
 
