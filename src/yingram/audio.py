@@ -671,10 +671,15 @@ def _frame_span(x: np.ndarray, frame_len: int, hop: int, first: int, stop: int) 
     past the end, a copy with a zero-padded tail."""
     span = x[first * hop : (stop - 1) * hop + frame_len]
     tail = (stop - 1 - first) * hop + frame_len - len(span)
-    # frame k runs past the end from k = ceil((len(x) - frame_len + 1) / hop) on,
-    # found in Python ints: k * hop may not fit in int64
-    padded = np.arange(first, stop) >= -(-(len(x) - frame_len + 1) // hop)
+    padded = np.arange(first, stop) >= _first_padded(len(x), frame_len, hop)
     return (np.concatenate((span, np.zeros(tail, span.dtype))) if tail > 0 else span), padded
+
+
+def _first_padded(num_samples: int, frame_len: int, hop: int) -> int:
+    """The first frame that runs past the end of num_samples samples,
+    ceil((num_samples - frame_len + 1) / hop), found in Python ints: k * hop
+    may not fit in int64. Frames from it on are padded."""
+    return -(-(num_samples - frame_len + 1) // hop)
 
 
 def frame_signal(w: Waveform, frame_len: int, hop: int) -> list[Frame]:

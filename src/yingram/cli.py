@@ -78,7 +78,7 @@ def _cmd_analyze(args: argparse.Namespace, cfg: AnalysisConfig) -> int:
 
 def _cmd_f0(args: argparse.Namespace, cfg: AnalysisConfig) -> int:
     with _WavFile(args.input) as wav:
-        contour = _analyse(wav, cfg)[1]
+        contour = _analyse(wav, cfg, False)[1]  # padded_rows: the contour reads none
     _atomic_write(args.out, _f0_csv_lines(contour))
     _write_json(args.out + ".json", {"frames": len(contour), "config": cfg.to_dict()})
     return 0

@@ -119,8 +119,8 @@ def evaluate_shift_pair(
     s = Scope(s).shift
     # the resampled lengths, whose rule raises first for a ratio `resample` refuses
     n_normal, n_shifted = (_resampled_length(w, cfg.sample_rate) for w in (normal, shifted))
-    matrix_a, contour_a = _analyse(normal, cfg)
-    matrix_b, contour_b = _analyse(shifted, cfg)
+    matrix_a, contour_a = _analyse(normal, cfg, padded_rows=False)
+    matrix_b, contour_b = _analyse(shifted, cfg, padded_rows=False)
     y_normal, y_shifted = matrix_a.unpadded(), matrix_b.unpadded()
     frames = min(len(y_normal), len(y_shifted))
     expected = shift_to_semitones(s)

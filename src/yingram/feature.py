@@ -23,10 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import Frame, Waveform, _frame_span, _Resampling, _WavFile, frame_count
+from .audio import Frame, Waveform, _first_padded, _frame_span, _Resampling, _WavFile, frame_count
 from .config import AnalysisConfig
 from .grid import DEFAULT_GRID, NoteGrid, _lag_table, _require_real_dtype, channel_lags, tau_max_for
-from .yin import _checked_samples, _cmnd_terms, _difference_fft, _non_finite, difference_function, f0_rows
+from .yin import _checked_samples, _clip_pass, _cmnd_terms, _difference_fft, _non_finite, difference_function, f0_rows
 
 __all__ = [
     "YingramMatrix",
@@ -232,7 +232,9 @@ def _frame_terms(frame: Frame | np.ndarray, tau_max: int, window: int) -> tuple:
     return terms
 
 
-def _analyse(source: Waveform | _WavFile, cfg: AnalysisConfig) -> tuple[YingramMatrix, PitchContour]:
+def _analyse(
+    source: Waveform | _WavFile, cfg: AnalysisConfig, padded_rows: bool = True
+) -> tuple[YingramMatrix, PitchContour]:
     """The Yingram and the pitch contour of one clip, a Waveform or an open
     WAV file at any rate, decoded and resampled to the config's rate in
     parts (`audio._Resampling`) as it is analysed: each block starts once
@@ -242,12 +244,19 @@ def _analyse(source: Waveform | _WavFile, cfg: AnalysisConfig) -> tuple[YingramM
     `audio._frame_span`'s framing rule, BLOCK_FRAMES at a time. Each block
     hands the difference kernel its span of clip samples (a view, or a copy
     decoded from the file or joining two parts, zero padded only past the
-    clip's end). A frame's CMND is cmnd(difference_function(frame, tau_max,
-    window)), with the correlation and the energies summed from hop blocks
-    when the hop divides the window (d to about 1e-13 of p0 + p_tau, a
-    stored value to 1 float32 ulp; exact otherwise). Every frame gets a
-    Yingram row; padded frames are flagged and stay unvoiced (f0 NaN,
+    clip's end), in one `yin._clip_pass`. A frame's CMND is
+    cmnd(difference_function(frame, tau_max, window)), with the correlation
+    and the energies summed from hop blocks when the hop divides the window
+    (d to about 1e-13 of p0 + p_tau, a stored value to 1 float32 ulp; exact
+    otherwise). Padded frames are flagged and stay unvoiced (f0 NaN,
     aperiodicity 1), the others get the f0 of `f0_rows`.
+
+    Every frame gets a Yingram row, unless padded_rows is false: then the
+    pass stops at the last unpadded frame and the padded frames' rows are
+    NaN, for callers that read only the contour and the unpadded rows
+    (`compare-shift`, `batch`, `f0`, `extract_pitch_contour`). The padded
+    frames still run when a sample they read is above _SAFE_SAMPLE in size
+    or not finite, so they raise as in a full pass.
 
     Raises, in the order of decoding and resampling the whole clip and then
     analysing it: a decoding error (in file order), a resampling error (as
@@ -256,14 +265,24 @@ def _analyse(source: Waveform | _WavFile, cfg: AnalysisConfig) -> tuple[YingramM
     the clip's frames).
     """
     _raise_mmap_threshold()
-    with _Resampling(source, cfg.sample_rate) as clip:
+    with _Resampling(source, cfg.sample_rate) as clip, _clip_pass():
         n = frame_count(len(clip), cfg.frame_length, cfg.hop)
+        kept = n if padded_rows else max(0, min(n, _first_padded(len(clip), cfg.frame_length, cfg.hop)))
         brackets = _channel_brackets(cfg.grid, cfg.sample_rate)
         padded = np.empty(n, dtype=bool)
         rows = np.empty((n, cfg.grid.num_channels), dtype=np.float32)
         f0, aperiodicity = np.empty(n), np.empty(n)
+        computed = n  # the frames the pass runs
         for start in range(0, n, BLOCK_FRAMES):
-            block = slice(start, min(start + BLOCK_FRAMES, n))
+            stop = min(start + BLOCK_FRAMES, n)
+            if stop > kept:  # once, at the first block past the frames a caller reads
+                tail = clip[kept * cfg.hop : len(clip)]  # the samples only padded frames read
+                if np.max(np.abs(tail)) <= _SAFE_SAMPLE:  # False for NaN
+                    computed = kept
+                kept = n
+            block = slice(start, min(stop, computed))
+            if block.start >= block.stop:
+                break
             span, padded[block] = _frame_span(clip, cfg.frame_length, cfg.hop, block.start, block.stop)
             clip.release(block.stop * cfg.hop)  # where the next block's span starts
             try:
@@ -275,11 +294,21 @@ def _analyse(source: Waveform | _WavFile, cfg: AnalysisConfig) -> tuple[YingramM
             f0[block], aperiodicity[block] = f0_rows(
                 values, cfg.sample_rate, cfg.f0_threshold, cfg.f_min, cfg.f_max, cfg.voicing_cutoff
             )
+            del values  # before the next block's arrays
         _require_finite_clip(clip)
+    padded[computed:], rows[computed:] = True, np.nan
     f0[padded], aperiodicity[padded] = np.nan, 1.0
     times = np.arange(n) * (cfg.hop / cfg.sample_rate)
     matrix = YingramMatrix(rows, cfg.grid, cfg.hop, cfg.sample_rate, padded)
     return matrix, PitchContour(times, f0, aperiodicity, cfg.hop, cfg.sample_rate)
+
+
+# A frame whose samples are at most this in size cannot overflow its CMND
+# check under any config: its d, CMND sums and sums times tau_max stay below
+# 4 * window * tau_max^2 * x^2 <= 2e14 x^2 (window + tau_max <= 2^16), and its
+# spectra below (2^16 x)^2; at the default config the check overflows near
+# 3.5e149.
+_SAFE_SAMPLE = 1e140
 
 
 @lru_cache(maxsize=None)
@@ -323,7 +352,7 @@ def extract_pitch_contour(w: Waveform, config: AnalysisConfig | None = None) -> 
     unvoiced, the others follow the CMND threshold rule with parabolic
     refinement (`f0_rows`); aperiodicity is the CMND at the chosen integer lag.
     Raises ValueError for a waveform not at the config's rate ("resample first")."""
-    return _analyse(w, _require_config_rate(w, config or AnalysisConfig()))[1]
+    return _analyse(w, _require_config_rate(w, config or AnalysisConfig()), padded_rows=False)[1]
 
 
 def write_yingram_csv(matrix: YingramMatrix, path) -> None:

@@ -23,6 +23,9 @@ package depends on that.
 """
 from __future__ import annotations
 
+import contextlib
+import contextvars
+
 import numpy as np
 import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
@@ -69,63 +72,134 @@ def _difference_fft(x: np.ndarray, tau_max: int, window: int, hop: int | None = 
     # the span of clip samples that consecutive frames hop apart read
     # (`audio._frame_span`): head = hop when the hop divides the window, else
     # window, segment m starts at m*hop, and frame k sums the window // head
-    # segments k, k+1, ... Each segment is transformed once, at
-    # next_fast_len(segment length), real=True for hop heads (720 points at
+    # segments k, k+1, ... (`_span_terms`). Each segment is transformed once,
+    # at next_fast_len(segment length), real=True for hop heads (720 points at
     # the default config, against 2475 for a frame): the per-frame
     # length rule is the bit-for-bit reference. Either way p0 = p_tau(0).
-    head = hop if hop and window % hop == 0 else window
-    segments = x if hop is None else sliding_window_view(x, head + tau_max)[::hop]
-    blocks = window // head
-    n = scipy.fft.next_fast_len(segments.shape[-1], real=blocks > 1)
     if hop is None:
-        # per frame, the zero-padded head and the frame are two rows of one
-        # stack: one rfft and one irfft per call, where separate transforms
-        # of the head and the frame made three. pocketfft transforms each row
-        # of a stack on its own, and every row of a stack runs the arithmetic
-        # of a one-row call, so the bits are those of separate calls
-        pair = np.zeros(x.shape[:-1] + (2, n))
-        pair[..., 0, :window] = x[..., :window]
-        pair[..., 1, : x.shape[-1]] = x
-        spectra = scipy.fft.rfft(pair, axis=-1)
-        spectrum = np.conjugate(spectra[..., 0, :]) * spectra[..., 1, :]
-        del pair, spectra
+        corr, p_tau = _pair_terms(x, tau_max, window)
     else:
-        # each temporary goes as soon as it has been read, and the squares and
-        # their cumsum share one array, so a block's peak is its two spectra and
-        # one padded input, not every stage's arrays at once
-        spectrum = scipy.fft.rfft(segments[..., :head], n, axis=-1)
-        np.conjugate(spectrum, out=spectrum)
-        spectrum *= scipy.fft.rfft(segments, n, axis=-1)
-    corr = scipy.fft.irfft(spectrum, n, axis=-1)[..., : tau_max + 1]
-    del spectrum
-    if blocks > 1:  # a contiguous copy for the segment sums frees the transform's other lags
-        corr = np.ascontiguousarray(corr)
-    csum = np.empty(segments.shape[:-1] + (head + tau_max + 1,))
-    csum[..., 0] = 0.0
-    np.square(segments[..., : head + tau_max], out=csum[..., 1:])
-    np.cumsum(csum[..., 1:], axis=-1, out=csum[..., 1:])
-    p_tau = csum[..., head:] - csum[..., : tau_max + 1]
-    del csum
-    if blocks > 1:
-        corr, p_tau = _frame_sums(corr, p_tau, blocks)
-    floor = p_tau[..., :1] + p_tau  # p0 + p_tau, the summed energies
-    del p_tau
-    d = floor - 2.0 * corr
-    del corr
+        corr, p_tau = _span_terms(x, tau_max, window, hop)
+    # in place: the sums below round as the expressions in their comments
+    p_tau += p_tau[..., :1]  # p0 + p_tau, the summed energies
+    corr *= 2.0
+    d = np.subtract(p_tau, corr, out=corr)  # (p0 + p_tau) - 2*corr
     # cancellation noise sits ~1e-13 relative to the summed energies; clamp
     # well above it (and far below real CMND valleys at ~1e-6 relative) so
     # constant or silent frames produce exact zeros like the naive path
-    floor *= 1e-11
-    d[d < floor] = 0.0
+    p_tau *= 1e-11
+    d[d < p_tau] = 0.0
     return d
 
 
-def _frame_sums(g: np.ndarray, e: np.ndarray, blocks: int) -> tuple[np.ndarray, np.ndarray]:
-    """The correlation and energy terms of each frame from those of its hop
-    segments: frame k sums segments k..k+blocks-1 in order; a running sum
-    over the clip would round differently and flip float32 Yingram values."""
-    rows = len(g) - blocks + 1
-    corr, p_tau = g[:rows] + g[1 : rows + 1], e[:rows] + e[1 : rows + 1]
+def _pair_terms(x: np.ndarray, tau_max: int, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c, p_tau) of each row of x, one frame: the zero-padded head and the
+    frame are two rows of one stack, so one rfft and one irfft per call,
+    where separate transforms of the head and the frame made three. pocketfft
+    transforms each row of a stack on its own, and every row of a stack runs
+    the arithmetic of a one-row call, so the bits are those of separate calls."""
+    n = scipy.fft.next_fast_len(x.shape[-1])
+    pair = np.zeros(x.shape[:-1] + (2, n))
+    pair[..., 0, :window] = x[..., :window]
+    pair[..., 1, : x.shape[-1]] = x
+    spectra = scipy.fft.rfft(pair, axis=-1)
+    del pair
+    spectrum = np.conjugate(spectra[..., 0, :]) * spectra[..., 1, :]
+    del spectra
+    corr = np.ascontiguousarray(scipy.fft.irfft(spectrum, n, axis=-1)[..., : tau_max + 1])
+    del spectrum
+    csum = np.empty(x.shape[:-1] + (window + tau_max + 1,))
+    csum[..., 0] = 0.0
+    np.square(x[..., : window + tau_max], out=csum[..., 1:])
+    np.cumsum(csum[..., 1:], axis=-1, out=csum[..., 1:])
+    return corr, csum[..., window:] - csum[..., : tau_max + 1]
+
+
+class _ClipPass:
+    """What one clip pass keeps between the block spans it hands
+    `_difference_fft`, in order, each starting where the last one's frames
+    end (`feature._analyse`): one scratch array, and the segment terms (g, e)
+    of the window // hop - 1 segments that the next span starts with. A
+    segment's terms depend only on its samples, so carrying them moves no
+    bit. The kernel finds the pass in `_CLIP_PASS`, so its signature stays
+    the one the per-frame kernel shares."""
+
+    def __init__(self):
+        self.scratch = np.empty(0)
+        self.carried = None
+
+    def views(self, *shapes: tuple[int, int]) -> list[np.ndarray]:
+        """Contiguous arrays of these shapes over the same scratch memory,
+        grown as needed, unset: each call sets what it reads."""
+        size = max(rows * cols for rows, cols in shapes)
+        if self.scratch.size < size:
+            self.scratch = np.empty(size)
+        return [self.scratch[: rows * cols].reshape(rows, cols) for rows, cols in shapes]
+
+
+# the open clip pass of this thread (`_clip_pass`), or None
+_CLIP_PASS: contextvars.ContextVar[_ClipPass | None] = contextvars.ContextVar("_CLIP_PASS", default=None)
+
+
+@contextlib.contextmanager
+def _clip_pass():
+    """Open a `_ClipPass` for the hop-path `_difference_fft` calls made inside."""
+    token = _CLIP_PASS.set(_ClipPass())
+    try:
+        yield
+    finally:
+        _CLIP_PASS.reset(token)
+
+
+def _span_terms(x: np.ndarray, tau_max: int, window: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c, p_tau) of the frames of a clip span, summed from its segments'
+    (g, e); see `_difference_fft`. One scratch array holds in turn the
+    zero-padded heads, then segments, that are transformed, the squares'
+    cumsum, and the frames' correlations, so a block's peak is that array
+    and two spectra. In a `_clip_pass` the scratch lives for the pass, the
+    terms of the segments the last span carried are not computed again, and
+    the c returned lives in the scratch until the next call."""
+    head = hop if window % hop == 0 else window
+    blocks, lags, length = window // head, tau_max + 1, head + tau_max
+    segments = sliding_window_view(x, length)[::hop]
+    clip_pass = _CLIP_PASS.get() or _ClipPass()
+    carried = clip_pass.carried if blocks > 1 else None
+    done = 0 if carried is None else len(carried[0])
+    new, rows = segments[done:], len(segments) - blocks + 1
+    n = scipy.fft.next_fast_len(length, real=blocks > 1)
+    padded, csum, corr = clip_pass.views((len(new), n), (len(new), length + 1), (rows, lags))
+    padded[:, :head] = new[:, :head]
+    padded[:, head:] = 0.0
+    spectrum = scipy.fft.rfft(padded, axis=-1)
+    np.conjugate(spectrum, out=spectrum)
+    padded[:, head:length] = new[:, head:]
+    spectrum *= scipy.fft.rfft(padded, axis=-1)
+    full = scipy.fft.irfft(spectrum, n, axis=-1)
+    del spectrum
+    g = np.empty((len(segments), lags))
+    g[done:] = full[:, :lags]
+    del full
+    csum[:, 0] = 0.0  # the squares and their cumsum share one array
+    np.square(new, out=csum[:, 1:])
+    np.cumsum(csum[:, 1:], axis=-1, out=csum[:, 1:])
+    e = np.empty_like(g)
+    np.subtract(csum[:, head:], csum[:, :lags], out=e[done:])
+    if carried is not None:
+        g[:done], e[:done] = carried
+    if blocks == 1:
+        return g, e
+    clip_pass.carried = g[rows:].copy(), e[rows:].copy()
+    return _frame_sums(g, e, blocks, corr)
+
+
+def _frame_sums(g: np.ndarray, e: np.ndarray, blocks: int, corr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The correlation terms of each frame, into `corr`, and its energy terms
+    from those of its hop segments: frame k sums segments k..k+blocks-1 in
+    order; a running sum over the clip would round differently and flip
+    float32 Yingram values."""
+    rows = len(corr)
+    np.add(g[:rows], g[1 : rows + 1], out=corr)
+    p_tau = e[:rows] + e[1 : rows + 1]
     for b in range(2, blocks):
         corr += g[b : b + rows]
         p_tau += e[b : b + rows]
@@ -201,7 +275,8 @@ def _cmnd_terms(d: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray, 
     zero gradient and a csum of 1.0, so every quotient by csum is safe.
     Rows whose sums overflow raise ValueError naming them as frames start,
     start + 1, ..."""
-    csum = np.zeros_like(d)
+    csum = np.empty_like(d)
+    csum[..., 0] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         np.cumsum(d[..., 1:], axis=-1, out=csum[..., 1:])
         # d >= 0, so the last CMND sum times tau_max bounds every d, every
@@ -214,8 +289,10 @@ def _cmnd_terms(d: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray, 
             f"{frames[-1]} are too large for their CMND in float64"
         )
     guarded = csum < CMND_EPS
-    csum[guarded] = 1.0
-    values = np.where(guarded, 1.0, d * np.arange(d.shape[-1]) / csum)
+    np.copyto(csum, 1.0, where=guarded)
+    values = d * np.arange(d.shape[-1])
+    values /= csum
+    np.copyto(values, 1.0, where=guarded)
     return values, csum, guarded
 
 
@@ -295,9 +372,13 @@ def pick_lags(
     # the descent ends at the first offset at or after `first` whose next
     # value is not smaller, or at the top of the range
     ends = np.ones(seg.shape, dtype=bool)
-    ends[:, :-1] = ~(seg[:, 1:] < seg[:, :-1])
-    stop = np.argmax(ends & (np.arange(seg.shape[1]) >= first[:, None]), axis=1)
-    offset = np.where(below.any(axis=1), stop, np.argmin(seg, axis=1))
+    np.less(seg[:, 1:], seg[:, :-1], out=ends[:, :-1])
+    np.logical_not(ends[:, :-1], out=ends[:, :-1])
+    ends &= np.arange(seg.shape[1]) >= first[:, None]
+    offset = np.argmax(ends, axis=1)
+    none = ~below[rows, first]  # rows with no value under the threshold take their minimum
+    if none.any():
+        offset[none] = np.argmin(seg[none], axis=1)
     taus = lo + offset
     return taus, values[rows, taus]
 

@@ -24,6 +24,7 @@ from yingram import (
     sine_tone,
 )
 from yingram import audio, evaluate, feature
+from yingram.audio import frame_signal
 from yingram.evaluate import _contour_offsets
 from yingram.feature import BLOCK_FRAMES
 from conftest import write_wav
@@ -221,7 +222,8 @@ def test_shift_pair_equals_the_public_paths(cfg, seconds, s):
 
 
 def test_each_clip_analysis_frames_the_clip_once(monkeypatch, cfg):
-    # one frame count per analysis, and block spans that tile its frames once
+    # one frame count per analysis, and block spans that tile its frames
+    # once: every frame for a Yingram, the unpadded ones for a contour or a pair
     calls, runs = [], []
 
     def counting(num_samples, frame_len, hop):
@@ -232,8 +234,10 @@ def test_each_clip_analysis_frames_the_clip_once(monkeypatch, cfg):
         runs.append((first, stop))
         return real_span(x, frame_len, hop, first, stop)
 
-    def tiles(w):
+    def tiles(w, padded=True):
         n = real_count(len(w), cfg.frame_length, cfg.hop)
+        if not padded:
+            n = sum(not frame.padded for frame in frame_signal(w, cfg.frame_length, cfg.hop))
         return [(k, min(k + BLOCK_FRAMES, n)) for k in range(0, n, BLOCK_FRAMES)]
 
     real_count, real_span = feature.frame_count, feature._frame_span
@@ -244,10 +248,10 @@ def test_each_clip_analysis_frames_the_clip_once(monkeypatch, cfg):
     compute_yingram(w, cfg)
     extract_pitch_contour(w, cfg)
     assert calls == [len(w), len(w)]
-    assert runs == tiles(w) * 2
+    assert runs == tiles(w) + tiles(w, padded=False)
     evaluate_shift_pair(w, shifted, 2, cfg)
     assert calls == [len(w), len(w), len(w), len(shifted)]
-    assert runs == tiles(w) * 3 + tiles(shifted)
+    assert runs == tiles(w) + tiles(w, padded=False) * 2 + tiles(shifted, padded=False)
 
 
 @pytest.mark.parametrize("s", [2.9, True, "2"])
