@@ -306,8 +306,8 @@ def _analyse(
 # A frame whose samples are at most this in size cannot overflow its CMND
 # check under any config: its d, CMND sums and sums times tau_max stay below
 # 4 * window * tau_max^2 * x^2 <= 2e14 x^2 (window + tau_max <= 2^16), and its
-# spectra below (2^16 x)^2; at the default config the check overflows near
-# 3.5e149.
+# spectra below (2^16 x)^2. At the default config a 220 Hz tone overflows
+# the check from a peak of about 7e149.
 _SAFE_SAMPLE = 1e140
 
 
