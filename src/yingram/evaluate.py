@@ -107,7 +107,10 @@ def evaluate_shift_pair(
     """Score a (normal, shifted) pair against scope shift s.
 
     Each clip, a Waveform or an open WAV file (`audio._WavFile`), is
-    analysed at the config's rate as it is streamed and resampled. Computes
+    analysed at the config's rate as it is streamed and resampled, up to its
+    last unpadded frame: the verdict reads no padded frame, which run only
+    when a sample they read is above 1e140 in size or not finite, so that
+    they raise as in a full pass (`feature._analyse`). Computes
     the exponential Yingram consistency metric at s, the contour offset
     (time-aligned by the pair's duration ratio), and a verdict: offset
     within shift_tolerance of -s/2 and voiced overlap at least min_overlap.

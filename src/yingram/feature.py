@@ -26,7 +26,9 @@ import numpy as np
 from .audio import Frame, Waveform, _first_padded, _frame_span, _Resampling, _WavFile, frame_count
 from .config import AnalysisConfig
 from .grid import DEFAULT_GRID, NoteGrid, _lag_table, _require_real_dtype, channel_lags, tau_max_for
-from .yin import _checked_samples, _clip_pass, _cmnd_terms, _difference_fft, _non_finite, difference_function, f0_rows
+from .yin import (
+    _checked_samples, _clip_pass, _cmnd_terms, _difference_fft, _non_finite, difference_function, f0_rows,
+)
 
 __all__ = [
     "YingramMatrix",
@@ -42,11 +44,11 @@ __all__ = [
 
 # Frames per block of `_analyse`. A block holds its span of clip samples (a
 # view, or a copy: decoded from the file, joined from two resampled parts or
-# padded at the clip's end) and the spectra and energy cumsums of its
-# segments, so the block size, not the clip length, bounds the working set:
-# 2.9 MB traced at 5 s and at 60 s. Each block also
-# transforms the window // hop - 1 hop segments past its last frame's start
-# again. On a 2-core VM, in 7 alternating rounds (best, median), with equal
+# padded at the clip's end), its segments' terms and the pass's one scratch
+# array (`yin._ClipPass`), so the block size, not the clip length, bounds the
+# working set: 2.4 MB traced at 5 s and at 60 s. A block takes the terms of
+# the window // hop - 1 hop segments it shares with the one before from it.
+# On a 2-core VM, in 7 alternating rounds (best, median), with equal
 # output bytes: a 10 s tone took 53, 60 ms at 32 frames and 40, 44 ms at
 # 128; a 60 s vibrato 206, 257 ms and 184, 225 ms. A 60 s 48 kHz vibrato,
 # resampled as it was analysed, took 159-168 ms at 32 frames, 133-144 at
@@ -54,7 +56,9 @@ __all__ = [
 # Blocks run serially on the calling thread: two at once on two threads took
 # the vibrato to 160, 186 ms, but their peaks add up or not by the threads'
 # timing, so the traced working set of a 5 s clip fell more than 1 MB below
-# that of a 60 s clip in 7 of 100 runs.
+# that of a 60 s clip in 7 of 100 runs. Nor do threads pay: numpy's cumsum
+# and fancy `take` hold the GIL, and on the 2-core VM two threads ran 1.0x
+# on alternate blocks of a 12 s clip, and 1.0x on the two clips of a pair.
 BLOCK_FRAMES = 128
 # glibc's malloc maps each block's temporaries (0.4-0.8 MB apiece at the
 # default config) from the system and returns them once freed, unless the
@@ -275,11 +279,10 @@ def _analyse(
         computed = n  # the frames the pass runs
         for start in range(0, n, BLOCK_FRAMES):
             stop = min(start + BLOCK_FRAMES, n)
-            if stop > kept:  # once, at the first block past the frames a caller reads
-                tail = clip[kept * cfg.hop : len(clip)]  # the samples only padded frames read
-                if np.max(np.abs(tail)) <= _SAFE_SAMPLE:  # False for NaN
-                    computed = kept
-                kept = n
+            # in the block that holds the first frame no caller reads, the
+            # samples the frames from it on read: skipped unless they could raise
+            if start <= kept < stop and np.max(np.abs(clip[kept * cfg.hop : len(clip)])) <= _SAFE_SAMPLE:
+                computed = kept  # (a NaN compares False)
             block = slice(start, min(stop, computed))
             if block.start >= block.stop:
                 break
@@ -351,6 +354,9 @@ def extract_pitch_contour(w: Waveform, config: AnalysisConfig | None = None) -> 
     """Frame-wise f0 over a waveform (`_analyse`): padded tail frames are
     unvoiced, the others follow the CMND threshold rule with parabolic
     refinement (`f0_rows`); aperiodicity is the CMND at the chosen integer lag.
+    The pass stops at the last unpadded frame, unless a sample the padded
+    frames read is above 1e140 in size or not finite: then they run, and
+    raise as for `compute_yingram`.
     Raises ValueError for a waveform not at the config's rate ("resample first")."""
     return _analyse(w, _require_config_rate(w, config or AnalysisConfig()), padded_rows=False)[1]
 

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import scipy.fft
 import scipy.signal
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def difference_brute(x: np.ndarray, tau_max: int, window: int) -> np.ndarray:
@@ -238,6 +239,39 @@ def difference_fft_per_frame(x: np.ndarray, tau_max: int, window: int) -> np.nda
     p_tau = csum[..., taus + window] - csum[..., taus]
     d = p0 + p_tau - 2.0 * corr
     d[d < 1e-11 * (p0 + p_tau)] = 0.0
+    return d
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def difference_fft_two_calls(span: np.ndarray, tau_max: int, window: int, hop: int) -> np.ndarray:
+    """The clip-span difference kernel as it was before one scratch array
+    served a pass, kept verbatim: each call transforms the heads and then
+    the segments of its span, each zero padded by scipy, computes every
+    segment's terms, and sums frames and the clamp into fresh arrays. The
+    clip pass must keep its bits, in every row a caller reads."""
+    head = hop if window % hop == 0 else window
+    segments = sliding_window_view(span, head + tau_max)[::hop]
+    blocks = window // head
+    n = scipy.fft.next_fast_len(segments.shape[-1], real=blocks > 1)
+    spectrum = scipy.fft.rfft(segments[..., :head], n, axis=-1)
+    np.conjugate(spectrum, out=spectrum)
+    spectrum *= scipy.fft.rfft(segments, n, axis=-1)
+    corr = np.ascontiguousarray(scipy.fft.irfft(spectrum, n, axis=-1)[..., : tau_max + 1])
+    csum = np.empty(segments.shape[:-1] + (head + tau_max + 1,))
+    csum[..., 0] = 0.0
+    np.square(segments, out=csum[..., 1:])
+    np.cumsum(csum[..., 1:], axis=-1, out=csum[..., 1:])
+    p_tau = csum[..., head:] - csum[..., : tau_max + 1]
+    if blocks > 1:
+        rows = len(corr) - blocks + 1
+        g, e = corr, p_tau
+        corr, p_tau = g[:rows] + g[1 : rows + 1], e[:rows] + e[1 : rows + 1]
+        for b in range(2, blocks):
+            corr += g[b : b + rows]
+            p_tau += e[b : b + rows]
+    floor = p_tau[..., :1] + p_tau
+    d = floor - 2.0 * corr
+    d[d < 1e-11 * floor] = 0.0
     return d
 
 

@@ -1,6 +1,9 @@
 """The clip pass (its block spans and CMND kernels) and the vectorised lag
 pick against the per-frame reference path."""
+import tempfile
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from yingram import (
     vibrato_tone,
     yingram_from_frame,
 )
-from yingram import yin
+from yingram import audio, yin
 from yingram.audio import _frame_span, frame_count, frame_signal
 from yingram.feature import BLOCK_FRAMES
 from yingram.yin import (
@@ -32,7 +35,13 @@ from yingram.yin import (
     pick_lags,
     refine_lags,
 )
-from oracles import difference_fft_per_frame, parabolic_refine_scalar, pick_lag_loop
+from conftest import write_float32
+from oracles import (
+    difference_fft_per_frame,
+    difference_fft_two_calls,
+    parabolic_refine_scalar,
+    pick_lag_loop,
+)
 
 SR = 22050
 CFG = AnalysisConfig()
@@ -314,6 +323,64 @@ def test_analyse_transform_lengths(monkeypatch, hop):
     assert lengths == {n}
 
 
+# -- the pass that skips padded frames, from one scratch array per pass,
+# against the full pass of the two-call kernel
+
+PASS_CONFIGS = [CFG, CFG.replace(hop=97), CFG.replace(window=1024, hop=512)]
+
+
+@st.composite
+def skipping_passes(draw):
+    """(cfg, source rate, source kind, clip length at the config rate, seed):
+    no clip, one sample short of a frame, a frame, k hops past it and one
+    sample either side, and three blocks and one hop either side."""
+    cfg = draw(st.sampled_from(PASS_CONFIGS))
+    frame_len, hop = cfg.frame_length, cfg.hop
+    k = draw(st.integers(1, 12))
+    length = draw(st.sampled_from([
+        0, frame_len - 1, frame_len, frame_len + k * hop - 1, frame_len + k * hop,
+        frame_len + k * hop + 1, 3 * BLOCK_FRAMES * hop - hop, 3 * BLOCK_FRAMES * hop + hop,
+    ]))
+    return (cfg, draw(st.sampled_from([SR, 2 * SR])), draw(st.sampled_from(["waveform", "wav"])),
+            length, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(skipping_passes())
+def test_the_skipping_pass_keeps_the_full_pass_bits(case):
+    # every row and contour entry a caller reads keeps the bits of a full
+    # pass through the kernel that zero padded each transform itself; the
+    # rows the skipping pass leaves out are NaN, never unset memory
+    cfg, rate, kind, length, seed = case
+    n = length * rate // SR  # round(n * SR / rate) is `length`
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) / rate
+    x = 0.5 * np.sin(2.0 * np.pi * rng.uniform(80.0, 400.0) * t) + 0.05 * rng.standard_normal(n)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "clip.wav"
+        write_float32(path, x, rate)
+
+        def analyse(padded_rows=True):
+            if kind == "waveform":
+                return feature._analyse(Waveform(x, rate), cfg, padded_rows)
+            with audio._WavFile(path) as wav:
+                return feature._analyse(wav, cfg, padded_rows)
+
+        with mock.patch.object(feature, "_difference_fft", difference_fft_two_calls):
+            ref_matrix, ref_contour = analyse()
+        matrix, contour = analyse()
+        skip_matrix, skip_contour = analyse(padded_rows=False)
+    assert len(ref_contour) == frame_count(length, cfg.frame_length, cfg.hop)
+    assert matrix.values.tobytes() == ref_matrix.values.tobytes()
+    for m in (matrix, skip_matrix):
+        assert m.padded.tolist() == ref_matrix.padded.tolist()
+    assert skip_matrix.unpadded().tobytes() == ref_matrix.unpadded().tobytes()
+    assert np.isnan(skip_matrix.values[skip_matrix.padded]).all()
+    for c in (contour, skip_contour):
+        for name in ("times", "f0", "aperiodicity"):
+            assert getattr(c, name).tobytes() == getattr(ref_contour, name).tobytes(), name
+
+
 def _working_set(seconds):
     """Traced peak of compute_yingram on a tone, less the arrays it returns."""
     w = sine_tone(220.0, seconds)
@@ -330,6 +397,15 @@ def test_clip_pass_working_set_does_not_grow_with_the_clip():
     # a block's span, not the clip, bounds it: a zero-padded copy of the
     # whole clip once put 9.7 MB more on it at 60 s than at 5 s
     assert abs(_working_set(60.0) - _working_set(5.0)) <= 1e6
+
+
+def test_clip_pass_working_set_stays_under_its_bound():
+    # one scratch array holds a block's transform inputs, cumsum and frame
+    # sums in turn: 2.87 MB were traced when scipy zero padded each
+    # transform's input itself, and a (2r, 720) stack of a block's heads and
+    # segments traced 3.9 MB
+    _working_set(5.0)  # the caches, built
+    assert _working_set(60.0) <= 2.9e6
 
 
 def test_empty_clip_has_no_blocks():

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +253,21 @@ def test_each_clip_analysis_frames_the_clip_once(monkeypatch, cfg):
     evaluate_shift_pair(w, shifted, 2, cfg)
     assert calls == [len(w), len(w), len(w), len(shifted)]
     assert runs == tiles(w) + tiles(w, padded=False) * 2 + tiles(shifted, padded=False)
+
+
+def test_a_pair_traces_no_more_than_its_bound(cfg):
+    # the traced peak of a 1 s pair when every padded frame of both clips
+    # was analysed and scipy zero padded each transform's input itself
+    normal = sine_tone(220.0, 1.0)
+    shifted = pitch_shifted_copy(normal, -1.0)
+    evaluate_shift_pair(normal, shifted, 2, cfg)  # the caches, built
+    tracemalloc.start()
+    try:
+        evaluate_shift_pair(normal, shifted, 2, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_988_327
 
 
 @pytest.mark.parametrize("s", [2.9, True, "2"])

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from yingram import AnalysisConfig, Scope, WavFormatError, evaluate_shift_pair, load_wav
-from yingram import audio, feature
+from yingram import audio, cli, evaluate, feature
 from yingram.cli import main
 from conftest import set_usable_cores, write_stored, write_truncated
 
@@ -280,6 +280,76 @@ def test_a_pairs_errors_come_as_from_the_whole_clips(tmp_path, capsys, normal_fa
         assert (code, entry["error"]) == (1, f"{type(expected).__name__}: {expected}")
     else:
         assert (code, entry["report"]) == (0 if expected["pass"] else 1, expected)
+
+
+# -- `compare-shift`, `batch` and `f0` skip the padded frames, but raise as a
+# full pass does when the samples those frames read could overflow them
+
+def _fault_the_tail(monkeypatch, fault: str, last: int) -> None:
+    """Open WAV files whose last `last` decoded samples are 1e160 times their
+    value, or NaN, which no WAV file holds."""
+
+    class Faulty(audio._WavFile):
+        def read(self, first, stop):
+            x = super().read(first, stop)
+            lo = max(len(self) - last, first)
+            if lo < stop:
+                x[lo - first :] = np.nan if fault == "nan" else 1e160 * x[lo - first :]
+            return x
+
+    monkeypatch.setattr(cli, "_WavFile", Faulty)
+    monkeypatch.setattr(evaluate, "_WavFile", Faulty)
+
+
+def _run_command(tmp_path, capsys, command: str, path) -> tuple:
+    """The exit code, stdout, stderr and output bytes of `command` on `path`
+    (a pair of it with itself, for `compare-shift` and `batch`)."""
+    out = tmp_path / "out.json"
+    if command == "batch":
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"normal": str(path), "shifted": str(path), "scope_shift": 0}]))
+        args = ["batch", str(manifest), "--out-json", str(out)]
+    elif command == "compare-shift":
+        args = ["compare-shift", str(path), str(path), "--scope-shift", "0", "--out", str(out)]
+    else:
+        args = ["f0", str(path), "--out", str(out)]
+    code = main(args)
+    written = out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+    return (code, *capsys.readouterr(), written)
+
+
+@pytest.mark.parametrize("command", ["compare-shift", "batch", "f0"])
+@pytest.mark.parametrize("rate", [22050, 44100])
+@pytest.mark.parametrize("last", [256, 103], ids=["last hop", "past the last unpadded frame"])
+@pytest.mark.parametrize("fault", ["huge", "nan"])
+def test_a_skipping_command_fails_as_a_full_pass(tmp_path, monkeypatch, capsys, command, rate, last, fault):
+    # 0.5 s: 44 frames, of which 34 are unpadded; the last of them ends 103
+    # samples before the clip does, at the config rate
+    path = tmp_path / "clip.wav"
+    write_stored(path, _values(0.5, rate, "f32"), rate, "f32")
+    _fault_the_tail(monkeypatch, fault, last * rate // SR)
+    skipping = _run_command(tmp_path, capsys, command, path)
+    analyse = feature._analyse
+    full = lambda source, cfg, padded_rows=True: analyse(source, cfg)  # noqa: E731
+    monkeypatch.setattr(cli, "_analyse", full)
+    monkeypatch.setattr(evaluate, "_analyse", full)
+    assert skipping == _run_command(tmp_path, capsys, command, path)
+    # resampled, a NaN reaches the clip's samples, and their count comes
+    # first; otherwise the frames that read the tail overflow, padded ones too
+    if fault == "nan" and rate != SR:
+        message = "non-finite samples: "
+    else:
+        message = "non-finite difference values: the samples of frames "
+    code, stdout, stderr, written = skipping
+    if command == "batch":
+        error = json.loads(written)["entries"][0]["error"]
+        assert (code, stderr) == (1, "") and error.startswith("ValueError: " + message)
+    else:
+        assert (code, stdout, written) == (2, "", None) and stderr.startswith("error: " + message)
+        error = stderr
+    if not message.startswith("non-finite samples"):
+        assert int(error.split("..")[1].split()[0]) >= 34  # a padded frame ran
 
 
 @pytest.mark.parametrize("rate", [22050, 48000])
