@@ -271,7 +271,7 @@ def _analyse(
     _raise_mmap_threshold()
     with _Resampling(source, cfg.sample_rate) as clip, _clip_pass():
         n = frame_count(len(clip), cfg.frame_length, cfg.hop)
-        kept = n if padded_rows else max(0, min(n, _first_padded(len(clip), cfg.frame_length, cfg.hop)))
+        kept = n if padded_rows else max(0, _first_padded(len(clip), cfg.frame_length, cfg.hop))
         brackets = _channel_brackets(cfg.grid, cfg.sample_rate)
         padded = np.empty(n, dtype=bool)
         rows = np.empty((n, cfg.grid.num_channels), dtype=np.float32)

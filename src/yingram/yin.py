@@ -163,7 +163,7 @@ def _span_terms(x: np.ndarray, tau_max: int, window: int, hop: int) -> tuple[np.
     blocks, lags, length = window // head, tau_max + 1, head + tau_max
     segments = sliding_window_view(x, length)[::hop]
     clip_pass = _CLIP_PASS.get() or _ClipPass()
-    carried = clip_pass.carried if blocks > 1 else None
+    carried = clip_pass.carried  # set only where frames share segments
     done = 0 if carried is None else len(carried[0])
     new, rows = segments[done:], len(segments) - blocks + 1
     n = scipy.fft.next_fast_len(length, real=blocks > 1)
